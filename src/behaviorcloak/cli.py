@@ -144,6 +144,7 @@ def _cmd_design(args) -> int:
             "plan": str(out / "plan.json"),
             "regulator_residual": sol.residual,
             "plan_residual": plan.residual,
+            "plan_input_norm": float(np.linalg.norm(plan.U2)),
             "kernel_deviation": float(
                 np.linalg.norm(scenario.utility.F @ plan.delta_Y)
             ),

@@ -2,21 +2,23 @@
 
 The free response of the target model over a horizon K is
 
-    Ytilde = Ot x(1) + Tt U,
+    Ytilde = Ot x(1) + Tt U = M z,    z = (x(1), U),
 
 with ``Ot`` the block observability matrix and ``Tt`` the block-Toeplitz
-forced-response matrix.  A distortion plan steers ``Ytilde`` into the
-kernel of the known utility matrix F, so adding it to a transmitted
-output trajectory leaves ``F Y + mu`` unchanged.
+forced-response matrix.  A distortion plan is an input-space point z whose
+response lies in the kernel of the known utility matrix F, so adding it to
+a transmitted output trajectory leaves ``F Y + mu`` unchanged.
 
-Plans are found by draw-project-solve: project a seeded Gaussian draw
-into Ker[F], then solve for a target-model trajectory matching the
-projection by minimum-norm least squares.  Below a size threshold the
-solve is a dense factorization; above it, the lifted operators are
-applied matrix-free (FFT convolution against the Markov parameters) and
-the system is solved iteratively, which keeps the paper-scale horizons
-tractable.  A dense cross-check path computes the full nullspace of the
-three-block feasibility system instead; it is limited to small horizons.
+Plans are found by one projection in input space: a seeded Gaussian draw
+z is projected onto Ker[F M], and its response M z is rescaled to the
+requested size.  ``F M`` has only q rows, one adjoint apply ``M' F_i``
+each, so the projection needs no iteration.  When the projected response
+vanishes to rounding, the target behaviour meets Ker[F] only at zero and
+no plan exists.
+
+``M`` is never formed: ``Ot`` is filled by block doubling and ``Tt`` is
+applied by FFT convolution against the Markov parameters ``C A^i B``, so
+a plan costs O(q K log K) even at paper-scale horizons.
 """
 
 from __future__ import annotations
@@ -27,16 +29,8 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.signal import fftconvolve
-from scipy.sparse.linalg import LinearOperator, lsmr
 
-from .linalg import (
-    DEFAULT_TOL,
-    ToleranceConfig,
-    lstsq_min_norm,
-    nullspace_basis,
-    pseudoinverse,
-)
+from .linalg import DEFAULT_TOL, ToleranceConfig, pseudoinverse
 from .modes import StateSpaceMode
 
 __all__ = [
@@ -54,9 +48,12 @@ __all__ = [
     "save_kernel_plan",
 ]
 
-# Entry budget above which dense lifted matrices are refused and the
-# matrix-free path takes over.
+# Entry budget above which dense lifted matrices are refused.
 _DENSE_ENTRY_LIMIT = 4_000_000
+
+# A projected response this small relative to the unprojected one is
+# rounding noise: the target behaviour meets Ker[F] only at zero.
+_INFEASIBLE_RATIO = 1e-8
 
 
 class KernelAssumptionError(RuntimeError):
@@ -64,7 +61,7 @@ class KernelAssumptionError(RuntimeError):
 
 
 class InvarianceInfeasibleError(RuntimeError):
-    """No reachable kernel element of the requested size was found."""
+    """The target behaviour meets Ker[F] only at zero."""
 
 
 @dataclass(frozen=True)
@@ -162,47 +159,74 @@ class LiftedOperators:
                 Tt[i * m : (i + 1) * m, j * l : (j + 1) * l] = self.markov[i - j - 1]
         return Tt
 
+    @cached_property
+    def _fft_len(self) -> int:
+        # At length >= 2K - 3 the circular convolution of two length K-1
+        # sequences never wraps into its first K-1 entries.
+        return _fft_length(2 * self.K - 3)
+
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        """Real FFT of the Markov sequence, one column per channel pair."""
+        return np.fft.rfft(self.markov, n=self._fft_len, axis=0)
+
     def apply(self, x, U) -> np.ndarray:
         """Stacked response ``Ot x + Tt U`` without forming ``Tt``."""
         x = np.asarray(x, dtype=float).reshape(-1)
         U = np.asarray(U, dtype=float).reshape(self.K - 1, self.l)
-        out = (self.Ot @ x).reshape(self.K, self.m).copy()
-        for a in range(self.m):
-            for b in range(self.l):
-                conv = fftconvolve(self.markov[:, a, b], U[:, b])
-                out[1:, a] += conv[: self.K - 1]
+        N = self._fft_len
+        out = (self.Ot @ x).reshape(self.K, self.m)
+        spec = np.einsum("fab,fb->fa", self._spectrum, np.fft.rfft(U, n=N, axis=0))
+        out[1:] += np.fft.irfft(spec, n=N, axis=0)[: self.K - 1]
         return out.reshape(-1)
 
     def apply_adjoint(self, w) -> tuple[np.ndarray, np.ndarray]:
         """Adjoint pair ``(Ot' w, Tt' w)`` without forming ``Tt``."""
         w = np.asarray(w, dtype=float).reshape(self.K, self.m)
+        N = self._fft_len
         x_adj = self.Ot.T @ w.reshape(-1)
-        U_adj = np.zeros((self.K - 1, self.l))
-        tail = w[1:]
-        for a in range(self.m):
-            for b in range(self.l):
-                conv = fftconvolve(tail[:, a], self.markov[::-1, a, b])
-                U_adj[:, b] += conv[self.K - 2 : 2 * self.K - 3]
+        spec = np.einsum(
+            "fab,fa->fb", self._spectrum.conj(), np.fft.rfft(w[1:], n=N, axis=0)
+        )
+        U_adj = np.fft.irfft(spec, n=N, axis=0)[: self.K - 1]
         return x_adj, U_adj.reshape(-1)
+
+
+def _fft_length(n: int) -> int:
+    """Smallest ``2^a 3^b 5^c >= n``; numpy's FFT is fast at such lengths."""
+    best = 2 * n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def build_lifted_operators(target_mode: StateSpaceMode, K: int) -> LiftedOperators:
     """Assemble the horizon-K lifted operators of a mode.
 
-    Row blocks ``C A^k`` are accumulated by iterated multiplication, never
-    by explicit matrix powers.
+    Row blocks ``C A^k`` are filled by block doubling: the first s blocks
+    times ``A^s`` give the next s, and ``A^s`` is squared each round, so
+    the build takes O(log K) matrix products.
     """
     if K < 2:
         raise ValueError("horizon must be at least 2")
     m, n, l = target_mode.m, target_mode.n, target_mode.l
     Ot = np.empty((K * m, n))
-    markov = np.empty((K - 1, m, l))
-    row = target_mode.C
-    for k in range(K):
-        Ot[k * m : (k + 1) * m] = row
-        if k < K - 1:
-            markov[k] = row @ target_mode.B
-            row = row @ target_mode.A
+    Ot[:m] = target_mode.C
+    power, s = target_mode.A, 1
+    while s < K:
+        t = min(s, K - s)
+        Ot[s * m : (s + t) * m] = Ot[: t * m] @ power
+        power = power @ power
+        s += t
+    markov = (Ot[: (K - 1) * m] @ target_mode.B).reshape(K - 1, m, l)
     return LiftedOperators(mode_id=target_mode.mode_id, K=K, Ot=Ot, markov=markov)
 
 
@@ -221,8 +245,9 @@ class KernelPlan:
     """Off-line plan steering the target model's free output into Ker[F].
 
     ``delta_Y`` is the attained stacked response; ``residual`` is its
-    distance from the kernel element the solver aimed at.  ``theta`` is
-    the kernel parameter used (None for zero or deserialized plans).
+    distance ``||F^+ F delta_Y||`` from Ker[F].  ``theta`` is the kernel
+    element the plan realizes, equal to ``delta_Y`` (None for zero or
+    deserialized plans).
     """
 
     x2_init: np.ndarray
@@ -266,46 +291,19 @@ class KernelPlan:
         )
 
 
-def _solve_exact_trajectory(ops: LiftedOperators, delta, tol: ToleranceConfig):
-    """Minimum-norm least-squares solve of ``Ot x + Tt U = delta``.
-
-    Uses a dense factorization when the stacked system fits the entry
-    budget and a matrix-free LSMR iteration otherwise.
-    """
-    rows = ops.K * ops.m
-    cols = ops.n + (ops.K - 1) * ops.l
-    delta = np.asarray(delta, dtype=float).reshape(-1)
-    if rows * cols <= _DENSE_ENTRY_LIMIT:
-        M = np.hstack([ops.Ot, ops.Tt])
-        z, residual = lstsq_min_norm(M, delta, tol)
-    else:
-        op = LinearOperator(
-            (rows, cols),
-            matvec=lambda z: ops.apply(z[: ops.n], z[ops.n :]),
-            rmatvec=lambda w: np.concatenate(ops.apply_adjoint(w)),
-        )
-        z = lsmr(
-            op,
-            delta,
-            atol=1e-14,
-            btol=1e-14,
-            conlim=0.0,
-            maxiter=min(5000, 3 * rows),
-        )[0]
-        residual = float(np.linalg.norm(ops.apply(z[: ops.n], z[ops.n :]) - delta))
-    return z[: ops.n], z[ops.n :].reshape(ops.K - 1, ops.l), residual
-
-
 def solve_utility_invariance(
     ops: LiftedOperators,
     spec: UtilitySpec,
     magnitude: float = 1.0,
     seed: int = 0,
     tol: ToleranceConfig = DEFAULT_TOL,
-    method: str = "structured",
-    max_redraws: int = 16,
 ) -> KernelPlan:
     """Find an initial condition and input sequence whose response lies in Ker[F].
+
+    A seeded Gaussian draw ``z = (x, U)`` is projected onto Ker[F M] with
+    ``M = [Ot Tt]``, and the projected point is scaled so that its
+    response ``delta_Y = M z`` has the requested norm.  The plan is exact
+    but not the minimum-norm input.
 
     Parameters
     ----------
@@ -318,20 +316,14 @@ def solve_utility_invariance(
         Requested 2-norm of the distortion ``delta_Y``.  Zero returns the
         zero plan unconditionally.
     seed : int
-        Seed for the Gaussian draws; plans are reproducible bit-for-bit.
-    method : {"structured", "dense"}
-        The structured path projects a draw into Ker[F] and solves for a
-        matching trajectory (scales to large K).  The dense path draws a
-        combination from the nullspace of the stacked three-block
-        feasibility system and is meant for small-horizon cross-checks.
+        Seed for the Gaussian draw; plans are reproducible bit-for-bit.
 
     Raises
     ------
     KernelAssumptionError
         If F has a trivial kernel and a nonzero plan is requested.
     InvarianceInfeasibleError
-        If every redraw fails to produce a reachable kernel element of
-        the requested size.
+        If the target behaviour meets Ker[F] only at zero.
     """
     if spec.K != ops.K or spec.m != ops.m:
         raise ValueError("utility spec and lifted operators disagree on K or m")
@@ -343,74 +335,27 @@ def solve_utility_invariance(
         raise KernelAssumptionError(
             "utility matrix has a trivial kernel; only the zero plan preserves it"
         )
-    if method == "structured":
-        return _solve_structured(ops, spec, magnitude, seed, tol, max_redraws)
-    if method == "dense":
-        return _solve_dense(ops, spec, magnitude, seed, tol, max_redraws)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _solve_structured(ops, spec, magnitude, seed, tol, max_redraws):
-    rng = np.random.default_rng(seed)
-    F_pinv = pseudoinverse(spec.F, tol)
-    dim = spec.F.shape[1]
-    for _ in range(max_redraws):
-        theta = rng.standard_normal(dim)
-        delta = theta - F_pinv @ (spec.F @ theta)
-        norm = np.linalg.norm(delta)
-        if norm <= 1e-12 * max(1.0, np.linalg.norm(theta)):
-            continue
-        scale = magnitude / norm
-        delta = delta * scale
-        x, U, residual = _solve_exact_trajectory(ops, delta, tol)
-        if residual <= tol.residual_tol * (1.0 + magnitude):
-            return KernelPlan(
-                x2_init=x,
-                U2=U,
-                delta_Y=ops.apply(x, U),
-                theta=theta * scale,
-                residual=residual,
-                seed=seed,
-                magnitude=magnitude,
-            )
-    raise InvarianceInfeasibleError(
-        "no reachable element of Ker[F] of the requested size after "
-        f"{max_redraws} draws; the target behaviour may not intersect the kernel"
-    )
-
-
-def _solve_dense(ops, spec, magnitude, seed, tol, max_redraws):
-    rng = np.random.default_rng(seed)
-    dim = spec.F.shape[1]
-    P_row = pseudoinverse(spec.F, tol) @ spec.F
-    stacked = np.hstack([ops.Ot, ops.Tt, P_row - np.eye(dim)])
-    basis = nullspace_basis(stacked, tol)
-    if basis.shape[1] == 0:
-        raise InvarianceInfeasibleError("the feasibility system has no solutions")
-    n, width = ops.n, basis.shape[1]
-    for _ in range(max_redraws):
-        v = basis @ rng.standard_normal(width)
-        x = v[:n]
-        U = v[n : n + (ops.K - 1) * ops.l]
-        theta = v[n + (ops.K - 1) * ops.l :]
-        delta = ops.apply(x, U)
-        norm = np.linalg.norm(delta)
-        if norm <= 1e-12 * max(1.0, np.linalg.norm(v)):
-            continue
-        scale = magnitude / norm
-        x, U, theta, delta = x * scale, U * scale, theta * scale, delta * scale
-        kernel_target = theta - P_row @ theta
-        return KernelPlan(
-            x2_init=x,
-            U2=U.reshape(ops.K - 1, ops.l),
-            delta_Y=delta,
-            theta=theta,
-            residual=float(np.linalg.norm(delta - kernel_target)),
-            seed=seed,
-            magnitude=magnitude,
+    n = ops.n
+    z = np.random.default_rng(seed).standard_normal(n + (ops.K - 1) * ops.l)
+    FM = np.array([np.concatenate(ops.apply_adjoint(row)) for row in spec.F])
+    projected = z - pseudoinverse(FM, tol) @ (FM @ z)
+    delta = ops.apply(projected[:n], projected[n:])
+    norm = float(np.linalg.norm(delta))
+    if norm <= _INFEASIBLE_RATIO * np.linalg.norm(ops.apply(z[:n], z[n:])):
+        raise InvarianceInfeasibleError(
+            "the target behaviour meets Ker[F] only at zero; no nonzero plan exists"
         )
-    raise InvarianceInfeasibleError(
-        f"every nullspace draw produced a zero distortion after {max_redraws} tries"
+    scale = magnitude / norm
+    projected, delta = projected * scale, delta * scale
+    residual = pseudoinverse(spec.F, tol) @ (spec.F @ delta)
+    return KernelPlan(
+        x2_init=projected[:n],
+        U2=projected[n:].reshape(ops.K - 1, ops.l),
+        delta_Y=delta,
+        theta=delta,
+        residual=float(np.linalg.norm(residual)),
+        seed=seed,
+        magnitude=magnitude,
     )
 
 
@@ -460,19 +405,19 @@ def save_kernel_plan(plan: KernelPlan, path) -> None:
 
 
 def load_kernel_plan(path, target_mode: StateSpaceMode) -> KernelPlan:
-    """Read a plan and rebuild its response by simulating the target mode."""
-    from .modes import simulate_mode
-
+    """Read a plan and rebuild its response through the target's lifted operators."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     try:
-        x2 = np.array(doc["x2_init"], dtype=float)
+        x2 = np.array(doc["x2_init"], dtype=float).reshape(-1)
         U2 = np.array(doc["U2"], dtype=float)
         seed = doc.get("seed")
         magnitude = float(doc["magnitude"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"ill-formed plan document: {exc}") from exc
-    delta = simulate_mode(target_mode, x2, U2).stacked_outputs()
+    if x2.shape[0] != target_mode.n or U2.ndim != 2 or U2.shape[1] != target_mode.l:
+        raise ValueError("plan dimensions do not match the target mode")
+    delta = build_lifted_operators(target_mode, U2.shape[0] + 1).apply(x2, U2)
     return KernelPlan(
         x2_init=x2,
         U2=U2,

@@ -96,6 +96,9 @@ class TestDesignCommand:
         plan = load_kernel_plan(out / "plan.json", bank.mode(2))
         spec = UtilitySpec.average(500)
         assert abs(spec.F @ plan.delta_Y) <= 1e-9
+        # The input effort of the nonzero plan is reported.
+        assert np.isfinite(report["plan_input_norm"]) and report["plan_input_norm"] > 0
+        assert report["plan_input_norm"] == pytest.approx(np.linalg.norm(plan.U2))
 
     def test_same_mode_pair_rejected(self, capsys, vehicle_bank_path, tmp_path):
         code = main(

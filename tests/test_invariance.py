@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import behaviorcloak
 import support
 from behaviorcloak import (
     InvarianceInfeasibleError,
@@ -142,6 +148,71 @@ class TestBuildLiftedOperators:
             ops.apply(x, U), sim.stacked_outputs(), rtol=1e-10, atol=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "make_mode, K",
+        [
+            (lambda: vehicle_demo_bank().mode(2), 36000),
+            (
+                lambda: support.random_valid_mode(
+                    np.random.default_rng(41), n=3, m=2, l=2
+                ),
+                1001,
+            ),
+        ],
+        ids=["average_car_hour", "mimo_odd_horizon"],
+    )
+    def test_adjoint_identity(self, make_mode, K):
+        # <M z, w> = <z, M' w> with M = [Ot Tt], at the paper horizon and
+        # on a MIMO mode at a horizon that is not a power of two.
+        mode = make_mode()
+        ops = build_lifted_operators(mode, K)
+        rng = np.random.default_rng(42)
+        x = rng.standard_normal(mode.n)
+        U = rng.standard_normal((K - 1) * mode.l)
+        w = rng.standard_normal(K * mode.m)
+        Mz = ops.apply(x, U)
+        x_adj, U_adj = ops.apply_adjoint(w)
+        gap = abs(Mz @ w - (x @ x_adj + U @ U_adj))
+        assert gap <= 1e-12 * np.linalg.norm(Mz) * np.linalg.norm(w)
+
+    @pytest.mark.parametrize(
+        "make_mode, K",
+        [
+            (lambda: vehicle_demo_bank().mode(1), 36000),
+            (lambda: vehicle_demo_bank().mode(2), 36000),
+            (support.double_integrator, 4097),
+        ],
+        ids=["sports", "average", "double_integrator"],
+    )
+    def test_doubling_matches_iterated_oracle(self, make_mode, K):
+        # All three modes have eigenvalues at 1, so A^s does not decay.  The
+        # double integrator's blocks grow linearly, and so does the
+        # oracle's own rounding error, hence its shorter horizon.
+        mode = make_mode()
+        ops = build_lifted_operators(mode, K)
+        Ot, markov = support.iterated_lifted_blocks(mode, K)
+        assert np.linalg.norm(ops.Ot - Ot) <= 1e-12 * np.linalg.norm(Ot)
+        assert np.linalg.norm(ops.markov - markov) <= 1e-12 * np.linalg.norm(markov)
+
+
+def test_import_leaves_scipy_signal_and_sparse_unloaded():
+    src = str(Path(behaviorcloak.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, behaviorcloak; "
+        "print([m for m in ('scipy.signal', 'scipy.sparse') if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert result.stdout.strip() == "[]"
+
 
 class TestKernelProjector:
     def test_two_sample_average(self):
@@ -275,24 +346,42 @@ class TestSolveUtilityInvariance:
             assert np.linalg.norm(v - basis @ (basis.T @ v)) <= 1e-8
 
     def test_dense_path_matches_contract(self):
+        # The dense nullspace oracle and the solver meet the same contract
+        # on the same problem.
         rng = np.random.default_rng(38)
         mode = support.random_valid_mode(rng, n=2, m=1, l=1)
         K = 6
         spec = UtilitySpec.average(K)
         ops = build_lifted_operators(mode, K)
-        plan = solve_utility_invariance(ops, spec, magnitude=2.0, seed=5, method="dense")
-        assert np.linalg.norm(plan.delta_Y) == pytest.approx(2.0, abs=1e-9)
-        assert abs(spec.F @ plan.delta_Y) <= 1e-9
-        assert plan.residual <= 1e-9
+        for plan in (
+            support.dense_kernel_plan(ops, spec, magnitude=2.0, seed=5),
+            solve_utility_invariance(ops, spec, magnitude=2.0, seed=5),
+        ):
+            assert np.linalg.norm(plan.delta_Y) == pytest.approx(2.0, abs=1e-9)
+            assert abs(spec.F @ plan.delta_Y) <= 1e-9
+            assert plan.residual <= 1e-9
+            sim = simulate_mode(mode, plan.x2_init, plan.U2)
+            np.testing.assert_allclose(
+                sim.stacked_outputs(), plan.delta_Y, rtol=1e-9, atol=1e-11
+            )
+
+    @pytest.mark.parametrize("K", [20, 2000])
+    def test_more_outputs_than_inputs(self, K):
+        # With m > l the target behaviour is a proper subspace of the
+        # output space, so a random element of Ker[F] is almost never
+        # reachable; a plan must still be found.
+        rng = np.random.default_rng(40)
+        mode = support.random_valid_mode(rng, n=3, m=2, l=1)
+        spec = UtilitySpec.average(K, m=2)
+        ops = build_lifted_operators(mode, K)
+        magnitude = 1.0
+        plan = solve_utility_invariance(ops, spec, magnitude=magnitude, seed=4)
+        assert np.linalg.norm(spec.F @ plan.delta_Y) <= 1e-9 * (1.0 + magnitude)
+        assert np.linalg.norm(plan.delta_Y) == pytest.approx(magnitude, abs=1e-9)
         sim = simulate_mode(mode, plan.x2_init, plan.U2)
         np.testing.assert_allclose(
             sim.stacked_outputs(), plan.delta_Y, rtol=1e-9, atol=1e-11
         )
-
-    def test_unknown_method_rejected(self):
-        ops = build_lifted_operators(support.scalar_mode(0.8), 3)
-        with pytest.raises(ValueError):
-            solve_utility_invariance(ops, UtilitySpec.average(3), method="magic")
 
     def test_mismatched_spec_rejected(self):
         ops = build_lifted_operators(support.scalar_mode(0.8), 3)
@@ -352,6 +441,14 @@ class TestFileFormats:
         np.testing.assert_allclose(loaded.delta_Y, plan.delta_Y, rtol=1e-9, atol=1e-12)
         assert loaded.seed == plan.seed
         assert loaded.magnitude == plan.magnitude
+
+    def test_plan_for_another_mode_rejected(self, tmp_path):
+        ops = build_lifted_operators(support.scalar_mode(0.8), 5)
+        plan = solve_utility_invariance(ops, UtilitySpec.average(5), seed=8)
+        path = tmp_path / "plan.json"
+        save_kernel_plan(plan, path)
+        with pytest.raises(ValueError):
+            load_kernel_plan(path, support.double_integrator())
 
     def test_zero_plan_constructor(self):
         plan = KernelPlan.zero(n=2, K=4, m=1, l=3)
