@@ -5,7 +5,9 @@ entries, so it is never formed: the target model's response is applied
 by FFT convolution against its Markov parameters.  The plan is one
 projection of a seeded input-space draw onto the inputs whose response
 leaves the utility unchanged, built from one adjoint apply per utility
-row.
+row.  The replay is closed form: each cloaked sample is an affine
+function of the recorded sample and the plan, evaluated for all 36000
+samples at once.
 """
 
 import time
@@ -57,7 +59,7 @@ plan = stage(
     lambda: solve_utility_invariance(ops, spec, magnitude=1.0, seed=7),
 )
 cloaked = stage(
-    "streaming replay",
+    "affine replay",
     lambda: run_offline(DistortionConfig(sports, average, ctrl, plan, K), drive),
 )
 report = stage("classification", lambda: classify(bank, cloaked.to_trajectory()))

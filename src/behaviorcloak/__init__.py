@@ -16,7 +16,6 @@ from .distort import (
     HorizonExhaustedError,
     InconsistentDataError,
     StateReconstruction,
-    init_engine,
     reconstruct_state,
     run_offline,
 )

@@ -5,7 +5,8 @@ distortion plan for a mode pair, ``distort`` a recorded trajectory,
 ``classify`` a trajectory against a bank, and ``demo`` for the
 two-vehicle end-to-end scenario.
 
-Exit codes: 0 success, 1 a validation check failed, 2 bad input or
+Exit codes: 0 success, 1 a validation check failed (or ``distort`` would
+change the utility), 2 bad input or
 configuration, 3 regulation infeasible, 4 utility invariance infeasible.
 The environment variable ``BEHAVIOR_CLOAK_SEED`` overrides ``--seed``.
 """
@@ -171,11 +172,16 @@ def _cmd_distort(args) -> int:
     utility = _resolve_utility(args.utility, traj.K, bank.m)
     cfg = DistortionConfig(true_mode, target_mode, ctrl, plan, traj.K)
     distorted = run_offline(cfg, traj)
+    FY = utility.F @ traj.stacked_outputs()
+    gap = np.abs(utility.F @ distorted.Ybar.reshape(-1) - FY)
+    if np.any(gap > 1e-8 * (1.0 + np.abs(FY))):
+        print(f"error: the plan changes this utility by {np.max(gap):.3e}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     write_trajectory_csv(distorted.to_trajectory(), args.out)
     _print_json(
         {
             "output": str(args.out),
-            "utility_original": utility.utility(traj.stacked_outputs()).tolist(),
+            "utility_original": (FY + utility.mu).tolist(),
             "utility_distorted": utility.utility(distorted.Ybar.reshape(-1)).tolist(),
         }
     )

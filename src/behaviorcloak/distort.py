@@ -1,15 +1,18 @@
 """Streaming distorter: consume (u, y, x) samples, emit cloaked (ubar, ybar).
 
-The engine runs two virtual copies of the target mode.  The first is
-closed under the tracking controller so its output reproduces the source
-output exactly; the second replays the off-line kernel plan, adding a
-distortion that the utility cannot see.  The emitted pair is the
-superposition of both, and is by construction an exact trajectory of the
-target mode.
+The tracking controller's virtual target starts at ``Pi x(1)`` and so
+stays at ``Pi x(k)``: its input is ``Gamma x(k) + Theta u(k)``, with
+``Gamma = L + R Pi`` and ``Theta = S``, and its output is ``y(k)``.
+Adding the off-line kernel plan, whose response the utility cannot see,
+gives the affine replay
 
-When the true state is unavailable the engine buffers the first n
-samples, recovers the initial state by deadbeat reconstruction, and only
-then starts emitting; nothing is sent during the reconstruction window.
+    ubar(k) = Gamma x(k) + Theta u(k) + U2(k),   ybar(k) = y(k) + dY(k),
+
+an exact trajectory of the target mode.  :func:`run_offline` evaluates it
+for all samples at once and :meth:`DistortionEngine.step` for one sample,
+in the same operation order.  Without recorded states the first n samples
+are withheld: they recover the state by deadbeat reconstruction, and the
+source model propagates it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from .invariance import KernelPlan, build_lifted_operators
 from .linalg import DEFAULT_TOL, ToleranceConfig, lstsq_min_norm
-from .modes import StateSpaceMode, Trajectory
+from .modes import StateSpaceMode, Trajectory, simulate_mode
 from .regulation import TrackingController
 
 __all__ = [
@@ -31,7 +34,6 @@ __all__ = [
     "DistortionEngine",
     "DistortedTrajectory",
     "StateReconstruction",
-    "init_engine",
     "run_offline",
     "reconstruct_state",
 ]
@@ -77,6 +79,12 @@ class DistortionConfig:
             raise ValueError("plan dimensions do not match the target mode")
         if p.delta_Y.shape[0] != self.K * t.m:
             raise ValueError("plan distortion length does not match the horizon")
+
+    def replay_maps(self):
+        """``(Gamma, Theta, U2, dY)`` of the affine replay; ``dY`` has K rows."""
+        c = self.controller
+        dY = self.plan.delta_Y.reshape(self.K, self.true_mode.m)
+        return c.L + c.R @ c.Pi, c.S, self.plan.U2, dY
 
 
 @dataclass(frozen=True)
@@ -138,14 +146,14 @@ class DistortionEngine:
 
     Feed samples in arrival order with :meth:`step`; the engine either
     emits the cloaked pair or withholds (returns None) while it is still
-    reconstructing the source state.
+    reconstructing the source state.  Its state is the sample index, the
+    source state estimate and the reconstruction buffers.
     """
 
     def __init__(self, cfg: DistortionConfig, x1=None):
         self.cfg = cfg
+        self._Gamma, self._Theta, self._U2, self._dY = cfg.replay_maps()
         self._k = 1
-        self._x1bar: Optional[np.ndarray] = None
-        self._x2bar = cfg.plan.x2_init.copy()
         self._xhat: Optional[np.ndarray] = None
         self._u_buf: list[np.ndarray] = []
         self._y_buf: list[np.ndarray] = []
@@ -155,7 +163,6 @@ class DistortionEngine:
                 raise ValueError(
                     f"x1 has dimension {x1.shape[0]}, expected {cfg.true_mode.n}"
                 )
-            self._x1bar = cfg.controller.initial_virtual_state(x1)
             self._xhat = x1.copy()
 
     @property
@@ -165,19 +172,8 @@ class DistortionEngine:
 
     @property
     def primed(self) -> bool:
-        """Whether the virtual tracking state has been initialized."""
-        return self._x1bar is not None
-
-    def _advance(self, u: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Advance both virtual states through the current step; return ubar."""
-        cfg = self.cfg
-        k = self._k
-        u1 = cfg.controller.R @ self._x1bar + cfg.controller.L @ x + cfg.controller.S @ u
-        u2 = cfg.plan.U2[k - 1]
-        self._x1bar = cfg.target_mode.A @ self._x1bar + cfg.target_mode.B @ u1
-        self._x2bar = cfg.target_mode.A @ self._x2bar + cfg.target_mode.B @ u2
-        self._xhat = cfg.true_mode.A @ x + cfg.true_mode.B @ u
-        return u1 + u2
+        """Whether the source state is known."""
+        return self._xhat is not None
 
     def step(self, u, y, x=None):
         """Consume sample k and return (ubar, ybar), or None while withheld.
@@ -210,54 +206,32 @@ class DistortionEngine:
                 raise ValueError(
                     f"x has dimension {x.shape[0]}, expected {cfg.true_mode.n}"
                 )
-            if not self.primed and k == 1:
-                self._x1bar = cfg.controller.initial_virtual_state(x)
-            if self.primed:
+            if self.primed or k == 1:
                 self._xhat = x
 
+        src = cfg.true_mode
+        self._k += 1
         if not self.primed:
             # Reconstruction mode: buffer until n outputs are available,
-            # then recover x(1), prime, and replay the withheld prefix.
+            # then recover the state and carry it past the withheld window.
             self._y_buf.append(y)
-            if not last:
+            if len(self._y_buf) < src.n:
                 self._u_buf.append(u)
-            n = cfg.true_mode.n
-            if len(self._y_buf) < n:
-                self._k += 1
                 return None
-            rec = reconstruct_state(
-                cfg.true_mode, np.array(self._u_buf[: n - 1]), np.array(self._y_buf)
-            )
-            self._x1bar = cfg.controller.initial_virtual_state(rec.x_start)
-            self._xhat = rec.x_start
-            replay_k = self._k
-            self._k = 1
-            for j in range(replay_k - 1):
-                xj = self._xhat
-                self._advance(self._u_buf[j], xj)
-                self._k += 1
+            rec = reconstruct_state(src, np.array(self._u_buf), np.array(self._y_buf))
             self._u_buf.clear()
             self._y_buf.clear()
-            # The current sample is still inside the withheld window.
             if not last:
-                self._advance(u, self._xhat)
-            self._k += 1
+                self._xhat = src.A @ rec.x_current + src.B @ u
             return None
 
-        if self._xhat is None:
-            raise ValueError("engine is primed but has no source state to track")
-        ybar = cfg.target_mode.C @ self._x1bar + cfg.target_mode.C @ self._x2bar
+        ybar = y + self._dY[k - 1]
         if last:
-            self._k += 1
             return None, ybar
-        ubar = self._advance(u, self._xhat)
-        self._k += 1
+        x = self._xhat
+        ubar = self._Gamma @ x + self._Theta @ u + self._U2[k - 1]
+        self._xhat = src.A @ x + src.B @ u
         return ubar, ybar
-
-
-def init_engine(cfg: DistortionConfig, x1=None) -> DistortionEngine:
-    """Create a streaming engine, primed when the initial state is known."""
-    return DistortionEngine(cfg, x1=x1)
 
 
 @dataclass(frozen=True)
@@ -280,45 +254,36 @@ class DistortedTrajectory:
 
 
 def run_offline(cfg: DistortionConfig, traj: Trajectory) -> DistortedTrajectory:
-    """Replay a recorded trajectory through the streaming engine.
+    """Cloak a recorded trajectory with the affine replay, all samples at once.
 
-    Equivalent to folding :meth:`DistortionEngine.step` over the samples
-    in order.  The trajectory must either carry states or be long enough
-    for the engine to reconstruct them.
+    Equal to folding :meth:`DistortionEngine.step` over the samples in
+    order.  Without recorded states the first n samples are withheld:
+    they recover the state, which the source model then propagates.
     """
     if traj.K != cfg.K:
         raise ValueError(f"trajectory horizon {traj.K} does not match configured {cfg.K}")
-    if traj.m != cfg.true_mode.m or traj.l != cfg.true_mode.l:
+    src = cfg.true_mode
+    if traj.m != src.m or traj.l != src.l:
         raise ValueError("trajectory dimensions do not match the source mode")
-    has_states = traj.X is not None
-    if not has_states and cfg.true_mode.n >= traj.K:
-        raise ValueError(
-            "stateless trajectory is too short for deadbeat reconstruction"
-        )
-    engine = DistortionEngine(cfg, x1=traj.X[0] if has_states else None)
-    ubars: list[np.ndarray] = []
-    ybars: list[np.ndarray] = []
-    k_start = None
-    for k in range(1, cfg.K + 1):
-        u = traj.U[k - 1] if k < cfg.K else None
-        x = traj.X[k - 1] if has_states else None
-        out = engine.step(u, traj.Y[k - 1], x=x)
-        if out is None:
-            continue
-        if k_start is None:
-            k_start = k
-        ubar, ybar = out
-        if ubar is not None:
-            ubars.append(ubar)
-        ybars.append(ybar)
-    if k_start is None:
-        raise ValueError("the engine never emitted; trajectory too short")
-    Ubar = np.array(ubars).reshape(-1, cfg.true_mode.l)
-    Ybar = np.array(ybars).reshape(-1, cfg.true_mode.m)
+    if traj.X is not None:
+        if traj.X.shape[1] != src.n:
+            raise ValueError(f"states have dimension {traj.X.shape[1]}, expected {src.n}")
+        s, X = 0, traj.X
+    elif src.n >= traj.K:
+        raise ValueError("stateless trajectory is too short for deadbeat reconstruction")
+    else:
+        s = src.n
+        rec = reconstruct_state(src, traj.U[: s - 1], traj.Y[:s])
+        X = simulate_mode(src, rec.x_current, traj.U[s - 1 :]).X[1:]
+    # X now holds the source states from sample s + 1 on.
+    Gamma, Theta, U2, dY = cfg.replay_maps()
+    U = traj.U[s:]
+    Ubar = X[:-1] @ Gamma.T + U @ Theta.T + U2[s:]
+    Ybar = traj.Y[s:] + dY[s:]
     return DistortedTrajectory(
         Ubar=Ubar,
         Ybar=Ybar,
-        delta_U=Ubar - traj.U[k_start - 1 :],
-        delta_Y_applied=Ybar - traj.Y[k_start - 1 :],
-        k_start=k_start,
+        delta_U=Ubar - U,
+        delta_Y_applied=Ybar - traj.Y[s:],
+        k_start=s + 1,
     )

@@ -107,3 +107,50 @@ def dense_kernel_plan(ops, spec, magnitude, seed) -> KernelPlan:
         seed=seed,
         magnitude=magnitude,
     )
+
+
+def feedback_twin_pair(rng, n=4, m=2, l=2):
+    """A valid source mode and a distinct target that can imitate it exactly.
+
+    The target is the source under state feedback ``u -> u + G x``, written
+    in another state basis ``T``.  The regulator equations then have the
+    exact solution ``(Pi, Gamma, Theta) = (T^-1, -G, I)`` while the two
+    behaviours differ.  Both modes stay Schur stable.
+    """
+    source = random_valid_mode(rng, n=n, m=m, l=l, radius=0.8)
+    for _ in range(100):
+        G = 0.5 * rng.standard_normal((l, n))
+        T = rng.standard_normal((n, n))
+        A_fb = source.A + source.B @ G
+        if np.max(np.abs(np.linalg.eigvals(A_fb))) >= 0.95 or np.linalg.cond(T) > 20:
+            continue
+        T_inv = np.linalg.inv(T)
+        target = StateSpaceMode(2, T_inv @ A_fb @ T, T_inv @ source.B, source.C @ T)
+        if validate_mode(target).passed:
+            return source, target
+    raise RuntimeError("failed to draw a feedback twin")
+
+
+def two_copy_replay(cfg, traj):
+    """Cloaked pair from two virtual copies of the target mode, step by step.
+
+    The first copy runs under the tracking controller from ``Pi x(1)`` and
+    reproduces the source output; the second replays the plan from
+    ``x2_init``.  The emitted pair is their superposition.  The trajectory
+    must carry states.
+    """
+    ctrl, target, plan = cfg.controller, cfg.target_mode, cfg.plan
+    K = traj.K
+    Ubar = np.empty((K - 1, target.l))
+    Ybar = np.empty((K, target.m))
+    x1bar = ctrl.Pi @ traj.X[0]
+    x2bar = plan.x2_init.copy()
+    for k in range(K):
+        Ybar[k] = target.C @ x1bar + target.C @ x2bar
+        if k < K - 1:
+            u1 = ctrl.R @ x1bar + ctrl.L @ traj.X[k] + ctrl.S @ traj.U[k]
+            u2 = plan.U2[k]
+            x1bar = target.A @ x1bar + target.B @ u1
+            x2bar = target.A @ x2bar + target.B @ u2
+            Ubar[k] = u1 + u2
+    return Ubar, Ybar

@@ -201,6 +201,30 @@ class TestDistortAndClassify:
         )
         assert code == 0 and verdict_dist["verdict"] == "2"
 
+    def test_foreign_utility_fails_loudly(self, capsys, designed, tmp_path):
+        # The plan keeps the average; a ramp-weighted sum sees its distortion.
+        bank_path, design_dir, traj_path = designed
+        utility_path = tmp_path / "ramp.json"
+        ramp = np.arange(1.0, 201.0) / 200.0
+        save_utility_spec(UtilitySpec(F=[ramp], mu=[0.0], K=200), utility_path)
+        out_csv = tmp_path / "distorted.csv"
+        code = main(
+            [
+                "distort",
+                "--bank", str(bank_path),
+                "--true-mode", "1",
+                "--target-mode", "2",
+                "--controller", str(design_dir / "controller.json"),
+                "--plan", str(design_dir / "plan.json"),
+                "--input", str(traj_path),
+                "--utility", str(utility_path),
+                "--out", str(out_csv),
+            ]
+        )
+        assert code == 1
+        assert "utility" in capsys.readouterr().err
+        assert not out_csv.exists()
+
     def test_horizon_mismatch(self, capsys, designed, tmp_path):
         bank_path, design_dir, _ = designed
         bank = load_mode_bank(bank_path)

@@ -14,7 +14,6 @@ from behaviorcloak import (
     build_lifted_operators,
     build_tracking_controller,
     design_stabilizing_gain,
-    init_engine,
     mode_residual,
     reconstruct_state,
     run_offline,
@@ -120,7 +119,7 @@ class TestEngineStep:
         cfg = make_config(true, target, K, magnitude=0.5, seed=4)
         traj = support.random_trajectory(rng, true, K)
         out = run_offline(cfg, traj)
-        engine = init_engine(cfg, x1=traj.X[0])
+        engine = DistortionEngine(cfg, x1=traj.X[0])
         for k in range(1, K + 1):
             u = traj.U[k - 1] if k < K else None
             ubar, ybar = engine.step(u, traj.Y[k - 1], x=traj.X[k - 1])
@@ -170,6 +169,73 @@ class TestEngineStep:
         np.testing.assert_allclose(
             shifted.Ybar - base.Ybar, extra.Y, rtol=1e-9, atol=1e-12
         )
+
+
+def rel_gap(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def fold_steps(cfg, traj):
+    """Cloaked rows from feeding every sample to a fresh engine."""
+    engine = DistortionEngine(cfg, x1=None if traj.X is None else traj.X[0])
+    ubars, ybars = [], []
+    for k in range(1, cfg.K + 1):
+        u = traj.U[k - 1] if k < cfg.K else None
+        x = None if traj.X is None else traj.X[k - 1]
+        out = engine.step(u, traj.Y[k - 1], x=x)
+        if out is not None:
+            if out[0] is not None:
+                ubars.append(out[0])
+            ybars.append(out[1])
+    return np.array(ubars), np.array(ybars)
+
+
+class TestAffineReplay:
+    """The closed-form replay against the two-copy recursion it replaces."""
+
+    @pytest.fixture(scope="class")
+    def mimo(self):
+        rng = np.random.default_rng(54)
+        source, target = support.feedback_twin_pair(rng)
+        cfg = make_config(source, target, K=300, magnitude=1.0, seed=3)
+        return cfg, support.random_trajectory(rng, source, 300)
+
+    def test_vehicle_pair_matches_two_copy_oracle(self):
+        bank = vehicle_demo_bank()
+        sports, average = bank.mode(1), bank.mode(2)
+        K = 2000
+        cfg = make_config(sports, average, K, magnitude=1.0, seed=12)
+        traj = support.random_trajectory(np.random.default_rng(55), sports, K)
+        out = run_offline(cfg, traj)
+        Ubar, Ybar = support.two_copy_replay(cfg, traj)
+        assert rel_gap(out.Ubar, Ubar) <= 1e-9
+        assert rel_gap(out.Ybar, Ybar) <= 1e-9
+        assert mode_residual(average, out.to_trajectory()) <= 1e-8
+
+    @pytest.mark.parametrize("stateless", [False, True], ids=["states", "stateless"])
+    def test_mimo_pair_matches_two_copy_oracle(self, mimo, stateless):
+        cfg, traj = mimo
+        Ubar, Ybar = support.two_copy_replay(cfg, traj)
+        skip = cfg.true_mode.n if stateless else 0
+        if stateless:
+            traj = Trajectory(U=traj.U, Y=traj.Y)
+        out = run_offline(cfg, traj)
+        assert out.k_start == skip + 1
+        assert rel_gap(out.Ubar, Ubar[skip:]) <= 1e-9
+        assert rel_gap(out.Ybar, Ybar[skip:]) <= 1e-9
+        assert mode_residual(cfg.target_mode, out.to_trajectory()) <= 1e-8
+
+    @pytest.mark.parametrize("stateless", [False, True], ids=["states", "stateless"])
+    def test_mimo_stepping_matches_batch(self, mimo, stateless):
+        # Per-row gemv and batched gemm may round differently for n > 1.
+        cfg, traj = mimo
+        if stateless:
+            traj = Trajectory(U=traj.U, Y=traj.Y)
+        out = run_offline(cfg, traj)
+        Ubar, Ybar = fold_steps(cfg, traj)
+        assert Ubar.shape == out.Ubar.shape and Ybar.shape == out.Ybar.shape
+        assert rel_gap(Ubar, out.Ubar) <= 1e-12
+        assert rel_gap(Ybar, out.Ybar) <= 1e-12
 
 
 class TestReconstructionMode:

@@ -204,3 +204,10 @@ class TestMatrixExponential:
                 M *= 5.0 / norm
             product = matrix_exponential(M) @ matrix_exponential(-M)
             np.testing.assert_allclose(product, np.eye(n), atol=1e-8)
+
+    def test_rotation_needs_scaling_and_squaring(self):
+        t = 20.0
+        c, s = np.cos(t), np.sin(t)
+        np.testing.assert_allclose(
+            matrix_exponential([[0.0, t], [-t, 0.0]]), [[c, s], [-s, c]], atol=1e-12
+        )
