@@ -42,6 +42,7 @@ from .modes import (
     simulate_mode,
     validate_mode,
     vehicle_demo_bank,
+    write_csv_rows,
     write_trajectory_csv,
 )
 from .regulation import (
@@ -103,8 +104,7 @@ def _resolve_utility(value: str, K: int, m: int) -> UtilitySpec:
 
 
 def _print_json(doc) -> None:
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _cmd_validate(args) -> int:
@@ -261,12 +261,10 @@ def _cmd_demo(args) -> int:
 
 def _write_figure(path, header, *columns) -> None:
     """Plot-ready CSV: the 1-based sample index next to paired traces."""
-    rows = min(col.shape[0] for col in columns)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for k in range(rows):
-            cells = [str(k + 1)] + [repr(float(col[k][0])) for col in columns]
-            fh.write(",".join(cells) + "\n")
+        row_format = "%d" + ",%r" * len(columns) + "\n"
+        write_csv_rows(fh, row_format, *(col[:, :1] for col in columns))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -388,8 +388,7 @@ def load_utility_spec(path) -> UtilitySpec:
 def save_utility_spec(spec: UtilitySpec, path) -> None:
     doc = {"K": spec.K, "q": spec.q, "F": spec.F.tolist(), "mu": spec.mu.tolist()}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")
 
 
 def save_kernel_plan(plan: KernelPlan, path) -> None:
@@ -400,8 +399,7 @@ def save_kernel_plan(plan: KernelPlan, path) -> None:
         "magnitude": plan.magnitude,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")
 
 
 def load_kernel_plan(path, target_mode: StateSpaceMode) -> KernelPlan:

@@ -8,7 +8,6 @@ recorded trajectory is dimensionally compatible with every mode.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -408,71 +407,96 @@ def save_mode_bank(bank: ModeBank, path) -> None:
         ],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2) + "\n")
+
+
+_ROWS_PER_BLOCK = 4096
+_CSV = dict(delimiter=",", quotechar='"', comments=None)
+
+
+def _csv_header(l: int, m: int, n: int) -> list[str]:
+    sizes = (("u", l), ("y", m), ("x", n))
+    return ["k"] + [f"{kind}_{i + 1}" for kind, size in sizes for i in range(size)]
+
+
+def write_csv_rows(fh, row_format: str, *columns: np.ndarray) -> None:
+    """Write ``row_format % (k, *cells)`` for rows k = 1, 2, ... of the 2-D ``columns``.
+
+    Cells are Python floats, so ``%r`` writes their shortest repr.  Rows are
+    formatted a block at a time; the shortest array sets how many there are.
+    """
+    rows = min(len(col) for col in columns)
+    for lo in range(0, rows, _ROWS_PER_BLOCK):
+        hi = min(lo + _ROWS_PER_BLOCK, rows)
+        k = np.arange(lo + 1, hi + 1)[:, None]
+        block = np.hstack([k, *(col[lo:hi] for col in columns)])
+        fh.write("".join([row_format % tuple(row) for row in block.tolist()]))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write a trajectory as CSV with header ``k,u_1..u_l,y_1..y_m[,x_1..x_n]``.
 
     ``k`` is 1-based and the final row carries empty input cells (there is
-    no input at the last sample).
+    no input at the last sample).  Lines end in CRLF and each value is the
+    shortest ``repr`` of its float, so reading the file back is exact.
     """
-    header = (
-        ["k"]
-        + [f"u_{i + 1}" for i in range(traj.l)]
-        + [f"y_{i + 1}" for i in range(traj.m)]
-    )
-    n = traj.X.shape[1] if traj.X is not None else 0
-    header += [f"x_{i + 1}" for i in range(n)]
+    outputs = traj.Y if traj.X is None else np.hstack([traj.Y, traj.X])
+    width = outputs.shape[1]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(traj.K):
-            row = [str(k + 1)]
-            if k < traj.K - 1:
-                row += [repr(float(v)) for v in traj.U[k]]
-            else:
-                row += [""] * traj.l
-            row += [repr(float(v)) for v in traj.Y[k]]
-            if traj.X is not None:
-                row += [repr(float(v)) for v in traj.X[k]]
-            writer.writerow(row)
+        fh.write(",".join(_csv_header(traj.l, traj.m, width - traj.m)) + "\r\n")
+        write_csv_rows(fh, "%d" + ",%r" * (traj.l + width) + "\r\n", traj.U, outputs)
+        last = "%d" + "," * traj.l + ",%r" * width + "\r\n"
+        fh.write(last % (traj.K, *outputs[-1].tolist()))
+
+
+def _row_values(line: str, row: int, width: int, inputs: int = 0) -> list[float]:
+    """Floats of data row ``row`` less its ``inputs`` input cells, which must be empty."""
+    cells = np.loadtxt([line], dtype=str, ndmin=1, **_CSV).tolist()
+    if len(cells) != width:
+        raise ValueError(f"row {row} has {len(cells)} cells, expected {width}")
+    if any(cell.strip() for cell in cells[1 : 1 + inputs]):
+        raise ValueError("the final sample must not carry input values")
+    try:
+        return [float(cell) for cell in cells[:1] + cells[1 + inputs :]]
+    except ValueError:
+        raise ValueError(f"row {row} has a non-numeric cell: {line!r}") from None
 
 
 def read_trajectory_csv(path) -> Trajectory:
-    """Read a trajectory written by :func:`write_trajectory_csv`."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("empty trajectory file") from None
-        rows = list(reader)
+    """Read a trajectory written by :func:`write_trajectory_csv`.
+
+    Accepts CRLF or LF lines, a missing final line end and quoted cells.
+    One ``numpy.loadtxt`` call parses all rows but the last, whose input
+    cells must be empty.  A malformed file raises ValueError: no header or
+    a wrong one, fewer than two rows, a blank row, a wrong cell count, a
+    non-numeric cell, ``k`` other than ``1..K``, input on the final row.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ValueError("empty trajectory file")
+    header = lines[0].replace('"', "").split(",")
     l = sum(1 for name in header if name.startswith("u_"))
     m = sum(1 for name in header if name.startswith("y_"))
-    n = sum(1 for name in header if name.startswith("x_"))
-    if header[: 1 + l + m] != ["k"] + [f"u_{i + 1}" for i in range(l)] + [
-        f"y_{i + 1}" for i in range(m)
-    ]:
+    if header != _csv_header(l, m, len(header) - 1 - l - m):
         raise ValueError(f"unexpected trajectory header: {header}")
-    if not rows:
-        raise ValueError("trajectory file has no data rows")
-    K = len(rows)
-    U = np.empty((K - 1, l))
-    Y = np.empty((K, m))
-    X = np.empty((K, n)) if n else None
-    for idx, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ValueError(f"row {idx + 1} has {len(row)} cells, expected {len(header)}")
-        if int(row[0]) != idx + 1:
-            raise ValueError("sample indices must be contiguous and 1-based")
-        u_cells = row[1 : 1 + l]
-        if idx < K - 1:
-            U[idx] = [float(v) for v in u_cells]
-        elif any(cell.strip() for cell in u_cells):
-            raise ValueError("the final sample must not carry input values")
-        Y[idx] = [float(v) for v in row[1 + l : 1 + l + m]]
-        if X is not None:
-            X[idx] = [float(v) for v in row[1 + l + m :]]
-    return Trajectory(U=U, Y=Y, X=X)
+    K, width = len(lines) - 1, len(header)
+    if K < 2:
+        raise ValueError(f"a trajectory file needs at least two data rows, got {K}")
+    if "" in lines:  # loadtxt would skip a blank line
+        raise ValueError(f"row {lines.index('')} is blank")
+    try:
+        body = np.loadtxt(lines[1:-1], ndmin=2, **_CSV)
+    except ValueError:
+        body = None
+    if body is None or body.shape != (K - 1, width):
+        # loadtxt numbers rows its own way: find and name the first bad row.
+        for row in range(1, K):
+            _row_values(lines[row], row, width)
+        raise ValueError("unreadable trajectory rows")
+    final = _row_values(lines[K], K, width, inputs=l)
+    if not np.array_equal(np.append(body[:, 0], final[0]), np.arange(1, K + 1)):
+        raise ValueError("sample indices must be contiguous and 1-based")
+    outputs = np.vstack([body[:, 1 + l :], final[1:]])
+    X = outputs[:, m:] if width > 1 + l + m else None
+    return Trajectory(U=body[:, 1 : 1 + l], Y=outputs[:, :m], X=X)

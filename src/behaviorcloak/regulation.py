@@ -291,8 +291,7 @@ def save_controller(ctrl: TrackingController, path) -> None:
         "Pi": ctrl.Pi.tolist(),
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def load_controller(path) -> TrackingController:

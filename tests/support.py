@@ -1,5 +1,8 @@
 """Shared generators and reference constructions for the test suite."""
 
+import csv
+import json
+
 import numpy as np
 
 from behaviorcloak import (
@@ -154,3 +157,71 @@ def two_copy_replay(cfg, traj):
             x2bar = target.A @ x2bar + target.B @ u2
             Ubar[k] = u1 + u2
     return Ubar, Ybar
+
+
+def csv_write_trajectory(traj, path):
+    """Trajectory CSV written cell by cell through the ``csv`` module.
+
+    The reference for the byte format: CRLF lines, ``repr`` floats and
+    empty input cells on the final row.
+    """
+    header = (
+        ["k"]
+        + [f"u_{i + 1}" for i in range(traj.l)]
+        + [f"y_{i + 1}" for i in range(traj.m)]
+    )
+    n = traj.X.shape[1] if traj.X is not None else 0
+    header += [f"x_{i + 1}" for i in range(n)]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for k in range(traj.K):
+            row = [str(k + 1)]
+            if k < traj.K - 1:
+                row += [repr(float(v)) for v in traj.U[k]]
+            else:
+                row += [""] * traj.l
+            row += [repr(float(v)) for v in traj.Y[k]]
+            if traj.X is not None:
+                row += [repr(float(v)) for v in traj.X[k]]
+            writer.writerow(row)
+
+
+def csv_read_trajectory(path):
+    """Trajectory CSV parsed row by row through the ``csv`` module."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = list(reader)
+    l = sum(1 for name in header if name.startswith("u_"))
+    m = sum(1 for name in header if name.startswith("y_"))
+    n = sum(1 for name in header if name.startswith("x_"))
+    K = len(rows)
+    U = np.empty((K - 1, l))
+    Y = np.empty((K, m))
+    X = np.empty((K, n)) if n else None
+    for idx, row in enumerate(rows):
+        assert len(row) == len(header) and int(row[0]) == idx + 1
+        if idx < K - 1:
+            U[idx] = [float(v) for v in row[1 : 1 + l]]
+        Y[idx] = [float(v) for v in row[1 + l : 1 + l + m]]
+        if X is not None:
+            X[idx] = [float(v) for v in row[1 + l + m :]]
+    return Trajectory(U=U, Y=Y, X=X)
+
+
+def figure_csv(path, header, *columns):
+    """Figure CSV written one row at a time: the index, then column 0 of each array."""
+    rows = min(col.shape[0] for col in columns)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for k in range(rows):
+            cells = [str(k + 1)] + [repr(float(col[k][0])) for col in columns]
+            fh.write(",".join(cells) + "\n")
+
+
+def json_dump_file(doc, path):
+    """JSON file written by the streaming ``json.dump`` encoder."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+        fh.write("\n")

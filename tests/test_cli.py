@@ -15,7 +15,8 @@ from behaviorcloak import (
     vehicle_demo_bank,
     write_trajectory_csv,
 )
-from behaviorcloak.cli import main
+from behaviorcloak.cli import _write_figure, main
+from behaviorcloak.modes import _ROWS_PER_BLOCK
 
 
 def run_cli(capsys, *argv):
@@ -279,6 +280,17 @@ class TestDemoCommand:
 
         assert report["classified_original"]["verdict"] == "1"
         assert report["classified_distorted"]["verdict"] == "2"
+
+    def test_figure_bytes_match_row_loop(self, tmp_path):
+        rng = np.random.default_rng(5)
+        K = _ROWS_PER_BLOCK + 3
+        Y = rng.standard_normal((K, 2)) * 10.0 ** rng.integers(-30, 30, (K, 2))
+        Y[:5, 0] = [-0.0, 1e-300, 1e16, 1.5e17, 5e-324]
+        U = rng.standard_normal((K - 1, 1))
+        ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+        _write_figure(ours, ["k", "y", "u"], Y, U)
+        support.figure_csv(oracle, ["k", "y", "u"], Y, U)
+        assert ours.read_bytes() == oracle.read_bytes()
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         first = tmp_path / "a"

@@ -442,6 +442,25 @@ class TestFileFormats:
         assert loaded.seed == plan.seed
         assert loaded.magnitude == plan.magnitude
 
+    def test_plan_and_spec_bytes_match_streaming_encoder(self, tmp_path):
+        average = vehicle_demo_bank().mode(2)
+        K = 3000
+        spec = UtilitySpec.average(K)
+        plan = solve_utility_invariance(build_lifted_operators(average, K), spec, seed=4)
+        plan_doc = {
+            "x2_init": plan.x2_init.tolist(),
+            "U2": plan.U2.tolist(),
+            "seed": plan.seed,
+            "magnitude": plan.magnitude,
+        }
+        spec_doc = {"K": spec.K, "q": spec.q, "F": spec.F.tolist(), "mu": spec.mu.tolist()}
+        cases = ((save_kernel_plan, plan, plan_doc), (save_utility_spec, spec, spec_doc))
+        for save, obj, doc in cases:
+            ours, oracle = tmp_path / "ours.json", tmp_path / "oracle.json"
+            save(obj, ours)
+            support.json_dump_file(doc, oracle)
+            assert ours.read_bytes() == oracle.read_bytes()
+
     def test_plan_for_another_mode_rejected(self, tmp_path):
         ops = build_lifted_operators(support.scalar_mode(0.8), 5)
         plan = solve_utility_invariance(ops, UtilitySpec.average(5), seed=8)

@@ -17,6 +17,7 @@ from behaviorcloak import (
     vehicle_demo_bank,
     write_trajectory_csv,
 )
+from behaviorcloak.modes import _ROWS_PER_BLOCK
 
 # Printed discrete-time vehicle blocks, columns A | B.
 SPORTS_AB = np.array(
@@ -277,4 +278,109 @@ class TestFileFormats:
         path = tmp_path / "traj.csv"
         path.write_text("k,u_1,y_1\n1,0.0,1.0\n2,9.0,0.5\n")
         with pytest.raises(ValueError):
+            read_trajectory_csv(path)
+
+
+# Values whose repr takes each of Python's float formats: signed zero,
+# subnormal, exponent form at and above 1e16, and the smallest subnormal.
+SPECIAL_VALUES = [-0.0, 1e-300, 1e16, 1.5e17, 5e-324, 0.1, -123456.789, 2.0**-1074 * 3]
+
+
+def special_trajectory(K, l, m, n):
+    rng = np.random.default_rng(K + 10 * l + 100 * m + 1000 * n)
+
+    def draw(rows, cols):
+        scale = 10.0 ** rng.integers(-30, 30, (rows, cols))
+        values = rng.standard_normal((rows, cols)) * scale
+        count = min(values.size, len(SPECIAL_VALUES))
+        values.flat[:count] = SPECIAL_VALUES[:count]
+        return values
+
+    return Trajectory(U=draw(K - 1, l), Y=draw(K, m), X=draw(K, n) if n else None)
+
+
+CSV_SHAPES = [
+    pytest.param(2, 1, 1, 3, id="K2"),
+    pytest.param(9, 3, 2, 4, id="mimo"),
+    pytest.param(_ROWS_PER_BLOCK - 1, 1, 1, 3, id="block-1"),
+    pytest.param(_ROWS_PER_BLOCK, 1, 1, 3, id="block"),
+    pytest.param(_ROWS_PER_BLOCK + 1, 2, 1, 2, id="block+1"),
+    pytest.param(2 * _ROWS_PER_BLOCK + 2, 1, 2, 1, id="2block+2"),
+]
+
+
+def assert_same_arrays(got, want):
+    for a, b in ((got.U, want.U), (got.Y, want.Y), (got.X, want.X)):
+        if b is None:
+            assert a is None
+        else:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestTrajectoryCsvAgainstOracle:
+    """The array-speed reader and writer against the csv-module oracles."""
+
+    @pytest.mark.parametrize("states", [True, False], ids=["states", "stateless"])
+    @pytest.mark.parametrize("K, l, m, n", CSV_SHAPES)
+    def test_writer_bytes_and_reader_arrays(self, tmp_path, K, l, m, n, states):
+        traj = special_trajectory(K, l, m, n if states else 0)
+        ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+        write_trajectory_csv(traj, ours)
+        support.csv_write_trajectory(traj, oracle)
+        assert ours.read_bytes() == oracle.read_bytes()
+        assert_same_arrays(read_trajectory_csv(oracle), support.csv_read_trajectory(oracle))
+        assert_same_arrays(read_trajectory_csv(oracle), traj)
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda b: b.replace(b"\r\n", b"\n"),
+            lambda b: b[:-2],
+            lambda b: b.replace(b"\r\n", b"\n")[:-1],
+            lambda b: b"\r\n".join(
+                b",".join(b'"' + cell + b'"' for cell in line.split(b","))
+                for line in b.split(b"\r\n")[:-1]
+            ),
+        ],
+        ids=["lf", "no-final-crlf", "lf-no-final-lf", "quoted"],
+    )
+    def test_reader_accepts_what_the_csv_module_accepts(self, tmp_path, rewrite):
+        path = tmp_path / "traj.csv"
+        support.csv_write_trajectory(special_trajectory(9, 3, 2, 4), path)
+        path.write_bytes(rewrite(path.read_bytes()))
+        assert_same_arrays(read_trajectory_csv(path), support.csv_read_trajectory(path))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty trajectory file"),
+            ("k,u_1,z_1\n1,0,1\n2,,1\n", "header"),
+            ("k,u_1,y_1,note\n1,0,1,2\n2,,1,2\n", "header"),
+            ("k,u_1,y_1\n", "at least two data rows, got 0"),
+            ("k,u_1,y_1\n1,,1\n", "at least two data rows, got 1"),
+            ("k,u_1,y_1\n1,0,1\n\n3,0,1\n4,,1\n", "row 2 is blank"),
+            ("k,u_1,y_1\n1,0,1\n2,,1\n\n", "row 3 is blank"),
+            ("k,u_1,y_1\n1,0\n2,,1\n", "row 1 has 2 cells, expected 3"),
+            ("k,u_1,y_1\n1,0,1\n2,0,1,5\n3,,1\n", "row 2 has 4 cells, expected 3"),
+            ("k,u_1,y_1\n1,0,1,5\n2,0,1,5\n3,,1\n", "row 1 has 4 cells, expected 3"),
+            ("k,u_1,y_1\n1,0,1\n2,,1,5\n", "row 2 has 4 cells, expected 3"),
+            ("k,u_1,y_1\n1,0,1\n# note\n3,,1\n", "row 2 has 1 cells, expected 3"),
+            ("k,u_1,y_1\n1,0,1\n2,abc,1\n3,,1\n", "row 2 has a non-numeric cell"),
+            ("k,u_1,y_1\n1,,1\n2,,1\n", "row 1 has a non-numeric cell"),
+            ("k,u_1,y_1\n1,0,1\n2,,x\n", "row 2 has a non-numeric cell"),
+            ("k,u_1,y_1\n1,0,1\n2.5,,1\n", "contiguous and 1-based"),
+            ("k,u_1,y_1\n0,0,1\n1,,1\n", "contiguous and 1-based"),
+        ],
+        ids=[
+            "empty-file", "bad-header", "unknown-column", "no-rows", "one-row",
+            "blank-body-row", "blank-last-line", "short-row", "extra-cell-one-row",
+            "extra-cell-every-row", "extra-cell-final-row", "comment-line",
+            "non-numeric-body", "empty-body-cell", "non-numeric-final",
+            "non-integral-k", "zero-based-k",
+        ],
+    )
+    def test_reader_rejects(self, tmp_path, text, message):
+        path = tmp_path / "traj.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
             read_trajectory_csv(path)
