@@ -26,7 +26,6 @@ from .invariance import (
     LiftedOperators,
     UtilitySpec,
     build_lifted_operators,
-    kernel_projector,
     load_kernel_plan,
     load_utility_spec,
     save_kernel_plan,
@@ -34,15 +33,11 @@ from .invariance import (
     solve_utility_invariance,
 )
 from .linalg import (
-    DEFAULT_TOL,
-    ToleranceConfig,
-    eigenvalues,
     is_schur,
     lstsq_min_norm,
     matrix_exponential,
     nullspace_basis,
     pseudoinverse,
-    spectral_radius,
 )
 from .modes import (
     ContinuousMode,

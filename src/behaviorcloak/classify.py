@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .invariance import build_lifted_operators
-from .linalg import DEFAULT_TOL, ToleranceConfig, lstsq_min_norm
+from .linalg import lstsq_min_norm
 from .modes import ModeBank, StateSpaceMode, Trajectory
 
 __all__ = [
@@ -60,9 +60,7 @@ class ClassificationReport:
         }
 
 
-def mode_residual(
-    mode: StateSpaceMode, traj: Trajectory, tol: ToleranceConfig = DEFAULT_TOL
-) -> float:
+def mode_residual(mode: StateSpaceMode, traj: Trajectory) -> float:
     """Normalized distance of a trajectory from a mode's behaviour.
 
     Minimizes ``||Y - Ot x - Tt U||`` over the initial state x and
@@ -74,18 +72,13 @@ def mode_residual(
     ops = build_lifted_operators(mode, traj.K)
     Y = traj.stacked_outputs()
     free = Y - ops.apply(np.zeros(mode.n), traj.U)
-    _, residual = lstsq_min_norm(ops.Ot, free, tol)
+    _, residual = lstsq_min_norm(ops.Ot, free)
     return residual / (1.0 + float(np.linalg.norm(Y)))
 
 
 def classify(
-    bank: ModeBank,
-    traj: Trajectory,
-    accept_tol: float = 1e-6,
-    tol: ToleranceConfig = DEFAULT_TOL,
+    bank: ModeBank, traj: Trajectory, accept_tol: float = 1e-6
 ) -> ClassificationReport:
     """Score a trajectory against every mode of a bank."""
-    residuals = {
-        mode.mode_id: mode_residual(mode, traj, tol) for mode in bank
-    }
+    residuals = {mode.mode_id: mode_residual(mode, traj) for mode in bank}
     return ClassificationReport(residuals=residuals, accept_tol=accept_tol)

@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +26,7 @@ from .distort import DistortionConfig, run_offline
 from .invariance import (
     InvarianceInfeasibleError,
     KernelAssumptionError,
+    KernelPlan,
     UtilitySpec,
     build_lifted_operators,
     load_kernel_plan,
@@ -55,7 +55,7 @@ from .regulation import (
     solve_regulator_equations,
 )
 
-__all__ = ["main", "ScenarioConfig"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -64,27 +64,6 @@ EXIT_REGULATION_INFEASIBLE = 3
 EXIT_INVARIANCE_INFEASIBLE = 4
 
 SEED_ENV_VAR = "BEHAVIOR_CLOAK_SEED"
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """A design scenario: bank, mode pair, utility, horizon, plan size."""
-
-    bank: ModeBank
-    true_mode_id: int
-    target_mode_id: int
-    utility: UtilitySpec
-    K: int
-    magnitude: float
-    seed: int
-
-    def __post_init__(self):
-        if self.true_mode_id == self.target_mode_id:
-            raise ValueError("the target mode must differ from the true mode")
-        self.bank.mode(self.true_mode_id)
-        self.bank.mode(self.target_mode_id)
-        if self.utility.K != self.K or self.utility.m != self.bank.m:
-            raise ValueError("utility spec is bound to a different horizon or output size")
 
 
 def _resolve_seed(args) -> int:
@@ -100,7 +79,33 @@ def _resolve_seed(args) -> int:
 def _resolve_utility(value: str, K: int, m: int) -> UtilitySpec:
     if value == "average":
         return UtilitySpec.average(K, m)
-    return load_utility_spec(value)
+    spec = load_utility_spec(value)
+    if spec.K != K or spec.m != m:
+        raise ValueError(
+            f"utility {value} is bound to K = {spec.K}, m = {spec.m}; "
+            f"expected K = {K}, m = {m}"
+        )
+    return spec
+
+
+def _mode_pair(bank: ModeBank, true_id: int, target_id: int):
+    """The (true, target) modes of a bank; the two must differ."""
+    if true_id == target_id:
+        raise ValueError("the target mode must differ from the true mode")
+    return bank.mode(true_id), bank.mode(target_id)
+
+
+def _design(true_mode, target_mode, utility: UtilitySpec, magnitude, seed, out: Path):
+    """Design the controller and the plan for a mode pair and save both to ``out``."""
+    sol = solve_regulator_equations(true_mode, target_mode)
+    gain = design_stabilizing_gain(target_mode)
+    ctrl = build_tracking_controller(sol, gain, target_mode)
+    ops = build_lifted_operators(target_mode, utility.K)
+    plan = solve_utility_invariance(ops, utility, magnitude=magnitude, seed=seed)
+    out.mkdir(parents=True, exist_ok=True)
+    save_controller(ctrl, out / "controller.json")
+    save_kernel_plan(plan, out / "plan.json")
+    return sol, ctrl, plan
 
 
 def _print_json(doc) -> None:
@@ -116,29 +121,11 @@ def _cmd_validate(args) -> int:
 
 def _cmd_design(args) -> int:
     bank = load_mode_bank(args.bank)
+    true_mode, target_mode = _mode_pair(bank, args.true_mode, args.target_mode)
     utility = _resolve_utility(args.utility, args.K, bank.m)
-    scenario = ScenarioConfig(
-        bank=bank,
-        true_mode_id=args.true_mode,
-        target_mode_id=args.target_mode,
-        utility=utility,
-        K=args.K,
-        magnitude=args.magnitude,
-        seed=_resolve_seed(args),
-    )
-    true_mode = bank.mode(scenario.true_mode_id)
-    target_mode = bank.mode(scenario.target_mode_id)
-    sol = solve_regulator_equations(true_mode, target_mode)
-    gain = design_stabilizing_gain(target_mode)
-    ctrl = build_tracking_controller(sol, gain, target_mode)
-    ops = build_lifted_operators(target_mode, scenario.K)
-    plan = solve_utility_invariance(
-        ops, scenario.utility, magnitude=scenario.magnitude, seed=scenario.seed
-    )
+    seed = _resolve_seed(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_controller(ctrl, out / "controller.json")
-    save_kernel_plan(plan, out / "plan.json")
+    sol, _, plan = _design(true_mode, target_mode, utility, args.magnitude, seed, out)
     _print_json(
         {
             "controller": str(out / "controller.json"),
@@ -146,9 +133,7 @@ def _cmd_design(args) -> int:
             "regulator_residual": sol.residual,
             "plan_residual": plan.residual,
             "plan_input_norm": float(np.linalg.norm(plan.U2)),
-            "kernel_deviation": float(
-                np.linalg.norm(scenario.utility.F @ plan.delta_Y)
-            ),
+            "kernel_deviation": float(np.linalg.norm(utility.F @ plan.delta_Y)),
         }
     )
     return EXIT_OK
@@ -156,10 +141,7 @@ def _cmd_design(args) -> int:
 
 def _cmd_distort(args) -> int:
     bank = load_mode_bank(args.bank)
-    if args.true_mode == args.target_mode:
-        raise ValueError("the target mode must differ from the true mode")
-    true_mode = bank.mode(args.true_mode)
-    target_mode = bank.mode(args.target_mode)
+    true_mode, target_mode = _mode_pair(bank, args.true_mode, args.target_mode)
     ctrl = load_controller(args.controller)
     plan = load_kernel_plan(args.plan, target_mode)
     traj = read_trajectory_csv(args.input)
@@ -211,20 +193,8 @@ def _cmd_demo(args) -> int:
     traj = simulate_mode(sports, x1, U)
     write_trajectory_csv(traj, out / "original.csv")
 
-    sol = solve_regulator_equations(sports, average)
-    gain = design_stabilizing_gain(average)
-    ctrl = build_tracking_controller(sol, gain, average)
-    save_controller(ctrl, out / "controller.json")
-
     utility = UtilitySpec.average(K, sports.m)
-    ops = build_lifted_operators(average, K)
-    plan = solve_utility_invariance(
-        ops, utility, magnitude=args.magnitude, seed=seed + 1
-    )
-    save_kernel_plan(plan, out / "plan.json")
-
-    from .invariance import KernelPlan
-
+    _, ctrl, plan = _design(sports, average, utility, args.magnitude, seed + 1, out)
     zero_plan = KernelPlan.zero(average.n, K, average.m, average.l)
     tracked = run_offline(
         DistortionConfig(sports, average, ctrl, zero_plan, K), traj

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .invariance import KernelPlan, build_lifted_operators
-from .linalg import DEFAULT_TOL, ToleranceConfig, lstsq_min_norm
+from .linalg import RESIDUAL_TOL, lstsq_min_norm
 from .modes import StateSpaceMode, Trajectory, simulate_mode
 from .regulation import TrackingController
 
@@ -96,9 +96,7 @@ class StateReconstruction:
     residual: float
 
 
-def reconstruct_state(
-    mode: StateSpaceMode, U_window, Y_window, tol: ToleranceConfig = DEFAULT_TOL
-) -> StateReconstruction:
+def reconstruct_state(mode: StateSpaceMode, U_window, Y_window) -> StateReconstruction:
     """Recover the state of an observable mode from recent I/O samples.
 
     ``Y_window`` holds at least n consecutive outputs and ``U_window`` the
@@ -110,7 +108,7 @@ def reconstruct_state(
     ------
     InconsistentDataError
         If the window is not explainable by this mode, i.e. the fit
-        residual exceeds ``residual_tol`` (scaled by the data size).
+        residual exceeds ``RESIDUAL_TOL * (1 + ||Y||)``.
     """
     Y = np.asarray(Y_window, dtype=float)
     if Y.ndim == 1:
@@ -132,8 +130,8 @@ def reconstruct_state(
         ops = build_lifted_operators(mode, w)
         free = Y.reshape(-1) - ops.apply(np.zeros(mode.n), U)
         Ot = ops.Ot
-    x_start, residual = lstsq_min_norm(Ot, free, tol)
-    if residual > tol.residual_tol * (1.0 + np.linalg.norm(Y)):
+    x_start, residual = lstsq_min_norm(Ot, free)
+    if residual > RESIDUAL_TOL * (1.0 + np.linalg.norm(Y)):
         raise InconsistentDataError(residual)
     x = x_start
     for k in range(w - 1):
@@ -236,7 +234,7 @@ class DistortionEngine:
 
 @dataclass(frozen=True)
 class DistortedTrajectory:
-    """The emitted cloaked trajectory plus its deviation from the original.
+    """The emitted cloaked trajectory.
 
     ``k_start`` is the 1-based index of the first emitted sample; it is
     greater than one when the engine spent a reconstruction window
@@ -245,8 +243,6 @@ class DistortedTrajectory:
 
     Ubar: np.ndarray
     Ybar: np.ndarray
-    delta_U: np.ndarray
-    delta_Y_applied: np.ndarray
     k_start: int = 1
 
     def to_trajectory(self) -> Trajectory:
@@ -279,11 +275,4 @@ def run_offline(cfg: DistortionConfig, traj: Trajectory) -> DistortedTrajectory:
     Gamma, Theta, U2, dY = cfg.replay_maps()
     U = traj.U[s:]
     Ubar = X[:-1] @ Gamma.T + U @ Theta.T + U2[s:]
-    Ybar = traj.Y[s:] + dY[s:]
-    return DistortedTrajectory(
-        Ubar=Ubar,
-        Ybar=Ybar,
-        delta_U=Ubar - U,
-        delta_Y_applied=Ybar - traj.Y[s:],
-        k_start=s + 1,
-    )
+    return DistortedTrajectory(Ubar=Ubar, Ybar=traj.Y[s:] + dY[s:], k_start=s + 1)

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ToleranceConfig, pseudoinverse
+from .linalg import pseudoinverse
 from .modes import StateSpaceMode
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "LiftedOperators",
     "KernelPlan",
     "build_lifted_operators",
-    "kernel_projector",
     "solve_utility_invariance",
     "load_utility_spec",
     "save_utility_spec",
@@ -95,7 +94,7 @@ class UtilitySpec:
         mu.setflags(write=False)
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "mu", mu)
-        rank = int(np.linalg.matrix_rank(F, rtol=DEFAULT_TOL.rank_cutoff(F)))
+        rank = int(np.linalg.matrix_rank(F))
         object.__setattr__(self, "kernel_nontrivial", rank < F.shape[1])
 
     @property
@@ -230,16 +229,6 @@ def build_lifted_operators(target_mode: StateSpaceMode, K: int) -> LiftedOperato
     return LiftedOperators(mode_id=target_mode.mode_id, K=K, Ot=Ot, markov=markov)
 
 
-def kernel_projector(spec: UtilitySpec, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projector ``I - F^+ F`` onto Ker[F] (small horizons only)."""
-    dim = spec.F.shape[1]
-    if dim * dim > _DENSE_ENTRY_LIMIT:
-        raise ValueError(
-            "dense kernel projector exceeds the size budget at this horizon"
-        )
-    return np.eye(dim) - pseudoinverse(spec.F, tol) @ spec.F
-
-
 @dataclass(frozen=True)
 class KernelPlan:
     """Off-line plan steering the target model's free output into Ker[F].
@@ -296,7 +285,6 @@ def solve_utility_invariance(
     spec: UtilitySpec,
     magnitude: float = 1.0,
     seed: int = 0,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> KernelPlan:
     """Find an initial condition and input sequence whose response lies in Ker[F].
 
@@ -338,7 +326,7 @@ def solve_utility_invariance(
     n = ops.n
     z = np.random.default_rng(seed).standard_normal(n + (ops.K - 1) * ops.l)
     FM = np.array([np.concatenate(ops.apply_adjoint(row)) for row in spec.F])
-    projected = z - pseudoinverse(FM, tol) @ (FM @ z)
+    projected = z - pseudoinverse(FM) @ (FM @ z)
     delta = ops.apply(projected[:n], projected[n:])
     norm = float(np.linalg.norm(delta))
     if norm <= _INFEASIBLE_RATIO * np.linalg.norm(ops.apply(z[:n], z[n:])):
@@ -347,7 +335,7 @@ def solve_utility_invariance(
         )
     scale = magnitude / norm
     projected, delta = projected * scale, delta * scale
-    residual = pseudoinverse(spec.F, tol) @ (spec.F @ delta)
+    residual = pseudoinverse(spec.F) @ (spec.F @ delta)
     return KernelPlan(
         x2_init=projected[:n],
         U2=projected[n:].reshape(ops.K - 1, ops.l),

@@ -1,65 +1,38 @@
 """Dense linear-algebra primitives shared by the rest of the package.
 
-Thin, tolerance-aware wrappers around numpy factorizations.  Rank
-decisions everywhere use one scale-aware cutoff,
-``sigma_max * max_dim * machine_eps * rank_tol_factor``, so all callers
-agree on what counts as numerically zero.
+Thin wrappers around numpy factorizations with fixed thresholds.  Rank
+decisions everywhere drop singular values below
+``sigma_max * max(M.shape) * machine_eps`` (the cutoff numpy's
+``matrix_rank`` uses by default), so all callers agree on what counts as
+numerically zero.  A linear equation counts as satisfied at a residual of
+at most ``RESIDUAL_TOL``, and a matrix is Schur stable when its spectral
+radius is at most ``1 - SCHUR_MARGIN``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
 
 __all__ = [
-    "ToleranceConfig",
-    "DEFAULT_TOL",
+    "RESIDUAL_TOL",
+    "SCHUR_MARGIN",
+    "rank_cutoff",
     "pseudoinverse",
     "nullspace_basis",
     "lstsq_min_norm",
-    "eigenvalues",
-    "spectral_radius",
     "is_schur",
     "matrix_exponential",
 ]
 
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Numerical thresholds used across the package.
-
-    Parameters
-    ----------
-    rank_tol_factor : float
-        Multiplier on the scale-aware SVD cutoff
-        ``sigma_max * max_dim * machine_eps`` used for rank decisions.
-        Must be >= 1.
-    residual_tol : float
-        Absolute residual below which a linear equation counts as
-        satisfied.
-    schur_margin : float
-        Stability verdicts require a spectral radius of at most
-        ``1 - schur_margin``.
-    """
-
-    rank_tol_factor: float = 1.0
-    residual_tol: float = 1e-9
-    schur_margin: float = 1e-9
-
-    def __post_init__(self):
-        if not self.rank_tol_factor >= 1.0:
-            raise ValueError("rank_tol_factor must be >= 1")
-        if not (self.residual_tol > 0.0 and self.schur_margin > 0.0):
-            raise ValueError("residual_tol and schur_margin must be positive")
-
-    def rank_cutoff(self, M: np.ndarray) -> float:
-        """Relative singular-value cutoff for rank decisions on ``M``."""
-        return max(M.shape) * np.finfo(float).eps * self.rank_tol_factor
+RESIDUAL_TOL = 1e-9
+SCHUR_MARGIN = 1e-9
 
 
-DEFAULT_TOL = ToleranceConfig()
+def rank_cutoff(M: np.ndarray) -> float:
+    """Relative singular-value cutoff for rank decisions on ``M``."""
+    return max(M.shape) * np.finfo(float).eps
 
 
 def _as_matrix(M, name: str = "M") -> np.ndarray:
@@ -78,13 +51,13 @@ def _as_square(M, name: str = "M") -> np.ndarray:
     return M
 
 
-def pseudoinverse(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def pseudoinverse(M) -> np.ndarray:
     """Moore-Penrose inverse of ``M`` with a scale-aware rank cutoff."""
     M = _as_matrix(M)
-    return np.linalg.pinv(M, rcond=tol.rank_cutoff(M))
+    return np.linalg.pinv(M, rcond=rank_cutoff(M))
 
 
-def nullspace_basis(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def nullspace_basis(M) -> np.ndarray:
     """Orthonormal basis of the right kernel of ``M``.
 
     Returns an ``ncols(M) x (ncols(M) - rank(M))`` matrix whose columns
@@ -93,12 +66,12 @@ def nullspace_basis(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """
     M = _as_matrix(M)
     _, s, vh = np.linalg.svd(M)
-    cutoff = tol.rank_cutoff(M) * (s[0] if s.size else 0.0)
+    cutoff = rank_cutoff(M) * (s[0] if s.size else 0.0)
     rank = int(np.count_nonzero(s > cutoff))
     return vh[rank:].T.copy()
 
 
-def lstsq_min_norm(M, b, tol: ToleranceConfig = DEFAULT_TOL):
+def lstsq_min_norm(M, b):
     """Minimum-2-norm least-squares solution of ``M x = b``.
 
     Parameters
@@ -119,23 +92,15 @@ def lstsq_min_norm(M, b, tol: ToleranceConfig = DEFAULT_TOL):
         raise ValueError(
             f"b has length {b.shape[0]}, expected {M.shape[0]} rows of M"
         )
-    x, _, _, _ = np.linalg.lstsq(M, b, rcond=tol.rank_cutoff(M))
+    x, _, _, _ = np.linalg.lstsq(M, b, rcond=rank_cutoff(M))
     residual_norm = float(np.linalg.norm(M @ x - b))
     return x, residual_norm
 
 
-def eigenvalues(M) -> np.ndarray:
-    """Eigenvalues of a square matrix, as a complex vector."""
-    return np.linalg.eigvals(_as_square(M))
-
-
-def spectral_radius(M) -> float:
-    return float(np.max(np.abs(eigenvalues(M))))
-
-
-def is_schur(M, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True iff all eigenvalues lie at least ``schur_margin`` inside the unit circle."""
-    return spectral_radius(M) <= 1.0 - tol.schur_margin
+def is_schur(M) -> bool:
+    """True iff all eigenvalues lie at least ``SCHUR_MARGIN`` inside the unit circle."""
+    radius = np.abs(np.linalg.eigvals(_as_square(M))).max()
+    return bool(radius <= 1.0 - SCHUR_MARGIN)
 
 
 # Coefficients of the [13/13] Pade approximant of exp, normalized to b[0] = 1,

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ToleranceConfig, matrix_exponential
+from .linalg import matrix_exponential
 
 __all__ = [
     "StateSpaceMode",
@@ -265,19 +265,18 @@ class ModeValidationReport:
         }
 
 
-def validate_mode(
-    mode: StateSpaceMode, tol: ToleranceConfig = DEFAULT_TOL
-) -> ModeValidationReport:
+def validate_mode(mode: StateSpaceMode) -> ModeValidationReport:
     """Check the standing assumptions on one mode.
 
     Reports the ranks of the observability and controllability matrices,
     the row rank of C, and the column rank of B.  The mode passes iff
     the pair (A, C) is observable, (A, B) is controllable, C maps onto
-    the full output space, and B has a trivial kernel.
+    the full output space, and B has a trivial kernel.  Ranks use numpy's
+    default cutoff ``sigma_max * max(M.shape) * machine_eps``.
     """
 
     def rank(M: np.ndarray) -> int:
-        return int(np.linalg.matrix_rank(M, rtol=tol.rank_cutoff(M)))
+        return int(np.linalg.matrix_rank(M))
 
     checks = (
         AssumptionCheck("observability", rank(mode.observability_matrix()), mode.n),

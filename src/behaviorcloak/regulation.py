@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ToleranceConfig, is_schur, lstsq_min_norm
+from .linalg import RESIDUAL_TOL, is_schur, lstsq_min_norm
 from .modes import StateSpaceMode, Trajectory
 
 __all__ = [
@@ -40,6 +40,11 @@ __all__ = [
     "save_controller",
     "load_controller",
 ]
+
+
+# Stopping rule of the Riccati fixed-point iteration in design_stabilizing_gain.
+_RICCATI_MAX_ITER = 10000
+_RICCATI_STEP_TOL = 1e-12
 
 
 class RegulationInfeasibleError(RuntimeError):
@@ -74,10 +79,6 @@ class TrackingController:
     L: np.ndarray
     S: np.ndarray
     Pi: np.ndarray
-
-    def initial_virtual_state(self, x1) -> np.ndarray:
-        """Virtual initial condition ``Pi x(1)`` for a recorded source state."""
-        return self.Pi @ np.asarray(x1, dtype=float).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -122,14 +123,13 @@ def regulator_residuals(
 def solve_regulator_equations(
     true_mode: StateSpaceMode,
     target_mode: StateSpaceMode,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> RegulatorSolution:
     """Solve the regulator equations for (Pi, Gamma, Theta).
 
     The three matrix equations are vectorized into one linear system in
     the stacked unknowns and solved by minimum-norm least squares.  A
     solution is accepted as feasible iff its max-abs equation residual is
-    at most ``tol.residual_tol``; otherwise the target mode cannot imitate
+    at most ``RESIDUAL_TOL``; otherwise the target mode cannot imitate
     the source outputs and :class:`RegulationInfeasibleError` is raised.
 
     Raises
@@ -137,7 +137,7 @@ def solve_regulator_equations(
     ValueError
         If the two modes do not share input/output dimensions.
     RegulationInfeasibleError
-        If the best residual exceeds ``tol.residual_tol``.
+        If the best residual exceeds ``RESIDUAL_TOL``.
     """
     if true_mode.m != target_mode.m or true_mode.l != target_mode.l:
         raise ValueError("source and target modes must share m and l")
@@ -169,83 +169,69 @@ def solve_regulator_equations(
     M[r0 : r0 + n_t * l, :n_pi] = -np.kron(B_s.T, I_nt)
     M[r0 : r0 + n_t * l, n_pi + n_gamma :] = np.kron(I_l, B_t)
 
-    z, _ = lstsq_min_norm(M, b, tol)
+    z, _ = lstsq_min_norm(M, b)
     Pi = z[:n_pi].reshape(n_t, n_s, order="F")
     Gamma = z[n_pi : n_pi + n_gamma].reshape(l, n_s, order="F")
     Theta = z[n_pi + n_gamma :].reshape(l, l, order="F")
     residual = max(regulator_residuals(true_mode, target_mode, Pi, Gamma, Theta))
-    if residual > tol.residual_tol:
+    if residual > RESIDUAL_TOL:
         raise RegulationInfeasibleError(residual)
     return RegulatorSolution(Pi=Pi, Gamma=Gamma, Theta=Theta, residual=residual)
 
 
-def design_stabilizing_gain(
-    target_mode: StateSpaceMode,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    gain=None,
-    max_iter: int = 10000,
-    fixed_point_tol: float = 1e-12,
-) -> np.ndarray:
+def design_stabilizing_gain(target_mode: StateSpaceMode) -> np.ndarray:
     """Feedback gain R making ``A + B R`` Schur stable.
 
-    By default R is synthesized from the discrete-time Riccati fixed-point
-    iteration with identity state and input weights,
+    R is synthesized from the discrete-time Riccati fixed-point iteration
+    with identity state and input weights,
 
         P <- A' P A - A' P B (I + B' P B)^(-1) B' P A + I,
 
-    iterated until successive iterates differ by at most
-    ``fixed_point_tol`` in max-abs norm; then ``R = -(I + B'PB)^(-1) B'PA``.
-    A caller-supplied ``gain`` is accepted in place of synthesis and only
-    checked for stability.
+    iterated until successive iterates differ by at most 1e-12 in max-abs
+    norm; then ``R = -(I + B'PB)^(-1) B'PA``.  A gain of the caller's own
+    choosing goes straight to :func:`build_tracking_controller`, which
+    checks it.
 
     Raises
     ------
     GainDesignError
-        If the iteration does not converge, or the resulting (or supplied)
-        gain is not Schur-stabilizing.
+        If the iteration does not converge within 10000 steps, or the
+        resulting gain is not Schur-stabilizing.
     """
     A, B = target_mode.A, target_mode.B
-    if gain is not None:
-        R = np.atleast_2d(np.asarray(gain, dtype=float))
-        if R.shape != (target_mode.l, target_mode.n):
-            raise ValueError(
-                f"gain must have shape {(target_mode.l, target_mode.n)}, got {R.shape}"
-            )
-        if not is_schur(A + B @ R, tol):
-            raise GainDesignError("supplied gain does not Schur-stabilize the target")
-        return R
-
     I_n = np.eye(target_mode.n)
     I_l = np.eye(target_mode.l)
     P = I_n.copy()
-    converged = False
-    for _ in range(max_iter):
+    for _ in range(_RICCATI_MAX_ITER):
         BtPA = B.T @ P @ A
         gain_core = np.linalg.solve(I_l + B.T @ P @ B, BtPA)
         P_next = A.T @ P @ A - BtPA.T @ gain_core + I_n
         P_next = 0.5 * (P_next + P_next.T)
-        if np.max(np.abs(P_next - P)) <= fixed_point_tol:
-            P = P_next
-            converged = True
-            break
+        step = np.max(np.abs(P_next - P))
         P = P_next
-    if not converged:
+        if step <= _RICCATI_STEP_TOL:
+            break
+    else:
         raise GainDesignError("Riccati fixed-point iteration did not converge")
     R = -np.linalg.solve(I_l + B.T @ P @ B, B.T @ P @ A)
-    if not is_schur(A + B @ R, tol):
+    if not is_schur(A + B @ R):
         raise GainDesignError("synthesized gain failed the stability check")
     return R
 
 
 def build_tracking_controller(
-    sol: RegulatorSolution,
-    R,
-    target_mode: StateSpaceMode,
-    tol: ToleranceConfig = DEFAULT_TOL,
+    sol: RegulatorSolution, R, target_mode: StateSpaceMode
 ) -> TrackingController:
-    """Assemble (R, L, S) with ``L = Gamma - R Pi`` and ``S = Theta``."""
+    """Assemble (R, L, S) with ``L = Gamma - R Pi`` and ``S = Theta``.
+
+    ``R`` is any gain of shape ``(l, n)`` of the target mode that makes
+    ``A + B R`` Schur stable, e.g. one from :func:`design_stabilizing_gain`.
+    """
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    if not is_schur(target_mode.A + target_mode.B @ R, tol):
+    shape = (target_mode.l, target_mode.n)
+    if R.shape != shape:
+        raise ValueError(f"R must have shape {shape}, got {R.shape}")
+    if not is_schur(target_mode.A + target_mode.B @ R):
         raise ValueError("R must Schur-stabilize the target mode")
     return TrackingController(
         R=R, L=sol.Gamma - R @ sol.Pi, S=sol.Theta, Pi=sol.Pi
@@ -270,7 +256,7 @@ def verify_regulation(
     K = test_traj.K
     r_norms = np.empty(K)
     e_norms = np.empty(K)
-    xbar = ctrl.initial_virtual_state(test_traj.X[0])
+    xbar = ctrl.Pi @ test_traj.X[0]
     for k in range(K):
         x = test_traj.X[k]
         ybar = target_mode.C @ xbar

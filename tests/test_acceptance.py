@@ -31,7 +31,7 @@ from behaviorcloak import (
     vehicle_demo_bank,
     verify_regulation,
 )
-from behaviorcloak.linalg import DEFAULT_TOL
+from behaviorcloak.linalg import RESIDUAL_TOL
 from behaviorcloak.regulation import regulator_residuals
 
 PRINTED_SPORTS_AB = np.array(
@@ -221,8 +221,8 @@ def test_criterion_9a_penrose_identities():
             )
             Mp = pseudoinverse(M)
             scale = max(1.0, float(np.linalg.norm(M)))
-            assert np.max(np.abs(M @ Mp @ M - M)) <= DEFAULT_TOL.residual_tol * scale
-            assert np.max(np.abs(Mp @ M @ Mp - Mp)) <= DEFAULT_TOL.residual_tol * max(
+            assert np.max(np.abs(M @ Mp @ M - M)) <= RESIDUAL_TOL * scale
+            assert np.max(np.abs(Mp @ M @ Mp - Mp)) <= RESIDUAL_TOL * max(
                 1.0, float(np.linalg.norm(Mp))
             )
 
@@ -245,7 +245,7 @@ def test_criterion_9b_nullspace_orthonormality():
                     basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12
                 )
                 assert np.max(np.linalg.norm(M @ basis, axis=0)) <= (
-                    DEFAULT_TOL.residual_tol * max(1.0, float(np.linalg.norm(M)))
+                    RESIDUAL_TOL * max(1.0, float(np.linalg.norm(M)))
                 )
 
 

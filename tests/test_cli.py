@@ -132,6 +132,27 @@ class TestDesignCommand:
         )
         assert code == 4
 
+    def test_utility_for_another_horizon_is_bad_input(
+        self, capsys, vehicle_bank_path, tmp_path
+    ):
+        utility_path = tmp_path / "utility.json"
+        save_utility_spec(UtilitySpec.average(50), utility_path)
+        code = main(
+            [
+                "design",
+                "--bank", str(vehicle_bank_path),
+                "--true-mode", "1",
+                "--target-mode", "2",
+                "--utility", str(utility_path),
+                "--K", "100",
+                "--out", str(tmp_path / "x"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"utility {utility_path} is bound to K = 50" in err
+        assert not (tmp_path / "x").exists()
+
     def test_infeasible_pair_exit_code(self, capsys, valid_bank_path, tmp_path):
         code = main(
             [
@@ -224,6 +245,30 @@ class TestDistortAndClassify:
         )
         assert code == 1
         assert "utility" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    def test_utility_for_another_horizon_is_bad_input(self, capsys, designed, tmp_path):
+        bank_path, design_dir, traj_path = designed
+        utility_path = tmp_path / "k100.json"
+        save_utility_spec(UtilitySpec.average(100), utility_path)
+        out_csv = tmp_path / "distorted.csv"
+        code = main(
+            [
+                "distort",
+                "--bank", str(bank_path),
+                "--true-mode", "1",
+                "--target-mode", "2",
+                "--controller", str(design_dir / "controller.json"),
+                "--plan", str(design_dir / "plan.json"),
+                "--input", str(traj_path),
+                "--utility", str(utility_path),
+                "--out", str(out_csv),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"utility {utility_path} is bound to K = 100" in err
+        assert "expected K = 200" in err
         assert not out_csv.exists()
 
     def test_horizon_mismatch(self, capsys, designed, tmp_path):

@@ -24,9 +24,9 @@ from behaviorcloak import (
 )
 
 
-def make_config(true_mode, target_mode, K, magnitude=0.0, seed=0, gain=None):
+def make_config(true_mode, target_mode, K, magnitude=0.0, seed=0):
     sol = solve_regulator_equations(true_mode, target_mode)
-    R = design_stabilizing_gain(target_mode, gain=gain)
+    R = design_stabilizing_gain(target_mode)
     ctrl = build_tracking_controller(sol, R, target_mode)
     if magnitude == 0.0:
         plan = KernelPlan.zero(target_mode.n, K, target_mode.m, target_mode.l)
@@ -84,7 +84,7 @@ class TestEngineStep:
         assert out.k_start == 1
         np.testing.assert_array_equal(out.Ubar, traj.U)
         np.testing.assert_array_equal(out.Ybar, traj.Y)
-        np.testing.assert_array_equal(out.delta_U, np.zeros_like(traj.U))
+        np.testing.assert_array_equal(out.Ubar - traj.U, np.zeros_like(traj.U))
 
     def test_scalar_pair_zero_plan_tracks_and_lands_in_target(self):
         rng = np.random.default_rng(43)

@@ -14,7 +14,6 @@ from behaviorcloak import (
     KernelPlan,
     UtilitySpec,
     build_lifted_operators,
-    kernel_projector,
     load_kernel_plan,
     load_utility_spec,
     save_kernel_plan,
@@ -23,7 +22,11 @@ from behaviorcloak import (
     solve_utility_invariance,
     vehicle_demo_bank,
 )
-from behaviorcloak.linalg import lstsq_min_norm, nullspace_basis
+from behaviorcloak.linalg import lstsq_min_norm, nullspace_basis, pseudoinverse
+
+
+def kernel_projector(F):
+    return np.eye(F.shape[1]) - pseudoinverse(F) @ F
 
 
 def unreachable_kernel_spec(rng, mode, K):
@@ -215,20 +218,23 @@ def test_import_loads_no_scipy_module():
 
 
 class TestKernelProjector:
+    """``I - F^+ F`` from ``pseudoinverse``: the projector onto Ker[F] whose
+    complement the plan's ``residual`` measures."""
+
     def test_two_sample_average(self):
         spec = UtilitySpec(F=[[0.5, 0.5]], mu=[0.0], K=2)
         np.testing.assert_allclose(
-            kernel_projector(spec), [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12
+            kernel_projector(spec.F), [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12
         )
 
     def test_invertible_utility_gives_zero(self):
         spec = UtilitySpec(F=np.array([[1.0, 2.0], [3.0, 4.0]]), mu=[0.0, 0.0], K=2)
-        np.testing.assert_allclose(kernel_projector(spec), np.zeros((2, 2)), atol=1e-12)
+        np.testing.assert_allclose(kernel_projector(spec.F), np.zeros((2, 2)), atol=1e-12)
 
     def test_averaging_row(self):
         K = 6
         spec = UtilitySpec.average(K, 1)
-        P = kernel_projector(spec)
+        P = kernel_projector(spec.F)
         np.testing.assert_allclose(P, np.eye(K) - np.ones((K, K)) / K, atol=1e-12)
         np.testing.assert_allclose(P @ np.ones(K), 0.0, atol=1e-12)
 
@@ -236,7 +242,7 @@ class TestKernelProjector:
         rng = np.random.default_rng(35)
         F = rng.standard_normal((2, 8))
         spec = UtilitySpec(F=F, mu=np.zeros(2), K=4)
-        P = kernel_projector(spec)
+        P = kernel_projector(spec.F)
         np.testing.assert_allclose(P, P.T, atol=1e-12)
         np.testing.assert_allclose(P @ P, P, atol=1e-12)
         assert np.max(np.abs(F @ P)) <= 1e-12 * max(1.0, np.linalg.norm(F))

@@ -7,6 +7,7 @@ from behaviorcloak import (
     ModeBank,
     StateSpaceMode,
     Trajectory,
+    UtilitySpec,
     discretize_zoh,
     load_mode_bank,
     longitudinal_vehicle_mode,
@@ -125,6 +126,20 @@ class TestValidateMode:
                     1, A=T @ mode.A @ T_inv, B=T @ mode.B, C=mode.C @ T_inv
                 )
                 assert validate_mode(transformed).passed == expected
+
+
+    def test_ranks_need_only_the_numpy_1x_signature(self, monkeypatch):
+        # numpy < 2 has no ``rtol`` keyword; ranks must come from the
+        # default cutoff, which numpy 1.x and 2.x share.
+        full_rank = np.linalg.matrix_rank
+
+        def matrix_rank_1x(A, tol=None, hermitian=False):
+            return full_rank(A, tol=tol, hermitian=hermitian)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", matrix_rank_1x)
+        assert validate_mode(support.double_integrator()).passed
+        assert UtilitySpec.average(5).kernel_nontrivial
+        assert not UtilitySpec(F=np.eye(2), mu=np.zeros(2), K=2).kernel_nontrivial
 
 
 class TestDiscretizeZoh:

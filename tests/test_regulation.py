@@ -91,8 +91,11 @@ class TestDesignStabilizingGain:
         assert 2.0 + R[0, 0] == pytest.approx(0.3820, abs=1e-4)
 
     def test_supplied_vehicle_gain_hits_printed_spectrum(self, vehicle_pair):
-        _, average = vehicle_pair
-        R = design_stabilizing_gain(average, gain=PAPER_GAIN)
+        # A gain of one's own bypasses the synthesis and goes straight to
+        # build_tracking_controller.
+        sports, average = vehicle_pair
+        sol = solve_regulator_equations(sports, average)
+        R = build_tracking_controller(sol, PAPER_GAIN, average).R
         np.testing.assert_array_equal(R, PAPER_GAIN)
         spectrum = np.sort(np.linalg.eigvals(average.A + average.B @ R).real)
         np.testing.assert_allclose(spectrum, [0.1, 0.2, 0.3], atol=1e-2)
@@ -105,14 +108,13 @@ class TestDesignStabilizingGain:
             assert is_schur(mode.A + mode.B @ R)
 
     def test_rejects_non_stabilizing_gain(self):
-        mode = support.scalar_mode(2.0)
-        with pytest.raises(GainDesignError):
-            design_stabilizing_gain(mode, gain=[[0.0]])
-
-    def test_rejects_wrong_shape(self):
-        mode = support.scalar_mode(2.0)
-        with pytest.raises(ValueError):
-            design_stabilizing_gain(mode, gain=[[1.0, 2.0]])
+        # With B = 0 the unstable pole 2 cannot be moved, so no gain
+        # stabilizes the mode: the Riccati iterates grow as 4^k and never
+        # settle, and no gain is returned.
+        mode = support.scalar_mode(2.0, b=0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(GainDesignError):
+                design_stabilizing_gain(mode)
 
 
 class TestBuildTrackingController:
@@ -145,12 +147,22 @@ class TestBuildTrackingController:
         with pytest.raises(ValueError):
             build_tracking_controller(sol, [[0.5]], target)
 
+    @pytest.mark.parametrize("pair", ["scalar", "vehicle"])
+    def test_rejects_wrong_shape_gain(self, pair, vehicle_pair):
+        if pair == "scalar":
+            true, target = support.scalar_mode(0.5), support.scalar_mode(0.8, mode_id=2)
+        else:
+            true, target = vehicle_pair
+        sol = solve_regulator_equations(true, target)
+        wrong = np.zeros((target.l, target.n + 1))
+        with pytest.raises(ValueError, match=rf"\({target.l}, {target.n}\)"):
+            build_tracking_controller(sol, wrong, target)
+
 
 class TestVerifyRegulation:
-    def _controller(self, true, target, gain=None):
+    def _controller(self, true, target):
         sol = solve_regulator_equations(true, target)
-        R = design_stabilizing_gain(target, gain=gain)
-        return build_tracking_controller(sol, R, target)
+        return build_tracking_controller(sol, design_stabilizing_gain(target), target)
 
     def test_identical_modes_track_exactly(self):
         rng = np.random.default_rng(14)
@@ -224,8 +236,7 @@ class TestVerifyRegulation:
         sol = solve_regulator_equations(sports, average)
         rng = np.random.default_rng(20)
         traj = support.random_trajectory(rng, sports, K=120)
-        for gain in (None, PAPER_GAIN):
-            R = design_stabilizing_gain(average, gain=gain)
+        for R in (design_stabilizing_gain(average), PAPER_GAIN):
             ctrl = build_tracking_controller(sol, R, average)
             diag = verify_regulation(sports, average, ctrl, traj)
             assert diag.max_r <= 1e-9 * (1.0 + np.max(np.abs(traj.Y)))
