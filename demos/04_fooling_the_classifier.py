@@ -1,6 +1,6 @@
 """End to end: the cloud sees an average car and the right average.
 
-Pipeline: record a sports-car drive, design the tracking controller and
+Pipeline: record a sports-car drive, solve the regulator equations and
 a unit-size kernel plan, stream the samples through the distortion
 engine, then play adversary and classify both trajectories by behaviour
 membership.
@@ -12,9 +12,7 @@ from behaviorcloak import (
     DistortionConfig,
     UtilitySpec,
     build_lifted_operators,
-    build_tracking_controller,
     classify,
-    design_stabilizing_gain,
     run_offline,
     simulate_mode,
     solve_regulator_equations,
@@ -32,12 +30,11 @@ rng = np.random.default_rng(2)
 drive = simulate_mode(sports, rng.normal(size=3), rng.uniform(-1, 1, size=(K - 1, 1)))
 
 sol = solve_regulator_equations(sports, average)
-ctrl = build_tracking_controller(sol, design_stabilizing_gain(average), average)
 spec = UtilitySpec.average(K)
 plan = solve_utility_invariance(
     build_lifted_operators(average, K), spec, magnitude=1.0, seed=3
 )
-cloaked = run_offline(DistortionConfig(sports, average, ctrl, plan, K), drive)
+cloaked = run_offline(DistortionConfig(sports, average, sol, plan, K), drive)
 
 print("utility (average acceleration)")
 print(f"  original : {spec.utility(drive.stacked_outputs())[0]: .12f}")

@@ -1,9 +1,9 @@
 """Streaming with nothing but the sensor feed.
 
-The tracking controller wants the true state x(k).  When only (u, y)
-samples arrive, an observable mode lets the engine recover the state
-after n samples by deadbeat reconstruction; until then it withholds
-output.  We use a double integrator (position measured, n = 2), so
+The replay ubar = Gamma x(k) + Theta u(k) wants the true state x(k).
+When only (u, y) samples arrive, an observable mode lets the engine
+recover the state after n samples by deadbeat reconstruction; until
+then it withholds output.  We use a double integrator (position measured, n = 2), so
 exactly the first two samples are withheld.
 """
 
@@ -14,8 +14,6 @@ from behaviorcloak import (
     DistortionEngine,
     KernelPlan,
     StateSpaceMode,
-    build_tracking_controller,
-    design_stabilizing_gain,
     reconstruct_state,
     simulate_mode,
     solve_regulator_equations,
@@ -31,9 +29,8 @@ rng = np.random.default_rng(4)
 drive = simulate_mode(plant, rng.normal(size=2), rng.uniform(-1, 1, size=(K - 1, 1)))
 
 sol = solve_regulator_equations(plant, target)
-ctrl = build_tracking_controller(sol, design_stabilizing_gain(target), target)
 cfg = DistortionConfig(
-    plant, target, ctrl, KernelPlan.zero(target.n, K, target.m, target.l), K
+    plant, target, sol, KernelPlan.zero(target.n, K, target.m, target.l), K
 )
 
 engine = DistortionEngine(cfg)  # no initial state supplied

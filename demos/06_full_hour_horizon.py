@@ -18,9 +18,7 @@ from behaviorcloak import (
     DistortionConfig,
     UtilitySpec,
     build_lifted_operators,
-    build_tracking_controller,
     classify,
-    design_stabilizing_gain,
     run_offline,
     simulate_mode,
     solve_regulator_equations,
@@ -51,7 +49,6 @@ drive = stage(
     ),
 )
 sol = stage("regulator equations", lambda: solve_regulator_equations(sports, average))
-ctrl = build_tracking_controller(sol, design_stabilizing_gain(average), average)
 ops = stage("lifted operators", lambda: build_lifted_operators(average, K))
 spec = UtilitySpec.average(K)
 plan = stage(
@@ -60,7 +57,7 @@ plan = stage(
 )
 cloaked = stage(
     "affine replay",
-    lambda: run_offline(DistortionConfig(sports, average, ctrl, plan, K), drive),
+    lambda: run_offline(DistortionConfig(sports, average, sol, plan, K), drive),
 )
 report = stage("classification", lambda: classify(bank, cloaked.to_trajectory()))
 

@@ -1,13 +1,13 @@
 """Command-line orchestration of the distortion pipeline.
 
-Subcommands: ``validate`` a mode bank, ``design`` a controller and
-distortion plan for a mode pair, ``distort`` a recorded trajectory,
+Subcommands: ``validate`` a mode bank, ``design`` the regulator solution
+and distortion plan for a mode pair, ``distort`` a recorded trajectory,
 ``classify`` a trajectory against a bank, and ``demo`` for the
 two-vehicle end-to-end scenario.
 
 Exit codes: 0 success, 1 a validation check failed (or ``distort`` would
-change the utility), 2 bad input or
-configuration, 3 regulation infeasible, 4 utility invariance infeasible.
+change the utility), 2 bad input or configuration, 3 regulation
+infeasible, 4 utility invariance infeasible.
 The environment variable ``BEHAVIOR_CLOAK_SEED`` overrides ``--seed``.
 """
 
@@ -46,10 +46,7 @@ from .modes import (
     write_trajectory_csv,
 )
 from .regulation import (
-    GainDesignError,
     RegulationInfeasibleError,
-    build_tracking_controller,
-    design_stabilizing_gain,
     load_controller,
     save_controller,
     solve_regulator_equations,
@@ -96,16 +93,14 @@ def _mode_pair(bank: ModeBank, true_id: int, target_id: int):
 
 
 def _design(true_mode, target_mode, utility: UtilitySpec, magnitude, seed, out: Path):
-    """Design the controller and the plan for a mode pair and save both to ``out``."""
+    """Solve the regulator equations and the plan for a mode pair; save both."""
     sol = solve_regulator_equations(true_mode, target_mode)
-    gain = design_stabilizing_gain(target_mode)
-    ctrl = build_tracking_controller(sol, gain, target_mode)
     ops = build_lifted_operators(target_mode, utility.K)
     plan = solve_utility_invariance(ops, utility, magnitude=magnitude, seed=seed)
     out.mkdir(parents=True, exist_ok=True)
-    save_controller(ctrl, out / "controller.json")
+    save_controller(sol, out / "controller.json")
     save_kernel_plan(plan, out / "plan.json")
-    return sol, ctrl, plan
+    return sol, plan
 
 
 def _print_json(doc) -> None:
@@ -125,7 +120,7 @@ def _cmd_design(args) -> int:
     utility = _resolve_utility(args.utility, args.K, bank.m)
     seed = _resolve_seed(args)
     out = Path(args.out)
-    sol, _, plan = _design(true_mode, target_mode, utility, args.magnitude, seed, out)
+    sol, plan = _design(true_mode, target_mode, utility, args.magnitude, seed, out)
     _print_json(
         {
             "controller": str(out / "controller.json"),
@@ -142,7 +137,7 @@ def _cmd_design(args) -> int:
 def _cmd_distort(args) -> int:
     bank = load_mode_bank(args.bank)
     true_mode, target_mode = _mode_pair(bank, args.true_mode, args.target_mode)
-    ctrl = load_controller(args.controller)
+    sol = load_controller(args.controller, true_mode, target_mode)
     plan = load_kernel_plan(args.plan, target_mode)
     traj = read_trajectory_csv(args.input)
     if traj.X is None:
@@ -152,7 +147,7 @@ def _cmd_distort(args) -> int:
             f"trajectory horizon {traj.K} does not match the plan horizon {plan.K}"
         )
     utility = _resolve_utility(args.utility, traj.K, bank.m)
-    cfg = DistortionConfig(true_mode, target_mode, ctrl, plan, traj.K)
+    cfg = DistortionConfig(true_mode, target_mode, sol, plan, traj.K)
     distorted = run_offline(cfg, traj)
     FY = utility.F @ traj.stacked_outputs()
     gap = np.abs(utility.F @ distorted.Ybar.reshape(-1) - FY)
@@ -194,12 +189,10 @@ def _cmd_demo(args) -> int:
     write_trajectory_csv(traj, out / "original.csv")
 
     utility = UtilitySpec.average(K, sports.m)
-    _, ctrl, plan = _design(sports, average, utility, args.magnitude, seed + 1, out)
+    sol, plan = _design(sports, average, utility, args.magnitude, seed + 1, out)
     zero_plan = KernelPlan.zero(average.n, K, average.m, average.l)
-    tracked = run_offline(
-        DistortionConfig(sports, average, ctrl, zero_plan, K), traj
-    )
-    cloaked = run_offline(DistortionConfig(sports, average, ctrl, plan, K), traj)
+    tracked = run_offline(DistortionConfig(sports, average, sol, zero_plan, K), traj)
+    cloaked = run_offline(DistortionConfig(sports, average, sol, plan, K), traj)
     write_trajectory_csv(cloaked.to_trajectory(), out / "distorted.csv")
 
     _write_figure(out / "fig1.csv", ["k", "y", "ybar1"], traj.Y, tracked.Ybar)
@@ -248,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bank", required=True, help="mode bank JSON file")
     p.set_defaults(handler=_cmd_validate)
 
-    p = sub.add_parser("design", help="design a tracking controller and a plan")
+    p = sub.add_parser("design", help="solve the regulator equations and a plan")
     p.add_argument("--bank", required=True)
     p.add_argument("--true-mode", type=int, required=True)
     p.add_argument("--target-mode", type=int, required=True)
@@ -267,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bank", required=True)
     p.add_argument("--true-mode", type=int, required=True)
     p.add_argument("--target-mode", type=int, required=True)
-    p.add_argument("--controller", required=True, help="controller JSON file")
+    p.add_argument("--controller", required=True, help="regulator solution JSON file")
     p.add_argument("--plan", required=True, help="plan JSON file")
     p.add_argument("--input", required=True, help="trajectory CSV (with states)")
     p.add_argument("--utility", default="average")
@@ -295,14 +288,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (RegulationInfeasibleError, GainDesignError) as exc:
+    except RegulationInfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REGULATION_INFEASIBLE
     except (KernelAssumptionError, InvarianceInfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANCE_INFEASIBLE
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message; print the message itself.
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

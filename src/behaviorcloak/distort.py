@@ -1,10 +1,10 @@
 """Streaming distorter: consume (u, y, x) samples, emit cloaked (ubar, ybar).
 
-The tracking controller's virtual target starts at ``Pi x(1)`` and so
-stays at ``Pi x(k)``: its input is ``Gamma x(k) + Theta u(k)``, with
-``Gamma = L + R Pi`` and ``Theta = S``, and its output is ``y(k)``.
-Adding the off-line kernel plan, whose response the utility cannot see,
-gives the affine replay
+The replay maps are the regulator solution (Pi, Gamma, Theta): the
+target driven by ``Gamma x(k) + Theta u(k)`` from ``Pi x(1)`` stays at
+``Pi x(k)`` and emits ``y(k)``.  No feedback gain is involved.  Adding
+the off-line kernel plan, whose response the utility cannot see, gives
+the affine replay
 
     ubar(k) = Gamma x(k) + Theta u(k) + U2(k),   ybar(k) = y(k) + dY(k),
 
@@ -25,7 +25,7 @@ import numpy as np
 from .invariance import KernelPlan, build_lifted_operators
 from .linalg import RESIDUAL_TOL, lstsq_min_norm
 from .modes import StateSpaceMode, Trajectory, simulate_mode
-from .regulation import TrackingController
+from .regulation import RegulatorSolution, regulator_residuals
 
 __all__ = [
     "HorizonExhaustedError",
@@ -55,22 +55,24 @@ class InconsistentDataError(RuntimeError):
 
 @dataclass(frozen=True)
 class DistortionConfig:
-    """Everything a distortion run needs: mode pair, controller, plan, horizon."""
+    """Everything a distortion run needs: modes, regulator solution, plan, horizon."""
 
     true_mode: StateSpaceMode
     target_mode: StateSpaceMode
-    controller: TrackingController
+    regulator: RegulatorSolution
     plan: KernelPlan
     K: int
 
     def __post_init__(self):
-        s, t, c, p = self.true_mode, self.target_mode, self.controller, self.plan
+        s, t, r, p = self.true_mode, self.target_mode, self.regulator, self.plan
         if s.m != t.m or s.l != t.l:
             raise ValueError("source and target modes must share m and l")
-        if c.R.shape != (t.l, t.n) or c.L.shape != (t.l, s.n) or c.S.shape != (t.l, t.l):
-            raise ValueError("controller dimensions do not match the mode pair")
-        if c.Pi.shape != (t.n, s.n):
-            raise ValueError("controller initial-state map does not match the mode pair")
+        residual = max(regulator_residuals(s, t, r.Pi, r.Gamma, r.Theta))
+        if residual > RESIDUAL_TOL:
+            raise ValueError(
+                f"the regulator solution does not solve the equations of modes "
+                f"{s.mode_id} -> {t.mode_id} (residual {residual:.3e})"
+            )
         if self.K < 2:
             raise ValueError("horizon must be at least 2")
         if p.K != self.K:
@@ -82,9 +84,8 @@ class DistortionConfig:
 
     def replay_maps(self):
         """``(Gamma, Theta, U2, dY)`` of the affine replay; ``dY`` has K rows."""
-        c = self.controller
         dY = self.plan.delta_Y.reshape(self.K, self.true_mode.m)
-        return c.L + c.R @ c.Pi, c.S, self.plan.U2, dY
+        return self.regulator.Gamma, self.regulator.Theta, self.plan.U2, dY
 
 
 @dataclass(frozen=True)
@@ -274,5 +275,6 @@ def run_offline(cfg: DistortionConfig, traj: Trajectory) -> DistortedTrajectory:
     # X now holds the source states from sample s + 1 on.
     Gamma, Theta, U2, dY = cfg.replay_maps()
     U = traj.U[s:]
-    Ubar = X[:-1] @ Gamma.T + U @ Theta.T + U2[s:]
+    # np.dot: for l = 1, matmul's (K, 1) @ (1, 1) loop is about 5x slower.
+    Ubar = X[:-1] @ Gamma.T + np.dot(U, Theta.T) + U2[s:]
     return DistortedTrajectory(Ubar=Ubar, Ybar=traj.Y[s:] + dY[s:], k_start=s + 1)

@@ -8,17 +8,24 @@ The tracking design solves three coupled linear matrix equations for
     B_t Theta - Pi B_s         = 0
 
 where subscript ``s`` is the source (true) mode and ``t`` the target.
-Any solution yields a static controller
+The solution alone fixes the cloaked input ``Gamma x(k) + Theta u(k)``
+that the distorter replays; ``controller.json`` stores it.
+
+The paper also closes the loop around a virtual target state with a
+Schur-stabilizing gain R,
 
     u_t(k) = R xbar(k) + L x(k) + S u(k),   L = Gamma - R Pi,  S = Theta,
 
-that makes the target model's output reproduce the source output exactly
-when the virtual state starts at ``xbar(1) = Pi x(1)``.
+which reproduces the source output exactly from ``xbar(1) = Pi x(1)``
+and pulls any other start towards it.  R enters only this experiment,
+:func:`verify_regulation`; on the aligned state ``R xbar = R Pi x`` and
+the input is ``Gamma x + Theta u`` again.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +48,9 @@ __all__ = [
     "load_controller",
 ]
 
+
+# The entries of controller.json, in file order.
+_CONTROLLER_KEYS = ("Pi", "Gamma", "Theta")
 
 # Stopping rule of the Riccati fixed-point iteration in design_stabilizing_gain.
 _RICCATI_MAX_ITER = 10000
@@ -72,13 +82,18 @@ class RegulatorSolution:
 
 
 @dataclass(frozen=True)
-class TrackingController:
-    """Static tracking controller (R, L, S) plus the initial-state map Pi."""
+class TrackingController(RegulatorSolution):
+    """A regulator solution closed by the stabilizing gain R."""
 
     R: np.ndarray
-    L: np.ndarray
-    S: np.ndarray
-    Pi: np.ndarray
+
+    @property
+    def L(self) -> np.ndarray:
+        return self.Gamma - self.R @ self.Pi
+
+    @property
+    def S(self) -> np.ndarray:
+        return self.Theta
 
 
 @dataclass(frozen=True)
@@ -104,20 +119,22 @@ def regulator_residuals(
     Gamma,
     Theta,
 ) -> tuple[float, float, float]:
-    """Max-abs residual of each of the three regulator equations."""
+    """Max-abs residual of each regulator equation; ValueError on a misfit shape."""
     A_s, B_s, C_s = true_mode.A, true_mode.B, true_mode.C
     A_t, B_t, C_t = target_mode.A, target_mode.B, target_mode.C
-    Pi = np.asarray(Pi, dtype=float)
-    Gamma = np.atleast_2d(np.asarray(Gamma, dtype=float))
-    Theta = np.atleast_2d(np.asarray(Theta, dtype=float))
+    Pi, Gamma, Theta = (np.asarray(M, dtype=float) for M in (Pi, Gamma, Theta))
+    n_t, n_s, l_t, l_s = target_mode.n, true_mode.n, target_mode.l, true_mode.l
+    for name, M, shape in (
+        ("Pi", Pi, (n_t, n_s)),
+        ("Gamma", Gamma, (l_t, n_s)),
+        ("Theta", Theta, (l_t, l_s)),
+    ):
+        if M.shape != shape:
+            raise ValueError(f"{name} must have shape {shape}, got {M.shape}")
     r1 = A_t @ Pi - Pi @ A_s + B_t @ Gamma
     r2 = C_t @ Pi - C_s
     r3 = B_t @ Theta - Pi @ B_s
-    return (
-        float(np.max(np.abs(r1))),
-        float(np.max(np.abs(r2))),
-        float(np.max(np.abs(r3))),
-    )
+    return tuple(float(abs(r).max()) for r in (r1, r2, r3))
 
 
 def solve_regulator_equations(
@@ -190,29 +207,37 @@ def design_stabilizing_gain(target_mode: StateSpaceMode) -> np.ndarray:
     iterated until successive iterates differ by at most 1e-12 in max-abs
     norm; then ``R = -(I + B'PB)^(-1) B'PA``.  A gain of the caller's own
     choosing goes straight to :func:`build_tracking_controller`, which
-    checks it.
+    checks it.  The gain serves the closed-loop experiment of
+    :func:`verify_regulation`; the distorter does not need one.
 
     Raises
     ------
     GainDesignError
-        If the iteration does not converge within 10000 steps, or the
+        If an iterate overflows (an unstable mode the input cannot move),
+        the iteration does not converge within 10000 steps, or the
         resulting gain is not Schur-stabilizing.
     """
     A, B = target_mode.A, target_mode.B
     I_n = np.eye(target_mode.n)
     I_l = np.eye(target_mode.l)
     P = I_n.copy()
-    for _ in range(_RICCATI_MAX_ITER):
-        BtPA = B.T @ P @ A
-        gain_core = np.linalg.solve(I_l + B.T @ P @ B, BtPA)
-        P_next = A.T @ P @ A - BtPA.T @ gain_core + I_n
-        P_next = 0.5 * (P_next + P_next.T)
-        step = np.max(np.abs(P_next - P))
-        P = P_next
-        if step <= _RICCATI_STEP_TOL:
-            break
-    else:
-        raise GainDesignError("Riccati fixed-point iteration did not converge")
+    # An overflowing iterate ends the synthesis, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_RICCATI_MAX_ITER):
+            BtPA = B.T @ P @ A
+            gain_core = np.linalg.solve(I_l + B.T @ P @ B, BtPA)
+            P_next = A.T @ P @ A - BtPA.T @ gain_core + I_n
+            P_next = 0.5 * (P_next + P_next.T)
+            step = np.max(np.abs(P_next - P))
+            if not math.isfinite(step):
+                raise GainDesignError(
+                    "Riccati iterate overflowed: no gain stabilizes the mode"
+                )
+            P = P_next
+            if step <= _RICCATI_STEP_TOL:
+                break
+        else:
+            raise GainDesignError("Riccati fixed-point iteration did not converge")
     R = -np.linalg.solve(I_l + B.T @ P @ B, B.T @ P @ A)
     if not is_schur(A + B @ R):
         raise GainDesignError("synthesized gain failed the stability check")
@@ -222,7 +247,7 @@ def design_stabilizing_gain(target_mode: StateSpaceMode) -> np.ndarray:
 def build_tracking_controller(
     sol: RegulatorSolution, R, target_mode: StateSpaceMode
 ) -> TrackingController:
-    """Assemble (R, L, S) with ``L = Gamma - R Pi`` and ``S = Theta``.
+    """Close ``sol`` with the gain R; ``L = Gamma - R Pi`` and ``S = Theta``.
 
     ``R`` is any gain of shape ``(l, n)`` of the target mode that makes
     ``A + B R`` Schur stable, e.g. one from :func:`design_stabilizing_gain`.
@@ -234,7 +259,7 @@ def build_tracking_controller(
     if not is_schur(target_mode.A + target_mode.B @ R):
         raise ValueError("R must Schur-stabilize the target mode")
     return TrackingController(
-        R=R, L=sol.Gamma - R @ sol.Pi, S=sol.Theta, Pi=sol.Pi
+        Pi=sol.Pi, Gamma=sol.Gamma, Theta=sol.Theta, residual=sol.residual, R=R
     )
 
 
@@ -256,6 +281,7 @@ def verify_regulation(
     K = test_traj.K
     r_norms = np.empty(K)
     e_norms = np.empty(K)
+    R, L, S = ctrl.R, ctrl.L, ctrl.S
     xbar = ctrl.Pi @ test_traj.X[0]
     for k in range(K):
         x = test_traj.X[k]
@@ -264,31 +290,31 @@ def verify_regulation(
         e_norms[k] = np.linalg.norm(xbar - ctrl.Pi @ x)
         if k < K - 1:
             u = test_traj.U[k]
-            ubar = ctrl.R @ xbar + ctrl.L @ x + ctrl.S @ u
+            ubar = R @ xbar + L @ x + S @ u
             xbar = target_mode.A @ xbar + target_mode.B @ ubar
     return RegulationDiagnostics(r_norms=r_norms, e_norms=e_norms)
 
 
-def save_controller(ctrl: TrackingController, path) -> None:
-    doc = {
-        "R": ctrl.R.tolist(),
-        "L": ctrl.L.tolist(),
-        "S": ctrl.S.tolist(),
-        "Pi": ctrl.Pi.tolist(),
-    }
+def save_controller(sol: RegulatorSolution, path) -> None:
+    """Write ``{"Pi", "Gamma", "Theta"}`` of a regulator solution."""
+    doc = {key: getattr(sol, key).tolist() for key in _CONTROLLER_KEYS}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, indent=2) + "\n")
 
 
-def load_controller(path) -> TrackingController:
+def load_controller(
+    path, true_mode: StateSpaceMode, target_mode: StateSpaceMode
+) -> RegulatorSolution:
+    """Read a regulator solution and measure its residual on the mode pair."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     try:
-        return TrackingController(
-            R=np.array(doc["R"], dtype=float),
-            L=np.array(doc["L"], dtype=float),
-            S=np.array(doc["S"], dtype=float),
-            Pi=np.array(doc["Pi"], dtype=float),
-        )
-    except (KeyError, TypeError) as exc:
+        Pi, Gamma, Theta = (np.array(doc[key], dtype=float) for key in _CONTROLLER_KEYS)
+    except KeyError as exc:
+        raise ValueError(
+            f"controller document has no {exc.args[0]!r} entry; it needs Pi, Gamma, Theta"
+        ) from None
+    except TypeError as exc:
         raise ValueError(f"ill-formed controller document: {exc}") from exc
+    residual = max(regulator_residuals(true_mode, target_mode, Pi, Gamma, Theta))
+    return RegulatorSolution(Pi=Pi, Gamma=Gamma, Theta=Theta, residual=residual)

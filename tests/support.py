@@ -10,6 +10,8 @@ from behaviorcloak import (
     KernelPlan,
     StateSpaceMode,
     Trajectory,
+    build_tracking_controller,
+    design_stabilizing_gain,
     nullspace_basis,
     pseudoinverse,
     simulate_mode,
@@ -137,12 +139,14 @@ def feedback_twin_pair(rng, n=4, m=2, l=2):
 def two_copy_replay(cfg, traj):
     """Cloaked pair from two virtual copies of the target mode, step by step.
 
-    The first copy runs under the tracking controller from ``Pi x(1)`` and
-    reproduces the source output; the second replays the plan from
-    ``x2_init``.  The emitted pair is their superposition.  The trajectory
-    must carry states.
+    The first copy runs from ``Pi x(1)`` under the paper's tracking
+    controller, closed with a synthesized gain, and reproduces the source
+    output; the second replays the plan from ``x2_init``.  The emitted
+    pair is their superposition.  The trajectory must carry states.
     """
-    ctrl, target, plan = cfg.controller, cfg.target_mode, cfg.plan
+    target, plan = cfg.target_mode, cfg.plan
+    gain = design_stabilizing_gain(target)
+    ctrl = build_tracking_controller(cfg.regulator, gain, target)
     K = traj.K
     Ubar = np.empty((K - 1, target.l))
     Ybar = np.empty((K, target.m))

@@ -10,9 +10,7 @@ from behaviorcloak import (
     Trajectory,
     UtilitySpec,
     build_lifted_operators,
-    build_tracking_controller,
     classify,
-    design_stabilizing_gain,
     mode_residual,
     run_offline,
     solve_regulator_equations,
@@ -81,15 +79,12 @@ def vehicle_runs():
     rng = np.random.default_rng(63)
     traj = support.random_trajectory(rng, sports, K)
     sol = solve_regulator_equations(sports, average)
-    ctrl = build_tracking_controller(
-        sol, design_stabilizing_gain(average), average
-    )
     ops = build_lifted_operators(average, K)
     plan = solve_utility_invariance(
         ops, UtilitySpec.average(K), magnitude=1.0, seed=12
     )
     cloaked = run_offline(
-        DistortionConfig(sports, average, ctrl, plan, K), traj
+        DistortionConfig(sports, average, sol, plan, K), traj
     )
     return bank, traj, cloaked
 

@@ -6,9 +6,13 @@ import pytest
 import support
 from behaviorcloak import (
     ModeBank,
+    StateSpaceMode,
     UtilitySpec,
     load_kernel_plan,
     load_mode_bank,
+    longitudinal_vehicle_mode,
+    mode_residual,
+    read_trajectory_csv,
     save_mode_bank,
     save_utility_spec,
     simulate_mode,
@@ -153,6 +157,22 @@ class TestDesignCommand:
         assert f"utility {utility_path} is bound to K = 50" in err
         assert not (tmp_path / "x").exists()
 
+    def test_unknown_mode_names_it_without_quotes(
+        self, capsys, vehicle_bank_path, tmp_path
+    ):
+        code = main(
+            [
+                "design",
+                "--bank", str(vehicle_bank_path),
+                "--true-mode", "1",
+                "--target-mode", "7",
+                "--K", "100",
+                "--out", str(tmp_path / "x"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: no mode with id 7 in bank\n"
+
     def test_infeasible_pair_exit_code(self, capsys, valid_bank_path, tmp_path):
         code = main(
             [
@@ -292,6 +312,34 @@ class TestDistortAndClassify:
         )
         assert code == 2
 
+    def test_old_format_controller_is_bad_input(self, capsys, designed, tmp_path):
+        # controller.json used to hold a gain (R, L, S, Pi); it now holds
+        # the regulator solution (Pi, Gamma, Theta) only.
+        bank_path, design_dir, traj_path = designed
+        old = tmp_path / "old_controller.json"
+        old.write_text(
+            json.dumps({"R": [[-1.0, -1.0, -1.0]], "L": [[0.0, 0.0, 0.0]],
+                        "S": [[1.0]], "Pi": np.eye(3).tolist()})
+        )
+        out_csv = tmp_path / "distorted.csv"
+        code = main(
+            [
+                "distort",
+                "--bank", str(bank_path),
+                "--true-mode", "1",
+                "--target-mode", "2",
+                "--controller", str(old),
+                "--plan", str(design_dir / "plan.json"),
+                "--input", str(traj_path),
+                "--out", str(out_csv),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'Gamma'" in err
+        assert "Traceback" not in err
+        assert not out_csv.exists()
+
     def test_zero_trajectory_ambiguous(self, capsys, vehicle_bank_path, tmp_path):
         bank = load_mode_bank(vehicle_bank_path)
         zero = simulate_mode(bank.mode(1), np.zeros(3), np.zeros((29, 1)))
@@ -356,3 +404,94 @@ class TestDemoCommand:
         assert (flagged / "original.csv").read_bytes() == (
             env / "original.csv"
         ).read_bytes()
+
+
+def design_pair(bank_path, true_id, target_id, K, out):
+    return main(
+        [
+            "design",
+            "--bank", str(bank_path),
+            "--true-mode", str(true_id),
+            "--target-mode", str(target_id),
+            "--K", str(K),
+            "--seed", "4",
+            "--out", str(out),
+        ]
+    )
+
+
+def distort_pair(bank_path, controller, plan, traj_path, out_csv):
+    return main(
+        [
+            "distort",
+            "--bank", str(bank_path),
+            "--true-mode", "1",
+            "--target-mode", "2",
+            "--controller", str(controller),
+            "--plan", str(plan),
+            "--input", str(traj_path),
+            "--out", str(out_csv),
+        ]
+    )
+
+
+class TestControllerOfThePair:
+    def test_controller_of_another_pair_is_refused(self, capsys, tmp_path):
+        # A (3 -> 2) solution has the shapes of a (1 -> 2) one.  Replaying
+        # it would emit a trajectory of neither target nor source.
+        demo = vehicle_demo_bank()
+        third = longitudinal_vehicle_mode(tau=0.2, beta=1.0, mode_id=3)
+        bank = ModeBank((demo.mode(1), demo.mode(2), third))
+        bank_path = tmp_path / "bank.json"
+        save_mode_bank(bank, bank_path)
+        assert design_pair(bank_path, 3, 2, 200, tmp_path / "d32") == 0
+        assert design_pair(bank_path, 1, 2, 200, tmp_path / "d12") == 0
+        traj_path = tmp_path / "original.csv"
+        rng = np.random.default_rng(73)
+        write_trajectory_csv(support.random_trajectory(rng, bank.mode(1), 200), traj_path)
+        capsys.readouterr()
+        out_csv = tmp_path / "distorted.csv"
+        code = distort_pair(
+            bank_path,
+            tmp_path / "d32" / "controller.json",
+            tmp_path / "d12" / "plan.json",
+            traj_path,
+            out_csv,
+        )
+        assert code == 2
+        assert "modes 1 -> 2" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    def test_pair_without_a_stabilizing_gain_is_cloaked(self, capsys, tmp_path):
+        # Both modes share the pole 1.05, which the input cannot move, so
+        # no gain stabilizes the target.  The replay needs none.
+        B, C = [[0.0], [1.0]], [[1.0, 1.0]]
+        source = StateSpaceMode(1, np.diag([1.05, 0.5]), B, C)
+        target = StateSpaceMode(2, np.diag([1.05, 0.7]), B, C)
+        bank = ModeBank((source, target))
+        bank_path = tmp_path / "bank.json"
+        save_mode_bank(bank, bank_path)
+        K = 200
+        assert design_pair(bank_path, 1, 2, K, tmp_path / "d") == 0
+        traj = support.random_trajectory(np.random.default_rng(74), source, K)
+        traj_path = tmp_path / "original.csv"
+        write_trajectory_csv(traj, traj_path)
+        out_csv = tmp_path / "distorted.csv"
+        capsys.readouterr()
+        code = distort_pair(
+            bank_path,
+            tmp_path / "d" / "controller.json",
+            tmp_path / "d" / "plan.json",
+            traj_path,
+            out_csv,
+        )
+        assert code == 0
+        capsys.readouterr()
+        cloaked = read_trajectory_csv(out_csv)
+        assert mode_residual(target, cloaked) <= 1e-8
+        F = UtilitySpec.average(K).F
+        FY = F @ traj.stacked_outputs()
+        gap = np.abs(F @ cloaked.stacked_outputs() - FY)
+        assert np.all(gap <= 1e-8 * (1.0 + np.abs(FY)))
+        code, verdict = run_cli(capsys, "classify", "--bank", bank_path, "--input", out_csv)
+        assert code == 0 and verdict["verdict"] == "2"

@@ -14,6 +14,7 @@ from behaviorcloak import (
     build_lifted_operators,
     build_tracking_controller,
     design_stabilizing_gain,
+    longitudinal_vehicle_mode,
     mode_residual,
     reconstruct_state,
     run_offline,
@@ -26,8 +27,6 @@ from behaviorcloak import (
 
 def make_config(true_mode, target_mode, K, magnitude=0.0, seed=0):
     sol = solve_regulator_equations(true_mode, target_mode)
-    R = design_stabilizing_gain(target_mode)
-    ctrl = build_tracking_controller(sol, R, target_mode)
     if magnitude == 0.0:
         plan = KernelPlan.zero(target_mode.n, K, target_mode.m, target_mode.l)
     else:
@@ -35,7 +34,7 @@ def make_config(true_mode, target_mode, K, magnitude=0.0, seed=0):
         plan = solve_utility_invariance(
             ops, UtilitySpec.average(K, target_mode.m), magnitude=magnitude, seed=seed
         )
-    return DistortionConfig(true_mode, target_mode, ctrl, plan, K)
+    return DistortionConfig(true_mode, target_mode, sol, plan, K)
 
 
 def identical_pair(rng, n=3):
@@ -50,21 +49,49 @@ class TestDistortionConfig:
         true, target = identical_pair(rng)
         cfg = make_config(true, target, K=10)
         with pytest.raises(ValueError):
-            DistortionConfig(true, target, cfg.controller, cfg.plan, 11)
+            DistortionConfig(true, target, cfg.regulator, cfg.plan, 11)
 
     def test_rejects_mismatched_controller(self):
         rng = np.random.default_rng(41)
         true, target = identical_pair(rng)
         cfg = make_config(true, target, K=10)
         other = support.random_valid_mode(np.random.default_rng(1), n=2)
-        with pytest.raises(ValueError):
-            DistortionConfig(other, target, cfg.controller, cfg.plan, 10)
+        with pytest.raises(ValueError, match=r"Pi must have shape \(3, 2\)"):
+            DistortionConfig(other, target, cfg.regulator, cfg.plan, 10)
+
+    def test_rejects_solution_of_another_pair(self):
+        # A solution for (3 -> 2) has the shapes of one for (1 -> 2), yet
+        # replaying it would leave the target behaviour.
+        bank = vehicle_demo_bank()
+        sports, average = bank.mode(1), bank.mode(2)
+        other = longitudinal_vehicle_mode(tau=0.2, beta=1.0, mode_id=3)
+        foreign = solve_regulator_equations(other, average)
+        cfg = make_config(sports, average, K=10)
+        DistortionConfig(sports, average, cfg.regulator, cfg.plan, 10)
+        with pytest.raises(ValueError, match="modes 1 -> 2"):
+            DistortionConfig(sports, average, foreign, cfg.plan, 10)
+
+    def test_tracking_controller_replays_its_solution(self):
+        # The closed-loop controller is a regulator solution: the replay
+        # uses its Gamma and Theta, whatever the gain.
+        bank = vehicle_demo_bank()
+        sports, average = bank.mode(1), bank.mode(2)
+        K = 50
+        cfg = make_config(sports, average, K, magnitude=1.0, seed=1)
+        ctrl = build_tracking_controller(
+            cfg.regulator, design_stabilizing_gain(average), average
+        )
+        traj = support.random_trajectory(np.random.default_rng(56), sports, K)
+        out = run_offline(cfg, traj)
+        closed = run_offline(DistortionConfig(sports, average, ctrl, cfg.plan, K), traj)
+        np.testing.assert_array_equal(closed.Ubar, out.Ubar)
+        np.testing.assert_array_equal(closed.Ybar, out.Ybar)
 
 
 class TestEngineStep:
     def test_identical_modes_zero_plan_is_identity(self):
         # With the exact solution (Pi, Gamma, Theta) = (I, 0, I) the
-        # controller cancellation is bitwise and the engine is a no-op.
+        # replay is bitwise the identity.
         rng = np.random.default_rng(42)
         true, target = identical_pair(rng)
         K = 60
@@ -74,11 +101,8 @@ class TestEngineStep:
             Theta=np.eye(true.l),
             residual=0.0,
         )
-        ctrl = build_tracking_controller(
-            sol, design_stabilizing_gain(target), target
-        )
         plan = KernelPlan.zero(target.n, K, target.m, target.l)
-        cfg = DistortionConfig(true, target, ctrl, plan, K)
+        cfg = DistortionConfig(true, target, sol, plan, K)
         traj = support.random_trajectory(rng, true, K)
         out = run_offline(cfg, traj)
         assert out.k_start == 1

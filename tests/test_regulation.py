@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -110,10 +111,12 @@ class TestDesignStabilizingGain:
     def test_rejects_non_stabilizing_gain(self):
         # With B = 0 the unstable pole 2 cannot be moved, so no gain
         # stabilizes the mode: the Riccati iterates grow as 4^k and never
-        # settle, and no gain is returned.
+        # settle, and no gain is returned.  The synthesis stops at the
+        # first iterate that overflows, without a numpy warning.
         mode = support.scalar_mode(2.0, b=0.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(GainDesignError):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(GainDesignError, match="overflowed"):
                 design_stabilizing_gain(mode)
 
 
@@ -246,19 +249,38 @@ class TestControllerFiles:
     def test_roundtrip(self, tmp_path, vehicle_pair):
         sports, average = vehicle_pair
         sol = solve_regulator_equations(sports, average)
-        ctrl = build_tracking_controller(
-            sol, design_stabilizing_gain(average), average
-        )
         path = tmp_path / "controller.json"
-        save_controller(ctrl, path)
-        loaded = load_controller(path)
-        np.testing.assert_array_equal(loaded.R, ctrl.R)
-        np.testing.assert_array_equal(loaded.L, ctrl.L)
-        np.testing.assert_array_equal(loaded.S, ctrl.S)
-        np.testing.assert_array_equal(loaded.Pi, ctrl.Pi)
+        save_controller(sol, path)
+        assert list(json.loads(path.read_text())) == ["Pi", "Gamma", "Theta"]
+        loaded = load_controller(path, sports, average)
+        assert type(loaded) is RegulatorSolution
+        np.testing.assert_array_equal(loaded.Pi, sol.Pi)
+        np.testing.assert_array_equal(loaded.Gamma, sol.Gamma)
+        np.testing.assert_array_equal(loaded.Theta, sol.Theta)
+        assert loaded.residual == sol.residual
 
-    def test_rejects_missing_fields(self, tmp_path):
+    def test_rejects_missing_fields(self, tmp_path, vehicle_pair):
         path = tmp_path / "controller.json"
         path.write_text(json.dumps({"R": [[1.0]]}))
-        with pytest.raises(ValueError):
-            load_controller(path)
+        with pytest.raises(ValueError, match="'Pi'"):
+            load_controller(path, *vehicle_pair)
+
+    def test_rejects_old_format(self, tmp_path, vehicle_pair):
+        # The gain-based format (R, L, S, Pi) is no longer read.
+        sports, average = vehicle_pair
+        ctrl = build_tracking_controller(
+            solve_regulator_equations(sports, average), PAPER_GAIN, average
+        )
+        path = tmp_path / "controller.json"
+        doc = {key: getattr(ctrl, key).tolist() for key in ("R", "L", "S", "Pi")}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="no 'Gamma' entry"):
+            load_controller(path, sports, average)
+
+    def test_rejects_shapes_of_another_pair(self, tmp_path, vehicle_pair):
+        sports, average = vehicle_pair
+        path = tmp_path / "controller.json"
+        save_controller(solve_regulator_equations(sports, average), path)
+        scalar = support.scalar_mode(0.5)
+        with pytest.raises(ValueError, match=r"Pi must have shape \(3, 1\)"):
+            load_controller(path, scalar, average)
