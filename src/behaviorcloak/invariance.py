@@ -94,8 +94,10 @@ class UtilitySpec:
         mu.setflags(write=False)
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "mu", mu)
-        rank = int(np.linalg.matrix_rank(F))
-        object.__setattr__(self, "kernel_nontrivial", rank < F.shape[1])
+        # Fewer rows than columns leave Ker[F] nontrivial by dimension count.
+        q, width = F.shape
+        nontrivial = q < width or int(np.linalg.matrix_rank(F)) < width
+        object.__setattr__(self, "kernel_nontrivial", nontrivial)
 
     @property
     def q(self) -> int:

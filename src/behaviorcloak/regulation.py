@@ -25,7 +25,6 @@ the input is ``Gamma x + Theta u`` again.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +51,9 @@ __all__ = [
 # The entries of controller.json, in file order.
 _CONTROLLER_KEYS = ("Pi", "Gamma", "Theta")
 
-# Stopping rule of the Riccati fixed-point iteration in design_stabilizing_gain.
-_RICCATI_MAX_ITER = 10000
-_RICCATI_STEP_TOL = 1e-12
+# Stopping rule of the Riccati doubling in design_stabilizing_gain.
+_DOUBLING_MAX_STEPS = 64
+_DOUBLING_STEP_TOL = 1e-12
 
 
 class RegulationInfeasibleError(RuntimeError):
@@ -199,46 +198,55 @@ def solve_regulator_equations(
 def design_stabilizing_gain(target_mode: StateSpaceMode) -> np.ndarray:
     """Feedback gain R making ``A + B R`` Schur stable.
 
-    R is synthesized from the discrete-time Riccati fixed-point iteration
-    with identity state and input weights,
+    R comes from the stabilizing solution P of the discrete-time Riccati
+    equation with identity state and input weights,
 
-        P <- A' P A - A' P B (I + B' P B)^(-1) B' P A + I,
+        P = A' P A - A' P B (I + B' P B)^(-1) B' P A + I,
 
-    iterated until successive iterates differ by at most 1e-12 in max-abs
-    norm; then ``R = -(I + B'PB)^(-1) B'PA``.  A gain of the caller's own
-    choosing goes straight to :func:`build_tracking_controller`, which
-    checks it.  The gain serves the closed-loop experiment of
+    computed by the structure-preserving doubling algorithm: from
+    ``(A_0, G_0, H_0) = (A, B B', I)`` each step solves
+    ``(I + G_k H_k) [W_A  W_G] = [A_k  G_k]`` once and sets
+
+        A_k+1 = A_k W_A,
+        G_k+1 = G_k + A_k W_G A_k',
+        H_k+1 = H_k + A_k' H_k W_A.
+
+    ``H_k`` equals the 2^k-th iterate of the Riccati fixed-point map from
+    ``P = 0`` and converges quadratically to P.  The doubling stops once a
+    step changes ``H_k`` by at most 1e-12 of its max-abs entry; then
+    ``R = -(I + B'PB)^(-1) B'PA``.  A gain of the caller's own choosing
+    goes straight to :func:`build_tracking_controller`, which checks it.
+    The gain serves the closed-loop experiment of
     :func:`verify_regulation`; the distorter does not need one.
 
     Raises
     ------
     GainDesignError
         If an iterate overflows (an unstable mode the input cannot move),
-        the iteration does not converge within 10000 steps, or the
-        resulting gain is not Schur-stabilizing.
+        the doubling has not converged after 64 steps (a pole on the unit
+        circle the input cannot move), or the resulting gain is not
+        Schur-stabilizing (rounding can let the unit-circle case settle).
     """
-    A, B = target_mode.A, target_mode.B
-    I_n = np.eye(target_mode.n)
-    I_l = np.eye(target_mode.l)
-    P = I_n.copy()
+    A, B, n = target_mode.A, target_mode.B, target_mode.n
+    I_n = np.eye(n)
+    A_k, G_k, H_k = A, B @ B.T, I_n
     # An overflowing iterate ends the synthesis, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(_RICCATI_MAX_ITER):
-            BtPA = B.T @ P @ A
-            gain_core = np.linalg.solve(I_l + B.T @ P @ B, BtPA)
-            P_next = A.T @ P @ A - BtPA.T @ gain_core + I_n
-            P_next = 0.5 * (P_next + P_next.T)
-            step = np.max(np.abs(P_next - P))
-            if not math.isfinite(step):
+        for _ in range(_DOUBLING_MAX_STEPS):
+            W = np.linalg.solve(I_n + G_k @ H_k, np.hstack([A_k, G_k]))
+            step = A_k.T @ H_k @ W[:, :n]
+            A_k, G_k, H_k = A_k @ W[:, :n], G_k + A_k @ W[:, n:] @ A_k.T, H_k + step
+            if not np.isfinite([A_k, G_k, H_k]).all():
                 raise GainDesignError(
                     "Riccati iterate overflowed: no gain stabilizes the mode"
                 )
-            P = P_next
-            if step <= _RICCATI_STEP_TOL:
+            if np.abs(step).max() <= _DOUBLING_STEP_TOL * np.abs(H_k).max():
                 break
         else:
-            raise GainDesignError("Riccati fixed-point iteration did not converge")
-    R = -np.linalg.solve(I_l + B.T @ P @ B, B.T @ P @ A)
+            raise GainDesignError(
+                f"Riccati doubling did not converge in {_DOUBLING_MAX_STEPS} steps"
+            )
+    R = -np.linalg.solve(np.eye(target_mode.l) + B.T @ H_k @ B, B.T @ H_k @ A)
     if not is_schur(A + B @ R):
         raise GainDesignError("synthesized gain failed the stability check")
     return R

@@ -63,6 +63,27 @@ def scalar_mode(a, b=1.0, c=1.0, mode_id=1) -> StateSpaceMode:
     return StateSpaceMode(mode_id, A=[[a]], B=[[b]], C=[[c]])
 
 
+def fixed_point_riccati_gain(mode):
+    """Riccati gain by the plain fixed-point iteration; the slow reference.
+
+    Iterates ``P <- A'PA - A'PB (I + B'PB)^(-1) B'PA + I`` from ``P = I``
+    until successive iterates differ by at most 1e-12 in max-abs norm
+    (at most 10000 steps), then returns ``R = -(I + B'PB)^(-1) B'PA``.
+    """
+    A, B = mode.A, mode.B
+    I_n, I_l = np.eye(mode.n), np.eye(mode.l)
+    P = I_n
+    for _ in range(10000):
+        BtPA = B.T @ P @ A
+        P_next = A.T @ P @ A - BtPA.T @ np.linalg.solve(I_l + B.T @ P @ B, BtPA) + I_n
+        P_next = 0.5 * (P_next + P_next.T)
+        step = np.max(np.abs(P_next - P))
+        P = P_next
+        if step <= 1e-12:
+            return -np.linalg.solve(I_l + B.T @ P @ B, B.T @ P @ A)
+    raise RuntimeError("Riccati fixed-point iteration did not converge")
+
+
 def iterated_lifted_blocks(mode, K):
     """Lifted blocks by iterated multiplication, one step at a time.
 

@@ -61,6 +61,26 @@ class TestUtilitySpec:
         spec = UtilitySpec(F=np.eye(4), mu=np.zeros(4), K=2)
         assert not spec.kernel_nontrivial
 
+    def test_rank_is_counted_only_without_more_columns_than_rows(self, monkeypatch):
+        # With q < K m, Ker[F] is nontrivial by dimension count: a mean per
+        # one-minute window over one hour at 10 Hz makes no SVD of F.
+        rank_calls = []
+        matrix_rank = np.linalg.matrix_rank
+
+        def counted_rank(M, *args, **kwargs):
+            rank_calls.append(M.shape)
+            return matrix_rank(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", counted_rank)
+        K, q = 36000, 600
+        windowed = UtilitySpec(
+            F=np.kron(np.eye(q), np.full((1, K // q), q / K)), mu=np.zeros(q), K=K
+        )
+        assert windowed.kernel_nontrivial
+        assert rank_calls == []
+        assert not UtilitySpec(F=np.eye(4), mu=np.zeros(4), K=2).kernel_nontrivial
+        assert rank_calls == [(4, 4)]
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             UtilitySpec(F=np.ones((1, 5)), mu=[0.0], K=2)

@@ -9,6 +9,7 @@ from behaviorcloak import (
     GainDesignError,
     RegulationInfeasibleError,
     RegulatorSolution,
+    StateSpaceMode,
     build_tracking_controller,
     design_stabilizing_gain,
     is_schur,
@@ -30,6 +31,43 @@ PAPER_GAIN = np.array([[-468.99, -130.18, -13.40]])
 def vehicle_pair():
     bank = vehicle_demo_bank()
     return bank.mode(1), bank.mode(2)
+
+
+def counted_solves(monkeypatch):
+    """Patch ``np.linalg.solve`` to log the shape of every system it solves."""
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        calls.append(np.shape(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return calls
+
+
+def oracle_modes():
+    """Targets on which the doubling gain is checked against the fixed point."""
+    cases = [("vehicle", vehicle_demo_bank().mode(2))]
+    for seed in range(3):
+        _, target = support.feedback_twin_pair(np.random.default_rng(seed))
+        cases.append((f"twin{seed}", target))
+    # The draws of test_already_stable_modes_get_valid_gain.
+    rng = np.random.default_rng(12)
+    for case in range(10):
+        cases.append((f"stable{case}", support.random_valid_mode(rng, n=3, m=1, l=2)))
+    # Controllable draws with spectral radius in [1.05, 1.5].
+    rng = np.random.default_rng(22)
+    for case in range(10):
+        n, l = 3, int(rng.integers(1, 3))
+        A = rng.standard_normal((n, n))
+        A *= rng.uniform(1.05, 1.5) / np.max(np.abs(np.linalg.eigvals(A)))
+        B, C = rng.standard_normal((n, l)), rng.standard_normal((1, n))
+        cases.append((f"unstable{case}", StateSpaceMode(1, A, B, C)))
+    return cases
+
+
+ORACLE_MODES = oracle_modes()
 
 
 class TestSolveRegulatorEquations:
@@ -110,14 +148,59 @@ class TestDesignStabilizingGain:
 
     def test_rejects_non_stabilizing_gain(self):
         # With B = 0 the unstable pole 2 cannot be moved, so no gain
-        # stabilizes the mode: the Riccati iterates grow as 4^k and never
-        # settle, and no gain is returned.  The synthesis stops at the
-        # first iterate that overflows, without a numpy warning.
+        # stabilizes the mode: the Riccati fixed-point iterates grow as 4^j,
+        # so the k-th doubling iterate holds about 4^(2^k) and overflows at
+        # k = 10.  No gain is returned.  The synthesis stops at the first
+        # iterate that overflows, without a numpy warning.
         mode = support.scalar_mode(2.0, b=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(GainDesignError, match="overflowed"):
                 design_stabilizing_gain(mode)
+
+    @pytest.mark.parametrize(
+        "A, B",
+        [
+            ([[1.0, 0.0], [0.0, 0.5]], [[0.0], [1.0]]),
+            (
+                [
+                    [np.cos(0.3), -np.sin(0.3), 0.0],
+                    [np.sin(0.3), np.cos(0.3), 0.0],
+                    [0.0, 0.0, 0.5],
+                ],
+                [[0.0], [0.0], [1.0]],
+            ),
+        ],
+        ids=["unit-pole", "rotation"],
+    )
+    def test_rejects_uncontrollable_unit_circle_mode(self, A, B, monkeypatch):
+        # A pole on the unit circle that the input cannot move leaves the
+        # Riccati iterates growing linearly, so the k-th doubling iterate
+        # grows as 2^k and never settles.  The synthesis gives up within
+        # its 64 doublings (one solve each, plus the gain's) instead of
+        # 10000 fixed-point steps, without a numpy warning.
+        solves = counted_solves(monkeypatch)
+        mode = StateSpaceMode(1, A, B, np.ones((1, len(A))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(GainDesignError):
+                design_stabilizing_gain(mode)
+        assert len(solves) <= 65
+
+    @pytest.mark.parametrize(
+        "mode", [mode for _, mode in ORACLE_MODES], ids=[name for name, _ in ORACLE_MODES]
+    )
+    def test_matches_fixed_point_oracle(self, mode):
+        R = design_stabilizing_gain(mode)
+        R_ref = support.fixed_point_riccati_gain(mode)
+        np.testing.assert_allclose(R, R_ref, rtol=0.0, atol=1e-9)
+
+    def test_vehicle_target_takes_few_doublings(self, vehicle_pair, monkeypatch):
+        # One solve per doubling and one for the gain: 10 in all.  The
+        # fixed-point reference makes 263 (262 steps and the gain).
+        solves = counted_solves(monkeypatch)
+        design_stabilizing_gain(vehicle_pair[1])
+        assert len(solves) <= 16
 
 
 class TestBuildTrackingController:
