@@ -1,13 +1,13 @@
 """One hour of driving at 10 Hz: the K = 36000 horizon.
 
 At this length the dense lifted Toeplitz matrix would hold 1.3 billion
-entries, so it is never formed: the target model's response is applied
-by FFT convolution against its Markov parameters.  The plan is one
-projection of a seeded input-space draw onto the inputs whose response
-leaves the utility unchanged, built from one adjoint apply per utility
-row.  The replay is closed form: each cloaked sample is an affine
-function of the recorded sample and the plan, evaluated for all 36000
-samples at once.
+entries, so it is never formed: the target model's state recursion is
+run a block of samples at a time, with small dense products inside each
+block.  The plan is one projection of a seeded input-space draw onto the
+inputs whose response leaves the utility unchanged, built from one
+batched adjoint apply over the utility rows.  The replay is closed form:
+each cloaked sample is an affine function of the recorded sample and the
+plan, evaluated for all 36000 samples at once.
 """
 
 import time

@@ -11,14 +11,16 @@ a transmitted output trajectory leaves ``F Y + mu`` unchanged.
 
 Plans are found by one projection in input space: a seeded Gaussian draw
 z is projected onto Ker[F M], and its response M z is rescaled to the
-requested size.  ``F M`` has only q rows, one adjoint apply ``M' F_i``
-each, so the projection needs no iteration.  When the projected response
-vanishes to rounding, the target behaviour meets Ker[F] only at zero and
-no plan exists.
+requested size.  ``F M`` has only q rows, all formed by one batched
+adjoint apply ``M' F'``, so the projection needs no iteration.  When the
+projected response vanishes to rounding, the target behaviour meets
+Ker[F] only at zero and no plan exists.
 
-``M`` is never formed: ``Ot`` is filled by block doubling and ``Tt`` is
-applied by FFT convolution against the Markov parameters ``C A^i B``, so
-a plan costs O(q K log K) even at paper-scale horizons.
+``M`` is never formed: ``Ot`` is filled by block doubling, and ``M`` and
+its adjoint run the state recursion a block of samples at a time.  Inside
+a block the response is two dense products with fixed block matrices;
+the states at block starts follow from a doubling scan.  A plan costs
+O(q K) work in O(log K) vectorized steps even at paper-scale horizons.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ __all__ = [
 
 # Entry budget above which dense lifted matrices are refused.
 _DENSE_ENTRY_LIMIT = 4_000_000
+
+# Samples per block of the state recursion in LiftedOperators.
+_BLOCK = 16
 
 # A projected response this small relative to the unprojected one is
 # rounding noise: the target behaviour meets Ker[F] only at zero.
@@ -123,15 +128,18 @@ class LiftedOperators:
 
     ``Ot`` is the stacked observability matrix (K*m rows); the Toeplitz
     forced-response matrix is represented by the Markov parameter
-    sequence ``markov[i] = C A^i B`` and materialized on demand.  Use
-    :meth:`apply`/:meth:`apply_adjoint` for horizons where the dense
-    Toeplitz matrix would not fit.
+    sequence ``markov[i] = C A^i B`` and materialized on demand.
+    :meth:`apply`/:meth:`apply_adjoint` never form it: they run the state
+    recursion a block of samples at a time, with two dense products per
+    block and a doubling scan over the block-start states, in O(K) work.
     """
 
     mode_id: int
     K: int
     Ot: np.ndarray
     markov: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
 
     @property
     def n(self) -> int:
@@ -154,81 +162,93 @@ class LiftedOperators:
                 "dense Toeplitz matrix exceeds the size budget at this horizon; "
                 "use apply()/apply_adjoint()"
             )
-        Tt = np.zeros((K * m, (K - 1) * l))
-        for i in range(1, K):
-            for j in range(i):
-                Tt[i * m : (i + 1) * m, j * l : (j + 1) * l] = self.markov[i - j - 1]
-        return Tt
+        return _block_toeplitz(self.markov, K, K - 1)
 
     @cached_property
-    def _fft_len(self) -> int:
-        # At length >= 2K - 3 the circular convolution of two length K-1
-        # sequences never wraps into its first K-1 entries.
-        return _fft_length(2 * self.K - 3)
-
-    @cached_property
-    def _spectrum(self) -> np.ndarray:
-        """Real FFT of the Markov sequence, one column per channel pair."""
-        return np.fft.rfft(self.markov, n=self._fft_len, axis=0)
+    def _blocks(self) -> tuple:
+        """Block count and pieces ``(Ob, Tb, Ctrl, A^b)`` of b samples: from start
+        state s, inputs V give outputs ``Ob s + Tb V`` and next ``A^b s + Ctrl V``."""
+        b = min(_BLOCK, self.K)
+        Tb = _block_toeplitz(self.markov[: b - 1], b, b)
+        Ctrl = _power_rows(self.B.T, self.A.T, b).reshape(b, self.l, self.n)[::-1]
+        Ctrl = Ctrl.reshape(b * self.l, self.n).T.copy()
+        Ab = np.linalg.matrix_power(self.A, b)
+        return -(-self.K // b), self.Ot[: b * self.m], Tb, Ctrl, Ab
 
     def apply(self, x, U) -> np.ndarray:
         """Stacked response ``Ot x + Tt U`` without forming ``Tt``."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        U = np.asarray(U, dtype=float).reshape(self.K - 1, self.l)
-        N = self._fft_len
-        out = (self.Ot @ x).reshape(self.K, self.m)
-        spec = np.einsum("fab,fb->fa", self._spectrum, np.fft.rfft(U, n=N, axis=0))
-        out[1:] += np.fft.irfft(spec, n=N, axis=0)[: self.K - 1]
-        return out.reshape(-1)
+        nb, *pieces = self._blocks
+        # numpy's matmul is several times slower on transposed views.
+        Ob, Tb, Ctrl, Ab = (piece.T.copy() for piece in pieces)
+        V = _pad_blocks(np.reshape(U, (1, (self.K - 1) * self.l)), nb, len(Tb))[0]
+        S = np.concatenate([np.reshape(x, (1, self.n)), V[:-1] @ Ctrl])
+        step, s = Ab, 1
+        while s < nb:
+            S[s:] += S[:-s] @ step
+            step, s = step @ step, 2 * s
+        out = S @ Ob + V @ Tb
+        return out.reshape(-1)[: self.K * self.m]
 
     def apply_adjoint(self, w) -> tuple[np.ndarray, np.ndarray]:
-        """Adjoint pair ``(Ot' w, Tt' w)`` without forming ``Tt``."""
-        w = np.asarray(w, dtype=float).reshape(self.K, self.m)
-        N = self._fft_len
-        x_adj = self.Ot.T @ w.reshape(-1)
-        spec = np.einsum(
-            "fab,fa->fb", self._spectrum.conj(), np.fft.rfft(w[1:], n=N, axis=0)
-        )
-        U_adj = np.fft.irfft(spec, n=N, axis=0)[: self.K - 1]
-        return x_adj, U_adj.reshape(-1)
+        """Adjoint pair ``(Ot' w, Tt' w)`` without forming ``Tt``; a stack of
+        weights (q, K*m) gives both results with the same leading axis."""
+        nb, Ob, Tb, Ctrl, Ab = self._blocks
+        w = np.asarray(w, dtype=float)
+        lead = w.shape[:-1]
+        W = w.reshape(np.prod(lead, dtype=int), self.K * self.m)
+        W = _pad_blocks(W, nb, len(Ob))
+        costate = W @ Ob
+        step, s = Ab, 1
+        while s < nb:
+            costate[:, :-s] += costate[:, s:] @ step
+            step, s = step @ step, 2 * s
+        U_adj = W @ Tb
+        U_adj[:, :-1] += costate[:, 1:] @ Ctrl
+        U_adj = U_adj.reshape(lead + (-1,))[..., : (self.K - 1) * self.l]
+        return costate[:, 0].reshape(lead + (-1,)), U_adj
 
 
-def _fft_length(n: int) -> int:
-    """Smallest ``2^a 3^b 5^c >= n``; numpy's FFT is fast at such lengths."""
-    best = 2 * n
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            p = p35
-            while p < n:
-                p *= 2
-            best = min(best, p)
-            p35 *= 3
-        p5 *= 5
-    return best
+def _pad_blocks(a: np.ndarray, blocks: int, width: int) -> np.ndarray:
+    """Rows of ``a`` zero-padded to whole blocks: shape (rows, blocks, width)."""
+    if a.shape[1] == blocks * width:
+        return a.reshape(len(a), blocks, width)
+    padded = np.zeros((len(a), blocks * width))
+    padded[:, : a.shape[1]] = a
+    return padded.reshape(len(a), blocks, width)
+
+
+def _block_toeplitz(markov: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Block (i, j) is ``markov[i - j - 1]`` below the diagonal, zero elsewhere."""
+    lag = np.arange(rows)[:, None] - np.arange(cols)
+    padded = np.concatenate([np.zeros((1,) + markov.shape[1:]), markov])
+    blocks = padded[np.maximum(lag, 0)].transpose(0, 2, 1, 3)
+    return blocks.reshape(rows * markov.shape[1], cols * markov.shape[2])
+
+
+def _power_rows(first: np.ndarray, A: np.ndarray, count: int) -> np.ndarray:
+    """Stack ``first A^k``, k < count, by block doubling: the first s blocks
+    times ``A^s`` give the next s, so it takes O(log count) products."""
+    r = first.shape[0]
+    out = np.empty((count * r, A.shape[0]))
+    out[:r] = first
+    power, s = A, 1
+    while s < count:
+        t = min(s, count - s)
+        out[s * r : (s + t) * r] = out[: t * r] @ power
+        power = power @ power
+        s += t
+    return out
 
 
 def build_lifted_operators(target_mode: StateSpaceMode, K: int) -> LiftedOperators:
-    """Assemble the horizon-K lifted operators of a mode.
-
-    Row blocks ``C A^k`` are filled by block doubling: the first s blocks
-    times ``A^s`` give the next s, and ``A^s`` is squared each round, so
-    the build takes O(log K) matrix products.
-    """
+    """Assemble the horizon-K lifted operators of a mode; row blocks
+    ``C A^k`` are filled by block doubling in O(log K) matrix products."""
     if K < 2:
         raise ValueError("horizon must be at least 2")
-    m, n, l = target_mode.m, target_mode.n, target_mode.l
-    Ot = np.empty((K * m, n))
-    Ot[:m] = target_mode.C
-    power, s = target_mode.A, 1
-    while s < K:
-        t = min(s, K - s)
-        Ot[s * m : (s + t) * m] = Ot[: t * m] @ power
-        power = power @ power
-        s += t
-    markov = (Ot[: (K - 1) * m] @ target_mode.B).reshape(K - 1, m, l)
-    return LiftedOperators(mode_id=target_mode.mode_id, K=K, Ot=Ot, markov=markov)
+    mode = target_mode
+    Ot = _power_rows(mode.C, mode.A, K)
+    markov = (Ot[: (K - 1) * mode.m] @ mode.B).reshape(K - 1, mode.m, mode.l)
+    return LiftedOperators(mode.mode_id, K, Ot, markov, mode.A, mode.B)
 
 
 @dataclass(frozen=True)
@@ -327,7 +347,7 @@ def solve_utility_invariance(
         )
     n = ops.n
     z = np.random.default_rng(seed).standard_normal(n + (ops.K - 1) * ops.l)
-    FM = np.array([np.concatenate(ops.apply_adjoint(row)) for row in spec.F])
+    FM = np.hstack(ops.apply_adjoint(spec.F))
     projected = z - pseudoinverse(FM) @ (FM @ z)
     delta = ops.apply(projected[:n], projected[n:])
     norm = float(np.linalg.norm(delta))

@@ -12,8 +12,10 @@ from behaviorcloak import (
     InvarianceInfeasibleError,
     KernelAssumptionError,
     KernelPlan,
+    StateSpaceMode,
     UtilitySpec,
     build_lifted_operators,
+    classify,
     load_kernel_plan,
     load_utility_spec,
     save_kernel_plan,
@@ -22,11 +24,22 @@ from behaviorcloak import (
     solve_utility_invariance,
     vehicle_demo_bank,
 )
+from behaviorcloak import invariance
 from behaviorcloak.linalg import lstsq_min_norm, nullspace_basis, pseudoinverse
 
 
 def kernel_projector(F):
     return np.eye(F.shape[1]) - pseudoinverse(F) @ F
+
+
+def relative_gap(actual, expected):
+    return np.linalg.norm(actual - expected) / np.linalg.norm(expected)
+
+
+def rescaled_mode(mode, radius):
+    """The mode with its state matrix scaled to spectral radius ``radius``."""
+    rho = np.max(np.abs(np.linalg.eigvals(mode.A)))
+    return StateSpaceMode(mode.mode_id, mode.A * (radius / rho), mode.B, mode.C)
 
 
 def unreachable_kernel_spec(rng, mode, K):
@@ -141,23 +154,55 @@ class TestBuildLiftedOperators:
                 np.testing.assert_allclose(block, expected, atol=1e-12)
 
     def test_apply_matches_dense_products(self):
+        # Short horizons, then horizons on both sides of one block and across
+        # several blocks, on MIMO modes rescaled to spectral radius 0.5-1.3.
+        b = invariance._BLOCK
         rng = np.random.default_rng(33)
-        for case in range(20):
+        horizons = [int(K) for K in rng.integers(2, 10, size=20)]
+        horizons += [2, b - 1, b, b + 1, 3 * b + 2] * 8
+        for K in horizons:
             m, l = (int(v) for v in rng.integers(1, 3, size=2))
             n = int(rng.integers(max(m, l), 4))
-            mode = support.random_valid_mode(rng, n=n, m=m, l=l)
-            K = int(rng.integers(2, 10))
+            mode = rescaled_mode(
+                support.random_valid_mode(rng, n=n, m=m, l=l), rng.uniform(0.5, 1.3)
+            )
             ops = build_lifted_operators(mode, K)
             dense = np.hstack([ops.Ot, ops.Tt])
             z = rng.standard_normal(dense.shape[1])
             w = rng.standard_normal(dense.shape[0])
-            np.testing.assert_allclose(
-                ops.apply(z[: mode.n], z[mode.n :]), dense @ z, atol=1e-11
-            )
+            assert relative_gap(ops.apply(z[: mode.n], z[mode.n :]), dense @ z) <= 1e-12
             x_adj, u_adj = ops.apply_adjoint(w)
-            np.testing.assert_allclose(
-                np.concatenate([x_adj, u_adj]), dense.T @ w, atol=1e-11
-            )
+            assert relative_gap(np.concatenate([x_adj, u_adj]), dense.T @ w) <= 1e-12
+
+    @pytest.mark.parametrize("mode_id", [1, 2], ids=["sports", "average"])
+    def test_apply_agrees_with_simulation_at_paper_horizon(self, mode_id):
+        mode = vehicle_demo_bank().mode(mode_id)
+        K = 36000
+        rng = np.random.default_rng(43)
+        x = rng.standard_normal(mode.n)
+        U = rng.uniform(-1.0, 1.0, size=(K - 1, mode.l))
+        sim = simulate_mode(mode, x, U).stacked_outputs()
+        assert relative_gap(build_lifted_operators(mode, K).apply(x, U), sim) <= 1e-13
+
+    @pytest.mark.parametrize("m, l", [(1, 1), (2, 2)], ids=["vehicle", "mimo"])
+    def test_stacked_adjoint_matches_rows(self, m, l):
+        # A mean over each of 12 windows of 50 samples at K = 600: one
+        # stacked call gives every row's adjoint pair, and F [Ot Tt].
+        K, q = 600, 12
+        if m == 1:
+            mode = vehicle_demo_bank().mode(2)
+        else:
+            mode = support.random_valid_mode(np.random.default_rng(44), n=3, m=m, l=l)
+        F = np.kron(np.eye(q), np.full((1, K * m // q), q / (K * m)))
+        ops = build_lifted_operators(mode, K)
+        x_adj, U_adj = ops.apply_adjoint(F)
+        assert x_adj.shape == (q, mode.n) and U_adj.shape == (q, (K - 1) * l)
+        for row, x_row, U_row in zip(F, x_adj, U_adj):
+            x_one, U_one = ops.apply_adjoint(row)
+            assert relative_gap(x_row, x_one) <= 1e-12
+            assert relative_gap(U_row, U_one) <= 1e-12
+        dense = F @ np.hstack([ops.Ot, ops.Tt])
+        assert relative_gap(np.hstack([x_adj, U_adj]), dense) <= 1e-12
 
     def test_apply_agrees_with_simulation(self):
         rng = np.random.default_rng(34)
@@ -216,6 +261,26 @@ class TestBuildLiftedOperators:
         Ot, markov = support.iterated_lifted_blocks(mode, K)
         assert np.linalg.norm(ops.Ot - Ot) <= 1e-12 * np.linalg.norm(Ot)
         assert np.linalg.norm(ops.markov - markov) <= 1e-12 * np.linalg.norm(markov)
+
+
+def test_hour_session_makes_no_fft(monkeypatch):
+    # The lifted operators have one path; an FFT route that comes back
+    # fails here.
+    def no_fft(*args, **kwargs):
+        raise AssertionError("numpy.fft called")
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, no_fft)
+    bank = vehicle_demo_bank()
+    K = 36000
+    rng = np.random.default_rng(45)
+    sports = bank.mode(1)
+    U = rng.uniform(-1.0, 1.0, size=(K - 1, sports.l))
+    traj = simulate_mode(sports, rng.standard_normal(sports.n), U)
+    assert classify(bank, traj).verdict == 1
+    spec = UtilitySpec.average(K)
+    plan = solve_utility_invariance(build_lifted_operators(bank.mode(2), K), spec)
+    assert plan.residual <= 1e-12
 
 
 def test_import_loads_no_scipy_module():
@@ -413,6 +478,24 @@ class TestSolveUtilityInvariance:
         ops = build_lifted_operators(support.scalar_mode(0.8), 3)
         with pytest.raises(ValueError):
             solve_utility_invariance(ops, UtilitySpec.average(4))
+
+    def test_utility_rows_take_one_adjoint_call(self, monkeypatch):
+        calls = []
+        apply_adjoint = behaviorcloak.LiftedOperators.apply_adjoint
+
+        def counted(ops, w):
+            calls.append(np.shape(w))
+            return apply_adjoint(ops, w)
+
+        monkeypatch.setattr(behaviorcloak.LiftedOperators, "apply_adjoint", counted)
+        K, q = 600, 12
+        spec = UtilitySpec(
+            F=np.kron(np.eye(q), np.full((1, K // q), q / K)), mu=np.zeros(q), K=K
+        )
+        ops = build_lifted_operators(vehicle_demo_bank().mode(2), K)
+        plan = solve_utility_invariance(ops, spec, seed=6)
+        assert calls == [(q, K)]
+        assert np.linalg.norm(spec.F @ plan.delta_Y) <= 1e-12
 
     def test_large_magnitudes_on_vehicle_pair(self):
         # The stacked feasibility operator has full row rank here, so plans
