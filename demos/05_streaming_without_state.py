@@ -47,7 +47,8 @@ for k in range(1, K + 1):
 
 print()
 print("Deadbeat reconstruction on its own:")
-rec = reconstruct_state(plant, drive.U[:3], drive.Y[:4])
-print("  estimated start state :", rec.x_start)
+x1 = reconstruct_state(plant, drive.U[:3], drive.Y[:4])
+print("  estimated start state :", x1)
 print("  true start state      :", drive.X[0])
-print("  propagated to sample 4:", rec.x_current, " true:", drive.X[3])
+x4 = simulate_mode(plant, x1, drive.U[:3]).X[-1]
+print("  simulated to sample 4 :", x4, " true:", drive.X[3])

@@ -15,7 +15,6 @@ from .distort import (
     DistortionEngine,
     HorizonExhaustedError,
     InconsistentDataError,
-    StateReconstruction,
     reconstruct_state,
     run_offline,
 )

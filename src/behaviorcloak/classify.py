@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .invariance import build_lifted_operators
-from .linalg import lstsq_min_norm
 from .modes import ModeBank, StateSpaceMode, Trajectory
 
 __all__ = [
@@ -64,15 +63,13 @@ def mode_residual(mode: StateSpaceMode, traj: Trajectory) -> float:
     """Normalized distance of a trajectory from a mode's behaviour.
 
     Minimizes ``||Y - Ot x - Tt U||`` over the initial state x and
-    normalizes by ``1 + ||Y||``.  The forced response is removed
+    normalizes by ``1 + ||Y||``.  The fit removes the forced response
     matrix-free, so the cost stays linear in the horizon.
     """
     if traj.m != mode.m or traj.l != mode.l:
         raise ValueError("trajectory dimensions do not match the mode")
-    ops = build_lifted_operators(mode, traj.K)
     Y = traj.stacked_outputs()
-    free = Y - ops.apply(np.zeros(mode.n), traj.U)
-    _, residual = lstsq_min_norm(ops.Ot, free)
+    _, residual = build_lifted_operators(mode, traj.K).fit(Y, traj.U)
     return residual / (1.0 + float(np.linalg.norm(Y)))
 
 
@@ -80,5 +77,7 @@ def classify(
     bank: ModeBank, traj: Trajectory, accept_tol: float = 1e-6
 ) -> ClassificationReport:
     """Score a trajectory against every mode of a bank."""
+    if not (np.isfinite(accept_tol) and accept_tol >= 0.0):
+        raise ValueError(f"accept_tol must be finite and nonnegative, got {accept_tol}")
     residuals = {mode.mode_id: mode_residual(mode, traj) for mode in bank}
     return ClassificationReport(residuals=residuals, accept_tol=accept_tol)

@@ -5,8 +5,8 @@ and distortion plan for a mode pair, ``distort`` a recorded trajectory,
 ``classify`` a trajectory against a bank, and ``demo`` for the
 two-vehicle end-to-end scenario.
 
-Exit codes: 0 success, 1 a validation check failed (or ``distort`` would
-change the utility), 2 bad input or configuration, 3 regulation
+Exit codes: 0 success, 1 a validation check failed (or ``distort`` or
+``demo`` would change the utility), 2 bad input or configuration, 3 regulation
 infeasible, 4 utility invariance infeasible.
 The environment variable ``BEHAVIOR_CLOAK_SEED`` overrides ``--seed``.
 """
@@ -103,6 +103,16 @@ def _design(true_mode, target_mode, utility: UtilitySpec, magnitude, seed, out: 
     return sol, plan
 
 
+def _utility_kept(utility: UtilitySpec, Y, Ybar) -> bool:
+    """Whether ``F Ybar`` equals ``F Y`` to 1e-8; reports the gap when not."""
+    FY = utility.F @ Y.reshape(-1)
+    gap = np.abs(utility.F @ Ybar.reshape(-1) - FY)
+    if np.all(gap <= 1e-8 * (1.0 + np.abs(FY))):
+        return True
+    print(f"error: the plan changes this utility by {np.max(gap):.3e}", file=sys.stderr)
+    return False
+
+
 def _print_json(doc) -> None:
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
@@ -149,16 +159,13 @@ def _cmd_distort(args) -> int:
     utility = _resolve_utility(args.utility, traj.K, bank.m)
     cfg = DistortionConfig(true_mode, target_mode, sol, plan, traj.K)
     distorted = run_offline(cfg, traj)
-    FY = utility.F @ traj.stacked_outputs()
-    gap = np.abs(utility.F @ distorted.Ybar.reshape(-1) - FY)
-    if np.any(gap > 1e-8 * (1.0 + np.abs(FY))):
-        print(f"error: the plan changes this utility by {np.max(gap):.3e}", file=sys.stderr)
+    if not _utility_kept(utility, traj.Y, distorted.Ybar):
         return EXIT_CHECK_FAILED
     write_trajectory_csv(distorted.to_trajectory(), args.out)
     _print_json(
         {
             "output": str(args.out),
-            "utility_original": (FY + utility.mu).tolist(),
+            "utility_original": utility.utility(traj.stacked_outputs()).tolist(),
             "utility_distorted": utility.utility(distorted.Ybar.reshape(-1)).tolist(),
         }
     )
@@ -193,6 +200,8 @@ def _cmd_demo(args) -> int:
     zero_plan = KernelPlan.zero(average.n, K, average.m, average.l)
     tracked = run_offline(DistortionConfig(sports, average, sol, zero_plan, K), traj)
     cloaked = run_offline(DistortionConfig(sports, average, sol, plan, K), traj)
+    if not _utility_kept(utility, traj.Y, cloaked.Ybar):
+        return EXIT_CHECK_FAILED
     write_trajectory_csv(cloaked.to_trajectory(), out / "distorted.csv")
 
     _write_figure(out / "fig1.csv", ["k", "y", "ybar1"], traj.Y, tracked.Ybar)

@@ -11,8 +11,8 @@ the affine replay
 an exact trajectory of the target mode.  :func:`run_offline` evaluates it
 for all samples at once and :meth:`DistortionEngine.step` for one sample,
 in the same operation order.  Without recorded states the first n samples
-are withheld: they recover the state by deadbeat reconstruction, and the
-source model propagates it.
+are withheld: they recover the start state by deadbeat reconstruction,
+and :func:`simulate_mode` runs the source model on from it.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .invariance import KernelPlan, build_lifted_operators
-from .linalg import RESIDUAL_TOL, lstsq_min_norm
-from .modes import StateSpaceMode, Trajectory, simulate_mode
+from .linalg import RESIDUAL_TOL
+from .modes import StateSpaceMode, Trajectory, _vector, simulate_mode
 from .regulation import RegulatorSolution, regulator_residuals
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "DistortionConfig",
     "DistortionEngine",
     "DistortedTrajectory",
-    "StateReconstruction",
     "run_offline",
     "reconstruct_state",
 ]
@@ -88,22 +87,13 @@ class DistortionConfig:
         return self.regulator.Gamma, self.regulator.Theta, self.plan.U2, dY
 
 
-@dataclass(frozen=True)
-class StateReconstruction:
-    """Deadbeat state estimate from a noise-free I/O window."""
-
-    x_start: np.ndarray
-    x_current: np.ndarray
-    residual: float
-
-
-def reconstruct_state(mode: StateSpaceMode, U_window, Y_window) -> StateReconstruction:
-    """Recover the state of an observable mode from recent I/O samples.
+def reconstruct_state(mode: StateSpaceMode, U_window, Y_window) -> np.ndarray:
+    """Recover the window-start state of an observable mode from I/O samples.
 
     ``Y_window`` holds at least n consecutive outputs and ``U_window`` the
-    inputs between them (one fewer).  The window-start state is the least
-    squares solution of the lifted response equations; it is exact for
-    noise-free data and is propagated to the time of the last sample.
+    inputs between them (one fewer).  The state is the least squares fit
+    of the lifted response equations, :meth:`LiftedOperators.fit`; it is
+    exact for noise-free data.  ``simulate_mode`` carries it forward.
 
     Raises
     ------
@@ -124,20 +114,10 @@ def reconstruct_state(mode: StateSpaceMode, U_window, Y_window) -> StateReconstr
         raise ValueError("the window must hold one input less than outputs")
     if Y.shape[1] != mode.m or U.shape[1] != mode.l:
         raise ValueError("window dimensions do not match the mode")
-    if w == 1:
-        free = Y.reshape(-1)
-        Ot = mode.C
-    else:
-        ops = build_lifted_operators(mode, w)
-        free = Y.reshape(-1) - ops.apply(np.zeros(mode.n), U)
-        Ot = ops.Ot
-    x_start, residual = lstsq_min_norm(Ot, free)
+    x1, residual = build_lifted_operators(mode, w).fit(Y, U)
     if residual > RESIDUAL_TOL * (1.0 + np.linalg.norm(Y)):
         raise InconsistentDataError(residual)
-    x = x_start
-    for k in range(w - 1):
-        x = mode.A @ x + mode.B @ U[k]
-    return StateReconstruction(x_start=x_start, x_current=x, residual=residual)
+    return x1
 
 
 class DistortionEngine:
@@ -157,17 +137,7 @@ class DistortionEngine:
         self._u_buf: list[np.ndarray] = []
         self._y_buf: list[np.ndarray] = []
         if x1 is not None:
-            x1 = np.asarray(x1, dtype=float).reshape(-1)
-            if x1.shape[0] != cfg.true_mode.n:
-                raise ValueError(
-                    f"x1 has dimension {x1.shape[0]}, expected {cfg.true_mode.n}"
-                )
-            self._xhat = x1.copy()
-
-    @property
-    def k(self) -> int:
-        """1-based index of the next expected sample."""
-        return self._k
+            self._xhat = _vector(x1, cfg.true_mode.n, "x1").copy()
 
     @property
     def primed(self) -> bool:
@@ -187,41 +157,28 @@ class DistortionEngine:
             raise HorizonExhaustedError(f"horizon K = {cfg.K} already completed")
         k = self._k
         last = k == cfg.K
-        y = np.asarray(y, dtype=float).reshape(-1)
-        if y.shape[0] != cfg.true_mode.m:
-            raise ValueError(f"y has dimension {y.shape[0]}, expected {cfg.true_mode.m}")
+        src = cfg.true_mode
+        y = _vector(y, src.m, "y")
         if last:
             if u is not None:
                 raise ValueError("no input exists at the final sample")
         else:
-            u = np.asarray(u, dtype=float).reshape(-1)
-            if u.shape[0] != cfg.true_mode.l:
-                raise ValueError(
-                    f"u has dimension {u.shape[0]}, expected {cfg.true_mode.l}"
-                )
+            u = _vector(u, src.l, "u")
         if x is not None:
-            x = np.asarray(x, dtype=float).reshape(-1)
-            if x.shape[0] != cfg.true_mode.n:
-                raise ValueError(
-                    f"x has dimension {x.shape[0]}, expected {cfg.true_mode.n}"
-                )
+            x = _vector(x, src.n, "x")
             if self.primed or k == 1:
                 self._xhat = x
 
-        src = cfg.true_mode
         self._k += 1
         if not self.primed:
             # Reconstruction mode: buffer until n outputs are available,
             # then recover the state and carry it past the withheld window.
             self._y_buf.append(y)
-            if len(self._y_buf) < src.n:
-                self._u_buf.append(u)
-                return None
-            rec = reconstruct_state(src, np.array(self._u_buf), np.array(self._y_buf))
-            self._u_buf.clear()
-            self._y_buf.clear()
-            if not last:
-                self._xhat = src.A @ rec.x_current + src.B @ u
+            self._u_buf.append(u)
+            if len(self._y_buf) == src.n:
+                x1 = reconstruct_state(src, np.array(self._u_buf[:-1]), np.array(self._y_buf))
+                if not last:
+                    self._xhat = simulate_mode(src, x1, np.array(self._u_buf)).X[-1]
             return None
 
         ybar = y + self._dY[k - 1]
@@ -255,7 +212,8 @@ def run_offline(cfg: DistortionConfig, traj: Trajectory) -> DistortedTrajectory:
 
     Equal to folding :meth:`DistortionEngine.step` over the samples in
     order.  Without recorded states the first n samples are withheld:
-    they recover the state, which the source model then propagates.
+    they recover the start state, and :func:`simulate_mode` runs the
+    source model from it over the whole input sequence.
     """
     if traj.K != cfg.K:
         raise ValueError(f"trajectory horizon {traj.K} does not match configured {cfg.K}")
@@ -270,8 +228,8 @@ def run_offline(cfg: DistortionConfig, traj: Trajectory) -> DistortedTrajectory:
         raise ValueError("stateless trajectory is too short for deadbeat reconstruction")
     else:
         s = src.n
-        rec = reconstruct_state(src, traj.U[: s - 1], traj.Y[:s])
-        X = simulate_mode(src, rec.x_current, traj.U[s - 1 :]).X[1:]
+        x1 = reconstruct_state(src, traj.U[: s - 1], traj.Y[:s])
+        X = simulate_mode(src, x1, traj.U).X[s:]
     # X now holds the source states from sample s + 1 on.
     Gamma, Theta, U2, dY = cfg.replay_maps()
     U = traj.U[s:]

@@ -13,8 +13,9 @@ Plans are found by one projection in input space: a seeded Gaussian draw
 z is projected onto Ker[F M], and its response M z is rescaled to the
 requested size.  ``F M`` has only q rows, all formed by one batched
 adjoint apply ``M' F'``, so the projection needs no iteration.  When the
-projected response vanishes to rounding, the target behaviour meets
-Ker[F] only at zero and no plan exists.
+free and forced parts of the projected response cancel to rounding, or
+the scaled response is not in Ker[F] to rounding, no plan is found: the
+target behaviour meets Ker[F] only at zero.
 
 ``M`` is never formed: ``Ot`` is filled by block doubling, and ``M`` and
 its adjoint run the state recursion a block of samples at a time.  Inside
@@ -32,8 +33,8 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import pseudoinverse
-from .modes import StateSpaceMode
+from .linalg import lstsq_min_norm, pseudoinverse
+from .modes import StateSpaceMode, _power_rows
 
 __all__ = [
     "KernelAssumptionError",
@@ -55,9 +56,12 @@ _DENSE_ENTRY_LIMIT = 4_000_000
 # Samples per block of the state recursion in LiftedOperators.
 _BLOCK = 16
 
-# A projected response this small relative to the unprojected one is
-# rounding noise: the target behaviour meets Ker[F] only at zero.
+# A projected response is rounding, not a plan, if it is this small next to
+# the sum of its free and forced parts (they cancel), or if its distance from
+# Ker[F] is this large a share of it (Ker[F M] is trivial or inside Ker M,
+# or an unstable target outgrows the precision at this horizon).
 _INFEASIBLE_RATIO = 1e-8
+_MISS_RATIO = 1e-6
 
 
 class KernelAssumptionError(RuntimeError):
@@ -134,7 +138,6 @@ class LiftedOperators:
     block and a doubling scan over the block-start states, in O(K) work.
     """
 
-    mode_id: int
     K: int
     Ot: np.ndarray
     markov: np.ndarray
@@ -207,6 +210,10 @@ class LiftedOperators:
         U_adj = U_adj.reshape(lead + (-1,))[..., : (self.K - 1) * self.l]
         return costate[:, 0].reshape(lead + (-1,)), U_adj
 
+    def fit(self, Y, U) -> tuple[np.ndarray, float]:
+        """Least-squares inverse of :meth:`apply` in x: ``(x, min ||Y - Ot x - Tt U||)``."""
+        return lstsq_min_norm(self.Ot, np.reshape(Y, -1) - self.apply(np.zeros(self.n), U))
+
 
 def _pad_blocks(a: np.ndarray, blocks: int, width: int) -> np.ndarray:
     """Rows of ``a`` zero-padded to whole blocks: shape (rows, blocks, width)."""
@@ -225,30 +232,16 @@ def _block_toeplitz(markov: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return blocks.reshape(rows * markov.shape[1], cols * markov.shape[2])
 
 
-def _power_rows(first: np.ndarray, A: np.ndarray, count: int) -> np.ndarray:
-    """Stack ``first A^k``, k < count, by block doubling: the first s blocks
-    times ``A^s`` give the next s, so it takes O(log count) products."""
-    r = first.shape[0]
-    out = np.empty((count * r, A.shape[0]))
-    out[:r] = first
-    power, s = A, 1
-    while s < count:
-        t = min(s, count - s)
-        out[s * r : (s + t) * r] = out[: t * r] @ power
-        power = power @ power
-        s += t
-    return out
-
-
 def build_lifted_operators(target_mode: StateSpaceMode, K: int) -> LiftedOperators:
     """Assemble the horizon-K lifted operators of a mode; row blocks
-    ``C A^k`` are filled by block doubling in O(log K) matrix products."""
-    if K < 2:
-        raise ValueError("horizon must be at least 2")
+    ``C A^k`` are filled by block doubling in O(log K) matrix products.
+    At K = 1 there are no inputs and ``Ot = C``."""
+    if K < 1:
+        raise ValueError("horizon must be at least 1")
     mode = target_mode
     Ot = _power_rows(mode.C, mode.A, K)
     markov = (Ot[: (K - 1) * mode.m] @ mode.B).reshape(K - 1, mode.m, mode.l)
-    return LiftedOperators(mode.mode_id, K, Ot, markov, mode.A, mode.B)
+    return LiftedOperators(K, Ot, markov, mode.A, mode.B)
 
 
 @dataclass(frozen=True)
@@ -273,6 +266,8 @@ class KernelPlan:
         x2 = np.array(self.x2_init, dtype=float).reshape(-1)
         U2 = np.atleast_2d(np.array(self.U2, dtype=float))
         delta = np.array(self.delta_Y, dtype=float).reshape(-1)
+        if not all(np.isfinite(arr).all() for arr in (x2, U2, delta, self.magnitude)):
+            raise ValueError("plan entries must be finite")
         for arr in (x2, U2, delta):
             arr.setflags(write=False)
         object.__setattr__(self, "x2_init", x2)
@@ -333,12 +328,13 @@ def solve_utility_invariance(
     KernelAssumptionError
         If F has a trivial kernel and a nonzero plan is requested.
     InvarianceInfeasibleError
-        If the target behaviour meets Ker[F] only at zero.
+        If the target behaviour meets Ker[F] only at zero, or rounding
+        leaves the projected response more than 1e-6 of its size off Ker[F].
     """
     if spec.K != ops.K or spec.m != ops.m:
         raise ValueError("utility spec and lifted operators disagree on K or m")
-    if magnitude < 0.0:
-        raise ValueError("magnitude must be nonnegative")
+    if not (np.isfinite(magnitude) and magnitude >= 0.0):
+        raise ValueError(f"magnitude must be finite and nonnegative, got {magnitude}")
     if magnitude == 0.0:
         return KernelPlan.zero(ops.n, ops.K, ops.m, ops.l, seed=seed)
     if not spec.kernel_nontrivial:
@@ -350,20 +346,24 @@ def solve_utility_invariance(
     FM = np.hstack(ops.apply_adjoint(spec.F))
     projected = z - pseudoinverse(FM) @ (FM @ z)
     delta = ops.apply(projected[:n], projected[n:])
+    # Free part by difference: run alone, it can decay into slow subnormals.
+    forced = ops.apply(np.zeros(n), projected[n:])
     norm = float(np.linalg.norm(delta))
-    if norm <= _INFEASIBLE_RATIO * np.linalg.norm(ops.apply(z[:n], z[n:])):
+    miss = float(np.linalg.norm(pseudoinverse(spec.F) @ (spec.F @ delta)))
+    parts = np.linalg.norm(delta - forced) + np.linalg.norm(forced)
+    if norm <= _INFEASIBLE_RATIO * parts or miss > _MISS_RATIO * norm:
         raise InvarianceInfeasibleError(
-            "the target behaviour meets Ker[F] only at zero; no nonzero plan exists"
+            "the target behaviour meets Ker[F] only at zero, or rounding swamps "
+            "the projection at this horizon; no nonzero plan found"
         )
     scale = magnitude / norm
     projected, delta = projected * scale, delta * scale
-    residual = pseudoinverse(spec.F) @ (spec.F @ delta)
     return KernelPlan(
         x2_init=projected[:n],
         U2=projected[n:].reshape(ops.K - 1, ops.l),
         delta_Y=delta,
         theta=delta,
-        residual=float(np.linalg.norm(residual)),
+        residual=miss * scale,
         seed=seed,
         magnitude=magnitude,
     )

@@ -45,6 +45,14 @@ def _frozen_array(value, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def _vector(value, size: int, name: str) -> np.ndarray:
+    """``value`` as a flat float vector; ValueError unless it has ``size`` entries."""
+    v = np.asarray(value, dtype=float).reshape(-1)
+    if v.shape[0] != size:
+        raise ValueError(f"{name} has dimension {v.shape[0]}, expected {size}")
+    return v
+
+
 @dataclass(frozen=True)
 class StateSpaceMode:
     """One operation mode ``x(k+1) = A x(k) + B u(k)``, ``y(k) = C x(k)``."""
@@ -82,20 +90,6 @@ class StateSpaceMode:
     def l(self) -> int:
         """Input dimension."""
         return self.B.shape[1]
-
-    def observability_matrix(self) -> np.ndarray:
-        """Stack ``[C; CA; ...; C A^(n-1)]``."""
-        blocks = [self.C]
-        for _ in range(self.n - 1):
-            blocks.append(blocks[-1] @ self.A)
-        return np.vstack(blocks)
-
-    def controllability_matrix(self) -> np.ndarray:
-        """Stack ``[B, AB, ..., A^(n-1) B]``."""
-        blocks = [self.B]
-        for _ in range(self.n - 1):
-            blocks.append(self.A @ blocks[-1])
-        return np.hstack(blocks)
 
 
 @dataclass(frozen=True)
@@ -265,6 +259,21 @@ class ModeValidationReport:
         }
 
 
+def _power_rows(first: np.ndarray, A: np.ndarray, count: int) -> np.ndarray:
+    """Stack ``first A^k``, k < count, by block doubling: the first s blocks
+    times ``A^s`` give the next s, so it takes O(log count) products."""
+    r = first.shape[0]
+    out = np.empty((count * r, A.shape[0]))
+    out[:r] = first
+    power, s = A, 1
+    while s < count:
+        t = min(s, count - s)
+        out[s * r : (s + t) * r] = out[: t * r] @ power
+        power = power @ power
+        s += t
+    return out
+
+
 def validate_mode(mode: StateSpaceMode) -> ModeValidationReport:
     """Check the standing assumptions on one mode.
 
@@ -278,9 +287,11 @@ def validate_mode(mode: StateSpaceMode) -> ModeValidationReport:
     def rank(M: np.ndarray) -> int:
         return int(np.linalg.matrix_rank(M))
 
+    # Rows C A^k and (A^k B)', k < n: observability, controllability matrix'.
+    A, B, C, n = mode.A, mode.B, mode.C, mode.n
     checks = (
-        AssumptionCheck("observability", rank(mode.observability_matrix()), mode.n),
-        AssumptionCheck("controllability", rank(mode.controllability_matrix()), mode.n),
+        AssumptionCheck("observability", rank(_power_rows(C, A, n)), n),
+        AssumptionCheck("controllability", rank(_power_rows(B.T, A.T, n)), n),
         AssumptionCheck("output_row_rank", rank(mode.C), mode.m),
         AssumptionCheck("input_column_rank", rank(mode.B), mode.l),
     )
@@ -310,9 +321,7 @@ def simulate_mode(mode: StateSpaceMode, x1, U) -> Trajectory:
     ``U`` has one row per step, K-1 rows total; the returned trajectory
     records the state sequence.
     """
-    x1 = np.asarray(x1, dtype=float).reshape(-1)
-    if x1.shape[0] != mode.n:
-        raise ValueError(f"x1 has dimension {x1.shape[0]}, expected {mode.n}")
+    x1 = _vector(x1, mode.n, "x1")
     U = np.asarray(U, dtype=float)
     if U.ndim == 1:
         U = U.reshape(-1, 1)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import RESIDUAL_TOL, is_schur, lstsq_min_norm
-from .modes import StateSpaceMode, Trajectory
+from .modes import StateSpaceMode, Trajectory, simulate_mode
 
 __all__ = [
     "RegulationInfeasibleError",
@@ -279,28 +279,24 @@ def verify_regulation(
 ) -> RegulationDiagnostics:
     """Replay a recorded trajectory through the closed-loop virtual system.
 
-    Simulates the virtual target model under the tracking controller from
-    ``xbar(1) = Pi x(1)`` and reports per-step norms of the tracking
-    error ``r(k) = ybar(k) - y(k)`` and the alignment error
-    ``e(k) = xbar(k) - Pi x(k)``.  The trajectory must carry states.
+    Under the tracking controller the virtual target is the mode
+    ``(A_t + B_t R, B_t, C_t)`` driven by ``L x(k) + S u(k)``;
+    :func:`simulate_mode` runs it from ``xbar(1) = Pi x(1)``.  Reports
+    per-step norms of the tracking error ``r(k) = ybar(k) - y(k)`` and
+    the alignment error ``e(k) = xbar(k) - Pi x(k)``.  The trajectory
+    must carry states.
     """
     if test_traj.X is None:
         raise ValueError("verification requires a trajectory with recorded states")
-    K = test_traj.K
-    r_norms = np.empty(K)
-    e_norms = np.empty(K)
-    R, L, S = ctrl.R, ctrl.L, ctrl.S
-    xbar = ctrl.Pi @ test_traj.X[0]
-    for k in range(K):
-        x = test_traj.X[k]
-        ybar = target_mode.C @ xbar
-        r_norms[k] = np.linalg.norm(ybar - test_traj.Y[k])
-        e_norms[k] = np.linalg.norm(xbar - ctrl.Pi @ x)
-        if k < K - 1:
-            u = test_traj.U[k]
-            ubar = R @ xbar + L @ x + S @ u
-            xbar = target_mode.A @ xbar + target_mode.B @ ubar
-    return RegulationDiagnostics(r_norms=r_norms, e_norms=e_norms)
+    A, B, C = target_mode.A, target_mode.B, target_mode.C
+    closed = StateSpaceMode(target_mode.mode_id, A + B @ ctrl.R, B, C)
+    X = test_traj.X
+    drive = X[:-1] @ ctrl.L.T + test_traj.U @ ctrl.S.T
+    virtual = simulate_mode(closed, ctrl.Pi @ X[0], drive)
+    return RegulationDiagnostics(
+        r_norms=np.linalg.norm(virtual.Y - test_traj.Y, axis=1),
+        e_norms=np.linalg.norm(virtual.X - X @ ctrl.Pi.T, axis=1),
+    )
 
 
 def save_controller(sol: RegulatorSolution, path) -> None:

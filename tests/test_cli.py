@@ -5,8 +5,10 @@ import pytest
 
 import support
 from behaviorcloak import (
+    KernelPlan,
     ModeBank,
     StateSpaceMode,
+    Trajectory,
     UtilitySpec,
     load_kernel_plan,
     load_mode_bank,
@@ -19,6 +21,7 @@ from behaviorcloak import (
     vehicle_demo_bank,
     write_trajectory_csv,
 )
+from behaviorcloak import cli
 from behaviorcloak.cli import _write_figure, main
 from behaviorcloak.modes import _ROWS_PER_BLOCK
 
@@ -135,6 +138,45 @@ class TestDesignCommand:
             ]
         )
         assert code == 4
+
+    def test_unstable_target_long_horizon(self, capsys, tmp_path):
+        # The pole at 1.05 is unreachable from the input; plans exist at
+        # K = 500 although an unprojected response grows as 1.05^K.
+        B, C = [[0.0], [1.0]], [[1.0, 1.0]]
+        bank = ModeBank(
+            (
+                StateSpaceMode(1, np.diag([1.05, 0.5]), B, C),
+                StateSpaceMode(2, np.diag([1.05, 0.7]), B, C),
+            )
+        )
+        bank_path = tmp_path / "bank.json"
+        save_mode_bank(bank, bank_path)
+        code, report = run_cli(
+            capsys, "design", "--bank", bank_path, "--true-mode", 1,
+            "--target-mode", 2, "--K", 500, "--out", tmp_path / "d",
+        )
+        assert code == 0
+        assert report["kernel_deviation"] <= 1e-8
+
+    @pytest.mark.parametrize("magnitude", ["nan", "inf"])
+    def test_non_finite_magnitude_is_bad_input(
+        self, capsys, vehicle_bank_path, tmp_path, magnitude
+    ):
+        out = tmp_path / "x"
+        code = main(
+            [
+                "design",
+                "--bank", str(vehicle_bank_path),
+                "--true-mode", "1",
+                "--target-mode", "2",
+                "--K", "50",
+                "--magnitude", magnitude,
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "magnitude must be finite" in capsys.readouterr().err
+        assert not (out / "plan.json").exists()
 
     def test_utility_for_another_horizon_is_bad_input(
         self, capsys, vehicle_bank_path, tmp_path
@@ -267,6 +309,59 @@ class TestDistortAndClassify:
         assert "utility" in capsys.readouterr().err
         assert not out_csv.exists()
 
+    def distort(self, designed, traj_path, out_csv, plan=None):
+        bank_path, design_dir, _ = designed
+        return main(
+            [
+                "distort",
+                "--bank", str(bank_path),
+                "--true-mode", "1",
+                "--target-mode", "2",
+                "--controller", str(design_dir / "controller.json"),
+                "--plan", str(plan or design_dir / "plan.json"),
+                "--input", str(traj_path),
+                "--out", str(out_csv),
+            ]
+        )
+
+    def test_non_finite_plan_is_bad_input(self, capsys, designed, tmp_path):
+        _, design_dir, traj_path = designed
+        doc = json.loads((design_dir / "plan.json").read_text())
+        doc["U2"][7][0] = float("nan")
+        plan = tmp_path / "nan_plan.json"
+        plan.write_text(json.dumps(doc))
+        out_csv = tmp_path / "distorted.csv"
+        assert self.distort(designed, traj_path, out_csv, plan) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    def test_non_finite_output_fails_the_utility_check(self, capsys, designed, tmp_path):
+        # A NaN gap compares False with the tolerance; it must still fail.
+        _, _, traj_path = designed
+        traj = read_trajectory_csv(traj_path)
+        Y = traj.Y.copy()
+        Y[10, 0] = np.nan
+        nan_path = tmp_path / "nan.csv"
+        write_trajectory_csv(Trajectory(U=traj.U, Y=Y, X=traj.X), nan_path)
+        out_csv = tmp_path / "distorted.csv"
+        assert self.distort(designed, nan_path, out_csv) == 1
+        assert "changes this utility" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-6"])
+    def test_bad_accept_tol_is_bad_input(self, capsys, designed, tol):
+        bank_path, _, traj_path = designed
+        code = main(
+            [
+                "classify",
+                "--bank", str(bank_path),
+                "--input", str(traj_path),
+                f"--accept-tol={tol}",
+            ]
+        )
+        assert code == 2
+        assert "accept_tol" in capsys.readouterr().err
+
     def test_utility_for_another_horizon_is_bad_input(self, capsys, designed, tmp_path):
         bank_path, design_dir, traj_path = designed
         utility_path = tmp_path / "k100.json"
@@ -373,6 +468,26 @@ class TestDemoCommand:
 
         assert report["classified_original"]["verdict"] == "1"
         assert report["classified_distorted"]["verdict"] == "2"
+
+    def test_utility_changing_plan_fails(self, capsys, tmp_path, monkeypatch):
+        def shifted_plan(ops, spec, magnitude, seed):
+            # A constant output shift moves the average: not in Ker[F].
+            return KernelPlan(
+                x2_init=np.zeros(ops.n),
+                U2=np.zeros((ops.K - 1, ops.l)),
+                delta_Y=np.full(ops.K * ops.m, 0.1),
+                theta=None,
+                residual=0.0,
+                seed=seed,
+                magnitude=magnitude,
+            )
+
+        monkeypatch.setattr(cli, "solve_utility_invariance", shifted_plan)
+        out = tmp_path / "demo"
+        assert main(["demo", "--out", str(out), "--K", "60"]) == 1
+        captured = capsys.readouterr()
+        assert "changes this utility" in captured.err and not captured.out
+        assert not (out / "distorted.csv").exists()
 
     def test_figure_bytes_match_row_loop(self, tmp_path):
         rng = np.random.default_rng(5)

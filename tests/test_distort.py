@@ -296,6 +296,21 @@ class TestReconstructionMode:
         assert engine.primed
         assert engine.step(traj.U[2], traj.Y[2]) is not None
 
+    def test_scalar_stream_withholds_one_sample(self):
+        # n = 1: the window is a single output and no input (K = 1 operators).
+        true = support.scalar_mode(0.5)
+        target = support.scalar_mode(0.8, mode_id=2)
+        K = 40
+        cfg = make_config(true, target, K, magnitude=1.0, seed=5)
+        full = support.random_trajectory(np.random.default_rng(56), true, K)
+        traj = Trajectory(U=full.U, Y=full.Y)
+        out = run_offline(cfg, traj)
+        Ubar, Ybar = fold_steps(cfg, traj)
+        assert out.k_start == 2
+        assert Ubar.shape == (K - 2, 1) and Ybar.shape == (K - 1, 1)
+        np.testing.assert_array_equal(Ubar, out.Ubar)
+        np.testing.assert_array_equal(Ybar, out.Ybar)
+
     def test_stateless_run_too_short(self):
         mode = support.double_integrator()
         twin = support.double_integrator(mode_id=2)
@@ -308,24 +323,23 @@ class TestReconstructionMode:
 class TestReconstructState:
     def test_scalar_single_sample(self):
         mode = support.scalar_mode(0.5)
-        rec = reconstruct_state(mode, np.zeros((0, 1)), [[0.25]])
-        np.testing.assert_allclose(rec.x_start, [0.25])
-        np.testing.assert_allclose(rec.x_current, [0.25])
+        x1 = reconstruct_state(mode, np.zeros((0, 1)), [[0.25]])
+        np.testing.assert_allclose(x1, [0.25])
 
     def test_double_integrator_two_samples(self):
         # y(1) = x1, y(2) = x1 + 0.1 x2: from (1, 1.1) the start state is (1, 1).
         mode = support.double_integrator()
-        rec = reconstruct_state(mode, np.zeros((1, 1)), [[1.0], [1.1]])
-        np.testing.assert_allclose(rec.x_start, [1.0, 1.0], atol=1e-10)
-        np.testing.assert_allclose(rec.x_current, mode.A @ [1.0, 1.0], atol=1e-10)
+        x1 = reconstruct_state(mode, np.zeros((1, 1)), [[1.0], [1.1]])
+        np.testing.assert_allclose(x1, [1.0, 1.0], atol=1e-10)
 
     def test_propagates_with_inputs(self):
         rng = np.random.default_rng(51)
         mode = support.random_valid_mode(rng, n=3)
         traj = support.random_trajectory(rng, mode, K=6)
-        rec = reconstruct_state(mode, traj.U, traj.Y)
-        np.testing.assert_allclose(rec.x_start, traj.X[0], atol=1e-8)
-        np.testing.assert_allclose(rec.x_current, traj.X[-1], atol=1e-8)
+        x1 = reconstruct_state(mode, traj.U, traj.Y)
+        np.testing.assert_allclose(x1, traj.X[0], atol=1e-8)
+        propagated = simulate_mode(mode, x1, traj.U).X[-1]
+        np.testing.assert_allclose(propagated, traj.X[-1], atol=1e-8)
 
     def test_foreign_window_rejected(self):
         # Output data from a clearly different mode is not explainable.

@@ -126,7 +126,34 @@ class TestBuildLiftedOperators:
 
     def test_rejects_short_horizon(self):
         with pytest.raises(ValueError):
-            build_lifted_operators(support.scalar_mode(0.5), 1)
+            build_lifted_operators(support.scalar_mode(0.5), 0)
+
+    def test_single_sample_horizon(self):
+        # K = 1: Ot = C, no inputs; the fit is C's least-squares inverse.
+        mode = support.random_valid_mode(np.random.default_rng(34), n=2, m=2, l=1)
+        ops = build_lifted_operators(mode, 1)
+        np.testing.assert_array_equal(ops.Ot, mode.C)
+        x = np.array([0.3, -1.2])
+        y = ops.apply(x, np.zeros((0, 1)))
+        np.testing.assert_allclose(y, mode.C @ x, rtol=1e-15)
+        x_fit, residual = ops.fit(y, np.zeros((0, 1)))
+        np.testing.assert_allclose(x_fit, x, rtol=1e-12)
+        assert residual <= 1e-14
+
+    def test_fit_inverts_apply(self):
+        rng = np.random.default_rng(35)
+        for K in (2, invariance._BLOCK + 3, 200):
+            mode = support.random_valid_mode(rng, n=3, m=2, l=2)
+            ops = build_lifted_operators(mode, K)
+            x = rng.standard_normal(3)
+            U = rng.standard_normal((K - 1, 2))
+            Y = ops.apply(x, U)
+            x_fit, residual = ops.fit(Y.reshape(K, 2), U)
+            assert relative_gap(x_fit, x) <= 1e-9
+            assert residual <= 1e-12 * np.linalg.norm(Y)
+            # A perturbation orthogonal to the range of Ot is the residual.
+            _, away = ops.fit(Y + nullspace_basis(ops.Ot.T)[:, 0], U)
+            assert abs(away - 1.0) <= 1e-9
 
     def test_blocks_match_matrix_power_oracle(self):
         rng = np.random.default_rng(32)
@@ -377,6 +404,39 @@ class TestSolveUtilityInvariance:
         with pytest.raises(InvarianceInfeasibleError):
             solve_utility_invariance(ops, spec, magnitude=1.0, seed=1)
 
+    def test_unstable_target_long_horizon(self):
+        # The unstable pole is unreachable, so a random draw's response grows
+        # as 1.05^K; the plan's free and forced parts stay of order one.
+        target = StateSpaceMode(2, np.diag([1.05, 0.7]), [[0.0], [1.0]], [[1.0, 1.0]])
+        K = 500
+        spec = UtilitySpec.average(K)
+        plan = solve_utility_invariance(
+            build_lifted_operators(target, K), spec, magnitude=1.0, seed=0
+        )
+        assert abs(np.linalg.norm(plan.delta_Y) - 1.0) <= 1e-12
+        assert abs(spec.F @ plan.delta_Y)[0] <= 1e-8
+        sim = simulate_mode(target, plan.x2_init, plan.U2).stacked_outputs()
+        assert relative_gap(sim, plan.delta_Y) <= 1e-9
+
+    def test_unobservable_target_unreachable_kernel_raises(self):
+        # Ker[F M] = Ker M holds only the unobservable start state, so the
+        # projected response is rounding on both its free and forced parts.
+        target = StateSpaceMode(
+            2, np.diag([0.5, 0.8, 0.9]), [[1.0], [1.0], [1.0]], [[1, 0, 0], [0, 1, 0]]
+        )
+        rng = np.random.default_rng(22)
+        for K in (5, 20):
+            spec = unreachable_kernel_spec(rng, target, K)
+            ops = build_lifted_operators(target, K)
+            with pytest.raises(InvarianceInfeasibleError):
+                solve_utility_invariance(ops, spec, magnitude=1.0, seed=0)
+
+    def test_rejects_non_finite_magnitude(self):
+        ops = build_lifted_operators(support.scalar_mode(0.8), 4)
+        for magnitude in (np.nan, np.inf, -1.0):
+            with pytest.raises(ValueError, match="magnitude"):
+                solve_utility_invariance(ops, UtilitySpec.average(4), magnitude=magnitude)
+
     def test_plan_invariants_random_cases(self):
         rng = np.random.default_rng(36)
         for case in range(20):
@@ -577,6 +637,18 @@ class TestFileFormats:
         save_kernel_plan(plan, path)
         with pytest.raises(ValueError):
             load_kernel_plan(path, support.double_integrator())
+
+    def test_non_finite_plan_rejected(self, tmp_path):
+        mode = support.scalar_mode(0.8)
+        path = tmp_path / "plan.json"
+        path.write_text('{"x2_init": [NaN], "U2": [[0.0]], "seed": 0, "magnitude": 1.0}')
+        with pytest.raises(ValueError, match="finite"):
+            load_kernel_plan(path, mode)
+        with pytest.raises(ValueError, match="finite"):
+            KernelPlan(
+                x2_init=[0.0], U2=[[np.inf], [0.0]], delta_Y=np.zeros(3),
+                theta=None, residual=0.0, seed=None, magnitude=1.0,
+            )
 
     def test_zero_plan_constructor(self):
         plan = KernelPlan.zero(n=2, K=4, m=1, l=3)

@@ -6,10 +6,13 @@ import pytest
 
 import support
 from behaviorcloak import (
+    DistortionConfig,
     GainDesignError,
+    KernelPlan,
     RegulationInfeasibleError,
     RegulatorSolution,
     StateSpaceMode,
+    Trajectory,
     build_tracking_controller,
     design_stabilizing_gain,
     is_schur,
@@ -286,6 +289,23 @@ class TestVerifyRegulation:
         for k in range(traj.K):
             assert diag.r_norms[k] <= 1e-9 * (1.0 + np.linalg.norm(traj.Y[k]))
             assert diag.e_norms[k] <= 1e-9 * (1.0 + np.linalg.norm(traj.X[k]))
+
+    def test_matches_step_by_step_first_copy(self, vehicle_pair):
+        # With zero outputs recorded, r(k) = |ybar(k)|: the first virtual copy
+        # of the two-copy replay, which closes the loop one step at a time.
+        sports, average = vehicle_pair
+        K = 2000
+        rng = np.random.default_rng(21)
+        drive = support.random_trajectory(rng, sports, K)
+        sol = solve_regulator_equations(sports, average)
+        zero = KernelPlan.zero(average.n, K, average.m, average.l)
+        cfg = DistortionConfig(sports, average, sol, zero, K)
+        _, Ybar = support.two_copy_replay(cfg, drive)
+        ctrl = self._controller(sports, average)
+        traj = Trajectory(U=drive.U, Y=np.zeros_like(drive.Y), X=drive.X)
+        diag = verify_regulation(sports, average, ctrl, traj)
+        expected = np.linalg.norm(Ybar, axis=1)
+        assert np.max(np.abs(diag.r_norms - expected)) <= 1e-9 * np.max(expected)
 
     def test_requires_states(self, vehicle_pair):
         sports, average = vehicle_pair
