@@ -20,7 +20,6 @@ from .distort import (
 )
 from .invariance import (
     InvarianceInfeasibleError,
-    KernelAssumptionError,
     KernelPlan,
     LiftedOperators,
     UtilitySpec,

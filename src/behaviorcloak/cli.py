@@ -25,7 +25,6 @@ from .classify import classify
 from .distort import DistortionConfig, run_offline
 from .invariance import (
     InvarianceInfeasibleError,
-    KernelAssumptionError,
     KernelPlan,
     UtilitySpec,
     build_lifted_operators,
@@ -300,7 +299,7 @@ def main(argv=None) -> int:
     except RegulationInfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REGULATION_INFEASIBLE
-    except (KernelAssumptionError, InvarianceInfeasibleError) as exc:
+    except InvarianceInfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANCE_INFEASIBLE
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:

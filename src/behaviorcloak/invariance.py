@@ -14,10 +14,10 @@ z is projected onto Ker[F M], and its response M z is rescaled to the
 requested size.  ``F M`` has only q rows, all formed by one batched
 adjoint apply ``M' F'``, so the projection needs no iteration.  When the
 free and forced parts of the projected response cancel to rounding, or
-the scaled response is not in Ker[F] to rounding, no plan is found: the
-target behaviour meets Ker[F] only at zero.
+the scaled response is not in Ker[F] to rounding, no plan is found:
+Ker[F] is trivial, or the target behaviour meets it only at zero.
 
-``M`` is never formed: ``Ot`` is filled by block doubling, and ``M`` and
+``M`` is never formed, and ``Ot`` and ``Tt`` only on demand: ``M`` and
 its adjoint run the state recursion a block of samples at a time.  Inside
 a block the response is two dense products with fixed block matrices;
 the states at block starts follow from a doubling scan.  A plan costs
@@ -27,7 +27,7 @@ O(q K) work in O(log K) vectorized steps even at paper-scale horizons.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -37,7 +37,6 @@ from .linalg import lstsq_min_norm, pseudoinverse
 from .modes import StateSpaceMode, _power_rows
 
 __all__ = [
-    "KernelAssumptionError",
     "InvarianceInfeasibleError",
     "UtilitySpec",
     "LiftedOperators",
@@ -64,12 +63,8 @@ _INFEASIBLE_RATIO = 1e-8
 _MISS_RATIO = 1e-6
 
 
-class KernelAssumptionError(RuntimeError):
-    """The utility matrix has a trivial kernel; only the zero plan exists."""
-
-
 class InvarianceInfeasibleError(RuntimeError):
-    """The target behaviour meets Ker[F] only at zero."""
+    """Ker[F] is trivial, or the target behaviour meets it only at zero."""
 
 
 @dataclass(frozen=True)
@@ -84,7 +79,6 @@ class UtilitySpec:
     F: np.ndarray
     mu: np.ndarray
     K: int
-    kernel_nontrivial: bool = field(init=False)
 
     def __post_init__(self):
         F = np.atleast_2d(np.array(self.F, dtype=float))
@@ -103,10 +97,6 @@ class UtilitySpec:
         mu.setflags(write=False)
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "mu", mu)
-        # Fewer rows than columns leave Ker[F] nontrivial by dimension count.
-        q, width = F.shape
-        nontrivial = q < width or int(np.linalg.matrix_rank(F)) < width
-        object.__setattr__(self, "kernel_nontrivial", nontrivial)
 
     @property
     def q(self) -> int:
@@ -130,31 +120,33 @@ class UtilitySpec:
 class LiftedOperators:
     """Horizon-K response operators of one mode.
 
-    ``Ot`` is the stacked observability matrix (K*m rows); the Toeplitz
-    forced-response matrix is represented by the Markov parameter
-    sequence ``markov[i] = C A^i B`` and materialized on demand.
-    :meth:`apply`/:meth:`apply_adjoint` never form it: they run the state
+    The stacked observability matrix ``Ot`` (K*m rows) and the Toeplitz
+    forced-response matrix ``Tt`` are formed on demand: ``Ot`` on the
+    first :meth:`fit`, ``Tt`` for dense checks at small horizons.
+    :meth:`apply`/:meth:`apply_adjoint` form neither: they run the state
     recursion a block of samples at a time, with two dense products per
     block and a doubling scan over the block-start states, in O(K) work.
     """
 
+    mode: StateSpaceMode
     K: int
-    Ot: np.ndarray
-    markov: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.Ot.shape[1]
+        return self.mode.n
 
     @property
     def m(self) -> int:
-        return self.markov.shape[1]
+        return self.mode.m
 
     @property
     def l(self) -> int:
-        return self.markov.shape[2]
+        return self.mode.l
+
+    @cached_property
+    def Ot(self) -> np.ndarray:
+        """Stacked observability matrix, rows ``C A^k`` for k < K."""
+        return _power_rows(self.mode.C, self.mode.A, self.K)
 
     @cached_property
     def Tt(self) -> np.ndarray:
@@ -165,21 +157,22 @@ class LiftedOperators:
                 "dense Toeplitz matrix exceeds the size budget at this horizon; "
                 "use apply()/apply_adjoint()"
             )
-        return _block_toeplitz(self.markov, K, K - 1)
+        return _block_toeplitz(self.Ot.reshape(K, m, self.n), self.mode.B, K - 1)
 
     @cached_property
     def _blocks(self) -> tuple:
         """Block count and pieces ``(Ob, Tb, Ctrl, A^b)`` of b samples: from start
         state s, inputs V give outputs ``Ob s + Tb V`` and next ``A^b s + Ctrl V``."""
         b = min(_BLOCK, self.K)
-        Tb = _block_toeplitz(self.markov[: b - 1], b, b)
-        Ctrl = _power_rows(self.B.T, self.A.T, b).reshape(b, self.l, self.n)[::-1]
+        A, B = self.mode.A, self.mode.B
+        Ob = _power_rows(self.mode.C, A, b)
+        Tb = _block_toeplitz(Ob.reshape(b, self.m, self.n), B, b)
+        Ctrl = _power_rows(B.T, A.T, b).reshape(b, self.l, self.n)[::-1]
         Ctrl = Ctrl.reshape(b * self.l, self.n).T.copy()
-        Ab = np.linalg.matrix_power(self.A, b)
-        return -(-self.K // b), self.Ot[: b * self.m], Tb, Ctrl, Ab
+        return -(-self.K // b), Ob, Tb, Ctrl, np.linalg.matrix_power(A, b)
 
     def apply(self, x, U) -> np.ndarray:
-        """Stacked response ``Ot x + Tt U`` without forming ``Tt``."""
+        """Stacked response ``Ot x + Tt U``, forming neither matrix."""
         nb, *pieces = self._blocks
         # numpy's matmul is several times slower on transposed views.
         Ob, Tb, Ctrl, Ab = (piece.T.copy() for piece in pieces)
@@ -193,7 +186,7 @@ class LiftedOperators:
         return out.reshape(-1)[: self.K * self.m]
 
     def apply_adjoint(self, w) -> tuple[np.ndarray, np.ndarray]:
-        """Adjoint pair ``(Ot' w, Tt' w)`` without forming ``Tt``; a stack of
+        """Adjoint pair ``(Ot' w, Tt' w)``, forming neither matrix; a stack of
         weights (q, K*m) gives both results with the same leading axis."""
         nb, Ob, Tb, Ctrl, Ab = self._blocks
         w = np.asarray(w, dtype=float)
@@ -224,24 +217,23 @@ def _pad_blocks(a: np.ndarray, blocks: int, width: int) -> np.ndarray:
     return padded.reshape(len(a), blocks, width)
 
 
-def _block_toeplitz(markov: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Block (i, j) is ``markov[i - j - 1]`` below the diagonal, zero elsewhere."""
+def _block_toeplitz(O: np.ndarray, B: np.ndarray, cols: int) -> np.ndarray:
+    """Forced-response matrix of the row blocks ``O[k] = C A^k`` (k < rows):
+    block (i, j) is ``O[i - j - 1] B`` below the diagonal, zero elsewhere."""
+    rows, m, _ = O.shape
     lag = np.arange(rows)[:, None] - np.arange(cols)
-    padded = np.concatenate([np.zeros((1,) + markov.shape[1:]), markov])
+    padded = np.concatenate([np.zeros((1, m, B.shape[1])), O[: rows - 1] @ B])
     blocks = padded[np.maximum(lag, 0)].transpose(0, 2, 1, 3)
-    return blocks.reshape(rows * markov.shape[1], cols * markov.shape[2])
+    return blocks.reshape(rows * m, cols * B.shape[1])
 
 
 def build_lifted_operators(target_mode: StateSpaceMode, K: int) -> LiftedOperators:
-    """Assemble the horizon-K lifted operators of a mode; row blocks
-    ``C A^k`` are filled by block doubling in O(log K) matrix products.
-    At K = 1 there are no inputs and ``Ot = C``."""
+    """The horizon-K lifted operators of a mode; no whole-horizon array is
+    formed until a fit or a dense check asks.  At K = 1 there are no
+    inputs and ``Ot = C``."""
     if K < 1:
         raise ValueError("horizon must be at least 1")
-    mode = target_mode
-    Ot = _power_rows(mode.C, mode.A, K)
-    markov = (Ot[: (K - 1) * mode.m] @ mode.B).reshape(K - 1, mode.m, mode.l)
-    return LiftedOperators(K, Ot, markov, mode.A, mode.B)
+    return LiftedOperators(target_mode, K)
 
 
 @dataclass(frozen=True)
@@ -325,11 +317,10 @@ def solve_utility_invariance(
 
     Raises
     ------
-    KernelAssumptionError
-        If F has a trivial kernel and a nonzero plan is requested.
     InvarianceInfeasibleError
-        If the target behaviour meets Ker[F] only at zero, or rounding
-        leaves the projected response more than 1e-6 of its size off Ker[F].
+        If Ker[F] is trivial, or the target behaviour meets it only at zero,
+        or rounding leaves the projected response more than 1e-6 of its
+        size off Ker[F].
     """
     if spec.K != ops.K or spec.m != ops.m:
         raise ValueError("utility spec and lifted operators disagree on K or m")
@@ -337,10 +328,6 @@ def solve_utility_invariance(
         raise ValueError(f"magnitude must be finite and nonnegative, got {magnitude}")
     if magnitude == 0.0:
         return KernelPlan.zero(ops.n, ops.K, ops.m, ops.l, seed=seed)
-    if not spec.kernel_nontrivial:
-        raise KernelAssumptionError(
-            "utility matrix has a trivial kernel; only the zero plan preserves it"
-        )
     n = ops.n
     z = np.random.default_rng(seed).standard_normal(n + (ops.K - 1) * ops.l)
     FM = np.hstack(ops.apply_adjoint(spec.F))
@@ -353,11 +340,12 @@ def solve_utility_invariance(
     parts = np.linalg.norm(delta - forced) + np.linalg.norm(forced)
     if norm <= _INFEASIBLE_RATIO * parts or miss > _MISS_RATIO * norm:
         raise InvarianceInfeasibleError(
-            "the target behaviour meets Ker[F] only at zero, or rounding swamps "
-            "the projection at this horizon; no nonzero plan found"
+            "Ker[F] is trivial or the target behaviour meets it only at zero, or "
+            "rounding swamps the projection at this horizon; no nonzero plan found"
         )
     scale = magnitude / norm
-    projected, delta = projected * scale, delta * scale
+    projected *= scale
+    delta *= scale
     return KernelPlan(
         x2_init=projected[:n],
         U2=projected[n:].reshape(ops.K - 1, ops.l),

@@ -45,6 +45,18 @@ def _frozen_array(value, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def _samples(value, name: str) -> np.ndarray:
+    """Frozen float array of one row per sample (a vector becomes a column);
+    ValueError naming the array and the 1-based sample of a non-finite entry."""
+    arr = np.array(value, dtype=float)
+    arr = arr.reshape(-1, 1) if arr.ndim == 1 else arr
+    if not np.isfinite(arr).all():
+        bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))[0]
+        raise ValueError(f"trajectory {name} is not finite at sample {bad + 1}")
+    arr.setflags(write=False)
+    return arr
+
+
 def _vector(value, size: int, name: str) -> np.ndarray:
     """``value`` as a flat float vector; ValueError unless it has ``size`` entries."""
     v = np.asarray(value, dtype=float).reshape(-1)
@@ -152,12 +164,7 @@ class Trajectory:
     X: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        U = np.array(self.U, dtype=float)
-        Y = np.array(self.Y, dtype=float)
-        if U.ndim == 1:
-            U = U.reshape(-1, 1)
-        if Y.ndim == 1:
-            Y = Y.reshape(-1, 1)
+        U, Y = _samples(self.U, "U"), _samples(self.Y, "Y")
         if Y.shape[0] < 2:
             raise ValueError("a trajectory needs a horizon of at least K = 2")
         if U.shape[0] != Y.shape[0] - 1:
@@ -165,17 +172,12 @@ class Trajectory:
                 f"expected {Y.shape[0] - 1} input samples for {Y.shape[0]} outputs, "
                 f"got {U.shape[0]}"
             )
-        U.setflags(write=False)
-        Y.setflags(write=False)
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "Y", Y)
         if self.X is not None:
-            X = np.array(self.X, dtype=float)
-            if X.ndim == 1:
-                X = X.reshape(-1, 1)
+            X = _samples(self.X, "X")
             if X.shape[0] != Y.shape[0]:
                 raise ValueError("X must record one state per output sample")
-            X.setflags(write=False)
             object.__setattr__(self, "X", X)
 
     @property

@@ -84,22 +84,16 @@ def fixed_point_riccati_gain(mode):
     raise RuntimeError("Riccati fixed-point iteration did not converge")
 
 
-def iterated_lifted_blocks(mode, K):
-    """Lifted blocks by iterated multiplication, one step at a time.
-
-    Returns the stacked observability matrix (rows ``C A^k``, k < K) and
-    the Markov parameters ``C A^i B`` (i < K - 1) with the layout of
-    ``LiftedOperators.Ot`` and ``LiftedOperators.markov``.
-    """
+def iterated_observability(mode, K):
+    """Stacked observability matrix (rows ``C A^k``, k < K) by iterated
+    multiplication, one step at a time, in the layout of
+    ``LiftedOperators.Ot``."""
     Ot = np.empty((K * mode.m, mode.n))
-    markov = np.empty((K - 1, mode.m, mode.l))
     row = mode.C
     for k in range(K):
         Ot[k * mode.m : (k + 1) * mode.m] = row
-        if k < K - 1:
-            markov[k] = row @ mode.B
-            row = row @ mode.A
-    return Ot, markov
+        row = row @ mode.A
+    return Ot
 
 
 def dense_kernel_plan(ops, spec, magnitude, seed) -> KernelPlan:

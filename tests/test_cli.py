@@ -8,7 +8,6 @@ from behaviorcloak import (
     KernelPlan,
     ModeBank,
     StateSpaceMode,
-    Trajectory,
     UtilitySpec,
     load_kernel_plan,
     load_mode_bank,
@@ -30,6 +29,16 @@ def run_cli(capsys, *argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip() else None
+
+
+def with_nan_cell(src, dst, column, row=6):
+    """Copy a trajectory CSV with the cell ``column`` of 1-based data row
+    ``row`` replaced by ``nan``."""
+    lines = src.read_bytes().decode().split("\r\n")
+    cells = lines[row].split(",")
+    cells[lines[0].split(",").index(column)] = "nan"
+    lines[row] = ",".join(cells)
+    dst.write_bytes("\r\n".join(lines).encode())
 
 
 @pytest.fixture()
@@ -122,22 +131,23 @@ class TestDesignCommand:
         assert code == 2
 
     def test_trivial_kernel_exit_code(self, capsys, vehicle_bank_path, tmp_path):
+        # An invertible F, and a tall one with a trivial kernel.
         utility_path = tmp_path / "utility.json"
-        save_utility_spec(
-            UtilitySpec(F=np.eye(4), mu=np.zeros(4), K=4), utility_path
-        )
-        code = main(
-            [
-                "design",
-                "--bank", str(vehicle_bank_path),
-                "--true-mode", "1",
-                "--target-mode", "2",
-                "--utility", str(utility_path),
-                "--K", "4",
-                "--out", str(tmp_path / "x"),
-            ]
-        )
-        assert code == 4
+        for F in (np.eye(4), np.vstack([np.eye(4), np.ones((1, 4))])):
+            save_utility_spec(UtilitySpec(F=F, mu=np.zeros(len(F)), K=4), utility_path)
+            code = main(
+                [
+                    "design",
+                    "--bank", str(vehicle_bank_path),
+                    "--true-mode", "1",
+                    "--target-mode", "2",
+                    "--utility", str(utility_path),
+                    "--K", "4",
+                    "--out", str(tmp_path / "x"),
+                ]
+            )
+            assert code == 4
+            assert "Ker[F] is trivial" in capsys.readouterr().err
 
     def test_unstable_target_long_horizon(self, capsys, tmp_path):
         # The pole at 1.05 is unreachable from the input; plans exist at
@@ -336,17 +346,34 @@ class TestDistortAndClassify:
         assert not out_csv.exists()
 
     def test_non_finite_output_fails_the_utility_check(self, capsys, designed, tmp_path):
-        # A NaN gap compares False with the tolerance; it must still fail.
+        # A NaN output is refused on reading, before any replay or check.
         _, _, traj_path = designed
-        traj = read_trajectory_csv(traj_path)
-        Y = traj.Y.copy()
-        Y[10, 0] = np.nan
         nan_path = tmp_path / "nan.csv"
-        write_trajectory_csv(Trajectory(U=traj.U, Y=Y, X=traj.X), nan_path)
+        with_nan_cell(traj_path, nan_path, "y_1", row=11)
         out_csv = tmp_path / "distorted.csv"
-        assert self.distort(designed, nan_path, out_csv) == 1
-        assert "changes this utility" in capsys.readouterr().err
+        assert self.distort(designed, nan_path, out_csv) == 2
+        assert "trajectory Y is not finite at sample 11" in capsys.readouterr().err
         assert not out_csv.exists()
+
+    def test_nan_state_cell_is_bad_input(self, capsys, designed, tmp_path):
+        # The utility check sees only outputs; the state must be refused.
+        _, _, traj_path = designed
+        nan_path = tmp_path / "nan.csv"
+        with_nan_cell(traj_path, nan_path, "x_1")
+        out_csv = tmp_path / "distorted.csv"
+        assert self.distort(designed, nan_path, out_csv) == 2
+        assert "trajectory X is not finite at sample 6" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    def test_nan_output_cell_is_bad_input(self, capsys, designed, tmp_path):
+        bank_path, _, traj_path = designed
+        nan_path = tmp_path / "nan.csv"
+        with_nan_cell(traj_path, nan_path, "y_1")
+        code = main(["classify", "--bank", str(bank_path), "--input", str(nan_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "trajectory Y is not finite at sample 6" in captured.err
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-6"])
     def test_bad_accept_tol_is_bad_input(self, capsys, designed, tol):

@@ -10,7 +10,6 @@ import behaviorcloak
 import support
 from behaviorcloak import (
     InvarianceInfeasibleError,
-    KernelAssumptionError,
     KernelPlan,
     StateSpaceMode,
     UtilitySpec,
@@ -60,7 +59,6 @@ class TestUtilitySpec:
         spec = UtilitySpec.average(4, m=1)
         np.testing.assert_allclose(spec.F, np.full((1, 4), 0.25))
         np.testing.assert_array_equal(spec.mu, [0.0])
-        assert spec.kernel_nontrivial
         assert spec.utility(np.array([1.0, 2.0, 3.0, 4.0])) == pytest.approx([2.5])
 
     def test_average_multichannel(self):
@@ -70,13 +68,9 @@ class TestUtilitySpec:
         y = np.array([1.0, 10.0, 2.0, 20.0, 3.0, 30.0])
         np.testing.assert_allclose(spec.utility(y), [2.0, 20.0])
 
-    def test_kernel_trivial_flag(self):
-        spec = UtilitySpec(F=np.eye(4), mu=np.zeros(4), K=2)
-        assert not spec.kernel_nontrivial
-
-    def test_rank_is_counted_only_without_more_columns_than_rows(self, monkeypatch):
-        # With q < K m, Ker[F] is nontrivial by dimension count: a mean per
-        # one-minute window over one hour at 10 Hz makes no SVD of F.
+    def test_makes_no_rank_call(self, monkeypatch):
+        # A trivial Ker[F] is found by the plan solver's projection, so the
+        # spec needs no SVD of F, whatever its shape.
         rank_calls = []
         matrix_rank = np.linalg.matrix_rank
 
@@ -86,13 +80,12 @@ class TestUtilitySpec:
 
         monkeypatch.setattr(np.linalg, "matrix_rank", counted_rank)
         K, q = 36000, 600
-        windowed = UtilitySpec(
+        UtilitySpec(
             F=np.kron(np.eye(q), np.full((1, K // q), q / K)), mu=np.zeros(q), K=K
         )
-        assert windowed.kernel_nontrivial
+        UtilitySpec(F=np.eye(4), mu=np.zeros(4), K=2)
+        UtilitySpec(F=np.vstack([np.eye(4), np.ones((1, 4))]), mu=np.zeros(5), K=4)
         assert rank_calls == []
-        assert not UtilitySpec(F=np.eye(4), mu=np.zeros(4), K=2).kernel_nontrivial
-        assert rank_calls == [(4, 4)]
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -285,9 +278,18 @@ class TestBuildLiftedOperators:
         # oracle's own rounding error, hence its shorter horizon.
         mode = make_mode()
         ops = build_lifted_operators(mode, K)
-        Ot, markov = support.iterated_lifted_blocks(mode, K)
+        Ot = support.iterated_observability(mode, K)
         assert np.linalg.norm(ops.Ot - Ot) <= 1e-12 * np.linalg.norm(Ot)
-        assert np.linalg.norm(ops.markov - markov) <= 1e-12 * np.linalg.norm(markov)
+
+    def test_whole_horizon_arrays_wait_for_a_fit(self):
+        # A plan at the one-hour horizon reads only the first block of
+        # samples; Ot is formed on the first fit, Tt never.
+        ops = build_lifted_operators(vehicle_demo_bank().mode(2), 36000)
+        plan = solve_utility_invariance(ops, UtilitySpec.average(36000), seed=3)
+        assert "Ot" not in vars(ops) and "Tt" not in vars(ops)
+        _, residual = ops.fit(plan.delta_Y, plan.U2)
+        assert "Ot" in vars(ops) and "Tt" not in vars(ops)
+        assert residual <= 1e-9
 
 
 def test_hour_session_makes_no_fft(monkeypatch):
@@ -390,11 +392,37 @@ class TestSolveUtilityInvariance:
     def test_trivial_kernel_raises(self):
         ops = build_lifted_operators(support.scalar_mode(0.8), 2)
         spec = UtilitySpec(F=np.eye(2), mu=np.zeros(2), K=2)
-        with pytest.raises(KernelAssumptionError):
+        with pytest.raises(InvarianceInfeasibleError):
             solve_utility_invariance(ops, spec, magnitude=1.0)
         # ... but the zero plan is still fine.
         plan = solve_utility_invariance(ops, spec, magnitude=0.0)
         assert plan.magnitude == 0.0
+
+    @pytest.mark.parametrize(
+        "K, F",
+        [
+            (2, np.eye(2)),
+            (200, np.eye(200)),
+            (200, np.vstack([np.eye(200), np.ones((1, 200))])),
+        ],
+        ids=["identity-2", "identity-200", "tall-200"],
+    )
+    def test_trivial_kernels_are_refused(self, K, F):
+        # The projected response is rounding: the projection refuses it.
+        ops = build_lifted_operators(vehicle_demo_bank().mode(2), K)
+        spec = UtilitySpec(F=F, mu=np.zeros(len(F)), K=K)
+        with pytest.raises(InvarianceInfeasibleError):
+            solve_utility_invariance(ops, spec, magnitude=1.0, seed=0)
+
+    def test_rank_deficient_square_utility_gets_a_plan(self):
+        K = 200
+        F = np.random.default_rng(22).standard_normal((K, K))
+        F[-1] = F[0] + F[1]
+        ops = build_lifted_operators(vehicle_demo_bank().mode(2), K)
+        spec = UtilitySpec(F=F, mu=np.zeros(K), K=K)
+        plan = solve_utility_invariance(ops, spec, magnitude=1.0, seed=0)
+        assert abs(np.linalg.norm(plan.delta_Y) - 1.0) <= 1e-12
+        assert np.linalg.norm(F @ plan.delta_Y) <= 1e-9
 
     def test_unreachable_kernel_raises(self):
         rng = np.random.default_rng(21)

@@ -7,7 +7,6 @@ from behaviorcloak import (
     ModeBank,
     StateSpaceMode,
     Trajectory,
-    UtilitySpec,
     discretize_zoh,
     load_mode_bank,
     longitudinal_vehicle_mode,
@@ -138,8 +137,6 @@ class TestValidateMode:
 
         monkeypatch.setattr(np.linalg, "matrix_rank", matrix_rank_1x)
         assert validate_mode(support.double_integrator()).passed
-        assert UtilitySpec.average(5).kernel_nontrivial
-        assert not UtilitySpec(F=np.eye(2), mu=np.zeros(2), K=2).kernel_nontrivial
 
 
 class TestDiscretizeZoh:

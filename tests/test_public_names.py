@@ -2,14 +2,18 @@
 
 Tier-1 runs neither ``bench/`` nor ``demos/``, so a removed or renamed
 public name would break them without failing a test.  These tests read
-their source and resolve every name they take from ``behaviorcloak``.
+their source and resolve every name they take from ``behaviorcloak``,
+and run the README's library example.
 """
 
 import ast
+import contextlib
 import importlib
+import io
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import behaviorcloak
@@ -54,3 +58,21 @@ def test_demo_imports_resolve(path):
         if not hasattr(importlib.import_module(module), name)
     ]
     assert not missing, f"{path.name} imports {missing}"
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    snippet = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    namespace, out = {}, io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(snippet, namespace)
+    lines = out.getvalue().splitlines()
+    assert lines[:2] == ["1", "2"]
+    original, cloaked = re.findall(r"\[[^]]*\]", lines[2])
+    assert original == cloaked
+    spec = namespace["spec"]
+    np.testing.assert_allclose(
+        spec.utility(namespace["cloaked"].Ybar.reshape(-1)),
+        spec.utility(namespace["drive"].stacked_outputs()),
+        rtol=1e-12,
+    )
