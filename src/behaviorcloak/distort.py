@@ -9,10 +9,10 @@ the affine replay
     ubar(k) = Gamma x(k) + Theta u(k) + U2(k),   ybar(k) = y(k) + dY(k),
 
 an exact trajectory of the target mode.  :func:`run_offline` evaluates it
-for all samples at once and :meth:`DistortionEngine.step` for one sample,
-in the same operation order.  Without recorded states the first n samples
-are withheld: they recover the start state by deadbeat reconstruction,
-and :func:`simulate_mode` runs the source model on from it.
+for all samples at once and :meth:`DistortionEngine.step` for one sample;
+the two agree bitwise with recorded states and to rounding without them.
+Then the first n samples are withheld: they recover the start state by
+deadbeat reconstruction, and the source model runs on from it.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def reconstruct_state(mode: StateSpaceMode, U_window, Y_window) -> np.ndarray:
     ``Y_window`` holds at least n consecutive outputs and ``U_window`` the
     inputs between them (one fewer).  The state is the least squares fit
     of the lifted response equations, :meth:`LiftedOperators.fit`; it is
-    exact for noise-free data.  ``simulate_mode`` carries it forward.
+    exact for noise-free data.
 
     Raises
     ------
@@ -176,9 +176,13 @@ class DistortionEngine:
             self._y_buf.append(y)
             self._u_buf.append(u)
             if len(self._y_buf) == src.n:
-                x1 = reconstruct_state(src, np.array(self._u_buf[:-1]), np.array(self._y_buf))
+                x = reconstruct_state(src, np.array(self._u_buf[:-1]), np.array(self._y_buf))
                 if not last:
-                    self._xhat = simulate_mode(src, x1, np.array(self._u_buf)).X[-1]
+                    for u_k in self._u_buf:
+                        x = src.A @ x + src.B @ u_k
+                    if not np.isfinite(x).all():
+                        raise ValueError("reconstruction window is not finite")
+                    self._xhat = x
             return None
 
         ybar = y + self._dY[k - 1]
@@ -210,10 +214,10 @@ class DistortedTrajectory:
 def run_offline(cfg: DistortionConfig, traj: Trajectory) -> DistortedTrajectory:
     """Cloak a recorded trajectory with the affine replay, all samples at once.
 
-    Equal to folding :meth:`DistortionEngine.step` over the samples in
-    order.  Without recorded states the first n samples are withheld:
-    they recover the start state, and :func:`simulate_mode` runs the
-    source model from it over the whole input sequence.
+    Folding :meth:`DistortionEngine.step` over the samples in order gives
+    the same rows: bitwise with recorded states, to rounding without them.
+    Then the first n samples are withheld: they recover the start state,
+    and :func:`simulate_mode` runs the source model on from it.
     """
     if traj.K != cfg.K:
         raise ValueError(f"trajectory horizon {traj.K} does not match configured {cfg.K}")

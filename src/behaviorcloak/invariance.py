@@ -18,10 +18,11 @@ the scaled response is not in Ker[F] to rounding, no plan is found:
 Ker[F] is trivial, or the target behaviour meets it only at zero.
 
 ``M`` is never formed, and ``Ot`` and ``Tt`` only on demand: ``M`` and
-its adjoint run the state recursion a block of samples at a time.  Inside
-a block the response is two dense products with fixed block matrices;
-the states at block starts follow from a doubling scan.  A plan costs
-O(q K) work in O(log K) vectorized steps even at paper-scale horizons.
+its adjoint run the state recursion a block of samples at a time (the
+block scan of :mod:`.modes`).  Inside a block the response is two dense
+products with fixed block matrices; the states at block starts follow
+from a doubling scan.  A plan costs O(q K) work in O(log K) vectorized
+steps even at paper-scale horizons.
 """
 
 from __future__ import annotations
@@ -34,7 +35,16 @@ from typing import Optional
 import numpy as np
 
 from .linalg import lstsq_min_norm, pseudoinverse
-from .modes import StateSpaceMode, _power_rows
+from .modes import (
+    _BLOCK,
+    StateSpaceMode,
+    _block_pieces,
+    _block_response,
+    _block_toeplitz,
+    _pad_blocks,
+    _power_rows,
+    _scan,
+)
 
 __all__ = [
     "InvarianceInfeasibleError",
@@ -51,9 +61,6 @@ __all__ = [
 
 # Entry budget above which dense lifted matrices are refused.
 _DENSE_ENTRY_LIMIT = 4_000_000
-
-# Samples per block of the state recursion in LiftedOperators.
-_BLOCK = 16
 
 # A projected response is rounding, not a plan, if it is this small next to
 # the sum of its free and forced parts (they cancel), or if its distance from
@@ -161,70 +168,34 @@ class LiftedOperators:
 
     @cached_property
     def _blocks(self) -> tuple:
-        """Block count and pieces ``(Ob, Tb, Ctrl, A^b)`` of b samples: from start
-        state s, inputs V give outputs ``Ob s + Tb V`` and next ``A^b s + Ctrl V``."""
-        b = min(_BLOCK, self.K)
-        A, B = self.mode.A, self.mode.B
-        Ob = _power_rows(self.mode.C, A, b)
-        Tb = _block_toeplitz(Ob.reshape(b, self.m, self.n), B, b)
-        Ctrl = _power_rows(B.T, A.T, b).reshape(b, self.l, self.n)[::-1]
-        Ctrl = Ctrl.reshape(b * self.l, self.n).T.copy()
-        return -(-self.K // b), Ob, Tb, Ctrl, np.linalg.matrix_power(A, b)
+        """The mode's :func:`_block_pieces`, read by :meth:`apply_adjoint`."""
+        return _block_pieces(self.mode.A, self.mode.B, self.mode.C)
+
+    @cached_property
+    def _blocks_t(self) -> tuple:
+        """Their contiguous transposes, read by :meth:`apply`."""
+        return tuple(piece.T.copy() for piece in self._blocks)
 
     def apply(self, x, U) -> np.ndarray:
         """Stacked response ``Ot x + Tt U``, forming neither matrix."""
-        nb, *pieces = self._blocks
-        # numpy's matmul is several times slower on transposed views.
-        Ob, Tb, Ctrl, Ab = (piece.T.copy() for piece in pieces)
-        V = _pad_blocks(np.reshape(U, (1, (self.K - 1) * self.l)), nb, len(Tb))[0]
-        S = np.concatenate([np.reshape(x, (1, self.n)), V[:-1] @ Ctrl])
-        step, s = Ab, 1
-        while s < nb:
-            S[s:] += S[:-s] @ step
-            step, s = step @ step, 2 * s
-        out = S @ Ob + V @ Tb
-        return out.reshape(-1)[: self.K * self.m]
+        return _block_response(self._blocks_t, x, U, self.K)
 
     def apply_adjoint(self, w) -> tuple[np.ndarray, np.ndarray]:
         """Adjoint pair ``(Ot' w, Tt' w)``, forming neither matrix; a stack of
         weights (q, K*m) gives both results with the same leading axis."""
-        nb, Ob, Tb, Ctrl, Ab = self._blocks
-        w = np.asarray(w, dtype=float)
-        lead = w.shape[:-1]
-        W = w.reshape(np.prod(lead, dtype=int), self.K * self.m)
-        W = _pad_blocks(W, nb, len(Ob))
+        Ob, Tb, Ctrl, Ab = self._blocks
+        w = np.reshape(np.asarray(w, dtype=float), np.shape(w)[:-1] + (self.K * self.m,))
+        W = _pad_blocks(w, -(-self.K // _BLOCK), len(Ob))
         costate = W @ Ob
-        step, s = Ab, 1
-        while s < nb:
-            costate[:, :-s] += costate[:, s:] @ step
-            step, s = step @ step, 2 * s
+        _scan(costate, Ab, reverse=True)
         U_adj = W @ Tb
-        U_adj[:, :-1] += costate[:, 1:] @ Ctrl
-        U_adj = U_adj.reshape(lead + (-1,))[..., : (self.K - 1) * self.l]
-        return costate[:, 0].reshape(lead + (-1,)), U_adj
+        U_adj[..., :-1, :] += costate[..., 1:, :] @ Ctrl
+        U_adj = U_adj.reshape(W.shape[:-2] + (-1,))
+        return costate[..., 0, :], U_adj[..., : (self.K - 1) * self.l]
 
     def fit(self, Y, U) -> tuple[np.ndarray, float]:
         """Least-squares inverse of :meth:`apply` in x: ``(x, min ||Y - Ot x - Tt U||)``."""
         return lstsq_min_norm(self.Ot, np.reshape(Y, -1) - self.apply(np.zeros(self.n), U))
-
-
-def _pad_blocks(a: np.ndarray, blocks: int, width: int) -> np.ndarray:
-    """Rows of ``a`` zero-padded to whole blocks: shape (rows, blocks, width)."""
-    if a.shape[1] == blocks * width:
-        return a.reshape(len(a), blocks, width)
-    padded = np.zeros((len(a), blocks * width))
-    padded[:, : a.shape[1]] = a
-    return padded.reshape(len(a), blocks, width)
-
-
-def _block_toeplitz(O: np.ndarray, B: np.ndarray, cols: int) -> np.ndarray:
-    """Forced-response matrix of the row blocks ``O[k] = C A^k`` (k < rows):
-    block (i, j) is ``O[i - j - 1] B`` below the diagonal, zero elsewhere."""
-    rows, m, _ = O.shape
-    lag = np.arange(rows)[:, None] - np.arange(cols)
-    padded = np.concatenate([np.zeros((1, m, B.shape[1])), O[: rows - 1] @ B])
-    blocks = padded[np.maximum(lag, 0)].transpose(0, 2, 1, 3)
-    return blocks.reshape(rows * m, cols * B.shape[1])
 
 
 def build_lifted_operators(target_mode: StateSpaceMode, K: int) -> LiftedOperators:

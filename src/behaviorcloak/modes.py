@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -102,6 +103,11 @@ class StateSpaceMode:
     def l(self) -> int:
         """Input dimension."""
         return self.B.shape[1]
+
+    @cached_property
+    def _state_blocks(self) -> tuple:
+        """Transposed :func:`_block_pieces` of the states (``C = I``)."""
+        return tuple(p.T.copy() for p in _block_pieces(self.A, self.B, np.eye(self.n)))
 
 
 @dataclass(frozen=True)
@@ -261,6 +267,10 @@ class ModeValidationReport:
         }
 
 
+# Samples per block of the blocked state recursion.
+_BLOCK = 16
+
+
 def _power_rows(first: np.ndarray, A: np.ndarray, count: int) -> np.ndarray:
     """Stack ``first A^k``, k < count, by block doubling: the first s blocks
     times ``A^s`` give the next s, so it takes O(log count) products."""
@@ -271,9 +281,68 @@ def _power_rows(first: np.ndarray, A: np.ndarray, count: int) -> np.ndarray:
     while s < count:
         t = min(s, count - s)
         out[s * r : (s + t) * r] = out[: t * r] @ power
-        power = power @ power
         s += t
+        if s < count:  # no power past the last one used: it may overflow
+            power = power @ power
     return out
+
+
+def _block_toeplitz(O: np.ndarray, B: np.ndarray, cols: int) -> np.ndarray:
+    """Forced-response matrix of the row blocks ``O[k] = C A^k`` (k < rows):
+    block (i, j) is ``O[i - j - 1] B`` below the diagonal, zero elsewhere."""
+    rows, m, _ = O.shape
+    lag = np.arange(rows)[:, None] - np.arange(cols)
+    padded = np.concatenate([np.zeros((1, m, B.shape[1])), O[: rows - 1] @ B])
+    blocks = padded[np.maximum(lag, 0)].transpose(0, 2, 1, 3)
+    return blocks.reshape(rows * m, cols * B.shape[1])
+
+
+def _pad_blocks(a: np.ndarray, blocks: int, width: int) -> np.ndarray:
+    """``a`` zero-padded along its last axis to whole blocks: (..., blocks, width)."""
+    if a.shape[-1] < blocks * width:
+        padded = np.zeros(a.shape[:-1] + (blocks * width,))
+        padded[..., : a.shape[-1]] = a
+        a = padded
+    return a.reshape(a.shape[:-1] + (blocks, width))
+
+
+def _block_pieces(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> tuple:
+    """``(Ob, Tb, Ctrl, A^b)`` of b = ``_BLOCK`` samples: from state s, inputs V
+    give outputs ``Ob s + Tb V`` and next state ``A^b s + Ctrl V``."""
+    (n, l), b = B.shape, _BLOCK
+    Ob = _power_rows(C, A, b)
+    Tb = _block_toeplitz(Ob.reshape(b, -1, n), B, b)
+    Ctrl = _power_rows(B.T, A.T, b).reshape(b, l, n)[::-1].reshape(b * l, n).T
+    return Ob, Tb, np.ascontiguousarray(Ctrl), np.linalg.matrix_power(A, b)
+
+
+def _scan(S: np.ndarray, step: np.ndarray, reverse: bool = False) -> None:
+    """Doubling scan over axis -2, in place: ``S[j]`` becomes the sum of ``S[i]
+    step^|j - i|`` over i <= j (i >= j if ``reverse``), in O(log) products."""
+    count, s = S.shape[-2], 1
+    while s < count:
+        if reverse:
+            S[..., :-s, :] += S[..., s:, :] @ step
+        else:
+            S[..., s:, :] += S[..., :-s, :] @ step
+        s *= 2
+        if s < count:  # no power past the last pass: it may overflow
+            step = step @ step
+
+
+def _block_response(pieces_t: tuple, x, U, K: int) -> np.ndarray:
+    """Stacked outputs y(1..K) from state ``x`` under the K - 1 inputs ``U``: two
+    products per block, and the block-start states by one :func:`_scan`.
+
+    ``pieces_t`` are the :func:`_block_pieces` transposed into contiguous
+    arrays: numpy's matmul is several times slower on transposed views.
+    """
+    Ob, Tb, Ctrl, Ab = pieces_t
+    nb, l = -(-K // _BLOCK), len(Tb) // _BLOCK
+    V = _pad_blocks(np.reshape(U, (1, (K - 1) * l)), nb, len(Tb))[0]
+    S = np.concatenate([np.reshape(x, (1, len(Ab))), V[:-1] @ Ctrl])
+    _scan(S, Ab)
+    return (S @ Ob + V @ Tb).reshape(-1)[: K * Ob.shape[1] // _BLOCK]
 
 
 def validate_mode(mode: StateSpaceMode) -> ModeValidationReport:
@@ -321,7 +390,8 @@ def simulate_mode(mode: StateSpaceMode, x1, U) -> Trajectory:
     """Run the defining recursion from ``x1`` under the input sequence ``U``.
 
     ``U`` has one row per step, K-1 rows total; the returned trajectory
-    records the state sequence.
+    records the state sequence.  The states are the block scan
+    :func:`_block_response` with ``C = I``, and the outputs are ``X C'``.
     """
     x1 = _vector(x1, mode.n, "x1")
     U = np.asarray(U, dtype=float)
@@ -330,15 +400,8 @@ def simulate_mode(mode: StateSpaceMode, x1, U) -> Trajectory:
     if U.shape[1] != mode.l:
         raise ValueError(f"U has {U.shape[1]} input channels, expected {mode.l}")
     K = U.shape[0] + 1
-    X = np.empty((K, mode.n))
-    Y = np.empty((K, mode.m))
-    x = x1
-    for k in range(K):
-        X[k] = x
-        Y[k] = mode.C @ x
-        if k < K - 1:
-            x = mode.A @ x + mode.B @ U[k]
-    return Trajectory(U=U, Y=Y, X=X)
+    X = _block_response(mode._state_blocks, x1, U, K).reshape(K, mode.n)
+    return Trajectory(U=U, Y=X @ mode.C.T, X=X)
 
 
 def longitudinal_vehicle_mode(

@@ -52,6 +52,25 @@ def random_trajectory(rng, mode, K, input_scale=1.0) -> Trajectory:
     return simulate_mode(mode, x1, U)
 
 
+def loop_simulate(mode, x1, U):
+    """States and outputs ``(X, Y)`` of the defining recursion, one sample at a
+    time in Python; the reference for ``simulate_mode``."""
+    x1 = np.asarray(x1, dtype=float).reshape(-1)
+    U = np.asarray(U, dtype=float)
+    if U.ndim == 1:
+        U = U.reshape(-1, 1)
+    K = U.shape[0] + 1
+    X = np.empty((K, mode.n))
+    Y = np.empty((K, mode.m))
+    x = x1
+    for k in range(K):
+        X[k] = x
+        Y[k] = mode.C @ x
+        if k < K - 1:
+            x = mode.A @ x + mode.B @ U[k]
+    return X, Y
+
+
 def double_integrator(mode_id=1, h=0.1) -> StateSpaceMode:
     """Observable, controllable double integrator with position output."""
     return StateSpaceMode(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from behaviorcloak import (
     ModeBank,
     StateSpaceMode,
     Trajectory,
+    build_lifted_operators,
     discretize_zoh,
     load_mode_bank,
     longitudinal_vehicle_mode,
@@ -17,7 +20,7 @@ from behaviorcloak import (
     vehicle_demo_bank,
     write_trajectory_csv,
 )
-from behaviorcloak.modes import _ROWS_PER_BLOCK
+from behaviorcloak.modes import _ROWS_PER_BLOCK, _power_rows
 
 # Printed discrete-time vehicle blocks, columns A | B.
 SPORTS_AB = np.array(
@@ -187,6 +190,31 @@ class TestDiscretizeZoh:
                 np.testing.assert_allclose(x_exact, x_rk4, rtol=1e-6, atol=1e-9)
 
 
+def oracle_mode(case):
+    if case in ("sports", "average"):
+        return vehicle_demo_bank().mode(1 if case == "sports" else 2)
+    if case == "mimo":
+        return support.random_valid_mode(np.random.default_rng(9), n=4, m=2, l=2)
+    if case == "random":
+        return support.random_valid_mode(np.random.default_rng(7))
+    return StateSpaceMode(1, A=np.diag([1.05, 0.7]), B=[[0.0], [1.0]], C=[[1.0, 1.0]])
+
+
+# Modes and horizons on which simulate_mode is checked against the
+# sample-by-sample recursion.
+ORACLE_CASES = [
+    (case, K)
+    for case, horizons in (
+        ("sports", (2, 17, 500, 36000)),
+        ("average", (2, 17, 500, 36000)),
+        ("mimo", (2, 17, 500, 36000)),
+        ("unstable", (2, 17, 600, 2000)),
+        ("random", (40,)),
+    )
+    for K in horizons
+]
+
+
 class TestSimulateMode:
     def test_geometric_decay(self):
         traj = simulate_mode(support.scalar_mode(0.5), [1.0], np.zeros((2, 1)))
@@ -202,15 +230,35 @@ class TestSimulateMode:
         np.testing.assert_array_equal(traj.Y, np.zeros((10, 1)))
 
     def test_defining_recursion_is_exact(self):
-        rng = np.random.default_rng(7)
-        mode = support.random_valid_mode(rng)
-        traj = support.random_trajectory(rng, mode, K=40)
-        for k in range(traj.K):
-            np.testing.assert_array_equal(traj.Y[k], mode.C @ traj.X[k])
-            if k < traj.K - 1:
-                np.testing.assert_array_equal(
-                    traj.X[k + 1], mode.A @ traj.X[k] + mode.B @ traj.U[k]
-                )
+        # The block scan matches the recursion one sample at a time: states
+        # and outputs to 1e-12 of the recursion's largest entry.
+        for case, K in ORACLE_CASES:
+            mode = oracle_mode(case)
+            rng = np.random.default_rng(K)
+            x1, U = rng.standard_normal(mode.n), rng.uniform(-1.0, 1.0, (K - 1, mode.l))
+            traj = simulate_mode(mode, x1, U)
+            X, Y = support.loop_simulate(mode, x1, U)
+            assert np.max(np.abs(traj.X - X)) <= 1e-12 * np.max(np.abs(X)), (case, K)
+            assert np.max(np.abs(traj.Y - Y)) <= 1e-12 * np.max(np.abs(Y)), (case, K)
+
+    def test_unstable_long_horizon_raises_no_overflow(self):
+        # 1.05^14000 is about 1e296: finite, but one squaring past the last
+        # power used overflows.
+        mode = oracle_mode("unstable")
+        K = 14000
+        rng = np.random.default_rng(8)
+        x, U = rng.standard_normal(2), rng.uniform(-1.0, 1.0, (K - 1, 1))
+        ops = build_lifted_operators(mode, K)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = [
+                simulate_mode(mode, x, U).X,
+                ops.apply(x, U),
+                *ops.apply_adjoint(rng.standard_normal(K)),
+                _power_rows(mode.C, mode.A, K),
+            ]
+        assert all(np.isfinite(r).all() for r in results)
+        assert np.max(np.abs(results[0])) > 1e290
 
     def test_dimension_mismatch(self):
         mode = support.double_integrator()
