@@ -18,6 +18,7 @@ deadbeat reconstruction, and the source model runs on from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -207,8 +208,14 @@ class DistortedTrajectory:
     Ybar: np.ndarray
     k_start: int = 1
 
-    def to_trajectory(self) -> Trajectory:
+    @cached_property
+    def _trajectory(self) -> Trajectory:
         return Trajectory(U=self.Ubar, Y=self.Ybar)
+
+    def to_trajectory(self) -> Trajectory:
+        """The emitted pair as a frozen :class:`Trajectory`, built on the first
+        call; it keeps frozen float arrays (``run_offline``'s) uncopied."""
+        return self._trajectory
 
 
 def run_offline(cfg: DistortionConfig, traj: Trajectory) -> DistortedTrajectory:
@@ -239,4 +246,7 @@ def run_offline(cfg: DistortionConfig, traj: Trajectory) -> DistortedTrajectory:
     U = traj.U[s:]
     # np.dot: for l = 1, matmul's (K, 1) @ (1, 1) loop is about 5x slower.
     Ubar = X[:-1] @ Gamma.T + np.dot(U, Theta.T) + U2[s:]
-    return DistortedTrajectory(Ubar=Ubar, Ybar=traj.Y[s:] + dY[s:], k_start=s + 1)
+    Ybar = traj.Y[s:] + dY[s:]
+    Ubar.setflags(write=False)  # frozen owners: to_trajectory() keeps them uncopied
+    Ybar.setflags(write=False)
+    return DistortedTrajectory(Ubar=Ubar, Ybar=Ybar, k_start=s + 1)

@@ -12,17 +12,20 @@ a transmitted output trajectory leaves ``F Y + mu`` unchanged.
 Plans are found by one projection in input space: a seeded Gaussian draw
 z is projected onto Ker[F M], and its response M z is rescaled to the
 requested size.  ``F M`` has only q rows, all formed by one batched
-adjoint apply ``M' F'``, so the projection needs no iteration.  When the
-free and forced parts of the projected response cancel to rounding, or
-the scaled response is not in Ker[F] to rounding, no plan is found:
-Ker[F] is trivial, or the target behaviour meets it only at zero.
+adjoint apply ``M' F'``, so the projection solves with the q x q Gram
+``F M (F M)'``; the draw's start state is scaled by ``Ot``'s column norms,
+so that an unstable target's does not swamp it.  When the free and
+forced parts of the projected response cancel to rounding, or the scaled
+response is not in Ker[F] to rounding, no plan is found: Ker[F] is
+trivial, or the target behaviour meets it only at zero.  A start-state
+fit solves with the n x n Gramian ``Ot' Ot``.
 
-``M`` is never formed, and ``Ot`` and ``Tt`` only on demand: ``M`` and
-its adjoint run the state recursion a block of samples at a time (the
-block scan of :mod:`.modes`).  Inside a block the response is two dense
-products with fixed block matrices; the states at block starts follow
-from a doubling scan.  A plan costs O(q K) work in O(log K) vectorized
-steps even at paper-scale horizons.
+``M``, ``Ot`` and ``Tt`` are never formed (the dense ``Ot`` and ``Tt``
+are test oracles): ``M`` and its adjoint run the state recursion a block
+of samples at a time (the block scan of :mod:`.modes`).  Inside a block
+the response is two dense products with fixed block matrices; the states
+at block starts follow from a doubling scan.  A plan costs O(q K) work in
+O(log K) vectorized steps even at paper-scale horizons.
 """
 
 from __future__ import annotations
@@ -34,11 +37,10 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import lstsq_min_norm, pseudoinverse
+from .linalg import gram_solve
 from .modes import (
     _BLOCK,
     StateSpaceMode,
-    _block_pieces,
     _block_response,
     _block_toeplitz,
     _pad_blocks,
@@ -127,12 +129,12 @@ class UtilitySpec:
 class LiftedOperators:
     """Horizon-K response operators of one mode.
 
-    The stacked observability matrix ``Ot`` (K*m rows) and the Toeplitz
-    forced-response matrix ``Tt`` are formed on demand: ``Ot`` on the
-    first :meth:`fit`, ``Tt`` for dense checks at small horizons.
-    :meth:`apply`/:meth:`apply_adjoint` form neither: they run the state
-    recursion a block of samples at a time, with two dense products per
-    block and a doubling scan over the block-start states, in O(K) work.
+    :meth:`apply`/:meth:`apply_adjoint` run the state recursion a block of
+    samples at a time, with two dense products per block and a doubling
+    scan over the block-start states, in O(K) work; :meth:`fit` solves
+    with the n x n Gramian.  The block pieces and Gramian factors are
+    cached on the mode.  The stacked observability matrix ``Ot`` (K*m
+    rows) and the Toeplitz ``Tt`` are dense oracles for tests only.
     """
 
     mode: StateSpaceMode
@@ -152,7 +154,7 @@ class LiftedOperators:
 
     @cached_property
     def Ot(self) -> np.ndarray:
-        """Stacked observability matrix, rows ``C A^k`` for k < K."""
+        """Stacked observability matrix, rows ``C A^k`` for k < K (a test oracle)."""
         return _power_rows(self.mode.C, self.mode.A, self.K)
 
     @cached_property
@@ -166,24 +168,14 @@ class LiftedOperators:
             )
         return _block_toeplitz(self.Ot.reshape(K, m, self.n), self.mode.B, K - 1)
 
-    @cached_property
-    def _blocks(self) -> tuple:
-        """The mode's :func:`_block_pieces`, read by :meth:`apply_adjoint`."""
-        return _block_pieces(self.mode.A, self.mode.B, self.mode.C)
-
-    @cached_property
-    def _blocks_t(self) -> tuple:
-        """Their contiguous transposes, read by :meth:`apply`."""
-        return tuple(piece.T.copy() for piece in self._blocks)
-
     def apply(self, x, U) -> np.ndarray:
         """Stacked response ``Ot x + Tt U``, forming neither matrix."""
-        return _block_response(self._blocks_t, x, U, self.K)
+        return _block_response(self.mode._output_blocks_t, x, U, self.K)
 
     def apply_adjoint(self, w) -> tuple[np.ndarray, np.ndarray]:
         """Adjoint pair ``(Ot' w, Tt' w)``, forming neither matrix; a stack of
         weights (q, K*m) gives both results with the same leading axis."""
-        Ob, Tb, Ctrl, Ab = self._blocks
+        Ob, Tb, Ctrl, Ab = self.mode._output_blocks
         w = np.reshape(np.asarray(w, dtype=float), np.shape(w)[:-1] + (self.K * self.m,))
         W = _pad_blocks(w, -(-self.K // _BLOCK), len(Ob))
         costate = W @ Ob
@@ -194,14 +186,23 @@ class LiftedOperators:
         return costate[..., 0, :], U_adj[..., : (self.K - 1) * self.l]
 
     def fit(self, Y, U) -> tuple[np.ndarray, float]:
-        """Least-squares inverse of :meth:`apply` in x: ``(x, min ||Y - Ot x - Tt U||)``."""
-        return lstsq_min_norm(self.Ot, np.reshape(Y, -1) - self.apply(np.zeros(self.n), U))
+        """Least-squares inverse of :meth:`apply` in x: ``(x, min ||Y - Ot x - Tt U||)``,
+        ``x = S P S Ot' (Y - Tt U)`` by the mode's Gramian factor; the residual
+        is that of the fitted response, never one from the normal equations."""
+        s, P, steps = self.mode._gram_factor(self.K)
+        Y, x = np.reshape(Y, -1), np.zeros(self.n)
+        for _ in range(steps):
+            x = x + s * (P @ (s * self.apply_adjoint(Y - self.apply(x, U))[0]))
+        residual = float(np.linalg.norm(Y - self.apply(x, U)))
+        if not np.isfinite(residual):
+            raise ValueError(f"the fit of mode {self.mode.mode_id} at K = {self.K} is not finite")
+        return x, residual
 
 
 def build_lifted_operators(target_mode: StateSpaceMode, K: int) -> LiftedOperators:
-    """The horizon-K lifted operators of a mode; no whole-horizon array is
-    formed until a fit or a dense check asks.  At K = 1 there are no
-    inputs and ``Ot = C``."""
+    """The horizon-K lifted operators of a mode; only the dense test
+    oracles ``Ot``/``Tt`` form a whole-horizon array.  At K = 1 there are
+    no inputs and ``Ot = C``."""
     if K < 1:
         raise ValueError("horizon must be at least 1")
     return LiftedOperators(target_mode, K)
@@ -213,8 +214,8 @@ class KernelPlan:
 
     ``delta_Y`` is the attained stacked response; ``residual`` is its
     distance ``||F^+ F delta_Y||`` from Ker[F].  ``theta`` is the kernel
-    element the plan realizes, equal to ``delta_Y`` (None for zero or
-    deserialized plans).
+    element the plan realizes, equal to ``delta_Y`` and sharing its frozen
+    array when passed the same one (None for zero or deserialized plans).
     """
 
     x2_init: np.ndarray
@@ -226,6 +227,7 @@ class KernelPlan:
     magnitude: float
 
     def __post_init__(self):
+        shared = self.theta is self.delta_Y  # the solver's plan: one frozen buffer
         x2 = np.array(self.x2_init, dtype=float).reshape(-1)
         U2 = np.atleast_2d(np.array(self.U2, dtype=float))
         delta = np.array(self.delta_Y, dtype=float).reshape(-1)
@@ -236,7 +238,9 @@ class KernelPlan:
         object.__setattr__(self, "x2_init", x2)
         object.__setattr__(self, "U2", U2)
         object.__setattr__(self, "delta_Y", delta)
-        if self.theta is not None:
+        if shared:
+            object.__setattr__(self, "theta", delta)
+        elif self.theta is not None:
             theta = np.array(self.theta, dtype=float).reshape(-1)
             theta.setflags(write=False)
             object.__setattr__(self, "theta", theta)
@@ -270,8 +274,11 @@ def solve_utility_invariance(
 
     A seeded Gaussian draw ``z = (x, U)`` is projected onto Ker[F M] with
     ``M = [Ot Tt]``, and the projected point is scaled so that its
-    response ``delta_Y = M z`` has the requested norm.  The plan is exact
-    but not the minimum-norm input.
+    response ``delta_Y = M z`` has the requested norm.  The start-state
+    part is drawn in units of the column norms of ``Ot`` (the balanced
+    draw), and the projection solves with the q x q Gram ``F M (F M)'``;
+    the distance from Ker[F] solves with ``F F'``.  The plan is exact but
+    not the minimum-norm input.
 
     Parameters
     ----------
@@ -299,15 +306,19 @@ def solve_utility_invariance(
         raise ValueError(f"magnitude must be finite and nonnegative, got {magnitude}")
     if magnitude == 0.0:
         return KernelPlan.zero(ops.n, ops.K, ops.m, ops.l, seed=seed)
-    n = ops.n
+    n, F = ops.n, spec.F
+    balance = ops.mode._gram_factor(ops.K)[0]
     z = np.random.default_rng(seed).standard_normal(n + (ops.K - 1) * ops.l)
-    FM = np.hstack(ops.apply_adjoint(spec.F))
-    projected = z - pseudoinverse(FM) @ (FM @ z)
+    # Start states in units of their responses: x = balance * z[:n].
+    FM = np.hstack(ops.apply_adjoint(F))
+    FM[:, :n] *= balance
+    projected = z - FM.T @ gram_solve(FM @ FM.T, FM @ z, max(FM.shape))
+    projected[:n] *= balance
     delta = ops.apply(projected[:n], projected[n:])
     # Free part by difference: run alone, it can decay into slow subnormals.
     forced = ops.apply(np.zeros(n), projected[n:])
     norm = float(np.linalg.norm(delta))
-    miss = float(np.linalg.norm(pseudoinverse(spec.F) @ (spec.F @ delta)))
+    miss = float(np.linalg.norm(F.T @ gram_solve(F @ F.T, F @ delta, max(F.shape))))
     parts = np.linalg.norm(delta - forced) + np.linalg.norm(forced)
     if norm <= _INFEASIBLE_RATIO * parts or miss > _MISS_RATIO * norm:
         raise InvarianceInfeasibleError(

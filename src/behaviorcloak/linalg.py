@@ -4,9 +4,10 @@ Thin wrappers around numpy factorizations with fixed thresholds.  Rank
 decisions everywhere drop singular values below
 ``sigma_max * max(M.shape) * machine_eps`` (the cutoff numpy's
 ``matrix_rank`` uses by default), so all callers agree on what counts as
-numerically zero.  A linear equation counts as satisfied at a residual of
-at most ``RESIDUAL_TOL``, and a matrix is Schur stable when its spectral
-radius is at most ``1 - SCHUR_MARGIN``.
+numerically zero; a solve through the Gram ``M' M`` or ``M M'`` uses that
+cutoff squared on its eigenvalues.  A linear equation counts as satisfied
+at a residual of at most ``RESIDUAL_TOL``, and a matrix is Schur stable
+when its spectral radius is at most ``1 - SCHUR_MARGIN``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "pseudoinverse",
     "nullspace_basis",
     "lstsq_min_norm",
+    "gram_solve",
     "is_schur",
     "matrix_exponential",
 ]
@@ -95,6 +97,16 @@ def lstsq_min_norm(M, b):
     x, _, _, _ = np.linalg.lstsq(M, b, rcond=rank_cutoff(M))
     residual_norm = float(np.linalg.norm(M @ x - b))
     return x, residual_norm
+
+
+def gram_solve(G, B, long_side: int) -> np.ndarray:
+    """``G^+ B`` for the Gram ``G`` of a matrix whose longer side is
+    ``long_side``, by ``eigh(G)`` with that matrix's rank cutoff squared.
+    The Gram squares the condition number: recompute residuals from the
+    matrix itself, never from ``G``."""
+    lam, V = np.linalg.eigh(_as_square(G, "G"))
+    keep = lam > lam[-1] * (long_side * np.finfo(float).eps) ** 2
+    return (V[:, keep] / lam[keep]) @ (V[:, keep].T @ np.asarray(B, dtype=float))
 
 
 def is_schur(M) -> bool:

@@ -9,13 +9,13 @@ recorded trajectory is dimensionally compatible with every mode.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .linalg import matrix_exponential
+from .linalg import gram_solve, matrix_exponential
 
 __all__ = [
     "StateSpaceMode",
@@ -48,8 +48,11 @@ def _frozen_array(value, name: str, ndim: int) -> np.ndarray:
 
 def _samples(value, name: str) -> np.ndarray:
     """Frozen float array of one row per sample (a vector becomes a column);
-    ValueError naming the array and the 1-based sample of a non-finite entry."""
-    arr = np.array(value, dtype=float)
+    ValueError naming the array and the 1-based sample of a non-finite entry.
+    A read-only float array that owns its data is taken as it is, not copied."""
+    arr = np.asarray(value, dtype=float)
+    if arr.flags.writeable or not arr.flags.owndata:
+        arr = arr.copy()
     arr = arr.reshape(-1, 1) if arr.ndim == 1 else arr
     if not np.isfinite(arr).all():
         bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))[0]
@@ -74,6 +77,7 @@ class StateSpaceMode:
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
+    _gram_factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = _frozen_array(self.A, "A", 2)
@@ -108,6 +112,33 @@ class StateSpaceMode:
     def _state_blocks(self) -> tuple:
         """Transposed :func:`_block_pieces` of the states (``C = I``)."""
         return tuple(p.T.copy() for p in _block_pieces(self.A, self.B, np.eye(self.n)))
+
+    @cached_property
+    def _output_blocks(self) -> tuple:
+        """:func:`_block_pieces` of the outputs, as the adjoint reads them."""
+        return _block_pieces(self.A, self.B, self.C)
+
+    @cached_property
+    def _output_blocks_t(self) -> tuple:
+        """Their contiguous transposes, as the forward response reads them."""
+        return tuple(p.T.copy() for p in self._output_blocks)
+
+    def _gram_factor(self, K: int) -> tuple:
+        """``(s, P, steps)`` of the horizon-K observability Gramian ``W``, cached
+        per K: ``s = diag(W)^(-1/2)`` (1 where zero), ``P = (S W S)^+`` with
+        ``S = diag(s)``, and 2 fit steps if ``S W S`` is ill-conditioned."""
+        if K not in self._gram_factors:
+            with np.errstate(over="ignore", invalid="ignore"):
+                W = _gramian(self.C, self.A, K)
+            if not np.isfinite(W).all():
+                raise ValueError(f"the Gramian of mode {self.mode_id} at K = {K} is not finite")
+            d = np.diag(W)
+            s = 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0))
+            W = s[:, None] * W * s
+            P = gram_solve(W, np.eye(self.n), max(K * self.m, self.n))
+            cond = np.linalg.norm(W, 2) * np.linalg.norm(P, 2)
+            self._gram_factors[K] = s, P, 1 + int(cond > _REFINE_COND)
+        return self._gram_factors[K]
 
 
 @dataclass(frozen=True)
@@ -269,6 +300,9 @@ class ModeValidationReport:
 
 # Samples per block of the blocked state recursion.
 _BLOCK = 16
+# A fit refines once with the same factor if the equilibrated Gramian's
+# condition number (the first step loses cond * eps) is above this.
+_REFINE_COND = 1e3
 
 
 def _power_rows(first: np.ndarray, A: np.ndarray, count: int) -> np.ndarray:
@@ -285,6 +319,19 @@ def _power_rows(first: np.ndarray, A: np.ndarray, count: int) -> np.ndarray:
         if s < count:  # no power past the last one used: it may overflow
             power = power @ power
     return out
+
+
+def _gramian(C: np.ndarray, A: np.ndarray, count: int) -> np.ndarray:
+    """``O' O`` for the rows ``O`` of :func:`_power_rows` (``C``, ``A``, ``count``),
+    by binary doubling of the horizon in O(log count) products."""
+    W, power, bits = C.T @ C, A, bin(count)[3:]
+    for i, bit in enumerate(bits):
+        W = W + power.T @ W @ power  # horizon s -> 2 s
+        if bit == "1":
+            W = C.T @ C + A.T @ W @ A  # 2 s -> 2 s + 1
+        if i + 1 < len(bits):  # no power past the last one used: it may overflow
+            power = power @ power @ A if bit == "1" else power @ power
+    return W
 
 
 def _block_toeplitz(O: np.ndarray, B: np.ndarray, cols: int) -> np.ndarray:

@@ -12,6 +12,7 @@ from behaviorcloak import (
     Trajectory,
     build_tracking_controller,
     design_stabilizing_gain,
+    lstsq_min_norm,
     nullspace_basis,
     pseudoinverse,
     simulate_mode,
@@ -113,6 +114,28 @@ def iterated_observability(mode, K):
         Ot[k * mode.m : (k + 1) * mode.m] = row
         row = row @ mode.A
     return Ot
+
+
+def dense_fit(ops, Y, U):
+    """Start-state fit ``(x, residual)`` by the SVD-based ``lstsq_min_norm`` on
+    the dense ``Ot``, its columns scaled to unit norm (zero columns kept);
+    the reference for ``LiftedOperators.fit``.  Without the scaling an
+    unstable mode's columns differ by more than the rank cutoff at K = 1000."""
+    norms = np.linalg.norm(ops.Ot, axis=0)
+    scale = 1.0 / np.where(norms > 0.0, norms, 1.0)
+    free = np.reshape(Y, -1) - ops.apply(np.zeros(ops.n), U)
+    z, residual = lstsq_min_norm(ops.Ot * scale, free)
+    return scale * z, residual
+
+
+def unstable_pair():
+    """Two modes sharing the pole 1.05, which the input ``B = [0; 1]`` cannot
+    move; the output ``C = [1 1]`` sees it."""
+    B, C = [[0.0], [1.0]], [[1.0, 1.0]]
+    return (
+        StateSpaceMode(1, np.diag([1.05, 0.5]), B, C),
+        StateSpaceMode(2, np.diag([1.05, 0.7]), B, C),
+    )
 
 
 def dense_kernel_plan(ops, spec, magnitude, seed) -> KernelPlan:

@@ -8,6 +8,7 @@ from behaviorcloak import (
     KernelPlan,
     ModeBank,
     StateSpaceMode,
+    Trajectory,
     UtilitySpec,
     load_kernel_plan,
     load_mode_bank,
@@ -149,21 +150,15 @@ class TestDesignCommand:
             assert code == 4
             assert "Ker[F] is trivial" in capsys.readouterr().err
 
-    def test_unstable_target_long_horizon(self, capsys, tmp_path):
-        # The pole at 1.05 is unreachable from the input; plans exist at
-        # K = 500 although an unprojected response grows as 1.05^K.
-        B, C = [[0.0], [1.0]], [[1.0, 1.0]]
-        bank = ModeBank(
-            (
-                StateSpaceMode(1, np.diag([1.05, 0.5]), B, C),
-                StateSpaceMode(2, np.diag([1.05, 0.7]), B, C),
-            )
-        )
+    @pytest.mark.parametrize("K", [500, 1000, 2000])
+    def test_unstable_target_long_horizon(self, capsys, tmp_path, K):
+        # The pole at 1.05 is unreachable from the input; plans exist
+        # although an unprojected response grows as 1.05^K.
         bank_path = tmp_path / "bank.json"
-        save_mode_bank(bank, bank_path)
+        save_mode_bank(ModeBank(support.unstable_pair()), bank_path)
         code, report = run_cli(
             capsys, "design", "--bank", bank_path, "--true-mode", 1,
-            "--target-mode", 2, "--K", 500, "--out", tmp_path / "d",
+            "--target-mode", 2, "--K", K, "--out", tmp_path / "d",
         )
         assert code == 0
         assert report["kernel_deviation"] <= 1e-8
@@ -461,6 +456,20 @@ class TestDistortAndClassify:
         assert err.startswith("error: ") and "'Gamma'" in err
         assert "Traceback" not in err
         assert not out_csv.exists()
+
+    def test_overflowing_gramian_is_bad_input(self, capsys, tmp_path):
+        # 1.05^(2K) overflows the Gramian: exit 2, naming the mode and K.
+        bank_path, path = tmp_path / "bank.json", tmp_path / "drive.csv"
+        save_mode_bank(ModeBank(support.unstable_pair()), bank_path)
+        K = 20000
+        rng = np.random.default_rng(71)
+        write_trajectory_csv(
+            Trajectory(U=rng.uniform(-1.0, 1.0, (K - 1, 1)), Y=rng.standard_normal(K)), path
+        )
+        code = main(["classify", "--bank", str(bank_path), "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "mode 1 at K = 20000 is not finite" in captured.err
 
     def test_zero_trajectory_ambiguous(self, capsys, vehicle_bank_path, tmp_path):
         bank = load_mode_bank(vehicle_bank_path)

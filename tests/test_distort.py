@@ -135,6 +135,20 @@ class TestEngineStep:
         assert np.linalg.norm(delta) == pytest.approx(1.0, abs=1e-6)
         assert mode_residual(average, out.to_trajectory()) <= 1e-8
 
+    def test_to_trajectory_is_built_once(self):
+        # Two calls return the same frozen arrays, which are run_offline's
+        # own: classifying a cloaked trajectory copies nothing.
+        bank = vehicle_demo_bank()
+        K = 300
+        cfg = make_config(bank.mode(1), bank.mode(2), K, magnitude=1.0, seed=3)
+        drive = support.random_trajectory(np.random.default_rng(47), bank.mode(1), K)
+        out = run_offline(cfg, drive)
+        first, second = out.to_trajectory(), out.to_trajectory()
+        assert first is second
+        for a, b in ((out.Ubar, first.U), (out.Ybar, first.Y)):
+            assert np.shares_memory(a, b)
+            assert not a.flags.writeable and not b.flags.writeable
+
     def test_run_offline_equals_stepping(self):
         rng = np.random.default_rng(45)
         true = support.scalar_mode(0.5)

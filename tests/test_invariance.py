@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,17 +10,24 @@ import pytest
 import behaviorcloak
 import support
 from behaviorcloak import (
+    DistortionConfig,
     InvarianceInfeasibleError,
     KernelPlan,
+    ModeBank,
     StateSpaceMode,
+    Trajectory,
     UtilitySpec,
     build_lifted_operators,
+    build_tracking_controller,
     classify,
+    design_stabilizing_gain,
     load_kernel_plan,
     load_utility_spec,
+    run_offline,
     save_kernel_plan,
     save_utility_spec,
     simulate_mode,
+    solve_regulator_equations,
     solve_utility_invariance,
     vehicle_demo_bank,
 )
@@ -282,14 +290,140 @@ class TestBuildLiftedOperators:
         assert np.linalg.norm(ops.Ot - Ot) <= 1e-12 * np.linalg.norm(Ot)
 
     def test_whole_horizon_arrays_wait_for_a_fit(self):
-        # A plan at the one-hour horizon reads only the first block of
-        # samples; Ot is formed on the first fit, Tt never.
+        # A plan and a fit at the one-hour horizon solve through n x n and
+        # q x q Grams: neither forms Ot or Tt, and the operator keeps no
+        # arrays of its own.
         ops = build_lifted_operators(vehicle_demo_bank().mode(2), 36000)
         plan = solve_utility_invariance(ops, UtilitySpec.average(36000), seed=3)
         assert "Ot" not in vars(ops) and "Tt" not in vars(ops)
         _, residual = ops.fit(plan.delta_Y, plan.U2)
-        assert "Ot" in vars(ops) and "Tt" not in vars(ops)
+        assert set(vars(ops)) == {"mode", "K"}
         assert residual <= 1e-9
+
+
+class TestGramFit:
+    """``LiftedOperators.fit`` solves through the n x n observability Gramian;
+    the dense ``support.dense_fit`` (SVD-based ``lstsq`` on ``Ot``) is the
+    reference."""
+
+    @pytest.mark.parametrize("K", [2, 500, 36000])
+    @pytest.mark.parametrize("mode_id", [1, 2], ids=["sports", "average"])
+    def test_unobservable_vehicles_match_oracle(self, mode_id, K):
+        # Position and velocity are unobservable: two columns of Ot are zero.
+        bank = vehicle_demo_bank()
+        rng = np.random.default_rng(46)
+        drive = simulate_mode(
+            bank.mode(1), rng.standard_normal(3), rng.uniform(-1.0, 1.0, (K - 1, 1))
+        )
+        ops = build_lifted_operators(bank.mode(mode_id), K)
+        Y = drive.stacked_outputs()
+        # The small misfit would drown in the normal equations' cancellation.
+        for data in (Y, Y + 1e-10 * rng.standard_normal(K), Y + rng.standard_normal(K)):
+            _, residual = ops.fit(data, drive.U)
+            _, expected = support.dense_fit(ops, data, drive.U)
+            assert abs(residual - expected) <= 1e-12 * np.linalg.norm(data)
+
+    def test_random_observable_modes_match_oracle(self):
+        rng = np.random.default_rng(47)
+        for case in range(60):
+            m, l = (int(v) for v in rng.integers(1, 3, size=2))
+            mode = support.random_valid_mode(rng, n=3, m=m, l=l)
+            for K in (3, 40, 700):
+                ops = build_lifted_operators(mode, K)
+                U = rng.standard_normal((K - 1, l))
+                Y = ops.apply(rng.standard_normal(3), U)
+                for data in (Y, Y + 0.1 * rng.standard_normal(K * m)):
+                    x, residual = ops.fit(data, U)
+                    x_ref, expected = support.dense_fit(ops, data, U)
+                    assert np.linalg.norm(x - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
+                    assert abs(residual - expected) <= 1e-12 * np.linalg.norm(data)
+
+    def test_double_integrator_paper_horizon(self):
+        # The position column of Ot grows linearly, the other is constant.
+        mode = support.double_integrator()
+        K = 36000
+        rng = np.random.default_rng(48)
+        ops = build_lifted_operators(mode, K)
+        U = rng.uniform(-1.0, 1.0, (K - 1, 1))
+        x0 = np.array([1.0, -0.5])
+        Y = ops.apply(x0, U)
+        for data in (Y, Y + rng.standard_normal(K)):
+            x, residual = ops.fit(data, U)
+            x_ref, expected = support.dense_fit(ops, data, U)
+            assert np.linalg.norm(x - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
+            assert abs(residual - expected) <= 1e-12 * np.linalg.norm(data)
+        assert relative_gap(ops.fit(Y, U)[0], x0) <= 1e-9
+
+    @pytest.mark.parametrize("K", [200, 1000, 2000])
+    def test_unstable_pair_matches_oracle(self, K):
+        # Ot's columns grow as 1.05^k and decay as 0.7^k (0.5^k).
+        source, target = support.unstable_pair()
+        rng = np.random.default_rng(49)
+        U = rng.uniform(-1.0, 1.0, (K - 1, 1))
+        Y = simulate_mode(target, [1e-3 * 1.05 ** -K, 1.0], U).stacked_outputs()
+        for mode in (source, target):
+            ops = build_lifted_operators(mode, K)
+            x, residual = ops.fit(Y, U)
+            x_ref, expected = support.dense_fit(ops, Y, U)
+            assert abs(residual - expected) <= 1e-12 * np.linalg.norm(Y)
+            if mode is target:
+                assert residual <= 1e-12 * np.linalg.norm(Y)
+                assert relative_gap(x, x_ref) <= 1e-9
+
+    def test_factor_is_cached_on_the_mode(self):
+        mode = support.random_valid_mode(np.random.default_rng(50), n=3)
+        build_lifted_operators(mode, 50).fit(np.ones(50), np.zeros((49, 1)))
+        factor = mode._gram_factors[50]
+        assert list(mode._gram_factors) == [50] and factor[1].shape == (3, 3)
+        ops = build_lifted_operators(mode, 50)
+        ops.fit(np.zeros(50), np.ones((49, 1)))
+        assert mode._gram_factor(50) is factor and set(vars(ops)) == {"mode", "K"}
+
+    def test_overflowing_gramian_is_loud(self):
+        # 1.05^(2K) overflows the Gramian at K = 20000: a ValueError that
+        # names the mode and the horizon, not a nan residual or a warning.
+        source, target = support.unstable_pair()
+        K = 20000
+        rng = np.random.default_rng(51)
+        traj = Trajectory(U=rng.uniform(-1.0, 1.0, (K - 1, 1)), Y=rng.standard_normal(K))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="mode 1 at K = 20000"):
+                classify(ModeBank((source, target)), traj)
+            with pytest.raises(ValueError, match="mode 2 at K = 20000"):
+                solve_utility_invariance(
+                    build_lifted_operators(target, K), UtilitySpec.average(K)
+                )
+
+
+def test_hour_design_and_classify_make_no_large_svd(monkeypatch):
+    # Every whole-horizon solve runs through an n x n or q x q Gram; an SVD,
+    # lstsq or pinv with a whole-horizon operand fails here.
+    def small_only(name, fn):
+        def guarded(*args, **kwargs):
+            sizes = [np.size(a) for a in args if isinstance(a, np.ndarray)]
+            if max(sizes, default=0) > 4096:
+                raise AssertionError(f"numpy.linalg.{name} on {sizes} entries")
+            return fn(*args, **kwargs)
+
+        return guarded
+
+    for name in ("svd", "lstsq", "pinv"):
+        monkeypatch.setattr(np.linalg, name, small_only(name, getattr(np.linalg, name)))
+    bank = vehicle_demo_bank()
+    sports, average = bank.mode(1), bank.mode(2)
+    K = 36000
+    rng = np.random.default_rng(52)
+    traj = simulate_mode(sports, rng.standard_normal(3), rng.uniform(-1.0, 1.0, (K - 1, 1)))
+    ctrl = build_tracking_controller(
+        solve_regulator_equations(sports, average), design_stabilizing_gain(average), average
+    )
+    spec = UtilitySpec.average(K)
+    plan = solve_utility_invariance(build_lifted_operators(average, K), spec, seed=9)
+    assert plan.residual <= 1e-12
+    cloaked = run_offline(DistortionConfig(sports, average, ctrl, plan, K), traj)
+    assert classify(bank, traj).verdict == 1
+    assert classify(bank, cloaked.to_trajectory()).verdict == 2
 
 
 def test_hour_session_makes_no_fft(monkeypatch):
@@ -432,11 +566,11 @@ class TestSolveUtilityInvariance:
         with pytest.raises(InvarianceInfeasibleError):
             solve_utility_invariance(ops, spec, magnitude=1.0, seed=1)
 
-    def test_unstable_target_long_horizon(self):
+    @pytest.mark.parametrize("K", [500, 1000, 2000])
+    def test_unstable_target_long_horizon(self, K):
         # The unstable pole is unreachable, so a random draw's response grows
-        # as 1.05^K; the plan's free and forced parts stay of order one.
-        target = StateSpaceMode(2, np.diag([1.05, 0.7]), [[0.0], [1.0]], [[1.0, 1.0]])
-        K = 500
+        # as 1.05^K; the balanced draw keeps the plan's parts of order one.
+        _, target = support.unstable_pair()
         spec = UtilitySpec.average(K)
         plan = solve_utility_invariance(
             build_lifted_operators(target, K), spec, magnitude=1.0, seed=0
@@ -458,6 +592,30 @@ class TestSolveUtilityInvariance:
             ops = build_lifted_operators(target, K)
             with pytest.raises(InvarianceInfeasibleError):
                 solve_utility_invariance(ops, spec, magnitude=1.0, seed=0)
+
+    def test_windowed_utility(self):
+        # Means over 100 windows of 60 samples: a 100 x 100 Gram projection.
+        K, q = 6000, 100
+        F = np.kron(np.eye(q), np.full((1, K // q), q / K))
+        spec = UtilitySpec(F=F, mu=np.zeros(q), K=K)
+        ops = build_lifted_operators(vehicle_demo_bank().mode(2), K)
+        plan = solve_utility_invariance(ops, spec, magnitude=1.0, seed=5)
+        norm = np.linalg.norm(plan.delta_Y)
+        assert abs(norm - 1.0) <= 1e-12
+        assert plan.residual <= 1e-12 * norm
+        assert np.linalg.norm(pseudoinverse(F) @ (F @ plan.delta_Y)) <= 1e-12 * norm
+        sim = simulate_mode(ops.mode, plan.x2_init, plan.U2).stacked_outputs()
+        assert relative_gap(sim, plan.delta_Y) <= 1e-9
+
+    def test_theta_shares_the_response_buffer(self):
+        ops = build_lifted_operators(vehicle_demo_bank().mode(2), 300)
+        plan = solve_utility_invariance(ops, UtilitySpec.average(300), seed=2)
+        assert plan.theta is plan.delta_Y and not plan.theta.flags.writeable
+        # A theta of its own is still copied and frozen.
+        theta = np.array(plan.delta_Y)
+        other = KernelPlan(plan.x2_init, plan.U2, plan.delta_Y, theta, 0.0, None, 1.0)
+        assert not np.shares_memory(other.theta, theta) and not other.theta.flags.writeable
+        np.testing.assert_array_equal(other.theta, plan.delta_Y)
 
     def test_rejects_non_finite_magnitude(self):
         ops = build_lifted_operators(support.scalar_mode(0.8), 4)

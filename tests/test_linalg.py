@@ -10,7 +10,7 @@ from behaviorcloak import (
     nullspace_basis,
     pseudoinverse,
 )
-from behaviorcloak.linalg import RESIDUAL_TOL
+from behaviorcloak.linalg import RESIDUAL_TOL, gram_solve
 
 
 def random_matrix_of_rank(rng, p, q, r):
@@ -141,6 +141,34 @@ class TestLstsqMinNorm:
             x0 = rng.standard_normal(q)
             _, res = lstsq_min_norm(M, M @ x0)
             assert res <= RESIDUAL_TOL * max(1.0, np.linalg.norm(M @ x0))
+
+
+class TestGramSolve:
+    def test_row_space_projection_matches_pseudoinverse(self):
+        # M' (M M')^+ M z projects z onto the row space of M, as pinv(M) M z
+        # does by SVD; ranks 0..min(p, q), scales 1e-4..1e4.
+        rng = np.random.default_rng(6)
+        for case in range(200):
+            p, q = rng.integers(1, 8, size=2)
+            r = int(rng.integers(0, min(p, q) + 1))
+            M = random_matrix_of_rank(rng, p, q, r) * 10.0 ** rng.uniform(-4, 4)
+            z = rng.standard_normal(q)
+            projected = M.T @ gram_solve(M @ M.T, M @ z, max(M.shape))
+            expected = pseudoinverse(M) @ (M @ z)
+            assert np.linalg.norm(projected - expected) <= 1e-8 * np.linalg.norm(z)
+
+    def test_squared_cutoff(self):
+        # Eigenvalues at or below lambda_max * (long_side * eps)^2 are dropped.
+        eps = np.finfo(float).eps
+        G = np.diag([1.0, (10 * eps) ** 2, 0.5 * (10 * eps) ** 2])
+        np.testing.assert_array_equal(
+            gram_solve(G, np.ones(3), 8), [1.0, 1.0 / (10 * eps) ** 2, 0.0]
+        )
+        np.testing.assert_array_equal(gram_solve(G, np.ones(3), 10), [1.0, 0.0, 0.0])
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            gram_solve(np.array([[np.inf]]), [1.0], 1)
 
 
 class TestEigenvaluesAndSchur:
