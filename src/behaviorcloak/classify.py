@@ -66,8 +66,6 @@ def mode_residual(mode: StateSpaceMode, traj: Trajectory) -> float:
     normalizes by ``1 + ||Y||``.  The fit removes the forced response
     matrix-free, so the cost stays linear in the horizon.
     """
-    if traj.m != mode.m or traj.l != mode.l:
-        raise ValueError("trajectory dimensions do not match the mode")
     Y = traj.stacked_outputs()
     _, residual = build_lifted_operators(mode, traj.K).fit(Y, traj.U)
     return residual / (1.0 + float(np.linalg.norm(Y)))

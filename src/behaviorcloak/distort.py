@@ -111,10 +111,6 @@ def reconstruct_state(mode: StateSpaceMode, U_window, Y_window) -> np.ndarray:
     w = Y.shape[0]
     if w < mode.n:
         raise ValueError(f"need at least {mode.n} output samples, got {w}")
-    if U.shape[0] != w - 1:
-        raise ValueError("the window must hold one input less than outputs")
-    if Y.shape[1] != mode.m or U.shape[1] != mode.l:
-        raise ValueError("window dimensions do not match the mode")
     x1, residual = build_lifted_operators(mode, w).fit(Y, U)
     if residual > RESIDUAL_TOL * (1.0 + np.linalg.norm(Y)):
         raise InconsistentDataError(residual)

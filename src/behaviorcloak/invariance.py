@@ -18,7 +18,7 @@ so that an unstable target's does not swamp it.  When the free and
 forced parts of the projected response cancel to rounding, or the scaled
 response is not in Ker[F] to rounding, no plan is found: Ker[F] is
 trivial, or the target behaviour meets it only at zero.  A start-state
-fit solves with the n x n Gramian ``Ot' Ot``.
+fit solves with the n x n Gramian ``Ot' Ot`` after one forward recursion.
 
 ``M``, ``Ot`` and ``Tt`` are never formed (the dense ``Ot`` and ``Tt``
 are test oracles): ``M`` and its adjoint run the state recursion a block
@@ -43,6 +43,8 @@ from .modes import (
     StateSpaceMode,
     _block_response,
     _block_toeplitz,
+    _fold,
+    _free_response,
     _pad_blocks,
     _power_rows,
     _scan,
@@ -131,10 +133,10 @@ class LiftedOperators:
 
     :meth:`apply`/:meth:`apply_adjoint` run the state recursion a block of
     samples at a time, with two dense products per block and a doubling
-    scan over the block-start states, in O(K) work; :meth:`fit` solves
-    with the n x n Gramian.  The block pieces and Gramian factors are
-    cached on the mode.  The stacked observability matrix ``Ot`` (K*m
-    rows) and the Toeplitz ``Tt`` are dense oracles for tests only.
+    scan over the block-start states, in O(K) work; :meth:`fit` runs one and
+    solves with the n x n Gramian by a costate fold and a free response.  The
+    block pieces and Gramian factors are cached on the mode; ``Ot`` (K*m rows)
+    and the Toeplitz ``Tt`` are dense oracles for tests only.
     """
 
     mode: StateSpaceMode
@@ -187,13 +189,24 @@ class LiftedOperators:
 
     def fit(self, Y, U) -> tuple[np.ndarray, float]:
         """Least-squares inverse of :meth:`apply` in x: ``(x, min ||Y - Ot x - Tt U||)``,
-        ``x = S P S Ot' (Y - Tt U)`` by the mode's Gramian factor; the residual
-        is that of the fitted response, never one from the normal equations."""
-        s, P, steps = self.mode._gram_factor(self.K)
-        Y, x = np.reshape(Y, -1), np.zeros(self.n)
+        ``x = S P S Ot' r`` by the mode's Gramian factor, ``r = Y - Tt U`` from one forward
+        recursion, ``Ot' r`` a costate fold and ``Ot x`` a free response; the residual is
+        that of the fitted response, never one from the normal equations."""
+        K, n = self.K, self.n
+        Y = np.reshape(Y, -1)
+        if Y.shape != (K * self.m,) or np.shape(U) != (K - 1, self.l):
+            raise ValueError(
+                f"mode {self.mode.mode_id} at K = {K} expects {K * self.m} outputs and "
+                f"{(K - 1, self.l)} inputs, got {Y.size} and {np.shape(U)}"
+            )
+        s, P, steps = self.mode._gram_factor(K)
+        Ob, _, _, Ab = self.mode._output_blocks
+        r = Y - self.apply(np.zeros(n), U)
+        x, e = np.zeros(n), r
         for _ in range(steps):
-            x = x + s * (P @ (s * self.apply_adjoint(Y - self.apply(x, U))[0]))
-        residual = float(np.linalg.norm(Y - self.apply(x, U)))
+            x = x + s * (P @ (s * _fold(_pad_blocks(e, -(-K // _BLOCK), len(Ob)) @ Ob, Ab)))
+            e = r - _free_response(self.mode._output_blocks_t, x, K)
+        residual = float(np.linalg.norm(e))
         if not np.isfinite(residual):
             raise ValueError(f"the fit of mode {self.mode.mode_id} at K = {self.K} is not finite")
         return x, residual
@@ -277,8 +290,9 @@ def solve_utility_invariance(
     response ``delta_Y = M z`` has the requested norm.  The start-state
     part is drawn in units of the column norms of ``Ot`` (the balanced
     draw), and the projection solves with the q x q Gram ``F M (F M)'``;
-    the distance from Ker[F] solves with ``F F'``.  The plan is exact but
-    not the minimum-norm input.
+    the distance from Ker[F] solves with ``F F'``.  The response is one
+    forced recursion plus the start state's free response; the plan is
+    exact but not the minimum-norm input.
 
     Parameters
     ----------
@@ -314,12 +328,12 @@ def solve_utility_invariance(
     FM[:, :n] *= balance
     projected = z - FM.T @ gram_solve(FM @ FM.T, FM @ z, max(FM.shape))
     projected[:n] *= balance
-    delta = ops.apply(projected[:n], projected[n:])
-    # Free part by difference: run alone, it can decay into slow subnormals.
     forced = ops.apply(np.zeros(n), projected[n:])
+    free = _free_response(ops.mode._output_blocks_t, projected[:n], ops.K)
+    delta = forced + free
     norm = float(np.linalg.norm(delta))
     miss = float(np.linalg.norm(F.T @ gram_solve(F @ F.T, F @ delta, max(F.shape))))
-    parts = np.linalg.norm(delta - forced) + np.linalg.norm(forced)
+    parts = np.linalg.norm(free) + np.linalg.norm(forced)
     if norm <= _INFEASIBLE_RATIO * parts or miss > _MISS_RATIO * norm:
         raise InvarianceInfeasibleError(
             "Ker[F] is trivial or the target behaviour meets it only at zero, or "

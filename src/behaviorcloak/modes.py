@@ -300,19 +300,28 @@ class ModeValidationReport:
 
 # Samples per block of the blocked state recursion.
 _BLOCK = 16
+# The smallest normal float: the threshold of :func:`_underflows`.
+_TINY = np.finfo(float).tiny
 # A fit refines once with the same factor if the equilibrated Gramian's
 # condition number (the first step loses cond * eps) is above this.
 _REFINE_COND = 1e3
 
 
+def _underflows(M: np.ndarray) -> bool:
+    """Every entry of ``M`` below ``tiny`` (never with a nan): a power to drop, not
+    carry as slow subnormals.  One entry goes first, at a tenth of the cost."""
+    return abs(M[0, 0]) < _TINY and np.abs(M).max() < _TINY
+
+
 def _power_rows(first: np.ndarray, A: np.ndarray, count: int) -> np.ndarray:
     """Stack ``first A^k``, k < count, by block doubling: the first s blocks
-    times ``A^s`` give the next s, so it takes O(log count) products."""
+    times ``A^s`` give the next s, so it takes O(log count) products.  Rows from
+    an ``A^s`` below ``tiny`` on are zero: below n * tiny * max|rows before|."""
     r = first.shape[0]
-    out = np.empty((count * r, A.shape[0]))
+    out = np.zeros((count * r, A.shape[0]))
     out[:r] = first
     power, s = A, 1
-    while s < count:
+    while s < count and not _underflows(power):
         t = min(s, count - s)
         out[s * r : (s + t) * r] = out[: t * r] @ power
         s += t
@@ -365,9 +374,10 @@ def _block_pieces(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> tuple:
 
 def _scan(S: np.ndarray, step: np.ndarray, reverse: bool = False) -> None:
     """Doubling scan over axis -2, in place: ``S[j]`` becomes the sum of ``S[i]
-    step^|j - i|`` over i <= j (i >= j if ``reverse``), in O(log) products."""
+    step^|j - i|`` over i <= j (i >= j if ``reverse``), in O(log) products.  A
+    step below ``tiny`` ends it: that pass would add below n * tiny * max|S|."""
     count, s = S.shape[-2], 1
-    while s < count:
+    while s < count and not _underflows(step):
         if reverse:
             S[..., :-s, :] += S[..., s:, :] @ step
         else:
@@ -390,6 +400,31 @@ def _block_response(pieces_t: tuple, x, U, K: int) -> np.ndarray:
     S = np.concatenate([np.reshape(x, (1, len(Ab))), V[:-1] @ Ctrl])
     _scan(S, Ab)
     return (S @ Ob + V @ Tb).reshape(-1)[: K * Ob.shape[1] // _BLOCK]
+
+
+def _free_response(pieces_t: tuple, x, K: int) -> np.ndarray:
+    """Stacked outputs y(1..K) from state ``x`` under zero input: the block-start
+    states ``x (A^b)^j`` by :func:`_power_rows`, then one product with ``Ob``."""
+    Ob, _, _, Ab = pieces_t
+    S = _power_rows(np.reshape(x, (1, len(Ab))), Ab, -(-K // _BLOCK))
+    return (S @ Ob).reshape(-1)[: K * Ob.shape[1] // _BLOCK]
+
+
+def _fold(c: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """``sum_j c[j] step^j`` over the rows of ``c``, in place: the rows from h = 2^i
+    on, times ``step^h``, fold onto the first ones, in O(log) products.  Powers
+    stop at the last one used, or at one below ``tiny``: the rows from there on
+    would add below n * tiny * max|c|."""
+    powers, power = [], step
+    while 2 ** len(powers) < len(c) and not _underflows(power):
+        powers.append(power)
+        if 2 ** len(powers) < len(c):  # no power past the last one used: it may overflow
+            power = power @ power
+    count = min(len(c), 2 ** len(powers))
+    for i in reversed(range(len(powers))):
+        c[: count - 2**i] += c[2**i : count] @ powers[i]
+        count = 2**i
+    return c[0]
 
 
 def validate_mode(mode: StateSpaceMode) -> ModeValidationReport:

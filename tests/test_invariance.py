@@ -31,7 +31,7 @@ from behaviorcloak import (
     solve_utility_invariance,
     vehicle_demo_bank,
 )
-from behaviorcloak import invariance
+from behaviorcloak import invariance, modes
 from behaviorcloak.linalg import lstsq_min_norm, nullspace_basis, pseudoinverse
 
 
@@ -47,6 +47,12 @@ def rescaled_mode(mode, radius):
     """The mode with its state matrix scaled to spectral radius ``radius``."""
     rho = np.max(np.abs(np.linalg.eigvals(mode.A)))
     return StateSpaceMode(mode.mode_id, mode.A * (radius / rho), mode.B, mode.C)
+
+
+def close_poles_mode():
+    """Close poles seen through ``C = [1 1]``: the equilibrated Gramian is
+    ill-conditioned, so the fit takes its refining step."""
+    return StateSpaceMode(1, np.diag([0.9, 0.899]), [[1.0], [1.0]], [[1.0, 1.0]])
 
 
 def unreachable_kernel_spec(rng, mode, K):
@@ -370,6 +376,41 @@ class TestGramFit:
                 assert residual <= 1e-12 * np.linalg.norm(Y)
                 assert relative_gap(x, x_ref) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "case, K, steps",
+        [("observable", 40, 1), ("ill_conditioned", 40, 2), ("ill_conditioned", 500, 2),
+         ("more_outputs", 300, 1)],
+    )
+    def test_fit_matches_dense_oracle(self, case, K, steps):
+        # One forward recursion, then folds and free responses: one step,
+        # a refining second (one step alone is 6e-12 to 1.3e-11 off in x
+        # on the ill-conditioned mode), and m > l.
+        rng = np.random.default_rng(53)
+        if case == "ill_conditioned":
+            mode = close_poles_mode()
+        else:
+            mode = support.random_valid_mode(rng, n=3, m=2 if case == "more_outputs" else 1)
+        assert mode._gram_factor(K)[2] == steps
+        ops = build_lifted_operators(mode, K)
+        U = rng.standard_normal((K - 1, mode.l))
+        Y = ops.apply(rng.standard_normal(mode.n), U)
+        noise = rng.standard_normal(K * mode.m)
+        for data in (Y, Y + 1e-10 * noise, Y + noise):
+            x, residual = ops.fit(data, U)
+            x_ref, expected = support.dense_fit(ops, data, U)
+            assert np.linalg.norm(x - x_ref) <= 2e-12 * np.linalg.norm(x_ref)
+            assert abs(residual - expected) <= 1e-12 * np.linalg.norm(data)
+
+    def test_fit_validates_shapes(self):
+        ops = build_lifted_operators(vehicle_demo_bank().mode(2), 50)
+        expected = r"mode 2 at K = 50 expects 50 outputs and \(49, 1\) inputs"
+        with pytest.raises(ValueError, match=expected):
+            ops.fit(np.ones(1), np.zeros((49, 1)))
+        with pytest.raises(ValueError, match=expected):
+            ops.fit(np.ones(50), np.zeros((48, 1)))
+        with pytest.raises(ValueError, match=expected):
+            ops.fit(np.ones(50), np.zeros((49, 2)))
+
     def test_factor_is_cached_on_the_mode(self):
         mode = support.random_valid_mode(np.random.default_rng(50), n=3)
         build_lifted_operators(mode, 50).fit(np.ones(50), np.zeros((49, 1)))
@@ -444,6 +485,55 @@ def test_hour_session_makes_no_fft(monkeypatch):
     spec = UtilitySpec.average(K)
     plan = solve_utility_invariance(build_lifted_operators(bank.mode(2), K), spec)
     assert plan.residual <= 1e-12
+
+
+def count_recursions(monkeypatch):
+    """Call counts of ``apply``, ``apply_adjoint`` and the block scan."""
+    counts = {"apply": 0, "apply_adjoint": 0, "scan": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    ops_class = behaviorcloak.LiftedOperators
+    for name in ("apply", "apply_adjoint"):
+        monkeypatch.setattr(ops_class, name, counted(name, getattr(ops_class, name)))
+    for module in (modes, invariance):
+        monkeypatch.setattr(module, "_scan", counted("scan", module._scan))
+    return counts
+
+
+def test_fit_runs_one_forward_recursion(monkeypatch):
+    # The forced response is the only scan; the costates fold and the free
+    # response doubles, with the refining step too.
+    mode = close_poles_mode()
+    K = 500
+    assert mode._gram_factor(K)[2] == 2
+    U = np.random.default_rng(54).standard_normal((K - 1, 1))
+    Y = simulate_mode(mode, [1.0, -1.0], U).stacked_outputs()
+    counts = count_recursions(monkeypatch)
+    build_lifted_operators(mode, K).fit(Y, U)
+    assert counts == {"apply": 1, "apply_adjoint": 0, "scan": 1}
+
+
+def test_hour_session_recursion_counts(monkeypatch):
+    # As the benchmark's hour session: one plan, one replay and two classifies
+    # make five forward recursions and one adjoint.
+    bank = vehicle_demo_bank()
+    sports, average = bank.mode(1), bank.mode(2)
+    K = 36000
+    rng = np.random.default_rng(55)
+    traj = simulate_mode(sports, rng.standard_normal(3), rng.uniform(-1.0, 1.0, (K - 1, 1)))
+    ctrl = solve_regulator_equations(sports, average)
+    counts = count_recursions(monkeypatch)
+    plan = solve_utility_invariance(build_lifted_operators(average, K), UtilitySpec.average(K))
+    cloaked = run_offline(DistortionConfig(sports, average, ctrl, plan, K), traj)
+    assert classify(bank, traj).verdict == 1
+    assert classify(bank, cloaked.to_trajectory()).verdict == 2
+    assert counts == {"apply": 5, "apply_adjoint": 1, "scan": 6}
 
 
 def test_import_loads_no_scipy_module():

@@ -20,7 +20,7 @@ from behaviorcloak import (
     vehicle_demo_bank,
     write_trajectory_csv,
 )
-from behaviorcloak.modes import _ROWS_PER_BLOCK, _power_rows
+from behaviorcloak.modes import _ROWS_PER_BLOCK, _fold, _free_response, _power_rows, _scan
 
 # Printed discrete-time vehicle blocks, columns A | B.
 SPORTS_AB = np.array(
@@ -197,6 +197,8 @@ def oracle_mode(case):
         return support.random_valid_mode(np.random.default_rng(9), n=4, m=2, l=2)
     if case == "random":
         return support.random_valid_mode(np.random.default_rng(7))
+    if case == "decaying":  # (A^16)^(2^j) underflows within the one-hour scan
+        return StateSpaceMode(1, np.diag([0.5, 0.3, 0.2]), np.ones((3, 1)), np.ones((1, 3)))
     return StateSpaceMode(1, A=np.diag([1.05, 0.7]), B=[[0.0], [1.0]], C=[[1.0, 1.0]])
 
 
@@ -210,6 +212,7 @@ ORACLE_CASES = [
         ("mimo", (2, 17, 500, 36000)),
         ("unstable", (2, 17, 600, 2000)),
         ("random", (40,)),
+        ("decaying", (17, 500, 36000)),
     )
     for K in horizons
 ]
@@ -256,6 +259,8 @@ class TestSimulateMode:
                 ops.apply(x, U),
                 *ops.apply_adjoint(rng.standard_normal(K)),
                 _power_rows(mode.C, mode.A, K),
+                _free_response(mode._output_blocks_t, x, K),
+                _fold(rng.standard_normal((K // 16, 2)), mode._output_blocks[3]),
             ]
         assert all(np.isfinite(r).all() for r in results)
         assert np.max(np.abs(results[0])) > 1e290
@@ -266,6 +271,81 @@ class TestSimulateMode:
             simulate_mode(mode, [1.0], np.zeros((3, 1)))
         with pytest.raises(ValueError):
             simulate_mode(mode, [1.0, 0.0], np.zeros((3, 2)))
+
+
+class TestBlockKernels:
+    """The fold ``sum_j c[j] step^j`` and the free response ``Ot x`` against
+    explicit sums and the sample-by-sample recursion."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 16, 17, 33])
+    @pytest.mark.parametrize("radius", [0.9, 1.05])
+    def test_fold_matches_explicit_sum(self, count, radius):
+        rng = np.random.default_rng(count)
+        step = rng.standard_normal((3, 3))
+        step *= radius / np.max(np.abs(np.linalg.eigvals(step)))
+        c = rng.standard_normal((count, 3))
+        expected = sum(c[j] @ np.linalg.matrix_power(step, j) for j in range(count))
+        got = _fold(c.copy(), step)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("K", [1, 2, 17, 500])
+    @pytest.mark.parametrize("case", ["sports", "mimo", "unstable", "decaying"])
+    def test_free_response_matches_recursion(self, case, K):
+        mode = oracle_mode(case)
+        x = np.random.default_rng(K).standard_normal(mode.n)
+        _, Y = support.loop_simulate(mode, x, np.zeros((K - 1, mode.l)))
+        got = _free_response(mode._output_blocks_t, x, K)
+        assert got.shape == (K * mode.m,)
+        assert np.max(np.abs(got - Y.reshape(-1))) <= 1e-12 * np.max(np.abs(Y))
+
+    def test_underflowed_powers_are_dropped(self):
+        # 1e-160 squared is the subnormal 1e-320: each kernel stops there, so
+        # the k = 2 term is exactly zero rather than carried as a subnormal.
+        step = np.array([[1e-160]])
+        rows = _power_rows(np.ones((1, 1)), step, 4)
+        np.testing.assert_array_equal(rows.ravel(), [1.0, 1e-160, 0.0, 0.0])
+        S = np.array([[1.0], [0.0], [0.0], [0.0]])
+        _scan(S, step)
+        np.testing.assert_array_equal(S.ravel(), [1.0, 1e-160, 0.0, 0.0])
+        assert _fold(np.array([[0.0], [0.0], [1.0]]), step)[0] == 0.0
+        assert _fold(np.array([[0.0], [2.0], [1.0]]), step)[0] == 2e-160
+
+    @pytest.mark.parametrize("step", [[[np.nan]], [[0.0, 1.0], [1.0, 0.0]]], ids=["nan", "zero_corner"])
+    def test_only_underflow_stops_the_powers(self, step):
+        # A nan step still reaches the loud non-finite errors, and a zero first
+        # entry (the cheap half of the test) is not an underflowed power.
+        step = np.array(step)
+        rows = np.vstack([np.ones(len(step)) @ np.linalg.matrix_power(step, k) for k in range(4)])
+        np.testing.assert_array_equal(_power_rows(rows[:1], step, 4), rows)
+        S = np.zeros_like(rows)
+        S[0] = rows[0]
+        _scan(S, step)
+        np.testing.assert_array_equal(S, rows)
+        np.testing.assert_array_equal(_fold(np.ones((3, len(step))), step), rows[:3].sum(axis=0))
+
+    @pytest.mark.parametrize("K", [17, 500, 36000])
+    def test_decaying_mode_matches_dense_oracles(self, K):
+        # The block step's powers underflow well inside these horizons.
+        mode = oracle_mode("decaying")
+        rng = np.random.default_rng(K)
+        x, w = rng.standard_normal(3), rng.standard_normal(K)
+        U = rng.uniform(-1.0, 1.0, (K - 1, 1))
+        ops = build_lifted_operators(mode, K)
+        Ot = support.iterated_observability(mode, K)
+        _, Y = support.loop_simulate(mode, x, U)
+        Y = Y.reshape(-1)
+        assert np.max(np.abs(ops.apply(x, U) - Y)) <= 1e-12 * np.max(np.abs(Y))
+        x_adj, U_adj = ops.apply_adjoint(w)
+        assert np.linalg.norm(x_adj - Ot.T @ w) <= 1e-12 * np.linalg.norm(Ot.T @ w)
+        if K <= 500:
+            Tt = ops.Tt
+            assert np.max(np.abs(Ot @ x + Tt @ U.reshape(-1) - Y)) <= 1e-12 * np.max(np.abs(Y))
+            assert np.linalg.norm(U_adj - Tt.T @ w) <= 1e-12 * np.linalg.norm(Tt.T @ w)
+        for data in (Y, Y + rng.standard_normal(K)):
+            x_fit, residual = ops.fit(data, U)
+            x_ref, expected = support.dense_fit(ops, data, U)
+            assert np.linalg.norm(x_fit - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
+            assert abs(residual - expected) <= 1e-12 * np.linalg.norm(data)
 
 
 class TestTrajectory:
