@@ -205,7 +205,8 @@ class LiftedOperators:
         x, e = np.zeros(n), r
         for _ in range(steps):
             x = x + s * (P @ (s * _fold(_pad_blocks(e, -(-K // _BLOCK), len(Ob)) @ Ob, Ab)))
-            e = r - _free_response(self.mode._output_blocks_t, x, K)
+            e = _free_response(self.mode._output_blocks_t, x, K)
+            np.subtract(r, e, out=e)  # in place: a fit holds two arrays of K floats
         residual = float(np.linalg.norm(e))
         if not np.isfinite(residual):
             raise ValueError(f"the fit of mode {self.mode.mode_id} at K = {self.K} is not finite")
@@ -320,31 +321,38 @@ def solve_utility_invariance(
         raise ValueError(f"magnitude must be finite and nonnegative, got {magnitude}")
     if magnitude == 0.0:
         return KernelPlan.zero(ops.n, ops.K, ops.m, ops.l, seed=seed)
-    n, F = ops.n, spec.F
-    balance = ops.mode._gram_factor(ops.K)[0]
-    z = np.random.default_rng(seed).standard_normal(n + (ops.K - 1) * ops.l)
-    # Start states in units of their responses: x = balance * z[:n].
-    FM = np.hstack(ops.apply_adjoint(F))
-    FM[:, :n] *= balance
-    projected = z - FM.T @ gram_solve(FM @ FM.T, FM @ z, max(FM.shape))
-    projected[:n] *= balance
-    forced = ops.apply(np.zeros(n), projected[n:])
-    free = _free_response(ops.mode._output_blocks_t, projected[:n], ops.K)
-    delta = forced + free
-    norm = float(np.linalg.norm(delta))
-    miss = float(np.linalg.norm(F.T @ gram_solve(F @ F.T, F @ delta, max(F.shape))))
+    n, K, F = ops.n, ops.K, spec.F
+    balance = ops.mode._gram_factor(K)[0]
+    rng = np.random.default_rng(seed)
+    x, U = rng.standard_normal(n), rng.standard_normal((K - 1, ops.l))
+    # Start states in units of their responses: the state half of F M is scaled by
+    # ``balance``, and so is the projected x.  Each whole-horizon array goes once
+    # used.  np.dot: for q = 1, matmul's (N, 1) @ (1,) loop is about 6x slower.
+    FMx, FMu = ops.apply_adjoint(F)
+    FMx *= balance
+    c = gram_solve(FMx @ FMx.T + FMu @ FMu.T, FMx @ x + FMu @ U.ravel(), max(len(F), n + U.size))
+    x -= np.dot(c, FMx)
+    U -= np.dot(c, FMu).reshape(U.shape)
+    del FMx, FMu
+    x *= balance
+    forced = ops.apply(np.zeros(n), U)
+    free = _free_response(ops.mode._output_blocks_t, x, K)
     parts = np.linalg.norm(free) + np.linalg.norm(forced)
+    delta = np.add(forced, free, out=forced)
+    del free
+    norm = float(np.linalg.norm(delta))
+    miss = float(np.linalg.norm(np.dot(gram_solve(F @ F.T, F @ delta, max(F.shape)), F)))
     if norm <= _INFEASIBLE_RATIO * parts or miss > _MISS_RATIO * norm:
         raise InvarianceInfeasibleError(
             "Ker[F] is trivial or the target behaviour meets it only at zero, or "
             "rounding swamps the projection at this horizon; no nonzero plan found"
         )
     scale = magnitude / norm
-    projected *= scale
-    delta *= scale
+    for part in (x, U, delta):
+        part *= scale
     return KernelPlan(
-        x2_init=projected[:n],
-        U2=projected[n:].reshape(ops.K - 1, ops.l),
+        x2_init=x,
+        U2=U,
         delta_Y=delta,
         theta=delta,
         residual=miss * scale,

@@ -85,6 +85,8 @@ class StateSpaceMode:
         C = _frozen_array(self.C, "C", 2)
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got shape {A.shape}")
+        if A.shape[0] == 0:
+            raise ValueError(f"a mode needs at least one state, got A of shape {A.shape}")
         if B.shape[0] != A.shape[0]:
             raise ValueError("B must have as many rows as A")
         if C.shape[1] != A.shape[0]:
@@ -389,17 +391,21 @@ def _scan(S: np.ndarray, step: np.ndarray, reverse: bool = False) -> None:
 
 def _block_response(pieces_t: tuple, x, U, K: int) -> np.ndarray:
     """Stacked outputs y(1..K) from state ``x`` under the K - 1 inputs ``U``: two
-    products per block, and the block-start states by one :func:`_scan`.
+    products per block, and the block-start states by one :func:`_scan`.  Every
+    input block but the last is full, so ``U`` is never copied into padded blocks.
 
     ``pieces_t`` are the :func:`_block_pieces` transposed into contiguous
     arrays: numpy's matmul is several times slower on transposed views.
     """
     Ob, Tb, Ctrl, Ab = pieces_t
-    nb, l = -(-K // _BLOCK), len(Tb) // _BLOCK
-    V = _pad_blocks(np.reshape(U, (1, (K - 1) * l)), nb, len(Tb))[0]
-    S = np.concatenate([np.reshape(x, (1, len(Ab))), V[:-1] @ Ctrl])
+    nb, U = -(-K // _BLOCK), np.reshape(U, -1)
+    head = U[: (nb - 1) * len(Tb)].reshape(nb - 1, len(Tb))
+    S = np.concatenate([np.reshape(x, (1, len(Ab))), head @ Ctrl])
     _scan(S, Ab)
-    return (S @ Ob + V @ Tb).reshape(-1)[: K * Ob.shape[1] // _BLOCK]
+    Y = S @ Ob
+    Y[:-1] += head @ Tb
+    Y[-1] += U[head.size :] @ Tb[: U.size - head.size]
+    return Y.reshape(-1)[: K * Ob.shape[1] // _BLOCK]
 
 
 def _free_response(pieces_t: tuple, x, K: int) -> np.ndarray:

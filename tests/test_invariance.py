@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -536,6 +537,32 @@ def test_hour_session_recursion_counts(monkeypatch):
     assert counts == {"apply": 5, "apply_adjoint": 1, "scan": 6}
 
 
+def traced_peak(call) -> float:
+    """tracemalloc peak of ``call()`` above what was allocated before it, in bytes."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_working_set_at_paper_horizon():
+    # In arrays of K floats: a plan holds at most five at once, two of them the
+    # plan itself, and apply and fit two.  An hour session keeps the plan and
+    # the cloak (four arrays) through classify, so one array more in a fit
+    # grows the heap past glibc's trim threshold.
+    K = 36000
+    ops = build_lifted_operators(vehicle_demo_bank().mode(2), K)
+    spec = UtilitySpec.average(K)
+    plan = solve_utility_invariance(ops, spec, seed=1)  # caches the mode's pieces
+    array = K * 8
+    assert traced_peak(lambda: solve_utility_invariance(ops, spec, seed=2)) <= 5 * array
+    assert traced_peak(lambda: ops.apply(np.zeros(3), plan.U2)) <= 2.5 * array
+    assert traced_peak(lambda: ops.fit(plan.delta_Y, plan.U2)) <= 2.5 * array
+
+
 def test_import_loads_no_scipy_module():
     src = str(Path(behaviorcloak.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -637,6 +664,34 @@ class TestSolveUtilityInvariance:
         spec = UtilitySpec(F=F, mu=np.zeros(len(F)), K=K)
         with pytest.raises(InvarianceInfeasibleError):
             solve_utility_invariance(ops, spec, magnitude=1.0, seed=0)
+
+    def test_cancelling_parts_are_refused(self, monkeypatch):
+        # The free response cancels the forced one but for an alternating
+        # +-2^-40, a Ker[F] vector about 1e-12 of their size.  The forced
+        # response is rounded to multiples of 2^-10, so the sum is exact and its
+        # miss is exactly zero: only the comparison with the parts, taken before
+        # the in-place sum, refuses it.
+        K = 500
+        ops = build_lifted_operators(vehicle_demo_bank().mode(2), K)
+        spec = UtilitySpec.average(K)
+        kernel = np.ldexp(np.resize([1.0, -1.0], K), -40)
+        forced = []
+        apply = behaviorcloak.LiftedOperators.apply
+
+        def rounded(ops, x, U):
+            forced.append(np.round(apply(ops, x, U) * 1024.0) / 1024.0)
+            return forced[-1].copy()
+
+        def cancelling(pieces_t, x, K):
+            return kernel - forced[-1]
+
+        monkeypatch.setattr(behaviorcloak.LiftedOperators, "apply", rounded)
+        monkeypatch.setattr(invariance, "_free_response", cancelling)
+        with pytest.raises(InvarianceInfeasibleError):
+            solve_utility_invariance(ops, spec, seed=4)
+        assert np.linalg.norm(forced[-1]) > 1.0
+        np.testing.assert_array_equal(forced[-1] + cancelling(None, None, K), kernel)
+        assert spec.F @ kernel == 0.0
 
     def test_rank_deficient_square_utility_gets_a_plan(self):
         K = 200

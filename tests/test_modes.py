@@ -48,6 +48,11 @@ class TestStateSpaceMode:
         with pytest.raises(ValueError):
             StateSpaceMode(1, A=np.eye(2), B=[[1.0], [0.0]], C=[[1.0]])
 
+    def test_rejects_zero_states(self):
+        # A 0 x 0 A is square, but no recursion can run on it: refused by name.
+        with pytest.raises(ValueError, match=r"at least one state, got A of shape \(0, 0\)"):
+            StateSpaceMode(1, np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)))
+
     def test_arrays_frozen(self):
         mode = support.double_integrator()
         with pytest.raises(ValueError):
