@@ -45,6 +45,7 @@ from .modes import (
     _block_toeplitz,
     _fold,
     _free_response,
+    _frozen,
     _pad_blocks,
     _power_rows,
     _scan,
@@ -92,10 +93,8 @@ class UtilitySpec:
     K: int
 
     def __post_init__(self):
-        F = np.atleast_2d(np.array(self.F, dtype=float))
-        mu = np.array(self.mu, dtype=float).reshape(-1)
-        if not (np.all(np.isfinite(F)) and np.all(np.isfinite(mu))):
-            raise ValueError("utility matrices must be finite")
+        F = np.atleast_2d(_frozen(self.F, "utility F"))
+        mu = np.reshape(_frozen(self.mu, "utility mu"), -1)
         if self.K < 2:
             raise ValueError("utility horizon must be at least 2")
         if F.shape[1] % self.K != 0:
@@ -104,8 +103,6 @@ class UtilitySpec:
             )
         if mu.shape[0] != F.shape[0]:
             raise ValueError("mu must have one entry per row of F")
-        F.setflags(write=False)
-        mu.setflags(write=False)
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "mu", mu)
 
@@ -226,38 +223,24 @@ def build_lifted_operators(target_mode: StateSpaceMode, K: int) -> LiftedOperato
 class KernelPlan:
     """Off-line plan steering the target model's free output into Ker[F].
 
-    ``delta_Y`` is the attained stacked response; ``residual`` is its
-    distance ``||F^+ F delta_Y||`` from Ker[F].  ``theta`` is the kernel
-    element the plan realizes, equal to ``delta_Y`` and sharing its frozen
-    array when passed the same one (None for zero or deserialized plans).
+    ``delta_Y`` is the attained stacked response, the kernel element the
+    plan realizes; ``residual`` is its distance ``||F^+ F delta_Y||`` from
+    Ker[F].  ``U2`` has one row per input sample, as a trajectory's ``U``.
     """
 
     x2_init: np.ndarray
     U2: np.ndarray
     delta_Y: np.ndarray
-    theta: Optional[np.ndarray]
     residual: float
     seed: Optional[int]
     magnitude: float
 
     def __post_init__(self):
-        shared = self.theta is self.delta_Y  # the solver's plan: one frozen buffer
-        x2 = np.array(self.x2_init, dtype=float).reshape(-1)
-        U2 = np.atleast_2d(np.array(self.U2, dtype=float))
-        delta = np.array(self.delta_Y, dtype=float).reshape(-1)
-        if not all(np.isfinite(arr).all() for arr in (x2, U2, delta, self.magnitude)):
-            raise ValueError("plan entries must be finite")
-        for arr in (x2, U2, delta):
-            arr.setflags(write=False)
-        object.__setattr__(self, "x2_init", x2)
-        object.__setattr__(self, "U2", U2)
-        object.__setattr__(self, "delta_Y", delta)
-        if shared:
-            object.__setattr__(self, "theta", delta)
-        elif self.theta is not None:
-            theta = np.array(self.theta, dtype=float).reshape(-1)
-            theta.setflags(write=False)
-            object.__setattr__(self, "theta", theta)
+        if not np.isfinite(self.magnitude):
+            raise ValueError(f"plan magnitude is not finite: {self.magnitude}")
+        object.__setattr__(self, "x2_init", np.reshape(_frozen(self.x2_init, "plan x2_init"), -1))
+        object.__setattr__(self, "U2", _frozen(self.U2, "plan U2", samples=True))
+        object.__setattr__(self, "delta_Y", np.reshape(_frozen(self.delta_Y, "plan delta_Y"), -1))
 
     @property
     def K(self) -> int:
@@ -271,7 +254,6 @@ class KernelPlan:
             x2_init=np.zeros(n),
             U2=np.zeros((K - 1, l)),
             delta_Y=np.zeros(K * m),
-            theta=None,
             residual=0.0,
             seed=seed,
             magnitude=0.0,
@@ -350,11 +332,11 @@ def solve_utility_invariance(
     scale = magnitude / norm
     for part in (x, U, delta):
         part *= scale
+        part.setflags(write=False)  # handed over: the plan keeps it uncopied if it owns it
     return KernelPlan(
         x2_init=x,
         U2=U,
         delta_Y=delta,
-        theta=delta,
         residual=miss * scale,
         seed=seed,
         magnitude=magnitude,
@@ -369,20 +351,13 @@ def load_utility_spec(path) -> UtilitySpec:
     {"kind": "average", "K": ..., "m": ...} shorthand."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("kind") == "average":
-        try:
-            return UtilitySpec.average(int(doc["K"]), int(doc["m"]))
-        except KeyError as exc:
-            raise ValueError(f"average utility shorthand needs K and m: {exc}") from exc
     try:
-        spec = UtilitySpec(
-            F=np.array(doc["F"], dtype=float),
-            mu=np.array(doc["mu"], dtype=float),
-            K=int(doc["K"]),
-        )
+        if doc.get("kind") == "average":
+            return UtilitySpec.average(int(doc["K"]), int(doc["m"]))
+        spec = UtilitySpec(F=doc["F"], mu=doc["mu"], K=int(doc["K"]))
         if spec.q != int(doc["q"]):
             raise ValueError("declared q disagrees with the rows of F")
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"ill-formed utility spec document: {exc}") from exc
     return spec
 
@@ -422,7 +397,6 @@ def load_kernel_plan(path, target_mode: StateSpaceMode) -> KernelPlan:
         x2_init=x2,
         U2=U2,
         delta_Y=delta,
-        theta=None,
         residual=0.0,
         seed=seed,
         magnitude=magnitude,

@@ -36,29 +36,29 @@ __all__ = [
 ]
 
 
-def _frozen_array(value, name: str, ndim: int) -> np.ndarray:
-    arr = np.array(value, dtype=float)
-    if arr.ndim != ndim:
-        raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    arr.setflags(write=False)
-    return arr
-
-
-def _samples(value, name: str) -> np.ndarray:
-    """Frozen float array of one row per sample (a vector becomes a column);
-    ValueError naming the array and the 1-based sample of a non-finite entry.
-    A read-only float array that owns its data is taken as it is, not copied."""
+def _frozen(value, name: str, samples: bool = False) -> np.ndarray:
+    """``value`` as a frozen float array, by the one rule of every record: an array
+    that is read-only and owns its data is kept, anything else is copied.  With
+    ``samples`` it has one row per sample (a vector becomes a column).  ValueError
+    naming the array and its first row, or sample, with a non-finite entry."""
     arr = np.asarray(value, dtype=float)
     if arr.flags.writeable or not arr.flags.owndata:
         arr = arr.copy()
-    arr = arr.reshape(-1, 1) if arr.ndim == 1 else arr
+        arr.setflags(write=False)
     if not np.isfinite(arr).all():
-        bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))[0]
-        raise ValueError(f"trajectory {name} is not finite at sample {bad + 1}")
-    arr.setflags(write=False)
-    return arr
+        bad = np.argwhere(~np.isfinite(np.atleast_1d(arr)))[0, 0] + 1
+        raise ValueError(f"{name} is not finite at {'sample' if samples else 'row'} {bad}")
+    return arr.reshape(-1, 1) if samples and arr.ndim == 1 else arr
+
+
+def _matrices(record) -> tuple:
+    """Freeze a model's ``A``, ``B`` and ``C`` in place; each must be 2-dimensional."""
+    for name in "ABC":
+        arr = _frozen(getattr(record, name), name)
+        if arr.ndim != 2:
+            raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
+        object.__setattr__(record, name, arr)
+    return record.A, record.B, record.C
 
 
 def _vector(value, size: int, name: str) -> np.ndarray:
@@ -80,9 +80,7 @@ class StateSpaceMode:
     _gram_factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        A = _frozen_array(self.A, "A", 2)
-        B = _frozen_array(self.B, "B", 2)
-        C = _frozen_array(self.C, "C", 2)
+        A, B, C = _matrices(self)
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got shape {A.shape}")
         if A.shape[0] == 0:
@@ -91,9 +89,6 @@ class StateSpaceMode:
             raise ValueError("B must have as many rows as A")
         if C.shape[1] != A.shape[0]:
             raise ValueError("C must have as many columns as A")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
 
     @property
     def n(self) -> int:
@@ -203,21 +198,19 @@ class Trajectory:
     X: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        U, Y = _samples(self.U, "U"), _samples(self.Y, "Y")
-        if Y.shape[0] < 2:
+        for name in ("U", "Y", "X"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _frozen(value, f"trajectory {name}", samples=True))
+        if self.Y.shape[0] < 2:
             raise ValueError("a trajectory needs a horizon of at least K = 2")
-        if U.shape[0] != Y.shape[0] - 1:
+        if self.U.shape[0] != self.Y.shape[0] - 1:
             raise ValueError(
-                f"expected {Y.shape[0] - 1} input samples for {Y.shape[0]} outputs, "
-                f"got {U.shape[0]}"
+                f"expected {self.Y.shape[0] - 1} input samples for {self.Y.shape[0]} outputs, "
+                f"got {self.U.shape[0]}"
             )
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "Y", Y)
-        if self.X is not None:
-            X = _samples(self.X, "X")
-            if X.shape[0] != Y.shape[0]:
-                raise ValueError("X must record one state per output sample")
-            object.__setattr__(self, "X", X)
+        if self.X is not None and self.X.shape[0] != self.Y.shape[0]:
+            raise ValueError("X must record one state per output sample")
 
     @property
     def K(self) -> int:
@@ -235,10 +228,6 @@ class Trajectory:
         """col[y(1); ...; y(K)] as a flat vector of length K*m."""
         return self.Y.reshape(-1)
 
-    def stacked_inputs(self) -> np.ndarray:
-        """col[u(1); ...; u(K-1)] as a flat vector of length (K-1)*l."""
-        return self.U.reshape(-1)
-
 
 @dataclass(frozen=True)
 class ContinuousMode:
@@ -250,16 +239,11 @@ class ContinuousMode:
     sample_period: float
 
     def __post_init__(self):
-        A = _frozen_array(self.A, "A", 2)
-        B = _frozen_array(self.B, "B", 2)
-        C = _frozen_array(self.C, "C", 2)
+        A, B, C = _matrices(self)
         if A.shape[0] != A.shape[1] or B.shape[0] != A.shape[0] or C.shape[1] != A.shape[0]:
             raise ValueError("inconsistent continuous-time model dimensions")
         if not self.sample_period > 0.0:
             raise ValueError("sample_period must be positive")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
 
 
 @dataclass(frozen=True)

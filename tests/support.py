@@ -164,7 +164,6 @@ def dense_kernel_plan(ops, spec, magnitude, seed) -> KernelPlan:
         x2_init=x,
         U2=U.reshape(ops.K - 1, ops.l),
         delta_Y=delta,
-        theta=theta,
         residual=float(np.linalg.norm(delta - (theta - P_row @ theta))),
         seed=seed,
         magnitude=magnitude,

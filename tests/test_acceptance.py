@@ -177,7 +177,7 @@ def test_criterion_7_feasibility_system_equivalence():
                 [ops.Ot, ops.Tt, pseudoinverse(F) @ F - np.eye(K)]
             )
             basis = nullspace_basis(stacked)
-            v = np.concatenate([plan.x2_init, plan.U2.reshape(-1), plan.theta])
+            v = np.concatenate([plan.x2_init, plan.U2.reshape(-1), plan.delta_Y])
             v = v / np.linalg.norm(v)
             assert np.linalg.norm(v - basis @ (basis.T @ v)) <= 1e-8
         assert elapsed() < 5.0

@@ -457,6 +457,44 @@ class TestDistortAndClassify:
         assert "Traceback" not in err
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize(
+        "loader, doc",
+        [
+            ("utility", {"kind": "average", "K": None, "m": 1}),
+            ("utility", [1, 2]),
+            ("plan", [1, 2]),
+            ("controller", [1, 2]),
+            ("bank", [1, 2]),
+        ],
+        ids=["utility-null-K", "utility-list", "plan-list", "controller-list", "bank-list"],
+    )
+    def test_malformed_document_is_bad_input(self, capsys, designed, tmp_path, loader, doc):
+        # Valid JSON of the wrong form: one error line and exit 2, never a traceback.
+        bank_path, design_dir, traj_path = designed
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        paths = {
+            "bank": bank_path,
+            "controller": design_dir / "controller.json",
+            "plan": design_dir / "plan.json",
+            loader: bad,
+        }
+        pair = ["--bank", paths["bank"], "--true-mode", 1, "--target-mode", 2]
+        if loader == "utility":
+            argv = ["design", *pair, "--utility", bad, "--K", 200, "--out", tmp_path / "x"]
+        else:
+            argv = [
+                "distort", *pair,
+                "--controller", paths["controller"],
+                "--plan", paths["plan"],
+                "--input", traj_path,
+                "--out", tmp_path / "distorted.csv",
+            ]
+        assert main([str(a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_overflowing_gramian_is_bad_input(self, capsys, tmp_path):
         # 1.05^(2K) overflows the Gramian: exit 2, naming the mode and K.
         bank_path, path = tmp_path / "bank.json", tmp_path / "drive.csv"
@@ -512,7 +550,6 @@ class TestDemoCommand:
                 x2_init=np.zeros(ops.n),
                 U2=np.zeros((ops.K - 1, ops.l)),
                 delta_Y=np.full(ops.K * ops.m, 0.1),
-                theta=None,
                 residual=0.0,
                 seed=seed,
                 magnitude=magnitude,

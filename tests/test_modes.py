@@ -365,7 +365,6 @@ class TestTrajectory:
         np.testing.assert_array_equal(
             traj.stacked_outputs(), [1.0, 10.0, 2.0, 20.0, 3.0, 30.0]
         )
-        np.testing.assert_array_equal(traj.stacked_inputs(), [1.0, 2.0])
 
 
 class TestFileFormats:
