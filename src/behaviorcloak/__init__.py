@@ -21,9 +21,7 @@ from .distort import (
 from .invariance import (
     InvarianceInfeasibleError,
     KernelPlan,
-    LiftedOperators,
     UtilitySpec,
-    build_lifted_operators,
     load_kernel_plan,
     load_utility_spec,
     save_kernel_plan,
@@ -39,10 +37,12 @@ from .linalg import (
 )
 from .modes import (
     ContinuousMode,
+    LiftedOperators,
     ModeBank,
     ModeValidationReport,
     StateSpaceMode,
     Trajectory,
+    build_lifted_operators,
     discretize_zoh,
     load_mode_bank,
     longitudinal_vehicle_mode,

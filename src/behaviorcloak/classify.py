@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .invariance import build_lifted_operators
-from .modes import ModeBank, StateSpaceMode, Trajectory
+from .modes import ModeBank, StateSpaceMode, Trajectory, build_lifted_operators
 
 __all__ = [
     "AMBIGUOUS",

@@ -23,9 +23,9 @@ from typing import Optional
 
 import numpy as np
 
-from .invariance import KernelPlan, build_lifted_operators
+from .invariance import KernelPlan
 from .linalg import RESIDUAL_TOL
-from .modes import StateSpaceMode, Trajectory, _vector, simulate_mode
+from .modes import StateSpaceMode, Trajectory, _vector, build_lifted_operators, simulate_mode
 from .regulation import RegulatorSolution, regulator_residuals
 
 __all__ = [

@@ -1,13 +1,9 @@
 """Utility-invariant distortion plans for a target mode.
 
-The free response of the target model over a horizon K is
-
-    Ytilde = Ot x(1) + Tt U = M z,    z = (x(1), U),
-
-with ``Ot`` the block observability matrix and ``Tt`` the block-Toeplitz
-forced-response matrix.  A distortion plan is an input-space point z whose
-response lies in the kernel of the known utility matrix F, so adding it to
-a transmitted output trajectory leaves ``F Y + mu`` unchanged.
+A distortion plan is an input-space point ``z = (x(1), U)`` whose response
+``M z = Ot x(1) + Tt U`` (:class:`~behaviorcloak.modes.LiftedOperators`)
+lies in the kernel of the known utility matrix F, so adding it to a
+transmitted output trajectory leaves ``F Y + mu`` unchanged.
 
 Plans are found by one projection in input space: a seeded Gaussian draw
 z is projected onto Ker[F M], and its response M z is rescaled to the
@@ -17,55 +13,31 @@ adjoint apply ``M' F'``, so the projection solves with the q x q Gram
 so that an unstable target's does not swamp it.  When the free and
 forced parts of the projected response cancel to rounding, or the scaled
 response is not in Ker[F] to rounding, no plan is found: Ker[F] is
-trivial, or the target behaviour meets it only at zero.  A start-state
-fit solves with the n x n Gramian ``Ot' Ot`` after one forward recursion.
-
-``M``, ``Ot`` and ``Tt`` are never formed (the dense ``Ot`` and ``Tt``
-are test oracles): ``M`` and its adjoint run the state recursion a block
-of samples at a time (the block scan of :mod:`.modes`).  Inside a block
-the response is two dense products with fixed block matrices; the states
-at block starts follow from a doubling scan.  A plan costs O(q K) work in
-O(log K) vectorized steps even at paper-scale horizons.
+trivial, or the target behaviour meets it only at zero.  A plan costs
+O(q K) work in O(log K) vectorized steps even at paper-scale horizons.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .linalg import gram_solve
-from .modes import (
-    _BLOCK,
-    StateSpaceMode,
-    _block_response,
-    _block_toeplitz,
-    _fold,
-    _free_response,
-    _frozen,
-    _pad_blocks,
-    _power_rows,
-    _scan,
-)
+from .modes import LiftedOperators, StateSpaceMode, _frozen, build_lifted_operators
 
 __all__ = [
     "InvarianceInfeasibleError",
     "UtilitySpec",
-    "LiftedOperators",
     "KernelPlan",
-    "build_lifted_operators",
     "solve_utility_invariance",
     "load_utility_spec",
     "save_utility_spec",
     "load_kernel_plan",
     "save_kernel_plan",
 ]
-
-# Entry budget above which dense lifted matrices are refused.
-_DENSE_ENTRY_LIMIT = 4_000_000
 
 # A projected response is rounding, not a plan, if it is this small next to
 # the sum of its free and forced parts (they cancel), or if its distance from
@@ -122,101 +94,6 @@ class UtilitySpec:
     def average(cls, K: int, m: int = 1) -> "UtilitySpec":
         """Per-channel average of the output over the horizon."""
         return cls(F=np.tile(np.eye(m), (1, K)) / K, mu=np.zeros(m), K=K)
-
-
-@dataclass(frozen=True)
-class LiftedOperators:
-    """Horizon-K response operators of one mode.
-
-    :meth:`apply`/:meth:`apply_adjoint` run the state recursion a block of
-    samples at a time, with two dense products per block and a doubling
-    scan over the block-start states, in O(K) work; :meth:`fit` runs one and
-    solves with the n x n Gramian by a costate fold and a free response.  The
-    block pieces and Gramian factors are cached on the mode; ``Ot`` (K*m rows)
-    and the Toeplitz ``Tt`` are dense oracles for tests only.
-    """
-
-    mode: StateSpaceMode
-    K: int
-
-    @property
-    def n(self) -> int:
-        return self.mode.n
-
-    @property
-    def m(self) -> int:
-        return self.mode.m
-
-    @property
-    def l(self) -> int:
-        return self.mode.l
-
-    @cached_property
-    def Ot(self) -> np.ndarray:
-        """Stacked observability matrix, rows ``C A^k`` for k < K (a test oracle)."""
-        return _power_rows(self.mode.C, self.mode.A, self.K)
-
-    @cached_property
-    def Tt(self) -> np.ndarray:
-        """Dense block-Toeplitz forced-response matrix (small horizons only)."""
-        K, m, l = self.K, self.m, self.l
-        if K * m * (K - 1) * l > _DENSE_ENTRY_LIMIT:
-            raise ValueError(
-                "dense Toeplitz matrix exceeds the size budget at this horizon; "
-                "use apply()/apply_adjoint()"
-            )
-        return _block_toeplitz(self.Ot.reshape(K, m, self.n), self.mode.B, K - 1)
-
-    def apply(self, x, U) -> np.ndarray:
-        """Stacked response ``Ot x + Tt U``, forming neither matrix."""
-        return _block_response(self.mode._output_blocks_t, x, U, self.K)
-
-    def apply_adjoint(self, w) -> tuple[np.ndarray, np.ndarray]:
-        """Adjoint pair ``(Ot' w, Tt' w)``, forming neither matrix; a stack of
-        weights (q, K*m) gives both results with the same leading axis."""
-        Ob, Tb, Ctrl, Ab = self.mode._output_blocks
-        w = np.reshape(np.asarray(w, dtype=float), np.shape(w)[:-1] + (self.K * self.m,))
-        W = _pad_blocks(w, -(-self.K // _BLOCK), len(Ob))
-        costate = W @ Ob
-        _scan(costate, Ab, reverse=True)
-        U_adj = W @ Tb
-        U_adj[..., :-1, :] += costate[..., 1:, :] @ Ctrl
-        U_adj = U_adj.reshape(W.shape[:-2] + (-1,))
-        return costate[..., 0, :], U_adj[..., : (self.K - 1) * self.l]
-
-    def fit(self, Y, U) -> tuple[np.ndarray, float]:
-        """Least-squares inverse of :meth:`apply` in x: ``(x, min ||Y - Ot x - Tt U||)``,
-        ``x = S P S Ot' r`` by the mode's Gramian factor, ``r = Y - Tt U`` from one forward
-        recursion, ``Ot' r`` a costate fold and ``Ot x`` a free response; the residual is
-        that of the fitted response, never one from the normal equations."""
-        K, n = self.K, self.n
-        Y = np.reshape(Y, -1)
-        if Y.shape != (K * self.m,) or np.shape(U) != (K - 1, self.l):
-            raise ValueError(
-                f"mode {self.mode.mode_id} at K = {K} expects {K * self.m} outputs and "
-                f"{(K - 1, self.l)} inputs, got {Y.size} and {np.shape(U)}"
-            )
-        s, P, steps = self.mode._gram_factor(K)
-        Ob, _, _, Ab = self.mode._output_blocks
-        r = Y - self.apply(np.zeros(n), U)
-        x, e = np.zeros(n), r
-        for _ in range(steps):
-            x = x + s * (P @ (s * _fold(_pad_blocks(e, -(-K // _BLOCK), len(Ob)) @ Ob, Ab)))
-            e = _free_response(self.mode._output_blocks_t, x, K)
-            np.subtract(r, e, out=e)  # in place: a fit holds two arrays of K floats
-        residual = float(np.linalg.norm(e))
-        if not np.isfinite(residual):
-            raise ValueError(f"the fit of mode {self.mode.mode_id} at K = {self.K} is not finite")
-        return x, residual
-
-
-def build_lifted_operators(target_mode: StateSpaceMode, K: int) -> LiftedOperators:
-    """The horizon-K lifted operators of a mode; only the dense test
-    oracles ``Ot``/``Tt`` form a whole-horizon array.  At K = 1 there are
-    no inputs and ``Ot = C``."""
-    if K < 1:
-        raise ValueError("horizon must be at least 1")
-    return LiftedOperators(target_mode, K)
 
 
 @dataclass(frozen=True)
@@ -304,7 +181,7 @@ def solve_utility_invariance(
     if magnitude == 0.0:
         return KernelPlan.zero(ops.n, ops.K, ops.m, ops.l, seed=seed)
     n, K, F = ops.n, ops.K, spec.F
-    balance = ops.mode._gram_factor(K)[0]
+    balance = ops.balance
     rng = np.random.default_rng(seed)
     x, U = rng.standard_normal(n), rng.standard_normal((K - 1, ops.l))
     # Start states in units of their responses: the state half of F M is scaled by
@@ -318,7 +195,7 @@ def solve_utility_invariance(
     del FMx, FMu
     x *= balance
     forced = ops.apply(np.zeros(n), U)
-    free = _free_response(ops.mode._output_blocks_t, x, K)
+    free = ops.free_response(x)
     parts = np.linalg.norm(free) + np.linalg.norm(forced)
     delta = np.add(forced, free, out=forced)
     del free

@@ -1,9 +1,22 @@
-"""Operation modes, trajectories, discretization, and their on-disk formats.
+"""Operation modes, trajectories, their lifted operators and on-disk formats.
 
 A mode is one discrete-time linear system ``x(k+1) = A x(k) + B u(k)``,
 ``y(k) = C x(k)``.  A bank collects the modes a device can operate in;
 all modes of a bank share the input and output dimensions so that any
 recorded trajectory is dimensionally compatible with every mode.
+
+Over K samples a mode's response is ``Ot x(1) + Tt U``, with ``Ot`` the
+stacked rows ``C A^k`` (k < K) and ``Tt`` the block-Toeplitz forced
+response.  :class:`LiftedOperators` (response, adjoint, start-state fit)
+and :func:`simulate_mode` run it without forming either matrix, on one
+block kernel: the recursion runs 16 samples at a time with two dense
+products per block (pieces cached on the mode), and the block-start states
+follow from doubling over powers of the block step, which stops at an
+underflowed power and never squares past the last one used.  A horizon
+costs O(K) work in O(log K) array steps.  No input is copied into padded
+blocks; a forward response of w outputs peaks at 2 w arrays of K floats
+(its buffer and one forced product) and hands over its buffer, trimmed in
+place, so a trajectory keeps it uncopied.  A fit holds two such arrays.
 """
 
 from __future__ import annotations
@@ -27,6 +40,8 @@ __all__ = [
     "validate_mode",
     "discretize_zoh",
     "simulate_mode",
+    "LiftedOperators",
+    "build_lifted_operators",
     "longitudinal_vehicle_mode",
     "vehicle_demo_bank",
     "load_mode_bank",
@@ -299,20 +314,28 @@ def _underflows(M: np.ndarray) -> bool:
     return abs(M[0, 0]) < _TINY and np.abs(M).max() < _TINY
 
 
+def _doublings(step: np.ndarray, count: int):
+    """Yield ``(s, step^s)`` for s = 1, 2, 4, ... below ``count``, one product
+    each.  It stops at a power below ``tiny``, whose terms would add below
+    n * tiny * max|terms before|, and never squares past the last power it
+    yields: that square may overflow."""
+    s = 1
+    while s < count and not _underflows(step):
+        yield s, step
+        s *= 2
+        if s < count:
+            step = step @ step
+
+
 def _power_rows(first: np.ndarray, A: np.ndarray, count: int) -> np.ndarray:
     """Stack ``first A^k``, k < count, by block doubling: the first s blocks
-    times ``A^s`` give the next s, so it takes O(log count) products.  Rows from
-    an ``A^s`` below ``tiny`` on are zero: below n * tiny * max|rows before|."""
+    times ``A^s`` give the next s.  Rows from an underflowed power on are zero."""
     r = first.shape[0]
     out = np.zeros((count * r, A.shape[0]))
     out[:r] = first
-    power, s = A, 1
-    while s < count and not _underflows(power):
+    for s, power in _doublings(A, count):
         t = min(s, count - s)
         out[s * r : (s + t) * r] = out[: t * r] @ power
-        s += t
-        if s < count:  # no power past the last one used: it may overflow
-            power = power @ power
     return out
 
 
@@ -360,23 +383,18 @@ def _block_pieces(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> tuple:
 
 def _scan(S: np.ndarray, step: np.ndarray, reverse: bool = False) -> None:
     """Doubling scan over axis -2, in place: ``S[j]`` becomes the sum of ``S[i]
-    step^|j - i|`` over i <= j (i >= j if ``reverse``), in O(log) products.  A
-    step below ``tiny`` ends it: that pass would add below n * tiny * max|S|."""
-    count, s = S.shape[-2], 1
-    while s < count and not _underflows(step):
+    step^|j - i|`` over i <= j (i >= j if ``reverse``), one pass per power."""
+    for s, power in _doublings(step, S.shape[-2]):
         if reverse:
-            S[..., :-s, :] += S[..., s:, :] @ step
+            S[..., :-s, :] += S[..., s:, :] @ power
         else:
-            S[..., s:, :] += S[..., :-s, :] @ step
-        s *= 2
-        if s < count:  # no power past the last pass: it may overflow
-            step = step @ step
+            S[..., s:, :] += S[..., :-s, :] @ power
 
 
 def _block_response(pieces_t: tuple, x, U, K: int) -> np.ndarray:
-    """Stacked outputs y(1..K) from state ``x`` under the K - 1 inputs ``U``: two
-    products per block, and the block-start states by one :func:`_scan`.  Every
-    input block but the last is full, so ``U`` is never copied into padded blocks.
+    """Outputs y(1..K), one row per sample in an array that owns its data, from
+    state ``x`` under the K - 1 inputs ``U``: two products per block, the
+    block-start states by one :func:`_scan`, and no copy of ``U`` into blocks.
 
     ``pieces_t`` are the :func:`_block_pieces` transposed into contiguous
     arrays: numpy's matmul is several times slower on transposed views.
@@ -387,9 +405,11 @@ def _block_response(pieces_t: tuple, x, U, K: int) -> np.ndarray:
     S = np.concatenate([np.reshape(x, (1, len(Ab))), head @ Ctrl])
     _scan(S, Ab)
     Y = S @ Ob
+    del S  # the peak below is Y and one forced product of its size
     Y[:-1] += head @ Tb
     Y[-1] += U[head.size :] @ Tb[: U.size - head.size]
-    return Y.reshape(-1)[: K * Ob.shape[1] // _BLOCK]
+    Y.resize((K, Ob.shape[1] // _BLOCK), refcheck=False)  # drop the padding in place
+    return Y
 
 
 def _free_response(pieces_t: tuple, x, K: int) -> np.ndarray:
@@ -401,20 +421,100 @@ def _free_response(pieces_t: tuple, x, K: int) -> np.ndarray:
 
 
 def _fold(c: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """``sum_j c[j] step^j`` over the rows of ``c``, in place: the rows from h = 2^i
-    on, times ``step^h``, fold onto the first ones, in O(log) products.  Powers
-    stop at the last one used, or at one below ``tiny``: the rows from there on
-    would add below n * tiny * max|c|."""
-    powers, power = [], step
-    while 2 ** len(powers) < len(c) and not _underflows(power):
-        powers.append(power)
-        if 2 ** len(powers) < len(c):  # no power past the last one used: it may overflow
-            power = power @ power
-    count = min(len(c), 2 ** len(powers))
-    for i in reversed(range(len(powers))):
-        c[: count - 2**i] += c[2**i : count] @ powers[i]
-        count = 2**i
+    """``sum_j c[j] step^j`` over the rows of ``c``, in place: largest power
+    first, the rows from s on, times ``step^s``, fold onto the first ones.  Rows
+    from an underflowed power on are dropped."""
+    count = len(c)
+    for s, power in reversed(list(_doublings(step, count))):
+        count = min(count, 2 * s)
+        c[: count - s] += c[s:count] @ power
+        count = s
     return c[0]
+
+
+@dataclass(frozen=True)
+class LiftedOperators:
+    """Horizon-K response ``Ot x + Tt U`` of one mode and its adjoint.
+
+    Neither ``Ot`` nor ``Tt`` is formed: each method runs the block kernel in
+    O(K) work.  :meth:`fit` runs one forward recursion and solves with the
+    n x n Gramian ``Ot' Ot`` by a costate fold and a free response.  The block
+    pieces and Gramian factors are cached on the mode.
+    """
+
+    mode: StateSpaceMode
+    K: int
+
+    @property
+    def n(self) -> int:
+        return self.mode.n
+
+    @property
+    def m(self) -> int:
+        return self.mode.m
+
+    @property
+    def l(self) -> int:
+        return self.mode.l
+
+    @property
+    def balance(self) -> np.ndarray:
+        """Column scaling of ``Ot``: ``diag(Ot' Ot)^(-1/2)``, 1 for a zero column."""
+        return self.mode._gram_factor(self.K)[0]
+
+    def apply(self, x, U) -> np.ndarray:
+        """Stacked response ``Ot x + Tt U``."""
+        return _block_response(self.mode._output_blocks_t, x, U, self.K).reshape(-1)
+
+    def free_response(self, x) -> np.ndarray:
+        """Stacked free response ``Ot x``."""
+        return _free_response(self.mode._output_blocks_t, x, self.K)
+
+    def apply_adjoint(self, w) -> tuple[np.ndarray, np.ndarray]:
+        """Adjoint pair ``(Ot' w, Tt' w)``; a stack of weights (q, K*m) gives
+        both results with the same leading axis."""
+        Ob, Tb, Ctrl, Ab = self.mode._output_blocks
+        w = np.reshape(np.asarray(w, dtype=float), np.shape(w)[:-1] + (self.K * self.m,))
+        W = _pad_blocks(w, -(-self.K // _BLOCK), len(Ob))
+        costate = W @ Ob
+        _scan(costate, Ab, reverse=True)
+        U_adj = W @ Tb
+        U_adj[..., :-1, :] += costate[..., 1:, :] @ Ctrl
+        U_adj = U_adj.reshape(W.shape[:-2] + (-1,))
+        return costate[..., 0, :], U_adj[..., : (self.K - 1) * self.l]
+
+    def fit(self, Y, U) -> tuple[np.ndarray, float]:
+        """Least-squares inverse of :meth:`apply` in x: ``(x, min ||Y - Ot x - Tt U||)``,
+        ``x = S P S Ot' r`` by the mode's Gramian factor, ``r = Y - Tt U`` from one forward
+        recursion, ``Ot' r`` a costate fold and ``Ot x`` a free response; the residual is
+        that of the fitted response, never one from the normal equations."""
+        K, n = self.K, self.n
+        Y = np.reshape(Y, -1)
+        if Y.shape != (K * self.m,) or np.shape(U) != (K - 1, self.l):
+            raise ValueError(
+                f"mode {self.mode.mode_id} at K = {K} expects {K * self.m} outputs and "
+                f"{(K - 1, self.l)} inputs, got {Y.size} and {np.shape(U)}"
+            )
+        s, P, steps = self.mode._gram_factor(K)
+        Ob, _, _, Ab = self.mode._output_blocks
+        r = Y - self.apply(np.zeros(n), U)
+        x, e = np.zeros(n), r
+        for _ in range(steps):
+            x = x + s * (P @ (s * _fold(_pad_blocks(e, -(-K // _BLOCK), len(Ob)) @ Ob, Ab)))
+            e = self.free_response(x)
+            np.subtract(r, e, out=e)  # in place: a fit holds two arrays of K floats
+        residual = float(np.linalg.norm(e))
+        if not np.isfinite(residual):
+            raise ValueError(f"the fit of mode {self.mode.mode_id} at K = {self.K} is not finite")
+        return x, residual
+
+
+def build_lifted_operators(target_mode: StateSpaceMode, K: int) -> LiftedOperators:
+    """The horizon-K lifted operators of a mode.  At K = 1 there are no inputs
+    and ``Ot = C``."""
+    if K < 1:
+        raise ValueError("horizon must be at least 1")
+    return LiftedOperators(target_mode, K)
 
 
 def validate_mode(mode: StateSpaceMode) -> ModeValidationReport:
@@ -471,9 +571,11 @@ def simulate_mode(mode: StateSpaceMode, x1, U) -> Trajectory:
         U = U.reshape(-1, 1)
     if U.shape[1] != mode.l:
         raise ValueError(f"U has {U.shape[1]} input channels, expected {mode.l}")
-    K = U.shape[0] + 1
-    X = _block_response(mode._state_blocks, x1, U, K).reshape(K, mode.n)
-    return Trajectory(U=U, Y=X @ mode.C.T, X=X)
+    X = _block_response(mode._state_blocks, x1, U, U.shape[0] + 1)
+    Y = X @ mode.C.T
+    X.setflags(write=False)  # handed over: the trajectory keeps both uncopied
+    Y.setflags(write=False)
+    return Trajectory(U=U, Y=Y, X=X)
 
 
 def longitudinal_vehicle_mode(

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from behaviorcloak import (
     simulate_mode,
     validate_mode,
 )
+from behaviorcloak.modes import _block_toeplitz
 
 
 def random_valid_mode(rng, n=3, m=1, l=1, mode_id=1, radius=0.9):
@@ -106,8 +108,8 @@ def fixed_point_riccati_gain(mode):
 
 def iterated_observability(mode, K):
     """Stacked observability matrix (rows ``C A^k``, k < K) by iterated
-    multiplication, one step at a time, in the layout of
-    ``LiftedOperators.Ot``."""
+    multiplication, one step at a time, in the layout of the stacked
+    outputs."""
     Ot = np.empty((K * mode.m, mode.n))
     row = mode.C
     for k in range(K):
@@ -116,16 +118,46 @@ def iterated_observability(mode, K):
     return Ot
 
 
+def dense_Tt(ops):
+    """The dense block-Toeplitz ``Tt`` of lifted operators, from the blocks of
+    :func:`iterated_observability`; small horizons only."""
+    blocks = iterated_observability(ops.mode, ops.K).reshape(ops.K, ops.m, ops.n)
+    return _block_toeplitz(blocks, ops.mode.B, ops.K - 1)
+
+
+def dense_M(ops):
+    """The dense response matrix ``[Ot  Tt]``; small horizons only."""
+    return np.hstack([iterated_observability(ops.mode, ops.K), dense_Tt(ops)])
+
+
+def applied_columns(ops):
+    """``[Ot  Tt]`` column by column, as ``ops.apply`` gives it on unit vectors."""
+    eye = np.eye(ops.n + (ops.K - 1) * ops.l)
+    return np.column_stack([ops.apply(z[: ops.n], z[ops.n :]) for z in eye])
+
+
 def dense_fit(ops, Y, U):
     """Start-state fit ``(x, residual)`` by the SVD-based ``lstsq_min_norm`` on
     the dense ``Ot``, its columns scaled to unit norm (zero columns kept);
     the reference for ``LiftedOperators.fit``.  Without the scaling an
     unstable mode's columns differ by more than the rank cutoff at K = 1000."""
-    norms = np.linalg.norm(ops.Ot, axis=0)
+    Ot = iterated_observability(ops.mode, ops.K)
+    norms = np.linalg.norm(Ot, axis=0)
     scale = 1.0 / np.where(norms > 0.0, norms, 1.0)
     free = np.reshape(Y, -1) - ops.apply(np.zeros(ops.n), U)
-    z, residual = lstsq_min_norm(ops.Ot * scale, free)
+    z, residual = lstsq_min_norm(Ot * scale, free)
     return scale * z, residual
+
+
+def traced_peak(call) -> float:
+    """tracemalloc peak of ``call()`` above what was allocated before it, in bytes."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def unstable_pair():
@@ -148,7 +180,7 @@ def dense_kernel_plan(ops, spec, magnitude, seed) -> KernelPlan:
     """
     dim = spec.F.shape[1]
     P_row = pseudoinverse(spec.F) @ spec.F
-    basis = nullspace_basis(np.hstack([ops.Ot, ops.Tt, P_row - np.eye(dim)]))
+    basis = nullspace_basis(np.hstack([dense_M(ops), P_row - np.eye(dim)]))
     if basis.shape[1] == 0:
         raise InvarianceInfeasibleError("the feasibility system has no solutions")
     v = basis @ np.random.default_rng(seed).standard_normal(basis.shape[1])

@@ -174,7 +174,7 @@ def test_criterion_7_feasibility_system_equivalence():
             ops = build_lifted_operators(mode, K)
             plan = solve_utility_invariance(ops, spec, magnitude=1.0, seed=case)
             stacked = np.hstack(
-                [ops.Ot, ops.Tt, pseudoinverse(F) @ F - np.eye(K)]
+                [support.dense_M(ops), pseudoinverse(F) @ F - np.eye(K)]
             )
             basis = nullspace_basis(stacked)
             v = np.concatenate([plan.x2_init, plan.U2.reshape(-1), plan.delta_Y])

@@ -10,6 +10,7 @@ from behaviorcloak import (
     StateSpaceMode,
     Trajectory,
     UtilitySpec,
+    load_controller,
     load_kernel_plan,
     load_mode_bank,
     longitudinal_vehicle_mode,
@@ -542,6 +543,24 @@ class TestDemoCommand:
 
         assert report["classified_original"]["verdict"] == "1"
         assert report["classified_distorted"]["verdict"] == "2"
+
+    def test_tracking_report_is_the_target_output(self, capsys, tmp_path):
+        # ybar1 is the target's own output from Pi x(1) under ubar1, rebuilt
+        # here from the written files; a zero plan's replay would copy y.
+        out = tmp_path / "demo"
+        code, report = run_cli(capsys, "demo", "--out", out, "--K", 500)
+        assert code == 0
+        bank = load_mode_bank(out / "bank.json")
+        sports, average = bank.mode(1), bank.mode(2)
+        sol = load_controller(out / "controller.json", sports, average)
+        original = read_trajectory_csv(out / "original.csv")
+        fig1 = np.loadtxt(out / "fig1.csv", delimiter=",", skiprows=1)
+        fig2 = np.loadtxt(out / "fig2.csv", delimiter=",", skiprows=1)
+        ybar1 = simulate_mode(average, sol.Pi @ original.X[0], fig2[:, 2]).Y[:, 0]
+        np.testing.assert_array_equal(fig1[:, 2], ybar1)
+        error = np.max(np.abs(ybar1 - original.Y[:, 0]))
+        assert report["max_tracking_error"] == error
+        assert 0.0 < error <= 1e-9
 
     def test_utility_changing_plan_fails(self, capsys, tmp_path, monkeypatch):
         def shifted_plan(ops, spec, magnitude, seed):

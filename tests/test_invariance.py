@@ -2,7 +2,6 @@ import dataclasses
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from behaviorcloak import (
     solve_utility_invariance,
     vehicle_demo_bank,
 )
-from behaviorcloak import invariance, modes
+from behaviorcloak import modes
 from behaviorcloak.linalg import lstsq_min_norm, nullspace_basis, pseudoinverse
 
 
@@ -59,8 +58,7 @@ def close_poles_mode():
 
 def unreachable_kernel_spec(rng, mode, K):
     """Utility whose kernel is spanned by one vector outside the behaviour."""
-    ops = build_lifted_operators(mode, K)
-    M = np.hstack([ops.Ot, ops.Tt])
+    M = support.dense_M(build_lifted_operators(mode, K))
     while True:
         v = rng.standard_normal(K * mode.m)
         _, distance = lstsq_min_norm(M, v)
@@ -113,25 +111,28 @@ class TestUtilitySpec:
 
 
 class TestBuildLiftedOperators:
+    # The columns of [Ot Tt] below are ``apply`` on unit vectors.
+
     def test_scalar_mode_blocks(self):
         ops = build_lifted_operators(support.scalar_mode(0.8), 3)
-        np.testing.assert_allclose(ops.Ot.ravel(), [1.0, 0.8, 0.64])
-        np.testing.assert_allclose(ops.Tt, [[0.0, 0.0], [1.0, 0.0], [0.8, 1.0]])
+        M = support.applied_columns(ops)
+        np.testing.assert_allclose(M[:, 0], [1.0, 0.8, 0.64])
+        np.testing.assert_allclose(M[:, 1:], [[0.0, 0.0], [1.0, 0.0], [0.8, 1.0]])
 
     def test_minimal_horizon(self):
         rng = np.random.default_rng(30)
         mode = support.random_valid_mode(rng, n=2, m=2, l=1)
-        ops = build_lifted_operators(mode, 2)
-        np.testing.assert_array_equal(ops.Tt[: mode.m], np.zeros((mode.m, mode.l)))
-        np.testing.assert_allclose(ops.Tt[mode.m :], mode.C @ mode.B)
+        Tt = support.applied_columns(build_lifted_operators(mode, 2))[:, mode.n :]
+        np.testing.assert_array_equal(Tt[: mode.m], np.zeros((mode.m, mode.l)))
+        np.testing.assert_allclose(Tt[mode.m :], mode.C @ mode.B)
 
     def test_first_block_is_output_matrix(self):
         rng = np.random.default_rng(31)
         for case in range(5):
             mode = support.random_valid_mode(rng, n=3, m=2, l=2)
             for K in (2, 5, 9):
-                ops = build_lifted_operators(mode, K)
-                np.testing.assert_array_equal(ops.Ot[: mode.m], mode.C)
+                M = support.applied_columns(build_lifted_operators(mode, K))
+                np.testing.assert_array_equal(M[: mode.m, : mode.n], mode.C)
 
     def test_rejects_short_horizon(self):
         with pytest.raises(ValueError):
@@ -141,7 +142,7 @@ class TestBuildLiftedOperators:
         # K = 1: Ot = C, no inputs; the fit is C's least-squares inverse.
         mode = support.random_valid_mode(np.random.default_rng(34), n=2, m=2, l=1)
         ops = build_lifted_operators(mode, 1)
-        np.testing.assert_array_equal(ops.Ot, mode.C)
+        np.testing.assert_array_equal(support.applied_columns(ops), mode.C)
         x = np.array([0.3, -1.2])
         y = ops.apply(x, np.zeros((0, 1)))
         np.testing.assert_allclose(y, mode.C @ x, rtol=1e-15)
@@ -151,7 +152,7 @@ class TestBuildLiftedOperators:
 
     def test_fit_inverts_apply(self):
         rng = np.random.default_rng(35)
-        for K in (2, invariance._BLOCK + 3, 200):
+        for K in (2, modes._BLOCK + 3, 200):
             mode = support.random_valid_mode(rng, n=3, m=2, l=2)
             ops = build_lifted_operators(mode, K)
             x = rng.standard_normal(3)
@@ -161,22 +162,24 @@ class TestBuildLiftedOperators:
             assert relative_gap(x_fit, x) <= 1e-9
             assert residual <= 1e-12 * np.linalg.norm(Y)
             # A perturbation orthogonal to the range of Ot is the residual.
-            _, away = ops.fit(Y + nullspace_basis(ops.Ot.T)[:, 0], U)
+            Ot = support.iterated_observability(mode, K)
+            _, away = ops.fit(Y + nullspace_basis(Ot.T)[:, 0], U)
             assert abs(away - 1.0) <= 1e-9
 
     def test_blocks_match_matrix_power_oracle(self):
         rng = np.random.default_rng(32)
         mode = support.random_valid_mode(rng, n=3, m=2, l=2)
         K = 6
-        ops = build_lifted_operators(mode, K)
+        M = support.applied_columns(build_lifted_operators(mode, K))
+        Ot, Tt = M[:, : mode.n], M[:, mode.n :]
         for i in range(K):
             np.testing.assert_allclose(
-                ops.Ot[i * mode.m : (i + 1) * mode.m],
+                Ot[i * mode.m : (i + 1) * mode.m],
                 mode.C @ np.linalg.matrix_power(mode.A, i),
                 atol=1e-12,
             )
             for j in range(K - 1):
-                block = ops.Tt[
+                block = Tt[
                     i * mode.m : (i + 1) * mode.m, j * mode.l : (j + 1) * mode.l
                 ]
                 if j < i:
@@ -192,7 +195,7 @@ class TestBuildLiftedOperators:
     def test_apply_matches_dense_products(self):
         # Short horizons, then horizons on both sides of one block and across
         # several blocks, on MIMO modes rescaled to spectral radius 0.5-1.3.
-        b = invariance._BLOCK
+        b = modes._BLOCK
         rng = np.random.default_rng(33)
         horizons = [int(K) for K in rng.integers(2, 10, size=20)]
         horizons += [2, b - 1, b, b + 1, 3 * b + 2] * 8
@@ -203,7 +206,7 @@ class TestBuildLiftedOperators:
                 support.random_valid_mode(rng, n=n, m=m, l=l), rng.uniform(0.5, 1.3)
             )
             ops = build_lifted_operators(mode, K)
-            dense = np.hstack([ops.Ot, ops.Tt])
+            dense = support.dense_M(ops)
             z = rng.standard_normal(dense.shape[1])
             w = rng.standard_normal(dense.shape[0])
             assert relative_gap(ops.apply(z[: mode.n], z[mode.n :]), dense @ z) <= 1e-12
@@ -237,7 +240,7 @@ class TestBuildLiftedOperators:
             x_one, U_one = ops.apply_adjoint(row)
             assert relative_gap(x_row, x_one) <= 1e-12
             assert relative_gap(U_row, U_one) <= 1e-12
-        dense = F @ np.hstack([ops.Ot, ops.Tt])
+        dense = F @ support.dense_M(ops)
         assert relative_gap(np.hstack([x_adj, U_adj]), dense) <= 1e-12
 
     def test_apply_agrees_with_simulation(self):
@@ -291,19 +294,21 @@ class TestBuildLiftedOperators:
     def test_doubling_matches_iterated_oracle(self, make_mode, K):
         # All three modes have eigenvalues at 1, so A^s does not decay.  The
         # double integrator's blocks grow linearly, and so does the
-        # oracle's own rounding error, hence its shorter horizon.
+        # oracle's own rounding error, hence its shorter horizon.  The rows
+        # C A^k by doubling, and the free response's columns Ot e_i.
         mode = make_mode()
         ops = build_lifted_operators(mode, K)
         Ot = support.iterated_observability(mode, K)
-        assert np.linalg.norm(ops.Ot - Ot) <= 1e-12 * np.linalg.norm(Ot)
+        columns = np.column_stack([ops.free_response(e) for e in np.eye(mode.n)])
+        for doubled in (modes._power_rows(mode.C, mode.A, K), columns):
+            assert np.linalg.norm(doubled - Ot) <= 1e-12 * np.linalg.norm(Ot)
 
     def test_whole_horizon_arrays_wait_for_a_fit(self):
         # A plan and a fit at the one-hour horizon solve through n x n and
-        # q x q Grams: neither forms Ot or Tt, and the operator keeps no
-        # arrays of its own.
+        # q x q Grams, and the operator keeps no arrays of its own.
         ops = build_lifted_operators(vehicle_demo_bank().mode(2), 36000)
         plan = solve_utility_invariance(ops, UtilitySpec.average(36000), seed=3)
-        assert "Ot" not in vars(ops) and "Tt" not in vars(ops)
+        assert set(vars(ops)) == {"mode", "K"}
         _, residual = ops.fit(plan.delta_Y, plan.U2)
         assert set(vars(ops)) == {"mode", "K"}
         assert residual <= 1e-9
@@ -503,8 +508,7 @@ def count_recursions(monkeypatch):
     ops_class = behaviorcloak.LiftedOperators
     for name in ("apply", "apply_adjoint"):
         monkeypatch.setattr(ops_class, name, counted(name, getattr(ops_class, name)))
-    for module in (modes, invariance):
-        monkeypatch.setattr(module, "_scan", counted("scan", module._scan))
+    monkeypatch.setattr(modes, "_scan", counted("scan", modes._scan))
     return counts
 
 
@@ -536,17 +540,6 @@ def test_hour_session_recursion_counts(monkeypatch):
     assert classify(bank, traj).verdict == 1
     assert classify(bank, cloaked.to_trajectory()).verdict == 2
     assert counts == {"apply": 5, "apply_adjoint": 1, "scan": 6}
-
-
-def traced_peak(call) -> float:
-    """tracemalloc peak of ``call()`` above what was allocated before it, in bytes."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
 
 
 # Each record built around one of its arrays: (build, field, value, message of a nan).
@@ -605,9 +598,9 @@ def test_working_set_at_paper_horizon():
     spec = UtilitySpec.average(K)
     plan = solve_utility_invariance(ops, spec, seed=1)  # caches the mode's pieces
     array = K * 8
-    assert traced_peak(lambda: solve_utility_invariance(ops, spec, seed=2)) <= 3.5 * array
-    assert traced_peak(lambda: ops.apply(np.zeros(3), plan.U2)) <= 2.5 * array
-    assert traced_peak(lambda: ops.fit(plan.delta_Y, plan.U2)) <= 2.5 * array
+    assert support.traced_peak(lambda: solve_utility_invariance(ops, spec, seed=2)) <= 3.5 * array
+    assert support.traced_peak(lambda: ops.apply(np.zeros(3), plan.U2)) <= 2.5 * array
+    assert support.traced_peak(lambda: ops.fit(plan.delta_Y, plan.U2)) <= 2.5 * array
 
 
 def test_import_loads_no_scipy_module():
@@ -733,7 +726,7 @@ class TestSolveUtilityInvariance:
             return kernel - forced[-1]
 
         monkeypatch.setattr(behaviorcloak.LiftedOperators, "apply", rounded)
-        monkeypatch.setattr(invariance, "_free_response", cancelling)
+        monkeypatch.setattr(modes, "_free_response", cancelling)
         with pytest.raises(InvarianceInfeasibleError):
             solve_utility_invariance(ops, spec, seed=4)
         assert np.linalg.norm(forced[-1]) > 1.0
@@ -864,7 +857,7 @@ class TestSolveUtilityInvariance:
             ops = build_lifted_operators(mode, K)
             plan = solve_utility_invariance(ops, spec, magnitude=1.0, seed=case)
             P_row = np.linalg.pinv(spec.F) @ spec.F
-            stacked = np.hstack([ops.Ot, ops.Tt, P_row - np.eye(K)])
+            stacked = np.hstack([support.dense_M(ops), P_row - np.eye(K)])
             basis = nullspace_basis(stacked)
             v = np.concatenate([plan.x2_init, plan.U2.reshape(-1), plan.delta_Y])
             v = v / np.linalg.norm(v)

@@ -20,7 +20,7 @@ from behaviorcloak import (
     vehicle_demo_bank,
     write_trajectory_csv,
 )
-from behaviorcloak.modes import _ROWS_PER_BLOCK, _fold, _free_response, _power_rows, _scan
+from behaviorcloak.modes import _ROWS_PER_BLOCK, _fold, _power_rows, _scan
 
 # Printed discrete-time vehicle blocks, columns A | B.
 SPORTS_AB = np.array(
@@ -264,11 +264,29 @@ class TestSimulateMode:
                 ops.apply(x, U),
                 *ops.apply_adjoint(rng.standard_normal(K)),
                 _power_rows(mode.C, mode.A, K),
-                _free_response(mode._output_blocks_t, x, K),
+                ops.free_response(x),
                 _fold(rng.standard_normal((K // 16, 2)), mode._output_blocks[3]),
             ]
         assert all(np.isfinite(r).all() for r in results)
         assert np.max(np.abs(results[0])) > 1e290
+
+    def test_hands_over_its_arrays(self):
+        # In arrays of K floats: the trajectory keeps U's copy, Y and the three
+        # state columns; at its peak the scan holds the states and one forced
+        # product of their size, six arrays and a few small objects (about
+        # 2 KB).  X and Y are the arrays the scan and the output product made.
+        mode = vehicle_demo_bank().mode(1)
+        K = 36000
+        rng = np.random.default_rng(9)
+        x1, U = rng.standard_normal(3), rng.uniform(-1.0, 1.0, (K - 1, 1))
+        simulate_mode(mode, x1, U)  # caches the mode's pieces
+        kept = []
+        peak = support.traced_peak(lambda: kept.append(simulate_mode(mode, x1, U)))
+        assert peak <= 6 * K * 8 + 4096
+        traj = kept[0]
+        for arr in (traj.X, traj.Y):
+            assert arr.flags.owndata and not arr.flags.writeable
+        np.testing.assert_array_equal(traj.Y, traj.X @ mode.C.T)
 
     def test_dimension_mismatch(self):
         mode = support.double_integrator()
@@ -299,7 +317,7 @@ class TestBlockKernels:
         mode = oracle_mode(case)
         x = np.random.default_rng(K).standard_normal(mode.n)
         _, Y = support.loop_simulate(mode, x, np.zeros((K - 1, mode.l)))
-        got = _free_response(mode._output_blocks_t, x, K)
+        got = build_lifted_operators(mode, K).free_response(x)
         assert got.shape == (K * mode.m,)
         assert np.max(np.abs(got - Y.reshape(-1))) <= 1e-12 * np.max(np.abs(Y))
 
@@ -343,7 +361,7 @@ class TestBlockKernels:
         x_adj, U_adj = ops.apply_adjoint(w)
         assert np.linalg.norm(x_adj - Ot.T @ w) <= 1e-12 * np.linalg.norm(Ot.T @ w)
         if K <= 500:
-            Tt = ops.Tt
+            Tt = support.dense_Tt(ops)
             assert np.max(np.abs(Ot @ x + Tt @ U.reshape(-1) - Y)) <= 1e-12 * np.max(np.abs(Y))
             assert np.linalg.norm(U_adj - Tt.T @ w) <= 1e-12 * np.linalg.norm(Tt.T @ w)
         for data in (Y, Y + rng.standard_normal(K)):

@@ -1,9 +1,12 @@
-"""The package names that the benchmark and the demos use must exist.
+"""The package names that the benchmark and the demos use must exist, and
+only ``modes`` names the block kernel.
 
 Tier-1 runs neither ``bench/`` nor ``demos/``, so a removed or renamed
 public name would break them without failing a test.  These tests read
 their source and resolve every name they take from ``behaviorcloak``,
-and run the README's library example.
+and run the README's library example.  The block kernel and the caches it
+keeps on a mode belong to ``modes``; the other modules reach them only
+through ``LiftedOperators`` and ``simulate_mode``.
 """
 
 import ast
@@ -21,6 +24,14 @@ import behaviorcloak
 ROOT = Path(__file__).resolve().parents[1]
 BENCH_FILES = sorted((ROOT / "bench").glob("*.py"))
 DEMO_FILES = sorted((ROOT / "demos").glob("0*.py"))
+PACKAGE_FILES = sorted(Path(behaviorcloak.__file__).parent.glob("*.py"))
+
+# The names of the block kernel and of its caches on a mode.
+KERNEL_NAMES = {
+    "_BLOCK", "_scan", "_fold", "_power_rows", "_pad_blocks", "_block_response",
+    "_free_response", "_block_toeplitz", "_state_blocks",
+}
+KERNEL_PREFIXES = ("_output_blocks", "_gram_factor")
 
 
 def imported_names(path):
@@ -46,6 +57,45 @@ def test_bench_package_attributes_resolve(path):
     names = set(re.findall(r"\bbc\.(\w+)", path.read_text(encoding="utf-8")))
     missing = sorted(name for name in names if not hasattr(behaviorcloak, name))
     assert not missing, f"{path.name} uses bc.{missing}"
+
+
+def test_traced_targets_resolve():
+    # The tracer skips a target it cannot find, so its per-layer metrics
+    # would read zero after a move without failing the benchmark.
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]
+    )
+    assert traced
+    missing = []
+    for module, attr in traced:
+        owner = importlib.import_module(f"behaviorcloak.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{module}.{attr}")
+    assert not missing, f"bench/tracer.py traces {missing}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in PACKAGE_FILES if p.name != "modes.py"], ids=lambda p: p.name
+)
+def test_only_modes_names_the_block_kernel(path):
+    named = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.asname or node.name)
+            named.add(node.name)
+    kernel = sorted(
+        name for name in named if name in KERNEL_NAMES or name.startswith(KERNEL_PREFIXES)
+    )
+    assert not kernel, f"{path.name} names {kernel}"
 
 
 @pytest.mark.parametrize("path", DEMO_FILES, ids=lambda p: p.name)
