@@ -301,7 +301,7 @@ def main(argv=None) -> int:
     except InvarianceInfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANCE_INFEASIBLE
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         # str() of a KeyError quotes its message; print the message itself.
         message = exc.args[0] if isinstance(exc, KeyError) else exc
         print(f"error: {message}", file=sys.stderr)

@@ -25,7 +25,14 @@ import numpy as np
 
 from .invariance import KernelPlan
 from .linalg import RESIDUAL_TOL
-from .modes import StateSpaceMode, Trajectory, _vector, build_lifted_operators, simulate_mode
+from .modes import (
+    StateSpaceMode,
+    Trajectory,
+    _frozen,
+    _vector,
+    build_lifted_operators,
+    simulate_mode,
+)
 from .regulation import RegulatorSolution, regulator_residuals
 
 __all__ = [
@@ -92,9 +99,9 @@ def reconstruct_state(mode: StateSpaceMode, U_window, Y_window) -> np.ndarray:
     """Recover the window-start state of an observable mode from I/O samples.
 
     ``Y_window`` holds at least n consecutive outputs and ``U_window`` the
-    inputs between them (one fewer).  The state is the least squares fit
-    of the lifted response equations, :meth:`LiftedOperators.fit`; it is
-    exact for noise-free data.
+    inputs between them (one fewer), one row per sample; a vector is one
+    column.  The state is the least squares fit of the lifted response
+    equations, :meth:`LiftedOperators.fit`; it is exact for noise-free data.
 
     Raises
     ------
@@ -102,12 +109,10 @@ def reconstruct_state(mode: StateSpaceMode, U_window, Y_window) -> np.ndarray:
         If the window is not explainable by this mode, i.e. the fit
         residual exceeds ``RESIDUAL_TOL * (1 + ||Y||)``.
     """
-    Y = np.asarray(Y_window, dtype=float)
-    if Y.ndim == 1:
-        Y = Y.reshape(-1, 1)
-    U = np.asarray(U_window, dtype=float)
-    if U.ndim == 1:
-        U = U.reshape(-1, 1) if U.size else U.reshape(0, mode.l)
+    Y = _frozen(Y_window, "window Y", samples=True)
+    U = _frozen(U_window, "window U", samples=True)
+    if U.size == 0:  # n = 1: no inputs, of any width
+        U = U.reshape(0, mode.l)
     w = Y.shape[0]
     if w < mode.n:
         raise ValueError(f"need at least {mode.n} output samples, got {w}")
@@ -121,33 +126,28 @@ class DistortionEngine:
     """Single-owner streaming state of one distortion run.
 
     Feed samples in arrival order with :meth:`step`; the engine either
-    emits the cloaked pair or withholds (returns None) while it is still
-    reconstructing the source state.  Its state is the sample index, the
-    source state estimate and the reconstruction buffers.
+    emits the cloaked pair or withholds (returns None) until it knows the
+    source state, which it learns only through :meth:`step`.  Its state is
+    the sample index, the source state estimate and the reconstruction buffers.
     """
 
-    def __init__(self, cfg: DistortionConfig, x1=None):
+    def __init__(self, cfg: DistortionConfig):
         self.cfg = cfg
         self._Gamma, self._Theta, self._U2, self._dY = cfg.replay_maps()
         self._k = 1
         self._xhat: Optional[np.ndarray] = None
         self._u_buf: list[np.ndarray] = []
         self._y_buf: list[np.ndarray] = []
-        if x1 is not None:
-            self._xhat = _vector(x1, cfg.true_mode.n, "x1").copy()
-
-    @property
-    def primed(self) -> bool:
-        """Whether the source state is known."""
-        return self._xhat is not None
 
     def step(self, u, y, x=None):
         """Consume sample k and return (ubar, ybar), or None while withheld.
 
-        ``u`` must be None at the final step k = K (there is no input
-        there) and the returned pair is then (None, ybar).  While the
-        engine is unprimed and reconstructing, samples are buffered and
-        None is returned.
+        ``x``, when given, is the source state at sample k: it replaces the
+        engine's estimate and ends reconstruction at any k, though samples
+        already withheld stay withheld.  Without a state the engine buffers
+        samples until it holds n outputs, reconstructs the state from them and
+        withholds all n.  ``u`` must be None at the final step k = K (there is
+        no input there) and the returned pair is then (None, ybar).
         """
         cfg = self.cfg
         if self._k > cfg.K:
@@ -162,12 +162,10 @@ class DistortionEngine:
         else:
             u = _vector(u, src.l, "u")
         if x is not None:
-            x = _vector(x, src.n, "x")
-            if self.primed or k == 1:
-                self._xhat = x
+            self._xhat = _vector(x, src.n, "x")
 
         self._k += 1
-        if not self.primed:
+        if self._xhat is None:
             # Reconstruction mode: buffer until n outputs are available,
             # then recover the state and carry it past the withheld window.
             self._y_buf.append(y)

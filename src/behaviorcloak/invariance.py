@@ -19,14 +19,20 @@ O(q K) work in O(log K) vectorized steps even at paper-scale horizons.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .linalg import gram_solve
-from .modes import LiftedOperators, StateSpaceMode, _frozen, build_lifted_operators
+from .modes import (
+    LiftedOperators,
+    StateSpaceMode,
+    _frozen,
+    _read_document,
+    _write_document,
+    build_lifted_operators,
+)
 
 __all__ = [
     "InvarianceInfeasibleError",
@@ -93,7 +99,9 @@ class UtilitySpec:
     @classmethod
     def average(cls, K: int, m: int = 1) -> "UtilitySpec":
         """Per-channel average of the output over the horizon."""
-        return cls(F=np.tile(np.eye(m), (1, K)) / K, mu=np.zeros(m), K=K)
+        F = np.tile(np.eye(m), (1, K)) / K
+        F.setflags(write=False)  # handed over: the spec keeps it uncopied
+        return cls(F=F, mu=np.zeros(m), K=K)
 
 
 @dataclass(frozen=True)
@@ -225,24 +233,23 @@ def solve_utility_invariance(
 
 def load_utility_spec(path) -> UtilitySpec:
     """Read a utility spec, either explicit {K, q, F, mu} or the
-    {"kind": "average", "K": ..., "m": ...} shorthand."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    try:
+    {"kind": "average", "K": ..., "m": ...} shorthand.  A missing entry or
+    one of the wrong type is a ValueError."""
+
+    def build(doc) -> UtilitySpec:
         if doc.get("kind") == "average":
             return UtilitySpec.average(int(doc["K"]), int(doc["m"]))
         spec = UtilitySpec(F=doc["F"], mu=doc["mu"], K=int(doc["K"]))
         if spec.q != int(doc["q"]):
             raise ValueError("declared q disagrees with the rows of F")
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise ValueError(f"ill-formed utility spec document: {exc}") from exc
-    return spec
+        return spec
+
+    return _read_document(path, "utility spec", build)
 
 
 def save_utility_spec(spec: UtilitySpec, path) -> None:
     doc = {"K": spec.K, "q": spec.q, "F": spec.F.tolist(), "mu": spec.mu.tolist()}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc) + "\n")
+    _write_document(doc, path)
 
 
 def save_kernel_plan(plan: KernelPlan, path) -> None:
@@ -252,29 +259,28 @@ def save_kernel_plan(plan: KernelPlan, path) -> None:
         "seed": plan.seed,
         "magnitude": plan.magnitude,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc) + "\n")
+    _write_document(doc, path)
 
 
 def load_kernel_plan(path, target_mode: StateSpaceMode) -> KernelPlan:
-    """Read a plan and rebuild its response through the target's lifted operators."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    try:
-        x2 = np.array(doc["x2_init"], dtype=float).reshape(-1)
-        U2 = np.array(doc["U2"], dtype=float)
-        seed = doc.get("seed")
-        magnitude = float(doc["magnitude"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"ill-formed plan document: {exc}") from exc
-    if x2.shape[0] != target_mode.n or U2.ndim != 2 or U2.shape[1] != target_mode.l:
-        raise ValueError("plan dimensions do not match the target mode")
-    delta = build_lifted_operators(target_mode, U2.shape[0] + 1).apply(x2, U2)
-    return KernelPlan(
-        x2_init=x2,
-        U2=U2,
-        delta_Y=delta,
-        residual=0.0,
-        seed=seed,
-        magnitude=magnitude,
-    )
+    """Read a plan and rebuild its response through the target's lifted operators.
+    A vector ``U2`` is one input column.  A missing entry, one of the wrong type
+    or a non-finite one is a ValueError, raised before the response is rebuilt."""
+
+    def build(doc) -> KernelPlan:
+        x2 = _frozen(doc["x2_init"], "plan x2_init")
+        U2 = _frozen(doc["U2"], "plan U2", samples=True)
+        if x2.size != target_mode.n or U2.ndim != 2 or U2.shape[1] != target_mode.l:
+            raise ValueError("plan dimensions do not match the target mode")
+        delta = build_lifted_operators(target_mode, U2.shape[0] + 1).apply(x2, U2)
+        delta.setflags(write=False)  # handed over: the plan keeps it uncopied
+        return KernelPlan(
+            x2_init=x2,
+            U2=U2,
+            delta_Y=delta,
+            residual=0.0,
+            seed=doc.get("seed"),
+            magnitude=float(doc["magnitude"]),
+        )
+
+    return _read_document(path, "plan", build)

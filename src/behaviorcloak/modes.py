@@ -463,8 +463,10 @@ class LiftedOperators:
         return self.mode._gram_factor(self.K)[0]
 
     def apply(self, x, U) -> np.ndarray:
-        """Stacked response ``Ot x + Tt U``."""
-        return _block_response(self.mode._output_blocks_t, x, U, self.K).reshape(-1)
+        """Stacked response ``Ot x + Tt U``, in an array that owns its data."""
+        Y = _block_response(self.mode._output_blocks_t, x, U, self.K)
+        Y.shape = (Y.size,)  # flat in place, not a view: a plan keeps it uncopied
+        return Y
 
     def free_response(self, x) -> np.ndarray:
         """Stacked free response ``Ot x``."""
@@ -611,32 +613,49 @@ def vehicle_demo_bank(sample_period: float = 0.1) -> ModeBank:
 # --- file formats -----------------------------------------------------------
 
 
+def _read_document(path, kind: str, build):
+    """``build(doc)`` of the JSON document at ``path``, by the one error rule of
+    every document: a missing entry or one of the wrong type is a ValueError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    try:
+        return build(doc)
+    except KeyError as exc:
+        raise ValueError(f"{kind} document has no {exc.args[0]!r} entry") from None
+    except (AttributeError, TypeError) as exc:
+        raise ValueError(f"ill-formed {kind} document: {exc}") from exc
+
+
+def _write_document(doc, path, indent: Optional[int] = None) -> None:
+    """Write one JSON document and a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=indent) + "\n")
+
+
 def load_mode_bank(path) -> ModeBank:
     """Read a mode bank from its JSON document.
 
     The document carries the shared dimensions ``m`` and ``l`` plus one
-    entry per mode with id and row-major A, B, C matrices.
+    entry per mode with id and row-major A, B, C matrices.  A missing
+    entry or one of the wrong type is a ValueError.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    try:
+
+    def build(doc) -> ModeBank:
         m, l = int(doc["m"]), int(doc["l"])
-        entries = doc["modes"]
-        modes = tuple(
-            StateSpaceMode(
-                mode_id=int(e["id"]), A=e["A"], B=e["B"], C=e["C"]
+        bank = ModeBank(
+            tuple(
+                StateSpaceMode(mode_id=int(e["id"]), A=e["A"], B=e["B"], C=e["C"])
+                for e in doc["modes"]
             )
-            for e in entries
         )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"ill-formed mode bank document: {exc}") from exc
-    bank = ModeBank(modes)
-    if bank.m != m or bank.l != l:
-        raise ValueError(
-            f"declared dimensions (m={m}, l={l}) disagree with the mode "
-            f"matrices (m={bank.m}, l={bank.l})"
-        )
-    return bank
+        if bank.m != m or bank.l != l:
+            raise ValueError(
+                f"declared dimensions (m={m}, l={l}) disagree with the mode "
+                f"matrices (m={bank.m}, l={bank.l})"
+            )
+        return bank
+
+    return _read_document(path, "mode bank", build)
 
 
 def save_mode_bank(bank: ModeBank, path) -> None:
@@ -653,8 +672,7 @@ def save_mode_bank(bank: ModeBank, path) -> None:
             for mode in bank
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+    _write_document(doc, path, indent=2)
 
 
 _ROWS_PER_BLOCK = 4096

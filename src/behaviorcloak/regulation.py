@@ -24,13 +24,12 @@ the input is ``Gamma x + Theta u`` again.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import RESIDUAL_TOL, is_schur, lstsq_min_norm
-from .modes import StateSpaceMode, Trajectory, simulate_mode
+from .modes import StateSpaceMode, Trajectory, _read_document, _write_document, simulate_mode
 
 __all__ = [
     "RegulationInfeasibleError",
@@ -303,23 +302,18 @@ def verify_regulation(
 def save_controller(sol: RegulatorSolution, path) -> None:
     """Write ``{"Pi", "Gamma", "Theta"}`` of a regulator solution."""
     doc = {key: getattr(sol, key).tolist() for key in _CONTROLLER_KEYS}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+    _write_document(doc, path, indent=2)
 
 
 def load_controller(
     path, true_mode: StateSpaceMode, target_mode: StateSpaceMode
 ) -> RegulatorSolution:
-    """Read a regulator solution and measure its residual on the mode pair."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    try:
-        Pi, Gamma, Theta = (np.array(doc[key], dtype=float) for key in _CONTROLLER_KEYS)
-    except KeyError as exc:
-        raise ValueError(
-            f"controller document has no {exc.args[0]!r} entry; it needs Pi, Gamma, Theta"
-        ) from None
-    except TypeError as exc:
-        raise ValueError(f"ill-formed controller document: {exc}") from exc
+    """Read a regulator solution and measure its residual on the mode pair.
+    A missing entry or one of the wrong type is a ValueError."""
+    Pi, Gamma, Theta = _read_document(
+        path,
+        "controller",
+        lambda doc: [np.array(doc[key], dtype=float) for key in _CONTROLLER_KEYS],
+    )
     residual = max(regulator_residuals(true_mode, target_mode, Pi, Gamma, Theta))
     return RegulatorSolution(Pi=Pi, Gamma=Gamma, Theta=Theta, residual=residual)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -459,18 +460,40 @@ class TestDistortAndClassify:
         assert not out_csv.exists()
 
     @pytest.mark.parametrize(
-        "loader, doc",
+        "loader, doc, message",
         [
-            ("utility", {"kind": "average", "K": None, "m": 1}),
-            ("utility", [1, 2]),
-            ("plan", [1, 2]),
-            ("controller", [1, 2]),
-            ("bank", [1, 2]),
+            (
+                "utility",
+                {"kind": "average", "K": None, "m": 1},
+                "ill-formed utility spec document: .+",
+            ),
+            ("utility", [1, 2], "ill-formed utility spec document: .+"),
+            ("plan", [1, 2], "ill-formed plan document: .+"),
+            ("controller", [1, 2], "ill-formed controller document: .+"),
+            ("bank", [1, 2], "ill-formed mode bank document: .+"),
+            ("bank", {"m": 1, "l": 1}, "mode bank document has no 'modes' entry"),
+            (
+                "controller",
+                {"Pi": [[1.0]], "Gamma": [[0.0]]},
+                "controller document has no 'Theta' entry",
+            ),
+            ("utility", {"K": 200, "q": 1, "mu": [0.0]}, "utility spec document has no 'F' entry"),
+            (
+                "plan",
+                {"x2_init": [0.0, 0.0, 0.0], "seed": 0, "magnitude": 1.0},
+                "plan document has no 'U2' entry",
+            ),
         ],
-        ids=["utility-null-K", "utility-list", "plan-list", "controller-list", "bank-list"],
+        ids=[
+            "utility-null-K", "utility-list", "plan-list", "controller-list", "bank-list",
+            "bank-no-modes", "controller-no-Theta", "utility-no-F", "plan-no-U2",
+        ],
     )
-    def test_malformed_document_is_bad_input(self, capsys, designed, tmp_path, loader, doc):
-        # Valid JSON of the wrong form: one error line and exit 2, never a traceback.
+    def test_malformed_document_is_bad_input(
+        self, capsys, designed, tmp_path, loader, doc, message
+    ):
+        # Valid JSON of the wrong form: one error line by the one rule of every
+        # document, and exit 2, never a traceback.
         bank_path, design_dir, traj_path = designed
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -493,7 +516,7 @@ class TestDistortAndClassify:
             ]
         assert main([str(a) for a in argv]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert re.fullmatch(f"error: {message}\n", err)
         assert "Traceback" not in err
 
     def test_overflowing_gramian_is_bad_input(self, capsys, tmp_path):

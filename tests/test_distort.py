@@ -157,7 +157,7 @@ class TestEngineStep:
         cfg = make_config(true, target, K, magnitude=0.5, seed=4)
         traj = support.random_trajectory(rng, true, K)
         out = run_offline(cfg, traj)
-        engine = DistortionEngine(cfg, x1=traj.X[0])
+        engine = DistortionEngine(cfg)
         for k in range(1, K + 1):
             u = traj.U[k - 1] if k < K else None
             ubar, ybar = engine.step(u, traj.Y[k - 1], x=traj.X[k - 1])
@@ -173,7 +173,7 @@ class TestEngineStep:
         K = 5
         cfg = make_config(true, target, K)
         traj = support.random_trajectory(rng, true, K)
-        engine = DistortionEngine(cfg, x1=traj.X[0])
+        engine = DistortionEngine(cfg)
         for k in range(1, K + 1):
             u = traj.U[k - 1] if k < K else None
             engine.step(u, traj.Y[k - 1], x=traj.X[k - 1])
@@ -186,7 +186,7 @@ class TestEngineStep:
         K = 3
         cfg = make_config(true, target, K)
         traj = support.random_trajectory(rng, true, K)
-        engine = DistortionEngine(cfg, x1=traj.X[0])
+        engine = DistortionEngine(cfg)
         engine.step(traj.U[0], traj.Y[0], x=traj.X[0])
         engine.step(traj.U[1], traj.Y[1], x=traj.X[1])
         with pytest.raises(ValueError):
@@ -215,7 +215,7 @@ def rel_gap(a, b):
 
 def fold_steps(cfg, traj):
     """Cloaked rows from feeding every sample to a fresh engine."""
-    engine = DistortionEngine(cfg, x1=None if traj.X is None else traj.X[0])
+    engine = DistortionEngine(cfg)
     ubars, ybars = [], []
     for k in range(1, cfg.K + 1):
         u = traj.U[k - 1] if k < cfg.K else None
@@ -304,11 +304,30 @@ class TestReconstructionMode:
         cfg = make_config(mode, twin, K)
         traj = support.random_trajectory(rng, mode, K)
         engine = DistortionEngine(cfg)
-        assert not engine.primed
         assert engine.step(traj.U[0], traj.Y[0]) is None
         assert engine.step(traj.U[1], traj.Y[1]) is None
-        assert engine.primed
-        assert engine.step(traj.U[2], traj.Y[2]) is not None
+        ubar, ybar = engine.step(traj.U[2], traj.Y[2])
+        out = run_offline(cfg, Trajectory(U=traj.U, Y=traj.Y))
+        assert rel_gap(ubar, out.Ubar[0]) <= 1e-12
+        assert rel_gap(ybar, out.Ybar[0]) <= 1e-12
+
+    def test_state_passed_mid_window_ends_reconstruction(self):
+        # A state passed to ``step`` is the source state at that sample, at any k:
+        # here k = 2 < n + 1, so only the first sample stays withheld.
+        mode = support.double_integrator()
+        K = 30
+        cfg = make_config(mode, support.double_integrator(mode_id=2), K, magnitude=1.0, seed=2)
+        traj = support.random_trajectory(np.random.default_rng(57), mode, K)
+        out = run_offline(cfg, traj)
+        engine = DistortionEngine(cfg)
+        assert engine.step(traj.U[0], traj.Y[0]) is None
+        rows = [
+            engine.step(traj.U[k - 1] if k < K else None, traj.Y[k - 1], x=traj.X[k - 1])
+            for k in range(2, K + 1)
+        ]
+        assert all(row is not None for row in rows)
+        np.testing.assert_array_equal(np.array([row[1] for row in rows]), out.Ybar[1:])
+        assert rel_gap(np.array([row[0] for row in rows[:-1]]), out.Ubar[1:]) <= 1e-12
 
     @pytest.mark.parametrize("bad", ["y", "u"])
     def test_non_finite_window_is_refused(self, bad):
@@ -324,7 +343,7 @@ class TestReconstructionMode:
         assert engine.step(U[0], Y[0]) is None
         with pytest.raises(ValueError, match="not finite"):
             engine.step(U[1], Y[1])
-        assert not engine.primed
+        assert engine.step(U[2], Y[2]) is None
 
     def test_scalar_stream_withholds_one_sample(self):
         # n = 1: the window is a single output and no input (K = 1 operators).

@@ -32,7 +32,7 @@ from behaviorcloak import (
     solve_utility_invariance,
     vehicle_demo_bank,
 )
-from behaviorcloak import modes
+from behaviorcloak import invariance, modes
 from behaviorcloak.linalg import lstsq_min_norm, nullspace_basis, pseudoinverse
 
 
@@ -792,11 +792,29 @@ class TestSolveUtilityInvariance:
         sim = simulate_mode(ops.mode, plan.x2_init, plan.U2).stacked_outputs()
         assert relative_gap(sim, plan.delta_Y) <= 1e-9
 
-    def test_plan_keeps_the_arrays_the_solver_froze(self):
+    def test_plan_keeps_the_arrays_the_solver_froze(self, monkeypatch):
+        # The average spec keeps the F it builds, and the plan the forced response
+        # that ``apply`` allocates (the free response is added into it in place).
+        handed, responses = [], []
+        frozen, apply = invariance._frozen, modes.LiftedOperators.apply
+
+        def spy_frozen(value, *args, **kwargs):
+            handed.append(value)
+            return frozen(value, *args, **kwargs)
+
+        def spy_apply(ops, x, U):
+            responses.append(apply(ops, x, U))
+            return responses[-1]
+
+        monkeypatch.setattr(invariance, "_frozen", spy_frozen)
+        monkeypatch.setattr(modes.LiftedOperators, "apply", spy_apply)
+        spec = UtilitySpec.average(300)
+        assert spec.F is handed[0]
         ops = build_lifted_operators(vehicle_demo_bank().mode(2), 300)
-        plan = solve_utility_invariance(ops, UtilitySpec.average(300), seed=2)
+        plan = solve_utility_invariance(ops, spec, seed=2)
         assert all(not a.flags.writeable for a in (plan.x2_init, plan.U2, plan.delta_Y))
         assert plan.U2.flags.owndata and dataclasses.replace(plan).U2 is plan.U2
+        assert np.shares_memory(plan.delta_Y, responses[-1])
 
     def test_rejects_non_finite_magnitude(self):
         ops = build_lifted_operators(support.scalar_mode(0.8), 4)

@@ -1,5 +1,5 @@
 """The package names that the benchmark and the demos use must exist, and
-only ``modes`` names the block kernel.
+only ``modes`` names the block kernel and reads or writes JSON documents.
 
 Tier-1 runs neither ``bench/`` nor ``demos/``, so a removed or renamed
 public name would break them without failing a test.  These tests read
@@ -96,6 +96,31 @@ def test_only_modes_names_the_block_kernel(path):
         name for name in named if name in KERNEL_NAMES or name.startswith(KERNEL_PREFIXES)
     )
     assert not kernel, f"{path.name} names {kernel}"
+
+
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=lambda p: p.name)
+def test_only_modes_reads_and_writes_documents(path):
+    # Every JSON document goes through ``modes._read_document`` and
+    # ``_write_document``; the CLI imports json only to print its report.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    called = {
+        f"{node.func.value.id}.{node.func.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+    }
+    if path.name != "modes.py":
+        reads_or_writes = called & {"json.load", "json.loads", "json.dump"}
+        assert not reads_or_writes, f"{path.name} calls {sorted(reads_or_writes)}"
+        if path.name != "cli.py":
+            assert "json" not in imported, f"{path.name} imports json"
 
 
 @pytest.mark.parametrize("path", DEMO_FILES, ids=lambda p: p.name)
