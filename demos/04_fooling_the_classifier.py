@@ -1,24 +1,14 @@
 """End to end: the cloud sees an average car and the right average.
 
-Pipeline: record a sports-car drive, solve the regulator equations and
-a unit-size kernel plan, stream the samples through the distortion
-engine, then play adversary and classify both trajectories by behaviour
+Pipeline: record a sports-car drive, design the regulator solution and
+a unit-size kernel plan, cloak the drive (the utility check included),
+then play adversary and classify both trajectories by behaviour
 membership.
 """
 
 import numpy as np
 
-from behaviorcloak import (
-    DistortionConfig,
-    UtilitySpec,
-    build_lifted_operators,
-    classify,
-    run_offline,
-    simulate_mode,
-    solve_regulator_equations,
-    solve_utility_invariance,
-    vehicle_demo_bank,
-)
+from behaviorcloak import UtilitySpec, classify, cloak, design, simulate_mode, vehicle_demo_bank
 
 print(__doc__)
 
@@ -29,12 +19,8 @@ K = 500
 rng = np.random.default_rng(2)
 drive = simulate_mode(sports, rng.normal(size=3), rng.uniform(-1, 1, size=(K - 1, 1)))
 
-sol = solve_regulator_equations(sports, average)
 spec = UtilitySpec.average(K)
-plan = solve_utility_invariance(
-    build_lifted_operators(average, K), spec, magnitude=1.0, seed=3
-)
-cloaked = run_offline(DistortionConfig(sports, average, sol, plan, K), drive)
+cloaked = cloak(design(sports, average, spec, magnitude=1.0, seed=3), drive, spec)
 
 print("utility (average acceleration)")
 print(f"  original : {spec.utility(drive.stacked_outputs())[0]: .12f}")

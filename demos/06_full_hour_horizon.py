@@ -14,17 +14,7 @@ import time
 
 import numpy as np
 
-from behaviorcloak import (
-    DistortionConfig,
-    UtilitySpec,
-    build_lifted_operators,
-    classify,
-    run_offline,
-    simulate_mode,
-    solve_regulator_equations,
-    solve_utility_invariance,
-    vehicle_demo_bank,
-)
+from behaviorcloak import UtilitySpec, classify, cloak, design, simulate_mode, vehicle_demo_bank
 
 print(__doc__)
 
@@ -48,22 +38,14 @@ drive = stage(
         sports, rng.normal(size=3), rng.uniform(-1, 1, size=(K - 1, 1))
     ),
 )
-sol = stage("regulator equations", lambda: solve_regulator_equations(sports, average))
-ops = stage("lifted operators", lambda: build_lifted_operators(average, K))
 spec = UtilitySpec.average(K)
-plan = stage(
-    "kernel plan (projection)",
-    lambda: solve_utility_invariance(ops, spec, magnitude=1.0, seed=7),
-)
-cloaked = stage(
-    "affine replay",
-    lambda: run_offline(DistortionConfig(sports, average, sol, plan, K), drive),
-)
+cfg = stage("regulator equations and plan", lambda: design(sports, average, spec, seed=7))
+cloaked = stage("affine replay and check", lambda: cloak(cfg, drive, spec))
 report = stage("classification", lambda: classify(bank, cloaked.to_trajectory()))
 
 print()
-print(f"plan residual ||F+ F dY||  : {plan.residual:.2e}")
-print(f"plan input effort ||U2||   : {np.linalg.norm(plan.U2):.3f}")
+print(f"plan residual ||F+ F dY||  : {cfg.plan.residual:.2e}")
+print(f"plan input effort ||U2||   : {np.linalg.norm(cfg.plan.U2):.3f}")
 print(f"||Ybar - Y||               : {np.linalg.norm(cloaked.Ybar - drive.Y):.9f}")
 print(f"mean(Y) - mean(Ybar)       : {drive.Y.mean() - cloaked.Ybar.mean():.2e}")
 print(f"cloaked verdict            : {report.verdict}")

@@ -15,6 +15,9 @@ from .distort import (
     DistortionEngine,
     HorizonExhaustedError,
     InconsistentDataError,
+    UtilityChangedError,
+    cloak,
+    design,
     reconstruct_state,
     run_offline,
 )

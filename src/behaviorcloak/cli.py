@@ -1,4 +1,6 @@
-"""Command-line orchestration of the distortion pipeline.
+"""Command line over :func:`~behaviorcloak.distort.design` and
+:func:`~behaviorcloak.distort.cloak`: it parses arguments, reads and writes
+files and maps errors to exit codes.
 
 Subcommands: ``validate`` a mode bank, ``design`` the regulator solution
 and distortion plan for a mode pair, ``distort`` a recorded trajectory,
@@ -14,6 +16,7 @@ The environment variable ``BEHAVIOR_CLOAK_SEED`` overrides ``--seed``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -22,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .classify import classify
-from .distort import DistortionConfig, run_offline
+from .distort import DistortionConfig, UtilityChangedError, cloak, design
 from .invariance import (
     InvarianceInfeasibleError,
     KernelPlan,
@@ -30,11 +33,9 @@ from .invariance import (
     load_kernel_plan,
     load_utility_spec,
     save_kernel_plan,
-    solve_utility_invariance,
 )
 from .modes import (
     ModeBank,
-    build_lifted_operators,
     load_mode_bank,
     read_trajectory_csv,
     save_mode_bank,
@@ -44,12 +45,7 @@ from .modes import (
     write_csv_rows,
     write_trajectory_csv,
 )
-from .regulation import (
-    RegulationInfeasibleError,
-    load_controller,
-    save_controller,
-    solve_regulator_equations,
-)
+from .regulation import RegulationInfeasibleError, load_controller, save_controller
 
 __all__ = ["main"]
 
@@ -91,27 +87,6 @@ def _mode_pair(bank: ModeBank, true_id: int, target_id: int):
     return bank.mode(true_id), bank.mode(target_id)
 
 
-def _design(true_mode, target_mode, utility: UtilitySpec, magnitude, seed, out: Path):
-    """Solve the regulator equations and the plan for a mode pair; save both."""
-    sol = solve_regulator_equations(true_mode, target_mode)
-    ops = build_lifted_operators(target_mode, utility.K)
-    plan = solve_utility_invariance(ops, utility, magnitude=magnitude, seed=seed)
-    out.mkdir(parents=True, exist_ok=True)
-    save_controller(sol, out / "controller.json")
-    save_kernel_plan(plan, out / "plan.json")
-    return sol, plan
-
-
-def _utility_kept(utility: UtilitySpec, Y, Ybar) -> bool:
-    """Whether ``F Ybar`` equals ``F Y`` to 1e-8; reports the gap when not."""
-    FY = utility.F @ Y.reshape(-1)
-    gap = np.abs(utility.F @ Ybar.reshape(-1) - FY)
-    if np.all(gap <= 1e-8 * (1.0 + np.abs(FY))):
-        return True
-    print(f"error: the plan changes this utility by {np.max(gap):.3e}", file=sys.stderr)
-    return False
-
-
 def _print_json(doc) -> None:
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
@@ -128,16 +103,19 @@ def _cmd_design(args) -> int:
     true_mode, target_mode = _mode_pair(bank, args.true_mode, args.target_mode)
     utility = _resolve_utility(args.utility, args.K, bank.m)
     seed = _resolve_seed(args)
+    cfg = design(true_mode, target_mode, utility, args.magnitude, seed)
     out = Path(args.out)
-    sol, plan = _design(true_mode, target_mode, utility, args.magnitude, seed, out)
+    out.mkdir(parents=True, exist_ok=True)
+    save_controller(cfg.regulator, out / "controller.json")
+    save_kernel_plan(cfg.plan, out / "plan.json")
     _print_json(
         {
             "controller": str(out / "controller.json"),
             "plan": str(out / "plan.json"),
-            "regulator_residual": sol.residual,
-            "plan_residual": plan.residual,
-            "plan_input_norm": float(np.linalg.norm(plan.U2)),
-            "kernel_deviation": float(np.linalg.norm(utility.F @ plan.delta_Y)),
+            "regulator_residual": cfg.regulator.residual,
+            "plan_residual": cfg.plan.residual,
+            "plan_input_norm": float(np.linalg.norm(cfg.plan.U2)),
+            "kernel_deviation": float(np.linalg.norm(utility.F @ cfg.plan.delta_Y)),
         }
     )
     return EXIT_OK
@@ -149,17 +127,9 @@ def _cmd_distort(args) -> int:
     sol = load_controller(args.controller, true_mode, target_mode)
     plan = load_kernel_plan(args.plan, target_mode)
     traj = read_trajectory_csv(args.input)
-    if traj.X is None:
-        raise ValueError("the input trajectory must carry state columns")
-    if traj.K != plan.K:
-        raise ValueError(
-            f"trajectory horizon {traj.K} does not match the plan horizon {plan.K}"
-        )
     utility = _resolve_utility(args.utility, traj.K, bank.m)
     cfg = DistortionConfig(true_mode, target_mode, sol, plan, traj.K)
-    distorted = run_offline(cfg, traj)
-    if not _utility_kept(utility, traj.Y, distorted.Ybar):
-        return EXIT_CHECK_FAILED
+    distorted = cloak(cfg, traj, utility)
     write_trajectory_csv(distorted.to_trajectory(), args.out)
     _print_json(
         {
@@ -183,27 +153,26 @@ def _cmd_demo(args) -> int:
     seed = _resolve_seed(args)
     K = args.K
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     bank = vehicle_demo_bank()
     sports, average = bank.mode(1), bank.mode(2)
-    save_mode_bank(bank, out / "bank.json")
+    utility = UtilitySpec.average(K, sports.m)
 
     rng = np.random.default_rng(seed)
     x1 = rng.normal(size=sports.n)
     U = rng.uniform(-1.0, 1.0, size=(K - 1, sports.l))
     traj = simulate_mode(sports, x1, U)
-    write_trajectory_csv(traj, out / "original.csv")
-
-    utility = UtilitySpec.average(K, sports.m)
-    sol, plan = _design(sports, average, utility, args.magnitude, seed + 1, out)
+    cfg = design(sports, average, utility, args.magnitude, seed + 1)
     zero_plan = KernelPlan.zero(average.n, K, average.m, average.l)
-    ubar1 = run_offline(DistortionConfig(sports, average, sol, zero_plan, K), traj).Ubar
-    ybar1 = simulate_mode(average, sol.Pi @ x1, ubar1).Y  # the target's own output
-    cloaked = run_offline(DistortionConfig(sports, average, sol, plan, K), traj)
-    if not _utility_kept(utility, traj.Y, cloaked.Ybar):
-        return EXIT_CHECK_FAILED
-    write_trajectory_csv(cloaked.to_trajectory(), out / "distorted.csv")
+    ubar1 = cloak(dataclasses.replace(cfg, plan=zero_plan), traj, utility).Ubar
+    ybar1 = simulate_mode(average, cfg.regulator.Pi @ x1, ubar1).Y  # the target's own output
+    cloaked = cloak(cfg, traj, utility)
 
+    out.mkdir(parents=True, exist_ok=True)
+    save_mode_bank(bank, out / "bank.json")
+    write_trajectory_csv(traj, out / "original.csv")
+    save_controller(cfg.regulator, out / "controller.json")
+    save_kernel_plan(cfg.plan, out / "plan.json")
+    write_trajectory_csv(cloaked.to_trajectory(), out / "distorted.csv")
     _write_figure(out / "fig1.csv", ["k", "y", "ybar1"], traj.Y, ybar1)
     _write_figure(out / "fig2.csv", ["k", "u", "ubar1"], traj.U, ubar1)
     _write_figure(out / "fig3.csv", ["k", "y", "ybar"], traj.Y, cloaked.Ybar)
@@ -301,6 +270,9 @@ def main(argv=None) -> int:
     except InvarianceInfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANCE_INFEASIBLE
+    except UtilityChangedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except (OSError, ValueError, KeyError) as exc:
         # str() of a KeyError quotes its message; print the message itself.
         message = exc.args[0] if isinstance(exc, KeyError) else exc

@@ -1,4 +1,7 @@
-"""Streaming distorter: consume (u, y, x) samples, emit cloaked (ubar, ybar).
+"""The pipeline, :func:`design` then :func:`cloak`, and the streaming distorter.
+
+:func:`cloak` is the one place that checks ``F Ybar == F Y``.  The engine
+consumes (u, y, x) samples and emits cloaked (ubar, ybar).
 
 The replay maps are the regulator solution (Pi, Gamma, Theta): the
 target driven by ``Gamma x(k) + Theta u(k)`` from ``Pi x(1)`` stays at
@@ -23,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .invariance import KernelPlan
+from .invariance import KernelPlan, UtilitySpec, solve_utility_invariance
 from .linalg import RESIDUAL_TOL
 from .modes import (
     StateSpaceMode,
@@ -33,16 +36,19 @@ from .modes import (
     build_lifted_operators,
     simulate_mode,
 )
-from .regulation import RegulatorSolution, regulator_residuals
+from .regulation import RegulatorSolution, regulator_residuals, solve_regulator_equations
 
 __all__ = [
     "HorizonExhaustedError",
     "InconsistentDataError",
+    "UtilityChangedError",
     "DistortionConfig",
     "DistortionEngine",
     "DistortedTrajectory",
     "run_offline",
     "reconstruct_state",
+    "design",
+    "cloak",
 ]
 
 
@@ -58,6 +64,10 @@ class InconsistentDataError(RuntimeError):
             f"window is inconsistent with the mode (residual {residual:.3e})"
         )
         self.residual = residual
+
+
+class UtilityChangedError(RuntimeError):
+    """A cloaked trajectory would change the utility ``F Y + mu``."""
 
 
 @dataclass(frozen=True)
@@ -244,3 +254,30 @@ def run_offline(cfg: DistortionConfig, traj: Trajectory) -> DistortedTrajectory:
     Ubar.setflags(write=False)  # frozen owners: to_trajectory() keeps them uncopied
     Ybar.setflags(write=False)
     return DistortedTrajectory(Ubar=Ubar, Ybar=Ybar, k_start=s + 1)
+
+
+def design(true_mode, target_mode, utility, magnitude=1.0, seed=0) -> DistortionConfig:
+    """The regulator solution of a mode pair, then a plan of ``magnitude`` in Ker[F] for the
+    target over the utility's horizon; an infeasible pair raises before any plan is tried."""
+    sol = solve_regulator_equations(true_mode, target_mode)
+    ops = build_lifted_operators(target_mode, utility.K)
+    plan = solve_utility_invariance(ops, utility, magnitude=magnitude, seed=seed)
+    return DistortionConfig(true_mode, target_mode, sol, plan, utility.K)
+
+
+def cloak(cfg: DistortionConfig, traj: Trajectory, utility: UtilitySpec) -> DistortedTrajectory:
+    """:func:`run_offline` of a trajectory with states under a utility of its K and m (else
+    ValueError); UtilityChangedError unless ``|F Ybar - F Y| <= 1e-8 (1 + |F Y|)`` per row."""
+    if traj.X is None:
+        raise ValueError("the input trajectory must carry state columns")
+    if utility.K != cfg.K or utility.m != cfg.true_mode.m:
+        raise ValueError(
+            f"utility is bound to K = {utility.K}, m = {utility.m}; "
+            f"the configuration has K = {cfg.K}, m = {cfg.true_mode.m}"
+        )
+    distorted = run_offline(cfg, traj)
+    FY = utility.F @ traj.Y.reshape(-1)
+    gap = np.abs(utility.F @ distorted.Ybar.reshape(-1) - FY)
+    if not np.all(gap <= 1e-8 * (1.0 + np.abs(FY))):
+        raise UtilityChangedError(f"the plan changes this utility by {np.max(gap):.3e}")
+    return distorted

@@ -99,6 +99,8 @@ class UtilitySpec:
     @classmethod
     def average(cls, K: int, m: int = 1) -> "UtilitySpec":
         """Per-channel average of the output over the horizon."""
+        if K < 2:  # before np.tile, which words a negative K its own way
+            raise ValueError("utility horizon must be at least 2")
         F = np.tile(np.eye(m), (1, K)) / K
         F.setflags(write=False)  # handed over: the spec keeps it uncopied
         return cls(F=F, mu=np.zeros(m), K=K)

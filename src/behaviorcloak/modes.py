@@ -53,11 +53,14 @@ __all__ = [
 
 def _frozen(value, name: str, samples: bool = False) -> np.ndarray:
     """``value`` as a frozen float array, by the one rule of every record: an array
-    that is read-only and owns its data is kept, anything else is copied.  With
-    ``samples`` it has one row per sample (a vector becomes a column).  ValueError
-    naming the array and its first row, or sample, with a non-finite entry."""
+    that is read-only and owns its data, or one just built from a list or tuple, is
+    kept; anything else is copied.  With ``samples`` it has one row per sample (a
+    vector becomes a column).  ValueError naming the array and its first row, or
+    sample, with a non-finite entry."""
     arr = np.asarray(value, dtype=float)
-    if arr.flags.writeable or not arr.flags.owndata:
+    if isinstance(value, (list, tuple)):  # a new array that no caller holds
+        arr.setflags(write=False)
+    elif arr.flags.writeable or not arr.flags.owndata:
         arr = arr.copy()
         arr.setflags(write=False)
     if not np.isfinite(arr).all():
@@ -762,6 +765,11 @@ def read_trajectory_csv(path) -> Trajectory:
     final = _row_values(lines[K], K, width, inputs=l)
     if not np.array_equal(np.append(body[:, 0], final[0]), np.arange(1, K + 1)):
         raise ValueError("sample indices must be contiguous and 1-based")
-    outputs = np.vstack([body[:, 1 + l :], final[1:]])
-    X = outputs[:, m:] if width > 1 + l + m else None
-    return Trajectory(U=body[:, 1 : 1 + l], Y=outputs[:, :m], X=X)
+    # Frozen owners of their own columns: the trajectory keeps Y and X uncopied.
+    Y = np.vstack([body[:, 1 + l : 1 + l + m], final[1 : 1 + m]])
+    Y.setflags(write=False)
+    X = None
+    if width > 1 + l + m:
+        X = np.vstack([body[:, 1 + l + m :], final[1 + m :]])
+        X.setflags(write=False)
+    return Trajectory(U=body[:, 1 : 1 + l], Y=Y, X=X)

@@ -19,6 +19,7 @@ from behaviorcloak import (
     simulate_mode,
     validate_mode,
 )
+from behaviorcloak import modes
 from behaviorcloak.modes import _block_toeplitz
 
 
@@ -158,6 +159,31 @@ def traced_peak(call) -> float:
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+def frozen_copies(monkeypatch, *modules) -> list:
+    """Spy on ``_frozen`` where ``modules`` bind it.  Each call appends ``(name,
+    copied)``: whether the result is a copy of the array that ``np.asarray`` made
+    of the value (the value itself when it is an array, a new one from a list)."""
+    calls, made, frozen = [], [], modes._frozen
+
+    class Numpy:  # numpy, remembering what ``asarray`` returns
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def asarray(self, *args, **kwargs):
+            made.append(np.asarray(*args, **kwargs))
+            return made[-1]
+
+    def spy(value, name, samples=False):
+        result = frozen(value, name, samples)
+        calls.append((name, not np.shares_memory(result, made[-1])))
+        return result
+
+    monkeypatch.setattr(modes, "np", Numpy())
+    for module in modules:
+        monkeypatch.setattr(module, "_frozen", spy)
+    return calls
 
 
 def unstable_pair():

@@ -20,6 +20,8 @@ from behaviorcloak import (
     build_lifted_operators,
     build_tracking_controller,
     classify,
+    cloak,
+    design,
     design_stabilizing_gain,
     longitudinal_vehicle_mode,
     nullspace_basis,
@@ -74,13 +76,11 @@ def vehicle_scenario(K, input_seed, plan_seed, magnitude=1.0):
     x1 = rng.normal(size=sports.n)
     U = rng.uniform(-1.0, 1.0, size=(K - 1, sports.l))
     traj = simulate_mode(sports, x1, U)
-    sol = solve_regulator_equations(sports, average)
-    ctrl = build_tracking_controller(sol, design_stabilizing_gain(average), average)
-    ops = build_lifted_operators(average, K)
     spec = UtilitySpec.average(K)
-    plan = solve_utility_invariance(ops, spec, magnitude=magnitude, seed=plan_seed)
-    cloaked = run_offline(DistortionConfig(sports, average, ctrl, plan, K), traj)
-    return bank, traj, ctrl, spec, plan, cloaked
+    cfg = design(sports, average, spec, magnitude=magnitude, seed=plan_seed)
+    ctrl = build_tracking_controller(cfg.regulator, design_stabilizing_gain(average), average)
+    cloaked = cloak(cfg, traj, spec)
+    return bank, traj, ctrl, spec, cfg.plan, cloaked
 
 
 def test_criterion_1_discretization_fidelity():

@@ -23,7 +23,7 @@ from behaviorcloak import (
     vehicle_demo_bank,
     write_trajectory_csv,
 )
-from behaviorcloak import cli
+from behaviorcloak import distort
 from behaviorcloak.cli import _write_figure, main
 from behaviorcloak.modes import _ROWS_PER_BLOCK
 
@@ -597,12 +597,23 @@ class TestDemoCommand:
                 magnitude=magnitude,
             )
 
-        monkeypatch.setattr(cli, "solve_utility_invariance", shifted_plan)
+        monkeypatch.setattr(distort, "solve_utility_invariance", shifted_plan)
         out = tmp_path / "demo"
         assert main(["demo", "--out", str(out), "--K", "60"]) == 1
         captured = capsys.readouterr()
         assert "changes this utility" in captured.err and not captured.out
         assert not (out / "distorted.csv").exists()
+
+    @pytest.mark.parametrize("command, K", [("design", -3), ("demo", -3), ("demo", 0)])
+    def test_horizon_below_two_is_named(self, capsys, tmp_path, vehicle_bank_path, command, K):
+        out = tmp_path / "out"
+        out.mkdir()
+        pair = ["--bank", str(vehicle_bank_path), "--true-mode", "1", "--target-mode", "2"]
+        argv = [command, *(pair if command == "design" else []), "--K", str(K)]
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: utility horizon must be at least 2\n"
+        assert not captured.out and not any(out.iterdir())
 
     def test_figure_bytes_match_row_loop(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -10,9 +10,12 @@ from behaviorcloak import (
     KernelPlan,
     RegulatorSolution,
     Trajectory,
+    UtilityChangedError,
     UtilitySpec,
     build_lifted_operators,
     build_tracking_controller,
+    cloak,
+    design,
     design_stabilizing_gain,
     longitudinal_vehicle_mode,
     mode_residual,
@@ -26,15 +29,8 @@ from behaviorcloak import (
 
 
 def make_config(true_mode, target_mode, K, magnitude=0.0, seed=0):
-    sol = solve_regulator_equations(true_mode, target_mode)
-    if magnitude == 0.0:
-        plan = KernelPlan.zero(target_mode.n, K, target_mode.m, target_mode.l)
-    else:
-        ops = build_lifted_operators(target_mode, K)
-        plan = solve_utility_invariance(
-            ops, UtilitySpec.average(K, target_mode.m), magnitude=magnitude, seed=seed
-        )
-    return DistortionConfig(true_mode, target_mode, sol, plan, K)
+    # Magnitude 0 designs the zero plan.
+    return design(true_mode, target_mode, UtilitySpec.average(K, target_mode.m), magnitude, seed)
 
 
 def identical_pair(rng, n=3):
@@ -419,3 +415,70 @@ class TestDeterminism:
         second = run_offline(make_config(sports, average, K, 1.0, seed=11), traj)
         assert np.array_equal(first.Ubar, second.Ubar)
         assert np.array_equal(first.Ybar, second.Ybar)
+
+
+class TestPipeline:
+    K = 200
+
+    @pytest.fixture()
+    def scenario(self):
+        bank = vehicle_demo_bank()
+        sports, average = bank.mode(1), bank.mode(2)
+        traj = support.random_trajectory(np.random.default_rng(71), sports, self.K)
+        spec = UtilitySpec.average(self.K)
+        return sports, average, traj, spec, design(sports, average, spec, 1.0, seed=4)
+
+    def test_design_equals_hand_composition(self, scenario):
+        sports, average, _, spec, cfg = scenario
+        sol = solve_regulator_equations(sports, average)
+        plan = solve_utility_invariance(
+            build_lifted_operators(average, self.K), spec, magnitude=1.0, seed=4
+        )
+        assert cfg.K == self.K
+        for name in ("Pi", "Gamma", "Theta"):
+            assert np.array_equal(getattr(cfg.regulator, name), getattr(sol, name))
+        for name in ("x2_init", "U2", "delta_Y"):
+            assert np.array_equal(getattr(cfg.plan, name), getattr(plan, name))
+
+    def test_cloak_equals_run_offline(self, scenario):
+        _, _, traj, spec, cfg = scenario
+        cloaked, offline = cloak(cfg, traj, spec), run_offline(cfg, traj)
+        assert np.array_equal(cloaked.Ubar, offline.Ubar)
+        assert np.array_equal(cloaked.Ybar, offline.Ybar)
+        assert cloaked.k_start == 1
+
+    def test_foreign_utility_fails_loudly(self, scenario):
+        # The plan keeps the average; a ramp-weighted sum sees its distortion, which is
+        # small enough here that a tolerance a million times too loose would miss it.
+        sports, average, traj, spec, _ = scenario
+        cfg = design(sports, average, spec, magnitude=1e-4, seed=4)
+        ramp = UtilitySpec(F=[np.arange(1.0, self.K + 1) / self.K], mu=[0.0], K=self.K)
+        with pytest.raises(UtilityChangedError, match="changes this utility by"):
+            cloak(cfg, traj, ramp)
+
+    @pytest.mark.parametrize("shift, kept", [(1e-11, True), (1e-6, False)])
+    def test_check_tolerance(self, scenario, shift, kept):
+        # A constant output shift moves the average by ``shift (1 + |F Y|)``.
+        _, _, traj, spec, cfg = scenario
+        size = shift * (1.0 + abs(spec.F @ traj.Y.reshape(-1))[0])
+        plan = KernelPlan(
+            x2_init=np.zeros(3), U2=np.zeros((self.K - 1, 1)),
+            delta_Y=np.full(self.K, size), residual=0.0, seed=None, magnitude=size,
+        )
+        shifted = DistortionConfig(cfg.true_mode, cfg.target_mode, cfg.regulator, plan, self.K)
+        if kept:
+            cloak(shifted, traj, spec)
+        else:
+            with pytest.raises(UtilityChangedError):
+                cloak(shifted, traj, spec)
+
+    def test_stateless_trajectory_is_refused(self, scenario):
+        _, _, traj, spec, cfg = scenario
+        with pytest.raises(ValueError, match="must carry state columns"):
+            cloak(cfg, Trajectory(U=traj.U, Y=traj.Y), spec)
+
+    @pytest.mark.parametrize("K, m", [(199, 1), (200, 2)])
+    def test_utility_of_another_shape_is_refused(self, scenario, K, m):
+        _, _, traj, _, cfg = scenario
+        with pytest.raises(ValueError, match=f"bound to K = {K}, m = {m}; .* K = 200, m = 1"):
+            cloak(cfg, traj, UtilitySpec.average(K, m))

@@ -996,6 +996,18 @@ class TestFileFormats:
         assert loaded.seed == plan.seed
         assert loaded.magnitude == plan.magnitude
 
+    def test_plan_loader_keeps_the_arrays_it_builds(self, tmp_path, monkeypatch):
+        # The arrays parsed from JSON lists, and the rebuilt response, are frozen in
+        # place; the plan then keeps all three.
+        average, K = vehicle_demo_bank().mode(2), 50
+        ops = build_lifted_operators(average, K)
+        path = tmp_path / "plan.json"
+        save_kernel_plan(solve_utility_invariance(ops, UtilitySpec.average(K), seed=8), path)
+        calls = support.frozen_copies(monkeypatch, invariance)
+        load_kernel_plan(path, average)
+        names = ["plan x2_init", "plan U2", "plan x2_init", "plan U2", "plan delta_Y"]
+        assert calls == [(name, False) for name in names]
+
     def test_plan_and_spec_bytes_match_streaming_encoder(self, tmp_path):
         average = vehicle_demo_bank().mode(2)
         K = 3000

@@ -20,6 +20,7 @@ from behaviorcloak import (
     vehicle_demo_bank,
     write_trajectory_csv,
 )
+from behaviorcloak import modes
 from behaviorcloak.modes import _ROWS_PER_BLOCK, _fold, _power_rows, _scan
 
 # Printed discrete-time vehicle blocks, columns A | B.
@@ -492,6 +493,17 @@ class TestTrajectoryCsvAgainstOracle:
         assert ours.read_bytes() == oracle.read_bytes()
         assert_same_arrays(read_trajectory_csv(oracle), support.csv_read_trajectory(oracle))
         assert_same_arrays(read_trajectory_csv(oracle), traj)
+
+    def test_reader_hands_over_its_own_columns(self, tmp_path, monkeypatch):
+        # Y and X are built as frozen owners; only U, a view of the parse, is copied.
+        rng = np.random.default_rng(8)
+        traj = support.random_trajectory(rng, support.random_valid_mode(rng), 50)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)
+        calls = support.frozen_copies(monkeypatch, modes)
+        loaded = read_trajectory_csv(path)
+        assert calls == [("trajectory U", True), ("trajectory Y", False), ("trajectory X", False)]
+        assert_same_arrays(loaded, traj)
 
     @pytest.mark.parametrize(
         "rewrite",

@@ -6,7 +6,8 @@ public name would break them without failing a test.  These tests read
 their source and resolve every name they take from ``behaviorcloak``,
 and run the README's library example.  The block kernel and the caches it
 keeps on a mode belong to ``modes``; the other modules reach them only
-through ``LiftedOperators`` and ``simulate_mode``.
+through ``LiftedOperators`` and ``simulate_mode``.  The CLI runs the
+pipeline only through ``distort.design`` and ``distort.cloak``.
 """
 
 import ast
@@ -121,6 +122,23 @@ def test_only_modes_reads_and_writes_documents(path):
         assert not reads_or_writes, f"{path.name} calls {sorted(reads_or_writes)}"
         if path.name != "cli.py":
             assert "json" not in imported, f"{path.name} imports json"
+
+
+def test_cli_runs_the_pipeline_only_through_design_and_cloak():
+    # The CLI parses arguments, reads and writes files and maps errors; the layers
+    # below ``distort.design`` and ``distort.cloak`` are theirs to call.
+    cli = Path(behaviorcloak.__file__).parent / "cli.py"
+    tree = ast.parse(cli.read_text(encoding="utf-8"))
+    called = {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+    layers = {
+        "solve_regulator_equations", "solve_utility_invariance",
+        "build_lifted_operators", "run_offline",
+    }
+    assert not called & layers, f"cli.py calls {sorted(called & layers)}"
 
 
 @pytest.mark.parametrize("path", DEMO_FILES, ids=lambda p: p.name)
