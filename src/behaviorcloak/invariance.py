@@ -14,12 +14,14 @@ so that an unstable target's does not swamp it.  When the free and
 forced parts of the projected response cancel to rounding, or the scaled
 response is not in Ker[F] to rounding, no plan is found: Ker[F] is
 trivial, or the target behaviour meets it only at zero.  A plan costs
-O(q K) work in O(log K) vectorized steps even at paper-scale horizons.
+O(q K) work in a few vectorized steps per level of the block kernel's
+grouped recursion, even at paper-scale horizons.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -264,6 +266,26 @@ def save_kernel_plan(plan: KernelPlan, path) -> None:
     _write_document(doc, path)
 
 
+def _sample_rows(rows: list, name: str) -> np.ndarray:
+    """A JSON list of samples, each a list of the same width (or each a number:
+    one column), as one frozen (samples, width) array that owns its data, filled
+    from the chained rows without a nested copy.  ValueError naming the first
+    row of another width."""
+    if not isinstance(rows, list):
+        raise TypeError(f"{name} is not a list")
+    nested = bool(rows) and isinstance(rows[0], list)
+    width = len(rows[0]) if nested else 1
+    if nested and set(map(len, rows)) != {width}:
+        bad = next(i for i, row in enumerate(rows) if len(row) != width)
+        raise ValueError(
+            f"{name} has {len(rows[bad])} entries at sample {bad + 1}, expected {width}"
+        )
+    arr = np.fromiter(chain.from_iterable(rows) if nested else rows, float, len(rows) * width)
+    arr.shape = (len(rows), width)  # in place: the array keeps its data
+    arr.setflags(write=False)
+    return arr
+
+
 def load_kernel_plan(path, target_mode: StateSpaceMode) -> KernelPlan:
     """Read a plan and rebuild its response through the target's lifted operators.
     A vector ``U2`` is one input column.  A missing entry, one of the wrong type
@@ -271,7 +293,7 @@ def load_kernel_plan(path, target_mode: StateSpaceMode) -> KernelPlan:
 
     def build(doc) -> KernelPlan:
         x2 = _frozen(doc["x2_init"], "plan x2_init")
-        U2 = _frozen(doc["U2"], "plan U2", samples=True)
+        U2 = _frozen(_sample_rows(doc["U2"], "plan U2"), "plan U2", samples=True)
         if x2.size != target_mode.n or U2.ndim != 2 or U2.shape[1] != target_mode.l:
             raise ValueError("plan dimensions do not match the target mode")
         delta = build_lifted_operators(target_mode, U2.shape[0] + 1).apply(x2, U2)

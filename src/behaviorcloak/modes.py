@@ -11,17 +11,26 @@ response.  :class:`LiftedOperators` (response, adjoint, start-state fit)
 and :func:`simulate_mode` run it without forming either matrix, on one
 block kernel: the recursion runs 16 samples at a time with two dense
 products per block (pieces cached on the mode), and the block-start states
-follow from doubling over powers of the block step, which stops at an
-underflowed power and never squares past the last one used.  A horizon
-costs O(K) work in O(log K) array steps.  No input is copied into padded
-blocks; a forward response of w outputs peaks at 2 w arrays of K floats
-(its buffer and one forced product) and hands over its buffer, trimmed in
-place, so a trajectory keeps it uncopied.  A fit holds two such arrays.
+follow from a grouped recursion.  It cuts the block rows into groups of
+G = 16, gets every state within its group from one product with a
+block-triangular operator of powers of the block step, solves the ends of
+all groups but the last as the same problem one level up in step^G, and
+adds each group's carry with one product by ``[step, ..., step^G]``; the
+costate fold and the free response read the same powers.  A horizon costs
+O(K) work in about log_16(K/16) levels of three products each.  The powers
+and operators are built once per mode, level by level as far as a horizon
+asks, so no state or power past the horizon is formed (it may overflow),
+and power entries below ``tiny`` are flushed to zero, so an underflowed
+power adds exactly zero.  No input is copied into padded blocks; a
+forward response of w outputs peaks at 2 w arrays of K floats (its buffer
+and one forced product) and hands over its buffer, trimmed in place, so a
+trajectory keeps it uncopied.  A fit holds two such arrays.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -124,19 +133,28 @@ class StateSpaceMode:
         return self.B.shape[1]
 
     @cached_property
+    def _block_powers(self) -> tuple:
+        """:class:`_GroupPowers` of the block step ``A^b`` and of its transpose."""
+        step = np.linalg.matrix_power(self.A, _BLOCK)
+        return _GroupPowers(step), _GroupPowers(step.T)
+
+    @cached_property
     def _state_blocks(self) -> tuple:
-        """Transposed :func:`_block_pieces` of the states (``C = I``)."""
-        return tuple(p.T.copy() for p in _block_pieces(self.A, self.B, np.eye(self.n)))
+        """Transposed :func:`_block_pieces` of the states (``C = I``), then the
+        transposed block step's powers."""
+        pieces = _block_pieces(self.A, self.B, np.eye(self.n))
+        return (*(p.T.copy() for p in pieces), self._block_powers[1])
 
     @cached_property
     def _output_blocks(self) -> tuple:
-        """:func:`_block_pieces` of the outputs, as the adjoint reads them."""
-        return _block_pieces(self.A, self.B, self.C)
+        """:func:`_block_pieces` of the outputs, then the block step's powers, as
+        the adjoint reads them."""
+        return (*_block_pieces(self.A, self.B, self.C), self._block_powers[0])
 
     @cached_property
     def _output_blocks_t(self) -> tuple:
         """Their contiguous transposes, as the forward response reads them."""
-        return tuple(p.T.copy() for p in self._output_blocks)
+        return (*(p.T.copy() for p in self._output_blocks[:3]), self._block_powers[1])
 
     def _gram_factor(self, K: int) -> tuple:
         """``(s, P, steps)`` of the horizon-K observability Gramian ``W``, cached
@@ -304,42 +322,89 @@ class ModeValidationReport:
 
 # Samples per block of the blocked state recursion.
 _BLOCK = 16
-# The smallest normal float: the threshold of :func:`_underflows`.
+# Rows per group of the grouped recursion over the block rows.
+_GROUP = 16
+# The smallest normal float: entries of a power below it are flushed to zero.
 _TINY = np.finfo(float).tiny
 # A fit refines once with the same factor if the equilibrated Gramian's
 # condition number (the first step loses cond * eps) is above this.
 _REFINE_COND = 1e3
 
 
-def _underflows(M: np.ndarray) -> bool:
-    """Every entry of ``M`` below ``tiny`` (never with a nan): a power to drop, not
-    carry as slow subnormals.  One entry goes first, at a tenth of the cost."""
-    return abs(M[0, 0]) < _TINY and np.abs(M).max() < _TINY
+def _flushed(M: np.ndarray) -> np.ndarray:
+    """``M`` with its entries below ``tiny`` set to zero, in place (a nan stays):
+    an underflowed power then adds exactly zero, not slow subnormals."""
+    M[np.abs(M) < _TINY] = 0.0
+    return M
 
 
-def _doublings(step: np.ndarray, count: int):
-    """Yield ``(s, step^s)`` for s = 1, 2, 4, ... below ``count``, one product
-    each.  It stops at a power below ``tiny``, whose terms would add below
-    n * tiny * max|terms before|, and never squares past the last power it
-    yields: that square may overflow."""
-    s = 1
-    while s < count and not _underflows(step):
-        yield s, step
-        s *= 2
-        if s < count:
-            step = step @ step
+class _GroupPowers:
+    """Powers of a step ``Q`` as the grouped recursion reads them, level by level.
+
+    Level k holds the powers ``Q_k^i`` of ``Q_k = Q^(G^k)`` for i up to the
+    largest a horizon has asked for (at most G), so none past a horizon is
+    formed: it may overflow.  From them it keeps ``V = [I; Q_k; ...]``
+    stacked, ``H = [I, Q_k, ...]`` side by side and the block upper-triangular
+    ``L`` with block (j, i) = ``Q_k^(i - j)``, rebuilt only when a level grows.
+    A lock keeps the growth whole when threads share a mode.
+    """
+
+    def __init__(self, step):
+        step = _flushed(np.array(step, dtype=float))
+        self.powers = [[np.eye(len(step)), step]]
+        self.operators = []
+        self.lock = threading.Lock()
+
+    def level(self, k: int, p: int) -> tuple:
+        """``(V, H, L)`` of level k, holding at least the powers ``Q_k^i``, i <= p."""
+        with self.lock:
+            if k == len(self.powers):  # Q_k = Q_(k-1)^G
+                self.powers.append([self.powers[0][0], self.powers[k - 1][_GROUP]])
+            powers = self.powers[k]
+            if k == len(self.operators) or len(powers) <= p:
+                while len(powers) <= p:
+                    powers.append(_flushed(powers[-1] @ powers[1]))
+                self.operators[k : k + 1] = [_group_operators(powers)]
+            return self.operators[k]
+
+    @cached_property
+    def flipped(self) -> "_GroupPowers":
+        """The powers of ``J Q J``: ``Q`` with the order of its rows and columns reversed."""
+        return _GroupPowers(self.powers[0][1][::-1, ::-1])
 
 
-def _power_rows(first: np.ndarray, A: np.ndarray, count: int) -> np.ndarray:
-    """Stack ``first A^k``, k < count, by block doubling: the first s blocks
-    times ``A^s`` give the next s.  Rows from an underflowed power on are zero."""
-    r = first.shape[0]
-    out = np.zeros((count * r, A.shape[0]))
-    out[:r] = first
-    for s, power in _doublings(A, count):
-        t = min(s, count - s)
-        out[s * r : (s + t) * r] = out[: t * r] @ power
-    return out
+def _group_operators(powers: list) -> tuple:
+    """``(V, H, L)`` of :class:`_GroupPowers` from the powers ``[I, Q, ...]``;
+    ``L`` has one block row per power, at most G."""
+    n, s = len(powers[0]), min(len(powers), _GROUP)
+    V, H = np.concatenate(powers), np.concatenate(powers, axis=1)
+    L = np.zeros((s * n, s * n))
+    for j in range(s):
+        L[j * n : (j + 1) * n, j * n :] = H[:, : (s - j) * n]
+    return V, H, L
+
+
+def _group_powers(step) -> _GroupPowers:
+    """``step`` if it is a :class:`_GroupPowers` (a mode's cache), else new ones."""
+    return step if isinstance(step, _GroupPowers) else _GroupPowers(step)
+
+
+def _power_rows(first: np.ndarray, step, count: int, level: int = 0) -> np.ndarray:
+    """Stack ``first step^k``, k < count: the group starts ``first step^(G q)`` by
+    this routine one level up, in ``step^G``, then one product with ``[I, step,
+    ..., step^(G-1)]``, truncated for the tail group."""
+    powers, (r, n) = _group_powers(step), first.shape
+    full, tail = divmod(count, _GROUP)
+    _, H, _ = powers.level(level, min(_GROUP, count - 1))
+    if count > _GROUP:
+        first = _power_rows(first, powers, full + (tail > 0), level + 1)
+    rows, w = np.empty((count, r, n)), full * _GROUP
+    if full:
+        block = (first[: full * r] @ H[:, : _GROUP * n]).reshape(full, r, _GROUP, n)
+        rows[:w].reshape(full, _GROUP, r, n)[...] = block.swapaxes(1, 2)
+    if tail:
+        rows[w:] = (first[full * r :] @ H[:, : tail * n]).reshape(r, tail, n).swapaxes(0, 1)
+    return rows.reshape(-1, n)
 
 
 def _gramian(C: np.ndarray, A: np.ndarray, count: int) -> np.ndarray:
@@ -375,23 +440,51 @@ def _pad_blocks(a: np.ndarray, blocks: int, width: int) -> np.ndarray:
 
 
 def _block_pieces(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> tuple:
-    """``(Ob, Tb, Ctrl, A^b)`` of b = ``_BLOCK`` samples: from state s, inputs V
-    give outputs ``Ob s + Tb V`` and next state ``A^b s + Ctrl V``."""
+    """``(Ob, Tb, Ctrl)`` of b = ``_BLOCK`` samples: from state s, inputs V give
+    outputs ``Ob s + Tb V`` and next state ``A^b s + Ctrl V``."""
     (n, l), b = B.shape, _BLOCK
     Ob = _power_rows(C, A, b)
     Tb = _block_toeplitz(Ob.reshape(b, -1, n), B, b)
     Ctrl = _power_rows(B.T, A.T, b).reshape(b, l, n)[::-1].reshape(b * l, n).T
-    return Ob, Tb, np.ascontiguousarray(Ctrl), np.linalg.matrix_power(A, b)
+    return Ob, Tb, np.ascontiguousarray(Ctrl)
 
 
-def _scan(S: np.ndarray, step: np.ndarray, reverse: bool = False) -> None:
-    """Doubling scan over axis -2, in place: ``S[j]`` becomes the sum of ``S[i]
-    step^|j - i|`` over i <= j (i >= j if ``reverse``), one pass per power."""
-    for s, power in _doublings(step, S.shape[-2]):
-        if reverse:
-            S[..., :-s, :] += S[..., s:, :] @ power
-        else:
-            S[..., s:, :] += S[..., :-s, :] @ power
+def _scan(S: np.ndarray, step, reverse: bool = False) -> None:
+    """Grouped scan over axis -2, in place: ``S[j]`` becomes the sum of ``S[i]
+    step^|j - i|`` over i <= j (i >= j if ``reverse``), by :func:`_group_scan`.
+    Reversed, it scans the rows and their entries in reverse order, the order
+    of the flat array backwards, in the step with its entries reversed."""
+    powers = _group_powers(step)
+    if reverse:
+        S[..., ::-1, ::-1] = _group_scan(S[..., ::-1, ::-1], powers.flipped, 0)
+    else:
+        S[...] = _group_scan(S, powers, 0)
+
+
+def _group_scan(S: np.ndarray, powers: _GroupPowers, level: int) -> np.ndarray:
+    """The forward :func:`_scan` of ``S`` in ``Q = Q_level``, as a new array: the
+    in-group partial states by one product with ``L`` (truncated for the tail
+    group), the ends of all groups but the last by this routine one level up,
+    in ``Q^G``, and each group's carry by one product with ``[Q, ..., Q^G]``."""
+    *lead, count, n = S.shape
+    full, tail = divmod(count, _GROUP)
+    _, H, L = powers.level(level, min(_GROUP, count - 1))
+    flat, w, width = np.reshape(S, (*lead, count * n)), full * _GROUP * n, _GROUP * n
+    out = np.empty(flat.shape)
+    groups = out[..., :w].reshape(*lead, full, width)
+    if full:
+        np.matmul(flat[..., :w].reshape(*lead, full, width), L, out=groups)
+    if tail:
+        np.matmul(flat[..., w:], L[: tail * n, : tail * n], out=out[..., w:])
+    if count > _GROUP:
+        ends = out.reshape(S.shape)[..., _GROUP - 1 : count - 1 : _GROUP, :]
+        if ends.shape[-2] > 1:
+            ends = _group_scan(ends, powers, level + 1)
+        if full > 1:
+            groups[..., 1:, :] += ends[..., : full - 1, :] @ H[:, n : width + n]
+        if tail:
+            out[..., w:] += ends[..., -1, :] @ H[:, n : (tail + 1) * n]
+    return out.reshape(S.shape)
 
 
 def _block_response(pieces_t: tuple, x, U, K: int) -> np.ndarray:
@@ -400,12 +493,13 @@ def _block_response(pieces_t: tuple, x, U, K: int) -> np.ndarray:
     block-start states by one :func:`_scan`, and no copy of ``U`` into blocks.
 
     ``pieces_t`` are the :func:`_block_pieces` transposed into contiguous
-    arrays: numpy's matmul is several times slower on transposed views.
+    arrays (numpy's matmul is several times slower on transposed views), then
+    the transposed block step's :class:`_GroupPowers`.
     """
     Ob, Tb, Ctrl, Ab = pieces_t
     nb, U = -(-K // _BLOCK), np.reshape(U, -1)
     head = U[: (nb - 1) * len(Tb)].reshape(nb - 1, len(Tb))
-    S = np.concatenate([np.reshape(x, (1, len(Ab))), head @ Ctrl])
+    S = np.concatenate([np.reshape(x, (1, len(Ob))), head @ Ctrl])
     _scan(S, Ab)
     Y = S @ Ob
     del S  # the peak below is Y and one forced product of its size
@@ -417,22 +511,28 @@ def _block_response(pieces_t: tuple, x, U, K: int) -> np.ndarray:
 
 def _free_response(pieces_t: tuple, x, K: int) -> np.ndarray:
     """Stacked outputs y(1..K) from state ``x`` under zero input: the block-start
-    states ``x (A^b)^j`` by :func:`_power_rows`, then one product with ``Ob``."""
+    states ``x (A^b)^j`` by the grouped :func:`_power_rows` (the group starts one
+    level up, then one product with ``[I, A^b, ..., (A^b)^(G-1)]``), then one
+    product with ``Ob``."""
     Ob, _, _, Ab = pieces_t
-    S = _power_rows(np.reshape(x, (1, len(Ab))), Ab, -(-K // _BLOCK))
+    S = _power_rows(np.reshape(x, (1, len(Ob))), Ab, -(-K // _BLOCK))
     return (S @ Ob).reshape(-1)[: K * Ob.shape[1] // _BLOCK]
 
 
-def _fold(c: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """``sum_j c[j] step^j`` over the rows of ``c``, in place: largest power
-    first, the rows from s on, times ``step^s``, fold onto the first ones.  Rows
-    from an underflowed power on are dropped."""
-    count = len(c)
-    for s, power in reversed(list(_doublings(step, count))):
-        count = min(count, 2 * s)
-        c[: count - s] += c[s:count] @ power
-        count = s
-    return c[0]
+def _fold(c: np.ndarray, step, level: int = 0) -> np.ndarray:
+    """``sum_j c[j] step^j`` over the rows of ``c``: each group's sum by one
+    product with ``[I; step; ...; step^(G-1)]`` (truncated for the tail group),
+    then the fold of the group sums in ``step^G`` by this routine."""
+    powers, (count, n) = _group_powers(step), c.shape
+    full, tail = divmod(count, _GROUP)
+    V, _, _ = powers.level(level, min(_GROUP, count - 1))
+    flat, w = np.reshape(c, -1), full * _GROUP * n
+    sums = np.empty((full + (tail > 0), n))
+    if full:
+        np.matmul(flat[:w].reshape(full, _GROUP * n), V[: _GROUP * n], out=sums[:full])
+    if tail:
+        sums[full] = flat[w:] @ V[: tail * n]
+    return sums[0] if len(sums) == 1 else _fold(sums, powers, level + 1)
 
 
 @dataclass(frozen=True)
@@ -440,9 +540,11 @@ class LiftedOperators:
     """Horizon-K response ``Ot x + Tt U`` of one mode and its adjoint.
 
     Neither ``Ot`` nor ``Tt`` is formed: each method runs the block kernel in
-    O(K) work.  :meth:`fit` runs one forward recursion and solves with the
-    n x n Gramian ``Ot' Ot`` by a costate fold and a free response.  The block
-    pieces and Gramian factors are cached on the mode.
+    O(K) work, its block-start states by the grouped recursion.  :meth:`fit`
+    runs one forward recursion and solves with the n x n Gramian ``Ot' Ot``
+    by a costate fold and a free response, one product per level each.  The
+    block pieces, the block step's group powers and the Gramian factors are
+    cached on the mode.
     """
 
     mode: StateSpaceMode

@@ -223,11 +223,20 @@ class TestBuildLiftedOperators:
         sim = simulate_mode(mode, x, U).stacked_outputs()
         assert relative_gap(build_lifted_operators(mode, K).apply(x, U), sim) <= 1e-13
 
-    @pytest.mark.parametrize("m, l", [(1, 1), (2, 2)], ids=["vehicle", "mimo"])
-    def test_stacked_adjoint_matches_rows(self, m, l):
-        # A mean over each of 12 windows of 50 samples at K = 600: one
-        # stacked call gives every row's adjoint pair, and F [Ot Tt].
-        K, q = 600, 12
+    @pytest.mark.parametrize(
+        "m, l, K, q",
+        [
+            pytest.param(1, 1, 600, 12, id="vehicle"),
+            pytest.param(2, 2, 600, 12, id="mimo"),
+            # 15, 16 and 17 blocks: one short of a group, one group, one past.
+            pytest.param(1, 1, 240, 3, id="vehicle-15-blocks"),
+            pytest.param(1, 1, 255, 3, id="vehicle-16-blocks"),
+            pytest.param(2, 2, 270, 3, id="mimo-17-blocks"),
+        ],
+    )
+    def test_stacked_adjoint_matches_rows(self, m, l, K, q):
+        # A mean over each of q windows: one stacked call gives every row's
+        # adjoint pair, and F [Ot Tt].
         if m == 1:
             mode = vehicle_demo_bank().mode(2)
         else:
@@ -295,7 +304,7 @@ class TestBuildLiftedOperators:
         # All three modes have eigenvalues at 1, so A^s does not decay.  The
         # double integrator's blocks grow linearly, and so does the
         # oracle's own rounding error, hence its shorter horizon.  The rows
-        # C A^k by doubling, and the free response's columns Ot e_i.
+        # C A^k by the grouped recursion, and the free response's columns Ot e_i.
         mode = make_mode()
         ops = build_lifted_operators(mode, K)
         Ot = support.iterated_observability(mode, K)
@@ -514,7 +523,7 @@ def count_recursions(monkeypatch):
 
 def test_fit_runs_one_forward_recursion(monkeypatch):
     # The forced response is the only scan; the costates fold and the free
-    # response doubles, with the refining step too.
+    # response takes its rows from group starts, with the refining step too.
     mode = close_poles_mode()
     K = 500
     assert mode._gram_factor(K)[2] == 2
@@ -1046,6 +1055,36 @@ class TestFileFormats:
                 x2_init=[0.0], U2=[[np.inf], [0.0]], delta_Y=np.zeros(3),
                 residual=0.0, seed=None, magnitude=1.0,
             )
+
+    @pytest.mark.parametrize(
+        "U2, message",
+        [
+            (None, "no 'U2' entry"),
+            ("[[0.0], [NaN]]", "plan U2 is not finite at sample 2"),
+            ("[[0.0, 1.0]]", "do not match the target mode"),
+            ("[[0.0], [0.0, 1.0]]", "2 entries at sample 2, expected 1"),
+            ('[["a"]]', "could not convert"),
+            ("[[0.0], 1.0]", "ill-formed plan document"),
+            ('{"a": 1}', "ill-formed plan document"),
+        ],
+        ids=[
+            "missing", "non_finite", "wrong_width", "ragged", "non_numeric", "mixed", "not_a_list",
+        ],
+    )
+    def test_malformed_U2_rejected(self, tmp_path, U2, message):
+        path = tmp_path / "plan.json"
+        entry = "" if U2 is None else f', "U2": {U2}'
+        path.write_text('{"x2_init": [0.0]' + entry + ', "seed": 0, "magnitude": 1.0}')
+        with pytest.raises(ValueError, match=message):
+            load_kernel_plan(path, support.scalar_mode(0.8))
+
+    def test_plan_loader_fills_U2_in_one_array(self):
+        # The parsed rows of an hour's U2 fill one array: the peak stays below two
+        # arrays of its size, where np.asarray on the nested list peaked at five.
+        K = 36000
+        rows = np.random.default_rng(3).standard_normal((K - 1, 1)).tolist()
+        peak = support.traced_peak(lambda: invariance._sample_rows(rows, "plan U2"))
+        assert peak <= 2 * (K - 1) * 8
 
     def test_zero_plan_constructor(self):
         plan = KernelPlan.zero(n=2, K=4, m=1, l=3)

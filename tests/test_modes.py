@@ -1,3 +1,5 @@
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -205,8 +207,16 @@ def oracle_mode(case):
         return support.random_valid_mode(np.random.default_rng(7))
     if case == "decaying":  # (A^16)^(2^j) underflows within the one-hour scan
         return StateSpaceMode(1, np.diag([0.5, 0.3, 0.2]), np.ones((3, 1)), np.ones((1, 3)))
+    if case == "underflow":  # the block step's G-th power, 0.06^256, is subnormal; 0.06^240 is not
+        return StateSpaceMode(1, np.diag([0.06, 0.5]), np.ones((2, 1)), np.ones((1, 2)))
     return StateSpaceMode(1, A=np.diag([1.05, 0.7]), B=[[0.0], [1.0]], C=[[1.0, 1.0]])
 
+
+# Block counts at the boundaries of the grouped recursion: G - 1, G and
+# G + 1 blocks, G^2 and G^2 + 1; and the horizons of that many blocks.
+G = modes._GROUP
+GROUP_COUNTS = [G - 1, G, G + 1, G * G, G * G + 1]
+GROUP_HORIZONS = tuple(modes._BLOCK * count for count in GROUP_COUNTS)
 
 # Modes and horizons on which simulate_mode is checked against the
 # sample-by-sample recursion.
@@ -219,8 +229,9 @@ ORACLE_CASES = [
         ("unstable", (2, 17, 600, 2000)),
         ("random", (40,)),
         ("decaying", (17, 500, 36000)),
+        ("underflow", ()),
     )
-    for K in horizons
+    for K in horizons + GROUP_HORIZONS
 ]
 
 
@@ -271,6 +282,18 @@ class TestSimulateMode:
         assert all(np.isfinite(r).all() for r in results)
         assert np.max(np.abs(results[0])) > 1e290
 
+    def test_bounded_response_of_unstable_mode(self):
+        # The input never reaches the state at the pole 1.05 and x1 starts off
+        # it, so |y| < 4 although 1.05^20000 overflows: the recursion forms no
+        # power past those the horizon composes, the largest (A^4096)^3.
+        mode = oracle_mode("unstable")
+        K = 20000
+        U = np.random.default_rng(20).uniform(-1.0, 1.0, (K - 1, 1))
+        traj = simulate_mode(mode, [0.0, 1.0], U)
+        X, Y = support.loop_simulate(mode, [0.0, 1.0], U)
+        assert np.max(np.abs(Y)) < 4.0
+        assert np.max(np.abs(traj.X - X)) <= 1e-14 and np.max(np.abs(traj.Y - Y)) <= 1e-14
+
     def test_hands_over_its_arrays(self):
         # In arrays of K floats: the trajectory keeps U's copy, Y and the three
         # state columns; at its peak the scan holds the states and one forced
@@ -301,8 +324,8 @@ class TestBlockKernels:
     """The fold ``sum_j c[j] step^j`` and the free response ``Ot x`` against
     explicit sums and the sample-by-sample recursion."""
 
-    @pytest.mark.parametrize("count", [1, 2, 3, 16, 17, 33])
-    @pytest.mark.parametrize("radius", [0.9, 1.05])
+    @pytest.mark.parametrize("count", sorted({1, 2, 3, 33, *GROUP_COUNTS}))
+    @pytest.mark.parametrize("radius", [0.9, 1.05, 1e-20])  # 1e-20: step^G underflows
     def test_fold_matches_explicit_sum(self, count, radius):
         rng = np.random.default_rng(count)
         step = rng.standard_normal((3, 3))
@@ -312,8 +335,8 @@ class TestBlockKernels:
         got = _fold(c.copy(), step)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
-    @pytest.mark.parametrize("K", [1, 2, 17, 500])
-    @pytest.mark.parametrize("case", ["sports", "mimo", "unstable", "decaying"])
+    @pytest.mark.parametrize("K", [1, 2, 17, 500, *GROUP_HORIZONS])
+    @pytest.mark.parametrize("case", ["sports", "mimo", "unstable", "decaying", "underflow"])
     def test_free_response_matches_recursion(self, case, K):
         mode = oracle_mode(case)
         x = np.random.default_rng(K).standard_normal(mode.n)
@@ -322,8 +345,52 @@ class TestBlockKernels:
         assert got.shape == (K * mode.m,)
         assert np.max(np.abs(got - Y.reshape(-1))) <= 1e-12 * np.max(np.abs(Y))
 
+    def test_group_operators_are_built_once_per_mode(self, monkeypatch):
+        # Every recursion reads the powers and operators cached on the mode: a
+        # second round of calls at the same horizon builds none.  Where the
+        # block step's G-th power underflows, it is flushed to exactly zero.
+        built, build = [], modes._group_operators
+        monkeypatch.setattr(modes, "_group_operators", lambda p: built.append(len(p)) or build(p))
+        mode = oracle_mode("underflow")
+        K = modes._BLOCK * (G * G + 1)
+        ops = build_lifted_operators(mode, K)
+        rng = np.random.default_rng(5)
+        x, U = rng.standard_normal(2), rng.uniform(-1.0, 1.0, (K - 1, 1))
+
+        def calls():
+            simulate_mode(mode, x, U)
+            ops.apply_adjoint(rng.standard_normal((3, K)))
+            ops.fit(ops.apply(x, U), U)
+
+        calls()
+        first = len(built)
+        calls()
+        assert first > 0 and len(built) == first
+        power = mode._block_powers[0].powers[0][G]
+        np.testing.assert_array_equal(power, np.diag([0.0, 0.5**256]))
+
+    def test_group_powers_grow_whole_when_threads_share_them(self):
+        # Eight threads grow one cache at once, with a thread switch every
+        # microsecond; each time the level holds the powers in order.
+        step = np.array([[0.9, 0.1], [0.0, 0.5]])
+        expected = [np.linalg.matrix_power(step, i) for i in range(G + 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(200):
+                powers = modes._GroupPowers(step)
+                threads = [threading.Thread(target=powers.level, args=(0, G)) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                np.testing.assert_allclose(powers.powers[0], expected, rtol=1e-12, atol=0)
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_underflowed_powers_are_dropped(self):
-        # 1e-160 squared is the subnormal 1e-320: each kernel stops there, so
+        # 1e-160 squared is the subnormal 1e-320: each kernel flushes it, so
         # the k = 2 term is exactly zero rather than carried as a subnormal.
         step = np.array([[1e-160]])
         rows = _power_rows(np.ones((1, 1)), step, 4)
