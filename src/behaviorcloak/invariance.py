@@ -252,48 +252,65 @@ def load_utility_spec(path) -> UtilitySpec:
 
 
 def save_utility_spec(spec: UtilitySpec, path) -> None:
-    doc = {"K": spec.K, "q": spec.q, "F": spec.F.tolist(), "mu": spec.mu.tolist()}
-    _write_document(doc, path)
+    _write_document({"K": spec.K, "q": spec.q, "F": spec.F, "mu": spec.mu}, path)
 
 
 def save_kernel_plan(plan: KernelPlan, path) -> None:
+    """Write a plan; ``U2`` is one flat row-major list of its K - 1 input rows
+    of ``l`` inputs (a list per sample if it has no inputs, whose rows no flat
+    list can count)."""
     doc = {
-        "x2_init": plan.x2_init.tolist(),
-        "U2": plan.U2.tolist(),
+        "x2_init": plan.x2_init,
+        "l": plan.U2.shape[1],
+        "U2": plan.U2.reshape(-1) if plan.U2.shape[1] else plan.U2,
         "seed": plan.seed,
         "magnitude": plan.magnitude,
     }
     _write_document(doc, path)
 
 
-def _sample_rows(rows: list, name: str) -> np.ndarray:
-    """A JSON list of samples, each a list of the same width (or each a number:
-    one column), as one frozen (samples, width) array that owns its data, filled
-    from the chained rows without a nested copy.  ValueError naming the first
-    row of another width."""
+def _sample_rows(rows: list, name: str, width: int) -> np.ndarray:
+    """A JSON list of samples as one frozen (samples, width) array that owns its
+    data: either flat, ``width`` numbers per sample in row-major order, or one
+    list per sample, all of one width (which may differ from ``width``), filled
+    from the chained rows without a nested copy.  ValueError naming a flat list
+    that is not whole rows, or the first row of another width."""
     if not isinstance(rows, list):
         raise TypeError(f"{name} is not a list")
-    nested = bool(rows) and isinstance(rows[0], list)
-    width = len(rows[0]) if nested else 1
-    if nested and set(map(len, rows)) != {width}:
-        bad = next(i for i, row in enumerate(rows) if len(row) != width)
-        raise ValueError(
-            f"{name} has {len(rows[bad])} entries at sample {bad + 1}, expected {width}"
-        )
-    arr = np.fromiter(chain.from_iterable(rows) if nested else rows, float, len(rows) * width)
-    arr.shape = (len(rows), width)  # in place: the array keeps its data
+    if rows and isinstance(rows[0], list):
+        width = len(rows[0])
+        if set(map(len, rows)) != {width}:
+            bad = next(i for i, row in enumerate(rows) if len(row) != width)
+            raise ValueError(
+                f"{name} has {len(rows[bad])} entries at sample {bad + 1}, expected {width}"
+            )
+        shape, values = (len(rows), width), chain.from_iterable(rows)
+    elif width and len(rows) % width == 0:
+        shape, values = (len(rows) // width, width), rows
+    else:
+        raise ValueError(f"{name} has {len(rows)} entries, not whole rows of {width} inputs")
+    arr = np.fromiter(values, float, shape[0] * shape[1])
+    arr.shape = shape  # in place: the array keeps its data
     arr.setflags(write=False)
     return arr
 
 
 def load_kernel_plan(path, target_mode: StateSpaceMode) -> KernelPlan:
     """Read a plan and rebuild its response through the target's lifted operators.
-    A vector ``U2`` is one input column.  A missing entry, one of the wrong type
-    or a non-finite one is a ValueError, raised before the response is rebuilt."""
+    ``U2`` is either the flat row-major list that :func:`save_kernel_plan`
+    writes, cut into rows of the plan's ``l`` inputs, or one list per sample,
+    the form of plans written before it, which carry no ``l``; a flat list
+    without ``l`` is one input column.  A plan for another ``n`` or ``l`` than
+    the target's, a missing entry, one of the wrong type or a non-finite one
+    is a ValueError, raised before the response is rebuilt."""
 
     def build(doc) -> KernelPlan:
         x2 = _frozen(doc["x2_init"], "plan x2_init")
-        U2 = _frozen(_sample_rows(doc["U2"], "plan U2"), "plan U2", samples=True)
+        l = doc.get("l")  # None in a plan written before U2 went flat
+        if l is not None and l != target_mode.l:
+            raise ValueError("plan dimensions do not match the target mode")
+        rows = _sample_rows(doc["U2"], "plan U2", 1 if l is None else target_mode.l)
+        U2 = _frozen(rows, "plan U2", samples=True)
         if x2.size != target_mode.n or U2.ndim != 2 or U2.shape[1] != target_mode.l:
             raise ValueError("plan dimensions do not match the target mode")
         delta = build_lifted_operators(target_mode, U2.shape[0] + 1).apply(x2, U2)

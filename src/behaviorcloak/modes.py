@@ -25,6 +25,13 @@ power adds exactly zero.  No input is copied into padded blocks; a
 forward response of w outputs peaks at 2 w arrays of K floats (its buffer
 and one forced product) and hands over its buffer, trimmed in place, so a
 trajectory keeps it uncopied.  A fit holds two such arrays.
+
+The on-disk formats are text: trajectories as CSV, everything else as one
+JSON document.  A whole-horizon array crosses the disk ``_ROWS_PER_BLOCK``
+rows (or JSON entries) at a time: the CSV reader parses blocks of lines
+and the CSV writer formats blocks of rows, and the JSON writer streams an
+array value in blocks of entries, so no side holds the whole text or the
+array as a tree of Python objects.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ import json
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, islice
 from typing import Optional
 
 import numpy as np
@@ -717,6 +725,10 @@ def vehicle_demo_bank(sample_period: float = 0.1) -> ModeBank:
 
 # --- file formats -----------------------------------------------------------
 
+# Rows (or JSON entries) per block of every whole-horizon file read or write.
+_ROWS_PER_BLOCK = 1024
+_CSV = dict(delimiter=",", quotechar='"', comments=None)
+
 
 def _read_document(path, kind: str, build):
     """``build(doc)`` of the JSON document at ``path``, by the one error rule of
@@ -731,10 +743,40 @@ def _read_document(path, kind: str, build):
         raise ValueError(f"ill-formed {kind} document: {exc}") from exc
 
 
+def _write_array(fh, a: np.ndarray) -> None:
+    """Write ``json.dumps(a.tolist())`` from ``_ROWS_PER_BLOCK`` entries at a time."""
+    fh.write("[")
+    if a.ndim > 1:
+        for i, row in enumerate(a):
+            fh.write(", " if i else "")
+            _write_array(fh, row)
+    else:
+        for lo in range(0, len(a), _ROWS_PER_BLOCK):
+            fh.write(", " if lo else "")
+            fh.write(json.dumps(a[lo : lo + _ROWS_PER_BLOCK].tolist())[1:-1])
+    fh.write("]")
+
+
 def _write_document(doc, path, indent: Optional[int] = None) -> None:
-    """Write one JSON document and a newline."""
+    """Write one JSON document and a newline.
+
+    Without ``indent``, ``doc`` is a dict whose numpy-array values are written
+    a block of entries at a time, so no whole-horizon array becomes a list of
+    Python floats or one string; the bytes are those of ``json.dumps`` with
+    the arrays' ``tolist()``.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=indent) + "\n")
+        if indent is not None:
+            fh.write(json.dumps(doc, indent=indent) + "\n")
+            return
+        fh.write("{")
+        for i, (key, value) in enumerate(doc.items()):
+            fh.write((", " if i else "") + json.dumps(key) + ": ")
+            if isinstance(value, np.ndarray):
+                _write_array(fh, value)
+            else:
+                fh.write(json.dumps(value))
+        fh.write("}\n")
 
 
 def load_mode_bank(path) -> ModeBank:
@@ -780,10 +822,6 @@ def save_mode_bank(bank: ModeBank, path) -> None:
     _write_document(doc, path, indent=2)
 
 
-_ROWS_PER_BLOCK = 4096
-_CSV = dict(delimiter=",", quotechar='"', comments=None)
-
-
 def _csv_header(l: int, m: int, n: int) -> list[str]:
     sizes = (("u", l), ("y", m), ("x", n))
     return ["k"] + [f"{kind}_{i + 1}" for kind, size in sizes for i in range(size)]
@@ -808,20 +846,24 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
     ``k`` is 1-based and the final row carries empty input cells (there is
     no input at the last sample).  Lines end in CRLF and each value is the
-    shortest ``repr`` of its float, so reading the file back is exact.
+    shortest ``repr`` of its float, so reading the file back is exact.  The
+    rows are formatted ``_ROWS_PER_BLOCK`` at a time straight from ``U``,
+    ``Y`` and ``X``, so the writer holds one block of text, never a copy of
+    the columns side by side.
     """
-    outputs = traj.Y if traj.X is None else np.hstack([traj.Y, traj.X])
-    width = outputs.shape[1]
+    outputs = (traj.Y,) if traj.X is None else (traj.Y, traj.X)
+    width = sum(col.shape[1] for col in outputs)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_csv_header(traj.l, traj.m, width - traj.m)) + "\r\n")
-        write_csv_rows(fh, "%d" + ",%r" * (traj.l + width) + "\r\n", traj.U, outputs)
+        write_csv_rows(fh, "%d" + ",%r" * (traj.l + width) + "\r\n", traj.U, *outputs)
         last = "%d" + "," * traj.l + ",%r" * width + "\r\n"
-        fh.write(last % (traj.K, *outputs[-1].tolist()))
+        fh.write(last % (traj.K, *(v for col in outputs for v in col[-1].tolist())))
 
 
 def _row_values(line: str, row: int, width: int, inputs: int = 0) -> list[float]:
     """Floats of data row ``row`` less its ``inputs`` input cells, which must be empty."""
-    cells = np.loadtxt([line], dtype=str, ndmin=1, **_CSV).tolist()
+    # max_rows: one line, where numpy's default sizes a 50000-row buffer (1.6 MB, 2 ms).
+    cells = np.loadtxt([line], dtype=str, ndmin=1, max_rows=1, **_CSV).tolist()
     if len(cells) != width:
         raise ValueError(f"row {row} has {len(cells)} cells, expected {width}")
     if any(cell.strip() for cell in cells[1 : 1 + inputs]):
@@ -832,46 +874,87 @@ def _row_values(line: str, row: int, width: int, inputs: int = 0) -> list[float]
         raise ValueError(f"row {row} has a non-numeric cell: {line!r}") from None
 
 
+def _line_blocks(fh):
+    """The lines of an open text file, split as ``str.splitlines`` splits its
+    whole text, in lists of ``_ROWS_PER_BLOCK`` data lines; the header line
+    heads the first list.  Each list is the split of whole file lines, which
+    (newlines already translated) all end at a line break."""
+    size = _ROWS_PER_BLOCK + 1
+    while chunk := list(islice(fh, size)):
+        yield "".join(chunk).splitlines()
+        size = _ROWS_PER_BLOCK
+
+
 def read_trajectory_csv(path) -> Trajectory:
     """Read a trajectory written by :func:`write_trajectory_csv`.
 
     Accepts CRLF or LF lines, a missing final line end and quoted cells.
-    One ``numpy.loadtxt`` call parses all rows but the last, whose input
-    cells must be empty.  A malformed file raises ValueError: no header or
-    a wrong one, fewer than two rows, a blank row, a wrong cell count, a
+    The file is read ``_ROWS_PER_BLOCK`` lines at a time, each block's body
+    rows parsed by one ``numpy.loadtxt`` call, so no whole-file string or
+    list of lines is held; the final row, whose input cells must be empty,
+    is parsed by hand.  A malformed file raises ValueError: no header or a
+    wrong one, fewer than two rows, a blank row, a wrong cell count, a
     non-numeric cell, ``k`` other than ``1..K``, input on the final row.
+    The faults are named in this order, a blank row or a cell fault by the
+    first such row in the file, wherever the blocks fall.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError("empty trajectory file")
-    header = lines[0].replace('"', "").split(",")
-    l = sum(1 for name in header if name.startswith("u_"))
-    m = sum(1 for name in header if name.startswith("y_"))
-    if header != _csv_header(l, m, len(header) - 1 - l - m):
-        raise ValueError(f"unexpected trajectory header: {header}")
-    K, width = len(lines) - 1, len(header)
+        blocks = _line_blocks(fh)
+        first = next(blocks, [])
+        if not first:
+            raise ValueError("empty trajectory file")
+        header = first[0].replace('"', "").split(",")
+        l = sum(1 for name in header if name.startswith("u_"))
+        m = sum(1 for name in header if name.startswith("y_"))
+        if header != _csv_header(l, m, len(header) - 1 - l - m):
+            raise ValueError(f"unexpected trajectory header: {header}")
+        width, K, parsed, ordered = len(header), 0, [], True
+        fault, scanning, last = None, False, []  # last: the final row once the file ends
+        for block in chain([first[1:]], blocks):
+            if not block:
+                continue
+            row, K = K + 1 - len(last), K + len(block)  # the body's first row; the rows so far
+            body, last = last + block[:-1], block[-1:]
+            if "" in body:  # loadtxt would skip a blank line
+                raise ValueError(f"row {row + body.index('')} is blank")
+            if fault is not None or not body:
+                continue
+            if not scanning:
+                try:
+                    values = np.loadtxt(body, ndmin=2, **_CSV)
+                except ValueError:
+                    values = None
+                if values is not None and values.shape == (len(body), width):
+                    ordered = ordered and np.array_equal(values[:, 0], np.arange(row, row + len(body)))
+                    parsed.append(values)
+                    continue
+                scanning = True  # loadtxt numbers rows its own way: find the first bad one
+            for i, line in enumerate(body):
+                try:
+                    _row_values(line, row + i, width)
+                except ValueError as exc:
+                    fault = exc
+                    break
     if K < 2:
         raise ValueError(f"a trajectory file needs at least two data rows, got {K}")
-    if "" in lines:  # loadtxt would skip a blank line
-        raise ValueError(f"row {lines.index('')} is blank")
-    try:
-        body = np.loadtxt(lines[1:-1], ndmin=2, **_CSV)
-    except ValueError:
-        body = None
-    if body is None or body.shape != (K - 1, width):
-        # loadtxt numbers rows its own way: find and name the first bad row.
-        for row in range(1, K):
-            _row_values(lines[row], row, width)
+    if last == [""]:
+        raise ValueError(f"row {K} is blank")
+    if fault is not None:
+        raise fault
+    if scanning:
         raise ValueError("unreadable trajectory rows")
-    final = _row_values(lines[K], K, width, inputs=l)
-    if not np.array_equal(np.append(body[:, 0], final[0]), np.arange(1, K + 1)):
+    cells = _row_values(last[0], K, width, inputs=l)
+    if not (ordered and cells[0] == K):
         raise ValueError("sample indices must be contiguous and 1-based")
-    # Frozen owners of their own columns: the trajectory keeps Y and X uncopied.
-    Y = np.vstack([body[:, 1 + l : 1 + l + m], final[1 : 1 + m]])
-    Y.setflags(write=False)
-    X = None
-    if width > 1 + l + m:
-        X = np.vstack([body[:, 1 + l + m :], final[1 + m :]])
-        X.setflags(write=False)
-    return Trajectory(U=body[:, 1 : 1 + l], Y=Y, X=X)
+    final = np.array([cells[:1] + [0.0] * l + cells[1:]])  # at full width, no input
+
+    def column(lo: int, hi: int, parts: list) -> np.ndarray:
+        # A frozen owner of its own column: the trajectory keeps it uncopied.
+        arr = np.concatenate([part[:, lo:hi] for part in parts])
+        arr.setflags(write=False)
+        return arr
+
+    U = column(1, 1 + l, parsed)
+    Y = column(1 + l, 1 + l + m, parsed + [final])
+    X = column(1 + l + m, width, parsed + [final]) if width > 1 + l + m else None
+    return Trajectory(U=U, Y=Y, X=X)

@@ -343,3 +343,9 @@ def json_dump_file(doc, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
         fh.write("\n")
+
+
+def json_load_file(path):
+    """JSON document read by the ``json`` module."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)

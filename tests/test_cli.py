@@ -331,10 +331,24 @@ class TestDistortAndClassify:
             ]
         )
 
+    def test_nested_U2_plan_distorts_byte_identically(self, capsys, designed, tmp_path):
+        # A plan.json written before U2 went flat has one list per sample and no l.
+        _, design_dir, traj_path = designed
+        doc = json.loads((design_dir / "plan.json").read_text())
+        assert doc.pop("l") == 1 and all(isinstance(v, float) for v in doc["U2"])
+        doc["U2"] = [[v] for v in doc["U2"]]
+        nested = tmp_path / "nested_plan.json"
+        nested.write_text(json.dumps(doc))
+        flat_csv, nested_csv = tmp_path / "flat.csv", tmp_path / "nested.csv"
+        assert self.distort(designed, traj_path, flat_csv) == 0
+        assert self.distort(designed, traj_path, nested_csv, nested) == 0
+        capsys.readouterr()
+        assert flat_csv.read_bytes() == nested_csv.read_bytes()
+
     def test_non_finite_plan_is_bad_input(self, capsys, designed, tmp_path):
         _, design_dir, traj_path = designed
         doc = json.loads((design_dir / "plan.json").read_text())
-        doc["U2"][7][0] = float("nan")
+        doc["U2"][7] = float("nan")
         plan = tmp_path / "nan_plan.json"
         plan.write_text(json.dumps(doc))
         out_csv = tmp_path / "distorted.csv"

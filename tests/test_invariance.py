@@ -1018,23 +1018,69 @@ class TestFileFormats:
         assert calls == [(name, False) for name in names]
 
     def test_plan_and_spec_bytes_match_streaming_encoder(self, tmp_path):
+        # The block-wise writer against json.dump of the nested lists: U2 is the
+        # flat row-major list, and F a list of rows, each several blocks long.
         average = vehicle_demo_bank().mode(2)
         K = 3000
         spec = UtilitySpec.average(K)
         plan = solve_utility_invariance(build_lifted_operators(average, K), spec, seed=4)
         plan_doc = {
             "x2_init": plan.x2_init.tolist(),
-            "U2": plan.U2.tolist(),
+            "l": 1,
+            "U2": plan.U2.reshape(-1).tolist(),
             "seed": plan.seed,
             "magnitude": plan.magnitude,
         }
-        spec_doc = {"K": spec.K, "q": spec.q, "F": spec.F.tolist(), "mu": spec.mu.tolist()}
-        cases = ((save_kernel_plan, plan, plan_doc), (save_utility_spec, spec, spec_doc))
+        F = np.random.default_rng(6).standard_normal((3, 2 * K)) * 10.0 ** np.arange(-9, 9, 6)[:, None]
+        F[0, :5] = [-0.0, 5e-324, 1e16, 1.5e17, 1e-300]
+        explicit = UtilitySpec(F=F, mu=[0.5, -0.0, 1e300], K=K)
+        cases = [(save_kernel_plan, plan, plan_doc)] + [
+            (save_utility_spec, s, {"K": s.K, "q": s.q, "F": s.F.tolist(), "mu": s.mu.tolist()})
+            for s in (spec, explicit)
+        ]
         for save, obj, doc in cases:
             ours, oracle = tmp_path / "ours.json", tmp_path / "oracle.json"
             save(obj, ours)
             support.json_dump_file(doc, oracle)
             assert ours.read_bytes() == oracle.read_bytes()
+
+    @pytest.mark.parametrize("l", [1, 2, 0])
+    def test_flat_U2_roundtrip(self, tmp_path, l):
+        # Without inputs U2 stays one (empty) list per sample: a flat list
+        # could not count them.
+        rng = np.random.default_rng(l)
+        mode = StateSpaceMode(1, rng.standard_normal((2, 2)) * 0.3, np.ones((2, l)), [[1.0, 0.5]])
+        K = 2 * modes._ROWS_PER_BLOCK + 3
+        U2 = rng.standard_normal((K - 1, l))
+        plan = KernelPlan(rng.standard_normal(2), U2, np.zeros(K), 0.0, 5, 1.0)
+        path = tmp_path / "plan.json"
+        save_kernel_plan(plan, path)
+        doc = support.json_load_file(path)
+        assert doc["l"] == l and doc["U2"] == (U2.reshape(-1) if l else U2).tolist()
+        loaded = load_kernel_plan(path, mode)
+        assert loaded.U2.shape == (K - 1, l) and loaded.U2.tobytes() == U2.tobytes()
+        assert loaded.x2_init.tobytes() == plan.x2_init.tobytes()
+        want = build_lifted_operators(mode, K).apply(plan.x2_init, U2)
+        assert loaded.delta_Y.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_nested_U2_loads_bit_identically(self, tmp_path, l):
+        # Every plan written before U2 went flat has one list per sample and no l.
+        rng = np.random.default_rng(10 + l)
+        mode = support.random_valid_mode(rng, n=2, m=1, l=l)
+        K = 300
+        plan = KernelPlan(rng.standard_normal(2), rng.standard_normal((K - 1, l)), np.zeros(K), 0.0, 5, 1.0)
+        flat, nested = tmp_path / "flat.json", tmp_path / "nested.json"
+        save_kernel_plan(plan, flat)
+        doc = support.json_load_file(flat)
+        del doc["l"]
+        doc["U2"] = plan.U2.tolist()
+        support.json_dump_file(doc, nested)
+        a, b = load_kernel_plan(flat, mode), load_kernel_plan(nested, mode)
+        for name in ("x2_init", "U2", "delta_Y"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+        assert (a.seed, a.magnitude) == (b.seed, b.magnitude)
 
     def test_plan_for_another_mode_rejected(self, tmp_path):
         ops = build_lifted_operators(support.scalar_mode(0.8), 5)
@@ -1043,6 +1089,20 @@ class TestFileFormats:
         save_kernel_plan(plan, path)
         with pytest.raises(ValueError):
             load_kernel_plan(path, support.double_integrator())
+
+    @pytest.mark.parametrize("plan_l, target_l", [(2, 1), (1, 2)])
+    def test_plan_for_another_input_width_rejected(self, tmp_path, plan_l, target_l):
+        # Same n, and a flat U2 of 2 (K - 1) entries cuts into whole rows of
+        # either width: only the plan's own l tells the two apart.
+        rng = np.random.default_rng(plan_l)
+        K = 5
+        U2 = rng.standard_normal((2 * (K - 1) // plan_l, plan_l))
+        plan = KernelPlan(rng.standard_normal(2), U2, np.zeros(U2.shape[0] + 1), 0.0, 3, 1.0)
+        path = tmp_path / "plan.json"
+        save_kernel_plan(plan, path)
+        target = support.random_valid_mode(rng, n=2, m=1, l=target_l)
+        with pytest.raises(ValueError, match="plan dimensions do not match the target mode"):
+            load_kernel_plan(path, target)
 
     def test_non_finite_plan_rejected(self, tmp_path):
         mode = support.scalar_mode(0.8)
@@ -1057,34 +1117,55 @@ class TestFileFormats:
             )
 
     @pytest.mark.parametrize(
-        "U2, message",
+        "U2, l, target_l, message",
         [
-            (None, "no 'U2' entry"),
-            ("[[0.0], [NaN]]", "plan U2 is not finite at sample 2"),
-            ("[[0.0, 1.0]]", "do not match the target mode"),
-            ("[[0.0], [0.0, 1.0]]", "2 entries at sample 2, expected 1"),
-            ('[["a"]]', "could not convert"),
-            ("[[0.0], 1.0]", "ill-formed plan document"),
-            ('{"a": 1}', "ill-formed plan document"),
+            (None, None, 1, "no 'U2' entry"),
+            ("[[0.0], [NaN]]", None, 1, "plan U2 is not finite at sample 2"),
+            ("[[0.0, 1.0]]", None, 1, "do not match the target mode"),
+            ("[[0.0], [0.0, 1.0]]", None, 1, "2 entries at sample 2, expected 1"),
+            ('[["a"]]', None, 1, "could not convert"),
+            ("[[0.0], 1.0]", None, 1, "ill-formed plan document"),
+            ('{"a": 1}', None, 1, "ill-formed plan document"),
+            ("[0.0, 1.0, 2.0]", 2, 2, "plan U2 has 3 entries, not whole rows of 2 inputs"),
+            ("[0.0, 1.0, NaN, 2.0]", 2, 2, "plan U2 is not finite at sample 2"),
+            ('[0.0, "a"]', 1, 1, "could not convert"),
+            ("[0.0, 1.0, 2.0, 3.0]", 2, 1, "do not match the target mode"),
+            ("[0.0, 1.0]", None, 2, "do not match the target mode"),
         ],
         ids=[
             "missing", "non_finite", "wrong_width", "ragged", "non_numeric", "mixed", "not_a_list",
+            "flat_not_whole_rows", "flat_non_finite", "flat_non_numeric", "flat_other_l",
+            "flat_without_l_is_one_column",
         ],
     )
-    def test_malformed_U2_rejected(self, tmp_path, U2, message):
+    def test_malformed_U2_rejected(self, tmp_path, U2, l, target_l, message):
+        # l None: no "l" entry, the form of plans written with one U2 list per sample.
         path = tmp_path / "plan.json"
-        entry = "" if U2 is None else f', "U2": {U2}'
+        entry = ("" if l is None else f', "l": {l}') + ("" if U2 is None else f', "U2": {U2}')
         path.write_text('{"x2_init": [0.0]' + entry + ', "seed": 0, "magnitude": 1.0}')
+        mode = StateSpaceMode(1, A=[[0.8]], B=[[1.0] * target_l], C=[[1.0]])
         with pytest.raises(ValueError, match=message):
-            load_kernel_plan(path, support.scalar_mode(0.8))
+            load_kernel_plan(path, mode)
 
     def test_plan_loader_fills_U2_in_one_array(self):
         # The parsed rows of an hour's U2 fill one array: the peak stays below two
         # arrays of its size, where np.asarray on the nested list peaked at five.
         K = 36000
         rows = np.random.default_rng(3).standard_normal((K - 1, 1)).tolist()
-        peak = support.traced_peak(lambda: invariance._sample_rows(rows, "plan U2"))
+        peak = support.traced_peak(lambda: invariance._sample_rows(rows, "plan U2", 1))
         assert peak <= 2 * (K - 1) * 8
+
+    def test_plan_and_spec_writers_hold_no_whole_horizon_list(self, tmp_path):
+        # An hour's U2 and F go to disk a block at a time: the writer's peak
+        # stays below one array of K floats, where U2.tolist() and one
+        # json.dumps string peaked at about eleven.
+        K = 36000
+        rng = np.random.default_rng(12)
+        plan = KernelPlan(rng.standard_normal(3), rng.standard_normal((K - 1, 1)), np.zeros(K), 0.0, 1, 1.0)
+        spec = UtilitySpec(F=rng.standard_normal((2, K)), mu=np.zeros(2), K=K)
+        for save, obj in ((save_kernel_plan, plan), (save_utility_spec, spec)):
+            path = tmp_path / "doc.json"
+            assert support.traced_peak(lambda: save(obj, path)) <= K * 8
 
     def test_zero_plan_constructor(self):
         plan = KernelPlan.zero(n=2, K=4, m=1, l=3)

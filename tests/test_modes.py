@@ -562,14 +562,14 @@ class TestTrajectoryCsvAgainstOracle:
         assert_same_arrays(read_trajectory_csv(oracle), traj)
 
     def test_reader_hands_over_its_own_columns(self, tmp_path, monkeypatch):
-        # Y and X are built as frozen owners; only U, a view of the parse, is copied.
+        # U, Y and X are each built as a frozen owner from the parsed blocks: none is copied.
         rng = np.random.default_rng(8)
         traj = support.random_trajectory(rng, support.random_valid_mode(rng), 50)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, path)
         calls = support.frozen_copies(monkeypatch, modes)
         loaded = read_trajectory_csv(path)
-        assert calls == [("trajectory U", True), ("trajectory Y", False), ("trajectory X", False)]
+        assert calls == [("trajectory U", False), ("trajectory Y", False), ("trajectory X", False)]
         assert_same_arrays(loaded, traj)
 
     @pytest.mark.parametrize(
@@ -625,3 +625,151 @@ class TestTrajectoryCsvAgainstOracle:
         path.write_text(text)
         with pytest.raises(ValueError, match=message):
             read_trajectory_csv(path)
+
+
+# Data rows around the first block boundary, one well inside the last block,
+# and the final row, of a file whose K - 1 body rows span two whole blocks.
+B = _ROWS_PER_BLOCK
+BLOCK_K = 2 * B + 2
+BLOCK_ROWS = [B - 1, B, B + 1, 2 * B + 1, BLOCK_K]
+
+
+def block_file_lines(K, l=1, m=1, n=2):
+    """Lines of a K-row trajectory file with states, the header first."""
+    traj = special_trajectory(K, l, m, n)
+    lines = [",".join(["k"] + [f"u_{i + 1}" for i in range(l)]
+                      + [f"y_{i + 1}" for i in range(m)] + [f"x_{i + 1}" for i in range(n)])]
+    for k in range(K):
+        inputs = traj.U[k].tolist() if k < K - 1 else [""] * l
+        cells = [k + 1] + inputs + traj.Y[k].tolist() + traj.X[k].tolist()
+        lines.append(",".join(c if c == "" else repr(c) for c in cells))
+    return lines
+
+
+def spoil(lines, fault, row):
+    """Spoil data row ``row`` (1-based) by ``fault``; the reader's message for it."""
+    width = lines[0].count(",") + 1
+    if fault == "blank":
+        lines[row] = ""
+        return f"row {row} is blank"
+    if fault == "non-numeric":
+        cells = lines[row].split(",")
+        cells[2] = "abc"  # the first output cell
+        lines[row] = ",".join(cells)
+        return f"row {row} has a non-numeric cell: {lines[row]!r}"
+    if fault == "cell-count":
+        lines[row] += ",5"
+        return f"row {row} has {width + 1} cells, expected {width}"
+    if fault == "final-input":
+        lines[row] = lines[row].replace(",", ",1.5", 1)
+        return "the final sample must not carry input values"
+    if fault == "k-gap":
+        lines[row] = "99" + lines[row][lines[row].index(","):]
+        return "sample indices must be contiguous and 1-based"
+    raise AssertionError(fault)
+
+
+def write_lines(path, lines, newline):
+    path.write_bytes((newline.join(lines) + newline).encode())
+
+
+class TestTrajectoryCsvBlocks:
+    """The reader's messages and arrays do not depend on where its blocks fall."""
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\n"], ids=["crlf", "lf"])
+    @pytest.mark.parametrize("row", BLOCK_ROWS)
+    @pytest.mark.parametrize("fault", ["blank", "non-numeric", "cell-count"])
+    def test_fault_named_at_its_row(self, tmp_path, fault, row, newline):
+        lines = block_file_lines(BLOCK_K)
+        message = spoil(lines, fault, row)
+        path = tmp_path / "traj.csv"
+        write_lines(path, lines, newline)
+        with pytest.raises(ValueError) as err:
+            read_trajectory_csv(path)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\n"], ids=["crlf", "lf"])
+    @pytest.mark.parametrize("K", [2 * B, 2 * B + 1, 2 * B + 2])
+    def test_input_on_final_row(self, tmp_path, K, newline):
+        # At K = 2 B + 1 the K - 1 body rows fill whole blocks: the final row
+        # is alone in the last one.
+        lines = block_file_lines(K)
+        message = spoil(lines, "final-input", K)
+        path = tmp_path / "traj.csv"
+        write_lines(path, lines, newline)
+        with pytest.raises(ValueError, match=message):
+            read_trajectory_csv(path)
+
+    @pytest.mark.parametrize(
+        "faults, first",
+        [
+            ([("non-numeric", 2), ("blank", 2 * B + 1)], 1),
+            ([("cell-count", 2 * B + 1), ("non-numeric", B + 1)], 1),
+            ([("k-gap", 2), ("non-numeric", 2 * B + 1)], 1),
+            ([("k-gap", B + 1), ("final-input", BLOCK_K)], 1),
+            ([("non-numeric", BLOCK_K), ("cell-count", B)], 1),
+            ([("blank", BLOCK_K), ("cell-count", 3)], 0),
+        ],
+        ids=["blank-later", "body-order", "k-after-cells", "k-after-final",
+             "body-before-final", "blank-final"],
+    )
+    def test_first_fault_in_todays_order(self, tmp_path, faults, first):
+        # A blank row anywhere is named before any cell fault, a body row before
+        # the final row, and every cell fault before the sample indices.
+        lines = block_file_lines(BLOCK_K)
+        messages = [spoil(lines, fault, row) for fault, row in faults]
+        path = tmp_path / "traj.csv"
+        write_lines(path, lines, "\r\n")
+        with pytest.raises(ValueError) as err:
+            read_trajectory_csv(path)
+        assert str(err.value) == messages[first]
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda b: b,
+            lambda b: b.replace(b"\r\n", b"\n"),
+            lambda b: b[:-2],
+            lambda b: b.replace(b"\r\n", b"\n")[:-1],
+            lambda b: b"\r\n".join(
+                b",".join(b'"' + cell + b'"' for cell in line.split(b","))
+                for line in b.split(b"\r\n")[:-1]
+            ),
+        ],
+        ids=["crlf", "lf", "no-final-crlf", "lf-no-final-lf", "quoted"],
+    )
+    @pytest.mark.parametrize("K", [2 * B, 2 * B + 1, 2 * B + 2])
+    def test_line_ends_and_quotes(self, tmp_path, K, rewrite):
+        path = tmp_path / "traj.csv"
+        support.csv_write_trajectory(special_trajectory(K, 1, 1, 2), path)
+        path.write_bytes(rewrite(path.read_bytes()))
+        assert_same_arrays(read_trajectory_csv(path), support.csv_read_trajectory(path))
+
+
+class TestTrajectoryCsvMemory:
+    """An hour's trajectory goes to disk and back without a whole-file object tree."""
+
+    @staticmethod
+    def drive(K):
+        rng = np.random.default_rng(K)
+        mode = vehicle_demo_bank().mode(1)
+        return simulate_mode(mode, rng.standard_normal(3), rng.uniform(-1.0, 1.0, (K - 1, 1)))
+
+    def test_writer_peak_does_not_grow_with_K(self, tmp_path):
+        # One block of text at a time: the columns are never stacked side by side.
+        peaks = []
+        for K in (9000, 36000):
+            traj, path = self.drive(K), tmp_path / f"{K}.csv"
+            peaks.append(support.traced_peak(lambda: write_trajectory_csv(traj, path)))
+        assert peaks[1] <= peaks[0] + 16 * 1024
+
+    def test_reader_peak_is_a_few_copies_of_the_data(self, tmp_path):
+        # The parsed blocks and the trajectory's own arrays, not the file's text
+        # and one string per line.
+        K = 36000
+        traj, path = self.drive(K), tmp_path / "drive.csv"
+        write_trajectory_csv(traj, path)
+        data = 8 * (traj.U.size + traj.Y.size + traj.X.size)
+        kept = []
+        assert support.traced_peak(lambda: kept.append(read_trajectory_csv(path))) <= 3 * data
+        assert_same_arrays(kept[0], traj)
