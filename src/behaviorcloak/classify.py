@@ -1,10 +1,10 @@
 """Behaviour-membership classification of input-output trajectories.
 
-A trajectory belongs to a mode's behaviour iff some initial state
-explains its outputs given its inputs.  The classifier scores each mode
-in a bank by the normalized least-squares distance of the trajectory
-from that mode's behaviour and accepts every mode below a tolerance;
-several accepted modes mean the trajectory is not classifiable.
+A trajectory belongs to a mode's behaviour iff each of its windows of lag + 1
+samples does (Willems, Automatica 1986).  The classifier scores each mode in
+a bank by the normalized parity-space residual of those windows (Chow and
+Willsky, IEEE TAC 1984) and accepts every mode below a tolerance; several
+accepted modes mean the trajectory is not classifiable.
 """
 
 from __future__ import annotations
@@ -59,15 +59,12 @@ class ClassificationReport:
 
 
 def mode_residual(mode: StateSpaceMode, traj: Trajectory) -> float:
-    """Normalized distance of a trajectory from a mode's behaviour.
-
-    Minimizes ``||Y - Ot x - Tt U||`` over the initial state x and
-    normalizes by ``1 + ||Y||``.  The fit removes the forced response
-    matrix-free, so the cost stays linear in the horizon.
-    """
-    Y = traj.stacked_outputs()
-    _, residual = build_lifted_operators(mode, traj.K).fit(Y, traj.U)
-    return residual / (1.0 + float(np.linalg.norm(Y)))
+    """Normalized distance of a trajectory from a mode's behaviour: the norm of
+    the parity residuals of its windows of lag + 1 samples
+    (:meth:`LiftedOperators.residual`) over ``1 + ||Y||``.  No power of A past
+    a window is formed, so an unstable mode scores at any horizon."""
+    residual = build_lifted_operators(mode, traj.K).residual(traj.Y, traj.U)
+    return residual / (1.0 + float(np.linalg.norm(traj.Y)))
 
 
 def classify(

@@ -51,6 +51,9 @@ __all__ = [
     "cloak",
 ]
 
+# cloak's bound on |F_i Ybar - F_i Y| per ||F_i|| (||Y|| + ||Ybar||): relative to the data.
+_UTILITY_RTOL = 1e-8
+
 
 class HorizonExhaustedError(RuntimeError):
     """A sample arrived after the configured horizon was completed."""
@@ -267,7 +270,8 @@ def design(true_mode, target_mode, utility, magnitude=1.0, seed=0) -> Distortion
 
 def cloak(cfg: DistortionConfig, traj: Trajectory, utility: UtilitySpec) -> DistortedTrajectory:
     """:func:`run_offline` of a trajectory with states under a utility of its K and m (else
-    ValueError); UtilityChangedError unless ``|F Ybar - F Y| <= 1e-8 (1 + |F Y|)`` per row."""
+    ValueError); UtilityChangedError unless ``|F_i Ybar - F_i Y| <= 1e-8 ||F_i|| (||Y|| +
+    ||Ybar||)`` for every row ``F_i``."""
     if traj.X is None:
         raise ValueError("the input trajectory must carry state columns")
     if utility.K != cfg.K or utility.m != cfg.true_mode.m:
@@ -276,8 +280,8 @@ def cloak(cfg: DistortionConfig, traj: Trajectory, utility: UtilitySpec) -> Dist
             f"the configuration has K = {cfg.K}, m = {cfg.true_mode.m}"
         )
     distorted = run_offline(cfg, traj)
-    FY = utility.F @ traj.Y.reshape(-1)
-    gap = np.abs(utility.F @ distorted.Ybar.reshape(-1) - FY)
-    if not np.all(gap <= 1e-8 * (1.0 + np.abs(FY))):
+    F, Y, Ybar = utility.F, traj.Y.reshape(-1), distorted.Ybar.reshape(-1)
+    gap, rows = np.abs(F @ Ybar - F @ Y), np.sqrt(np.einsum("ij,ij->i", F, F))  # no copy of F
+    if not np.all(gap <= _UTILITY_RTOL * rows * (np.linalg.norm(Y) + np.linalg.norm(Ybar))):
         raise UtilityChangedError(f"the plan changes this utility by {np.max(gap):.3e}")
     return distorted

@@ -7,24 +7,23 @@ recorded trajectory is dimensionally compatible with every mode.
 
 Over K samples a mode's response is ``Ot x(1) + Tt U``, with ``Ot`` the
 stacked rows ``C A^k`` (k < K) and ``Tt`` the block-Toeplitz forced
-response.  :class:`LiftedOperators` (response, adjoint, start-state fit)
+response.  :class:`LiftedOperators` (response, adjoint, behaviour residual)
 and :func:`simulate_mode` run it without forming either matrix, on one
 block kernel: the recursion runs 16 samples at a time with two dense
 products per block (pieces cached on the mode), and the block-start states
-follow from a grouped recursion.  It cuts the block rows into groups of
-G = 16, gets every state within its group from one product with a
-block-triangular operator of powers of the block step, solves the ends of
-all groups but the last as the same problem one level up in step^G, and
-adds each group's carry with one product by ``[step, ..., step^G]``; the
-costate fold and the free response read the same powers.  A horizon costs
-O(K) work in about log_16(K/16) levels of three products each.  The powers
-and operators are built once per mode, level by level as far as a horizon
-asks, so no state or power past the horizon is formed (it may overflow),
-and power entries below ``tiny`` are flushed to zero, so an underflowed
-power adds exactly zero.  No input is copied into padded blocks; a
-forward response of w outputs peaks at 2 w arrays of K floats (its buffer
-and one forced product) and hands over its buffer, trimmed in place, so a
-trajectory keeps it uncopied.  A fit holds two such arrays.
+follow from a grouped recursion (:func:`_group_scan`) in O(K) work, about
+log_16(K/16) levels of three products each.  The powers of the block step
+are built once per mode, level by level as far as a horizon asks, so none
+past the horizon is formed (it may overflow), and entries below ``tiny``
+are flushed to zero, so an underflowed power adds exactly zero.  A forward
+response of w outputs peaks at 2 w arrays of K floats and hands over its
+buffer (:func:`_block_response`).
+
+Behaviour membership runs no recursion: a trajectory is in a mode's
+behaviour iff each of its windows of L = lag + 1 samples is (Willems,
+Automatica 1986), so the behaviour residual stacks the parity-space
+residuals ``N (y_window - T_L u_window)`` of all windows (Chow and Willsky,
+IEEE TAC 1984), with ``N`` and ``N T_L`` cached on the mode.
 
 The on-disk formats are text: trajectories as CSV, everything else as one
 JSON document.  A whole-horizon array crosses the disk ``_ROWS_PER_BLOCK``
@@ -38,14 +37,14 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
 from typing import Optional
 
 import numpy as np
 
-from .linalg import gram_solve, matrix_exponential
+from .linalg import lstsq_min_norm, matrix_exponential, nullspace_basis
 
 __all__ = [
     "StateSpaceMode",
@@ -112,7 +111,6 @@ class StateSpaceMode:
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    _gram_factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A, B, C = _matrices(self)
@@ -164,22 +162,14 @@ class StateSpaceMode:
         """Their contiguous transposes, as the forward response reads them."""
         return (*(p.T.copy() for p in self._output_blocks[:3]), self._block_powers[1])
 
-    def _gram_factor(self, K: int) -> tuple:
-        """``(s, P, steps)`` of the horizon-K observability Gramian ``W``, cached
-        per K: ``s = diag(W)^(-1/2)`` (1 where zero), ``P = (S W S)^+`` with
-        ``S = diag(s)``, and 2 fit steps if ``S W S`` is ill-conditioned."""
-        if K not in self._gram_factors:
-            with np.errstate(over="ignore", invalid="ignore"):
-                W = _gramian(self.C, self.A, K)
-            if not np.isfinite(W).all():
-                raise ValueError(f"the Gramian of mode {self.mode_id} at K = {K} is not finite")
-            d = np.diag(W)
-            s = 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0))
-            W = s[:, None] * W * s
-            P = gram_solve(W, np.eye(self.n), max(K * self.m, self.n))
-            cond = np.linalg.norm(W, 2) * np.linalg.norm(P, 2)
-            self._gram_factors[K] = s, P, 1 + int(cond > _REFINE_COND)
-        return self._gram_factors[K]
+    @cached_property
+    def _parity(self) -> tuple:
+        """``(L, N, NT)``: windows of L = lag + 1 samples, the lag the first k at which
+        the rank of the rows ``C A^j`` (j < k) stops growing, and their parity check."""
+        O = _power_rows(self.C, self.A, self.n + 1)
+        ranks = [0] + [np.linalg.matrix_rank(O[: k * self.m]) for k in range(1, self.n + 2)]
+        L = 1 + next(k for k in range(self.n + 1) if ranks[k + 1] == ranks[k])
+        return (L, *_parity_check(self, L))
 
 
 @dataclass(frozen=True)
@@ -334,9 +324,6 @@ _BLOCK = 16
 _GROUP = 16
 # The smallest normal float: entries of a power below it are flushed to zero.
 _TINY = np.finfo(float).tiny
-# A fit refines once with the same factor if the equilibrated Gramian's
-# condition number (the first step loses cond * eps) is above this.
-_REFINE_COND = 1e3
 
 
 def _flushed(M: np.ndarray) -> np.ndarray:
@@ -351,9 +338,9 @@ class _GroupPowers:
 
     Level k holds the powers ``Q_k^i`` of ``Q_k = Q^(G^k)`` for i up to the
     largest a horizon has asked for (at most G), so none past a horizon is
-    formed: it may overflow.  From them it keeps ``V = [I; Q_k; ...]``
-    stacked, ``H = [I, Q_k, ...]`` side by side and the block upper-triangular
-    ``L`` with block (j, i) = ``Q_k^(i - j)``, rebuilt only when a level grows.
+    formed: it may overflow.  From them it keeps ``H = [I, Q_k, ...]`` side by
+    side and the block upper-triangular ``L`` with block (j, i) =
+    ``Q_k^(i - j)``, rebuilt only when a level grows.
     A lock keeps the growth whole when threads share a mode.
     """
 
@@ -364,7 +351,7 @@ class _GroupPowers:
         self.lock = threading.Lock()
 
     def level(self, k: int, p: int) -> tuple:
-        """``(V, H, L)`` of level k, holding at least the powers ``Q_k^i``, i <= p."""
+        """``(H, L)`` of level k, holding at least the powers ``Q_k^i``, i <= p."""
         with self.lock:
             if k == len(self.powers):  # Q_k = Q_(k-1)^G
                 self.powers.append([self.powers[0][0], self.powers[k - 1][_GROUP]])
@@ -382,14 +369,14 @@ class _GroupPowers:
 
 
 def _group_operators(powers: list) -> tuple:
-    """``(V, H, L)`` of :class:`_GroupPowers` from the powers ``[I, Q, ...]``;
+    """``(H, L)`` of :class:`_GroupPowers` from the powers ``[I, Q, ...]``;
     ``L`` has one block row per power, at most G."""
     n, s = len(powers[0]), min(len(powers), _GROUP)
-    V, H = np.concatenate(powers), np.concatenate(powers, axis=1)
+    H = np.concatenate(powers, axis=1)
     L = np.zeros((s * n, s * n))
     for j in range(s):
         L[j * n : (j + 1) * n, j * n :] = H[:, : (s - j) * n]
-    return V, H, L
+    return H, L
 
 
 def _group_powers(step) -> _GroupPowers:
@@ -403,7 +390,7 @@ def _power_rows(first: np.ndarray, step, count: int, level: int = 0) -> np.ndarr
     ..., step^(G-1)]``, truncated for the tail group."""
     powers, (r, n) = _group_powers(step), first.shape
     full, tail = divmod(count, _GROUP)
-    _, H, _ = powers.level(level, min(_GROUP, count - 1))
+    H, _ = powers.level(level, min(_GROUP, count - 1))
     if count > _GROUP:
         first = _power_rows(first, powers, full + (tail > 0), level + 1)
     rows, w = np.empty((count, r, n)), full * _GROUP
@@ -415,19 +402,6 @@ def _power_rows(first: np.ndarray, step, count: int, level: int = 0) -> np.ndarr
     return rows.reshape(-1, n)
 
 
-def _gramian(C: np.ndarray, A: np.ndarray, count: int) -> np.ndarray:
-    """``O' O`` for the rows ``O`` of :func:`_power_rows` (``C``, ``A``, ``count``),
-    by binary doubling of the horizon in O(log count) products."""
-    W, power, bits = C.T @ C, A, bin(count)[3:]
-    for i, bit in enumerate(bits):
-        W = W + power.T @ W @ power  # horizon s -> 2 s
-        if bit == "1":
-            W = C.T @ C + A.T @ W @ A  # 2 s -> 2 s + 1
-        if i + 1 < len(bits):  # no power past the last one used: it may overflow
-            power = power @ power @ A if bit == "1" else power @ power
-    return W
-
-
 def _block_toeplitz(O: np.ndarray, B: np.ndarray, cols: int) -> np.ndarray:
     """Forced-response matrix of the row blocks ``O[k] = C A^k`` (k < rows):
     block (i, j) is ``O[i - j - 1] B`` below the diagonal, zero elsewhere."""
@@ -436,6 +410,16 @@ def _block_toeplitz(O: np.ndarray, B: np.ndarray, cols: int) -> np.ndarray:
     padded = np.concatenate([np.zeros((1, m, B.shape[1])), O[: rows - 1] @ B])
     blocks = padded[np.maximum(lag, 0)].transpose(0, 2, 1, 3)
     return blocks.reshape(rows * m, cols * B.shape[1])
+
+
+def _parity_check(mode: StateSpaceMode, L: int) -> tuple:
+    """``(N, NT)`` of windows of L samples: the orthonormal rows ``N`` of the left kernel of
+    the rows ``C A^j`` (j < L) and ``N T``, ``T`` the window's forced response, transposed
+    in blocks per sample: ``N[j]`` is (m, p) and ``NT[j]`` is (l, p)."""
+    O = _power_rows(mode.C, mode.A, L)
+    N = nullspace_basis(O.T)
+    NT, p = _block_toeplitz(O.reshape(L, mode.m, mode.n), mode.B, L - 1).T @ N, N.shape[1]
+    return N.reshape(L, mode.m, p), NT.reshape(L - 1, mode.l, p)
 
 
 def _pad_blocks(a: np.ndarray, blocks: int, width: int) -> np.ndarray:
@@ -476,7 +460,7 @@ def _group_scan(S: np.ndarray, powers: _GroupPowers, level: int) -> np.ndarray:
     in ``Q^G``, and each group's carry by one product with ``[Q, ..., Q^G]``."""
     *lead, count, n = S.shape
     full, tail = divmod(count, _GROUP)
-    _, H, L = powers.level(level, min(_GROUP, count - 1))
+    H, L = powers.level(level, min(_GROUP, count - 1))
     flat, w, width = np.reshape(S, (*lead, count * n)), full * _GROUP * n, _GROUP * n
     out = np.empty(flat.shape)
     groups = out[..., :w].reshape(*lead, full, width)
@@ -527,32 +511,14 @@ def _free_response(pieces_t: tuple, x, K: int) -> np.ndarray:
     return (S @ Ob).reshape(-1)[: K * Ob.shape[1] // _BLOCK]
 
 
-def _fold(c: np.ndarray, step, level: int = 0) -> np.ndarray:
-    """``sum_j c[j] step^j`` over the rows of ``c``: each group's sum by one
-    product with ``[I; step; ...; step^(G-1)]`` (truncated for the tail group),
-    then the fold of the group sums in ``step^G`` by this routine."""
-    powers, (count, n) = _group_powers(step), c.shape
-    full, tail = divmod(count, _GROUP)
-    V, _, _ = powers.level(level, min(_GROUP, count - 1))
-    flat, w = np.reshape(c, -1), full * _GROUP * n
-    sums = np.empty((full + (tail > 0), n))
-    if full:
-        np.matmul(flat[:w].reshape(full, _GROUP * n), V[: _GROUP * n], out=sums[:full])
-    if tail:
-        sums[full] = flat[w:] @ V[: tail * n]
-    return sums[0] if len(sums) == 1 else _fold(sums, powers, level + 1)
-
-
 @dataclass(frozen=True)
 class LiftedOperators:
-    """Horizon-K response ``Ot x + Tt U`` of one mode and its adjoint.
+    """Horizon-K response ``Ot x + Tt U`` of one mode, its adjoint and the
+    distance of a trajectory from the mode's behaviour.
 
-    Neither ``Ot`` nor ``Tt`` is formed: each method runs the block kernel in
-    O(K) work, its block-start states by the grouped recursion.  :meth:`fit`
-    runs one forward recursion and solves with the n x n Gramian ``Ot' Ot``
-    by a costate fold and a free response, one product per level each.  The
-    block pieces, the block step's group powers and the Gramian factors are
-    cached on the mode.
+    Only :meth:`fit` forms ``Ot``.  The response and the adjoint run the block
+    kernel in O(K) work; the residual takes shifted products with the parity
+    check.  The block pieces, group powers and parity check are cached on the mode.
     """
 
     mode: StateSpaceMode
@@ -572,8 +538,22 @@ class LiftedOperators:
 
     @property
     def balance(self) -> np.ndarray:
-        """Column scaling of ``Ot``: ``diag(Ot' Ot)^(-1/2)``, 1 for a zero column."""
-        return self.mode._gram_factor(self.K)[0]
+        """Column scaling of ``Ot``: ``diag(W)^(-1/2)``, 1 for a zero column, with the Gramian
+        ``W = Ot' Ot`` by binary doubling of the horizon in O(log K) products; ValueError
+        naming the mode and K if it overflows."""
+        C, A, bits = self.mode.C, self.mode.A, bin(self.K)[3:]
+        W, power = C.T @ C, A
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, bit in enumerate(bits):
+                W = W + power.T @ W @ power  # horizon s -> 2 s
+                if bit == "1":
+                    W = C.T @ C + A.T @ W @ A  # 2 s -> 2 s + 1
+                if i + 1 < len(bits):  # no power past the last one used: it may overflow
+                    power = power @ power @ A if bit == "1" else power @ power
+        if not np.isfinite(W).all():
+            raise ValueError(f"the Gramian of mode {self.mode.mode_id} at K = {self.K} is not finite")
+        d = np.diag(W)
+        return 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0))
 
     def apply(self, x, U) -> np.ndarray:
         """Stacked response ``Ot x + Tt U``, in an array that owns its data."""
@@ -598,30 +578,44 @@ class LiftedOperators:
         U_adj = U_adj.reshape(W.shape[:-2] + (-1,))
         return costate[..., 0, :], U_adj[..., : (self.K - 1) * self.l]
 
-    def fit(self, Y, U) -> tuple[np.ndarray, float]:
-        """Least-squares inverse of :meth:`apply` in x: ``(x, min ||Y - Ot x - Tt U||)``,
-        ``x = S P S Ot' r`` by the mode's Gramian factor, ``r = Y - Tt U`` from one forward
-        recursion, ``Ot' r`` a costate fold and ``Ot x`` a free response; the residual is
-        that of the fitted response, never one from the normal equations."""
-        K, n = self.K, self.n
-        Y = np.reshape(Y, -1)
-        if Y.shape != (K * self.m,) or np.shape(U) != (K - 1, self.l):
+    def _data(self, Y, U) -> tuple:
+        """``Y`` as (K, m) and ``U`` as a (K - 1, l) array; ValueError otherwise."""
+        K = self.K
+        if np.size(Y) != K * self.m or np.shape(U) != (K - 1, self.l):
             raise ValueError(
                 f"mode {self.mode.mode_id} at K = {K} expects {K * self.m} outputs and "
-                f"{(K - 1, self.l)} inputs, got {Y.size} and {np.shape(U)}"
+                f"{(K - 1, self.l)} inputs, got {np.size(Y)} and {np.shape(U)}"
             )
-        s, P, steps = self.mode._gram_factor(K)
-        Ob, _, _, Ab = self.mode._output_blocks
-        r = Y - self.apply(np.zeros(n), U)
-        x, e = np.zeros(n), r
-        for _ in range(steps):
-            x = x + s * (P @ (s * _fold(_pad_blocks(e, -(-K // _BLOCK), len(Ob)) @ Ob, Ab)))
-            e = self.free_response(x)
-            np.subtract(r, e, out=e)  # in place: a fit holds two arrays of K floats
-        residual = float(np.linalg.norm(e))
-        if not np.isfinite(residual):
-            raise ValueError(f"the fit of mode {self.mode.mode_id} at K = {self.K} is not finite")
-        return x, residual
+        return np.reshape(Y, (K, self.m)), np.asarray(U, dtype=float)
+
+    def fit(self, Y, U) -> tuple[np.ndarray, float]:
+        """Least-squares inverse of :meth:`apply` in x: ``(x, min ||Y - Ot x - Tt U||)``
+        by ``lstsq_min_norm`` on ``Ot`` with its columns scaled to unit norm (a zero
+        column kept), once the forced response is removed.  It forms ``Ot``: it is
+        meant for short windows, such as a deadbeat reconstruction's n samples."""
+        Y, U = self._data(Y, U)
+        Ot = _power_rows(self.mode.C, self.mode.A, self.K)
+        norms = np.linalg.norm(Ot, axis=0)
+        scale = 1.0 / np.where(norms > 0.0, norms, 1.0)
+        z, residual = lstsq_min_norm(Ot * scale, Y.reshape(-1) - self.apply(np.zeros(self.n), U))
+        return scale * z, residual
+
+    def residual(self, Y, U) -> float:
+        """Distance of ``(U, Y)`` from the mode's behaviour: the norm of the parity residuals
+        ``N (y_window - T_L u_window)`` of all windows of L samples, a sum of 2 L - 1 shifted
+        products that holds two arrays of p floats per window.  Below L samples the one
+        window is the horizon: the least-squares distance of ``Y - Tt U`` from ``Ot``'s range."""
+        Y, U = self._data(Y, U)
+        L, N, NT = self.mode._parity
+        if self.K < L:
+            L, (N, NT) = self.K, _parity_check(self.mode, self.K)
+        W = self.K - L + 1
+        E, part = np.dot(Y[:W], N[0]), np.empty((W, N.shape[2]))
+        for j in range(1, L):
+            E += np.dot(Y[j : j + W], N[j], out=part)
+        for j in range(L - 1):
+            E -= np.dot(U[j : j + W], NT[j], out=part)
+        return float(np.linalg.norm(E))
 
 
 def build_lifted_operators(target_mode: StateSpaceMode, K: int) -> LiftedOperators:

@@ -11,6 +11,7 @@ from behaviorcloak import (
     KernelPlan,
     StateSpaceMode,
     Trajectory,
+    build_lifted_operators,
     build_tracking_controller,
     design_stabilizing_gain,
     lstsq_min_norm,
@@ -18,8 +19,10 @@ from behaviorcloak import (
     pseudoinverse,
     simulate_mode,
     validate_mode,
+    vehicle_demo_bank,
 )
 from behaviorcloak import modes
+from behaviorcloak.linalg import rank_cutoff
 from behaviorcloak.modes import _block_toeplitz
 
 
@@ -150,6 +153,26 @@ def dense_fit(ops, Y, U):
     return scale * z, residual
 
 
+def windowed_residual(mode, Y, U):
+    """The windowed behaviour residual by dense least squares; the reference for
+    ``LiftedOperators.residual``.  The lag is the first k at which the rank of
+    ``iterated_observability(mode, k)`` stops growing; every window of L = lag + 1
+    samples (the whole horizon if shorter) gives ``r = y_window - T_L u_window``,
+    and its distance from the range of ``O_L`` is an SVD ``lstsq`` with one
+    right-hand side per window.  The result is the norm of those distances."""
+    K = np.size(Y) // mode.m
+    Y, U = np.reshape(Y, (K, mode.m)), np.reshape(U, (K - 1, mode.l))
+    ranks = [0] + [np.linalg.matrix_rank(iterated_observability(mode, k)) for k in range(1, mode.n + 2)]
+    L = min(K, 1 + next(k for k in range(mode.n + 1) if ranks[k + 1] == ranks[k]))
+    W = K - L + 1
+    O, T = iterated_observability(mode, L), dense_Tt(build_lifted_operators(mode, L))
+    Yw = np.hstack([Y[j : j + W] for j in range(L)])
+    Uw = np.hstack([np.zeros((W, 0))] + [U[j : j + W] for j in range(L - 1)])
+    R = (Yw - Uw @ T.T).T
+    X = np.linalg.lstsq(O, R, rcond=rank_cutoff(O))[0]
+    return float(np.linalg.norm(O @ X - R))
+
+
 def traced_peak(call) -> float:
     """tracemalloc peak of ``call()`` above what was allocated before it, in bytes."""
     tracemalloc.start()
@@ -193,6 +216,21 @@ def unstable_pair():
     return (
         StateSpaceMode(1, np.diag([1.05, 0.5]), B, C),
         StateSpaceMode(2, np.diag([1.05, 0.7]), B, C),
+    )
+
+
+def scaled_vehicles(c=1.0, b=1.0):
+    """The demo vehicles (sports, average) with ``C`` scaled by ``c`` and ``B`` by ``b``."""
+    return tuple(StateSpaceMode(m.mode_id, m.A, b * m.B, c * m.C) for m in vehicle_demo_bank())
+
+
+def free_response_plan(target, K, x2=(0.0, 0.0, 5.0)) -> KernelPlan:
+    """A forged plan: the target's free response from ``x2``.  It is an exact
+    target response, but not one in the kernel of an average."""
+    delta = build_lifted_operators(target, K).free_response(np.asarray(x2))
+    return KernelPlan(
+        x2_init=x2, U2=np.zeros((K - 1, target.l)), delta_Y=delta, residual=0.0,
+        seed=None, magnitude=float(np.linalg.norm(delta)),
     )
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,13 @@ from behaviorcloak import (
     StateSpaceMode,
     Trajectory,
     UtilitySpec,
+    ModeBank,
     build_lifted_operators,
     classify,
+    design_stabilizing_gain,
     mode_residual,
     run_offline,
+    simulate_mode,
     solve_regulator_equations,
     solve_utility_invariance,
     vehicle_demo_bank,
@@ -28,13 +33,14 @@ class TestModeResidual:
             assert mode_residual(mode, traj) <= 1e-10
 
     def test_geometric_trace_against_projection_oracle(self):
-        # Free responses of the mode a = 0.8 span basis = (1, 0.8, 0.64);
-        # the least-squares distance of Y from that line is
-        # sqrt(||Y||^2 - <basis, Y>^2 / ||basis||^2).
-        basis = np.array([1.0, 0.8, 0.64])
+        # The mode a = 0.8 has lag 1: its windows of two samples span
+        # basis = (1, 0.8), and the distance of a window w from that line is
+        # sqrt(||w||^2 - <basis, w>^2 / ||basis||^2).  The residual is the norm
+        # of the distances of the windows (1, 0.5) and (0.5, 0.25).
+        basis = np.array([1.0, 0.8])
         Y = np.array([1.0, 0.5, 0.25])
-        oracle_sq = Y @ Y - (basis @ Y) ** 2 / (basis @ basis)
-        assert oracle_sq == pytest.approx(0.1252, abs=2e-4)
+        oracle_sq = sum(w @ w - (basis @ w) ** 2 / (basis @ basis) for w in (Y[:2], Y[1:]))
+        assert oracle_sq == pytest.approx(0.0686, abs=2e-4)
         traj = Trajectory(U=np.zeros((2, 1)), Y=Y.reshape(-1, 1))
         residual = mode_residual(support.scalar_mode(0.8), traj)
         expected = np.sqrt(oracle_sq) / (1.0 + np.linalg.norm(Y))
@@ -130,3 +136,39 @@ class TestClassify:
         assert doc["verdict"] == "1"
         assert set(doc["residuals"]) == {"1", "2"}
         assert doc["accepted"] == [1]
+
+
+class TestUnstableModes:
+    """Windows of lag + 1 samples hold no power of A past the window, so an
+    unstable mode scores at rounding at any horizon, with no overflow."""
+
+    @pytest.mark.parametrize("K", [200, 2000, 36000])
+    def test_feedback_twin_closed_loop_drive(self, K):
+        # The source (diag(1.05, 0.5), [1; 1], [1 1]) and its feedback twin
+        # A + B [0.02 0.1] (poles 1.074 and 0.596); the drive is the source under
+        # u = R x + v with a stabilizing R, so its states stay bounded.
+        source = StateSpaceMode(1, np.diag([1.05, 0.5]), [[1.0], [1.0]], [[1.0, 1.0]])
+        twin = StateSpaceMode(2, source.A + source.B @ [[0.02, 0.1]], source.B, source.C)
+        R = design_stabilizing_gain(source)
+        closed = StateSpaceMode(1, source.A + source.B @ R, source.B, source.C)
+        v = np.random.default_rng(66).standard_normal((K - 1, 1))
+        X = simulate_mode(closed, [1.0, 1.0], v).X
+        drive = Trajectory(U=X[:-1] @ R.T + v, Y=X @ source.C.T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = classify(ModeBank((source, twin)), drive)
+        assert report.verdict == 1
+        assert report.residuals[1] <= 1e-15 and report.residuals[2] >= 0.05
+
+    @pytest.mark.parametrize("K", [7500, 20000])
+    def test_unstable_pair_long_drive(self, K):
+        # The pole 1.05 of both modes is out of the input's reach and the drive
+        # starts off it, so it stays bounded while 1.05^K overflows the Gramian.
+        source, target = support.unstable_pair()
+        U = np.random.default_rng(3).uniform(-1.0, 1.0, (K - 1, 1))
+        drive = simulate_mode(source, [0.0, 1.0], U)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = classify(ModeBank((source, target)), drive)
+        assert report.verdict == 1
+        assert report.residuals[1] <= 1e-15 and report.residuals[2] >= 0.05

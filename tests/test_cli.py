@@ -17,6 +17,7 @@ from behaviorcloak import (
     longitudinal_vehicle_mode,
     mode_residual,
     read_trajectory_csv,
+    save_kernel_plan,
     save_mode_bank,
     save_utility_spec,
     simulate_mode,
@@ -316,6 +317,34 @@ class TestDistortAndClassify:
         assert "utility" in capsys.readouterr().err
         assert not out_csv.exists()
 
+    def test_forged_plan_on_small_outputs_fails_loudly(self, capsys, tmp_path):
+        # Vehicles with C scaled by 1e-9: the target's free response from
+        # (0, 0, 5) moves the average by 1.6e-11, 119 % of it.  Exit 1.
+        bank_path, traj_path, plan_path = (
+            tmp_path / "bank.json", tmp_path / "drive.csv", tmp_path / "forged.json"
+        )
+        save_mode_bank(ModeBank(support.scaled_vehicles(1e-9)), bank_path)
+        K = 2000
+        bank = load_mode_bank(bank_path)
+        write_trajectory_csv(
+            support.random_trajectory(np.random.default_rng(72), bank.mode(1), K), traj_path
+        )
+        save_kernel_plan(support.free_response_plan(bank.mode(2), K), plan_path)
+        code, _ = run_cli(
+            capsys, "design", "--bank", bank_path, "--true-mode", 1, "--target-mode", 2,
+            "--K", K, "--out", tmp_path / "d",
+        )
+        assert code == 0
+        out_csv = tmp_path / "distorted.csv"
+        code = main([str(a) for a in (
+            "distort", "--bank", bank_path, "--true-mode", 1, "--target-mode", 2,
+            "--controller", tmp_path / "d" / "controller.json", "--plan", plan_path,
+            "--input", traj_path, "--out", out_csv,
+        )])
+        assert code == 1
+        assert "changes this utility" in capsys.readouterr().err
+        assert not out_csv.exists()
+
     def distort(self, designed, traj_path, out_csv, plan=None):
         bank_path, design_dir, _ = designed
         return main(
@@ -534,18 +563,17 @@ class TestDistortAndClassify:
         assert "Traceback" not in err
 
     def test_overflowing_gramian_is_bad_input(self, capsys, tmp_path):
-        # 1.05^(2K) overflows the Gramian: exit 2, naming the mode and K.
-        bank_path, path = tmp_path / "bank.json", tmp_path / "drive.csv"
+        # 1.05^(2K) overflows the Gramian that balances the plan's draw: design
+        # exits 2, naming the mode and K.  Classify reads no Gramian.
+        bank_path = tmp_path / "bank.json"
         save_mode_bank(ModeBank(support.unstable_pair()), bank_path)
-        K = 20000
-        rng = np.random.default_rng(71)
-        write_trajectory_csv(
-            Trajectory(U=rng.uniform(-1.0, 1.0, (K - 1, 1)), Y=rng.standard_normal(K)), path
-        )
-        code = main(["classify", "--bank", str(bank_path), "--input", str(path)])
+        code = main([
+            "design", "--bank", str(bank_path), "--true-mode", "1", "--target-mode", "2",
+            "--K", "20000", "--out", str(tmp_path / "d"),
+        ])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert "mode 1 at K = 20000 is not finite" in captured.err
+        assert "mode 2 at K = 20000 is not finite" in captured.err
 
     def test_zero_trajectory_ambiguous(self, capsys, vehicle_bank_path, tmp_path):
         bank = load_mode_bank(vehicle_bank_path)

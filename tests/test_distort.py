@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -458,7 +460,8 @@ class TestPipeline:
 
     @pytest.mark.parametrize("shift, kept", [(1e-11, True), (1e-6, False)])
     def test_check_tolerance(self, scenario, shift, kept):
-        # A constant output shift moves the average by ``shift (1 + |F Y|)``.
+        # A constant output shift of ``shift (1 + |F Y|)`` moves the average by as
+        # much; the check allows 1e-8 ||F|| (||Y|| + ||Ybar||), 1.7e-8 here.
         _, _, traj, spec, cfg = scenario
         size = shift * (1.0 + abs(spec.F @ traj.Y.reshape(-1))[0])
         plan = KernelPlan(
@@ -471,6 +474,32 @@ class TestPipeline:
         else:
             with pytest.raises(UtilityChangedError):
                 cloak(shifted, traj, spec)
+
+    @staticmethod
+    def scaled_scenario(c, b):
+        """The vehicles with C scaled by c and B by b, a drive, an average and a design."""
+        sports, average = support.scaled_vehicles(c, b)
+        K = 2000
+        traj = support.random_trajectory(np.random.default_rng(72), sports, K)
+        spec = UtilitySpec.average(K)
+        return traj, spec, design(sports, average, spec, seed=4)
+
+    @pytest.mark.parametrize(
+        "c, b", [(1e-9, 1.0), (1e-3, 1.0), (1.0, 1.0), (1e3, 1.0), (1e6, 1.0), (1.0, 1e-9), (1e-9, 1e9)]
+    )
+    def test_designed_plans_pass_at_any_scale(self, c, b):
+        traj, spec, cfg = self.scaled_scenario(c, b)
+        cloak(cfg, traj, spec)
+
+    @pytest.mark.parametrize("c", [1e-9, 1.0, 1e6])
+    def test_forged_plan_is_refused_at_any_scale(self, c):
+        # The target's free response from (0, 0, 5) moves this drive's average by
+        # 119 % at every scale; at c = 1e-9 that is 1.6e-11, inside an absolute
+        # 1e-8 bound.
+        traj, spec, cfg = self.scaled_scenario(c, 1.0)
+        forged = dataclasses.replace(cfg, plan=support.free_response_plan(cfg.target_mode, cfg.K))
+        with pytest.raises(UtilityChangedError, match="changes this utility by"):
+            cloak(forged, traj, spec)
 
     def test_stateless_trajectory_is_refused(self, scenario):
         _, _, traj, spec, cfg = scenario

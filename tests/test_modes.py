@@ -23,7 +23,7 @@ from behaviorcloak import (
     write_trajectory_csv,
 )
 from behaviorcloak import modes
-from behaviorcloak.modes import _ROWS_PER_BLOCK, _fold, _power_rows, _scan
+from behaviorcloak.modes import _ROWS_PER_BLOCK, _power_rows, _scan
 
 # Printed discrete-time vehicle blocks, columns A | B.
 SPORTS_AB = np.array(
@@ -277,7 +277,6 @@ class TestSimulateMode:
                 *ops.apply_adjoint(rng.standard_normal(K)),
                 _power_rows(mode.C, mode.A, K),
                 ops.free_response(x),
-                _fold(rng.standard_normal((K // 16, 2)), mode._output_blocks[3]),
             ]
         assert all(np.isfinite(r).all() for r in results)
         assert np.max(np.abs(results[0])) > 1e290
@@ -324,6 +323,13 @@ class TestBlockKernels:
     """The fold ``sum_j c[j] step^j`` and the free response ``Ot x`` against
     explicit sums and the sample-by-sample recursion."""
 
+    @staticmethod
+    def fold(c, step):
+        """``sum_j c[j] step^j``, the first row of the reverse scan of ``c``: how
+        ``apply_adjoint`` gets ``Ot' w``."""
+        _scan(c, step, reverse=True)
+        return c[0]
+
     @pytest.mark.parametrize("count", sorted({1, 2, 3, 33, *GROUP_COUNTS}))
     @pytest.mark.parametrize("radius", [0.9, 1.05, 1e-20])  # 1e-20: step^G underflows
     def test_fold_matches_explicit_sum(self, count, radius):
@@ -332,7 +338,7 @@ class TestBlockKernels:
         step *= radius / np.max(np.abs(np.linalg.eigvals(step)))
         c = rng.standard_normal((count, 3))
         expected = sum(c[j] @ np.linalg.matrix_power(step, j) for j in range(count))
-        got = _fold(c.copy(), step)
+        got = self.fold(c.copy(), step)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("K", [1, 2, 17, 500, *GROUP_HORIZONS])
@@ -360,13 +366,13 @@ class TestBlockKernels:
         def calls():
             simulate_mode(mode, x, U)
             ops.apply_adjoint(rng.standard_normal((3, K)))
-            ops.fit(ops.apply(x, U), U)
+            ops.free_response(ops.apply(x, U)[: mode.n])
 
         calls()
         first = len(built)
         calls()
         assert first > 0 and len(built) == first
-        power = mode._block_powers[0].powers[0][G]
+        power = mode._block_powers[1].powers[0][G]  # the forward recursions' powers
         np.testing.assert_array_equal(power, np.diag([0.0, 0.5**256]))
 
     def test_group_powers_grow_whole_when_threads_share_them(self):
@@ -398,8 +404,6 @@ class TestBlockKernels:
         S = np.array([[1.0], [0.0], [0.0], [0.0]])
         _scan(S, step)
         np.testing.assert_array_equal(S.ravel(), [1.0, 1e-160, 0.0, 0.0])
-        assert _fold(np.array([[0.0], [0.0], [1.0]]), step)[0] == 0.0
-        assert _fold(np.array([[0.0], [2.0], [1.0]]), step)[0] == 2e-160
 
     @pytest.mark.parametrize("step", [[[np.nan]], [[0.0, 1.0], [1.0, 0.0]]], ids=["nan", "zero_corner"])
     def test_only_underflow_stops_the_powers(self, step):
@@ -412,7 +416,6 @@ class TestBlockKernels:
         S[0] = rows[0]
         _scan(S, step)
         np.testing.assert_array_equal(S, rows)
-        np.testing.assert_array_equal(_fold(np.ones((3, len(step))), step), rows[:3].sum(axis=0))
 
     @pytest.mark.parametrize("K", [17, 500, 36000])
     def test_decaying_mode_matches_dense_oracles(self, K):
