@@ -11,13 +11,14 @@ response.  :class:`LiftedOperators` (response, adjoint, behaviour residual)
 and :func:`simulate_mode` run it without forming either matrix, on one
 block kernel: the recursion runs 16 samples at a time with two dense
 products per block (pieces cached on the mode), and the block-start states
-follow from a grouped recursion (:func:`_group_scan`) in O(K) work, about
-log_16(K/16) levels of three products each.  The powers of the block step
-are built once per mode, level by level as far as a horizon asks, so none
-past the horizon is formed (it may overflow), and entries below ``tiny``
-are flushed to zero, so an underflowed power adds exactly zero.  A forward
-response of w outputs peaks at 2 w arrays of K floats and hands over its
-buffer (:func:`_block_response`).
+follow from one grouped recursion (:func:`_group_scan`) in O(K) work, about
+log_16(K/16) levels of three products each.  The rows ``C A^k`` and the free
+response are the grouped scan of an impulse (:func:`_power_rows`).  The
+powers of ``A`` and of the block step are built once per mode, level by
+level as far as a horizon asks, so none past the horizon is formed (it may
+overflow), and entries below ``tiny`` are flushed to zero, so an
+underflowed power adds exactly zero.  A forward response of w outputs peaks
+at 2 w arrays of K floats and hands over its buffer (:func:`_block_response`).
 
 Behaviour membership runs no recursion: a trajectory is in a mode's
 behaviour iff each of its windows of L = lag + 1 samples is (Willems,
@@ -139,6 +140,11 @@ class StateSpaceMode:
         return self.B.shape[1]
 
     @cached_property
+    def _step_powers(self) -> "_GroupPowers":
+        """:class:`_GroupPowers` of ``A``, from which the rows ``C A^k`` are built."""
+        return _GroupPowers(self.A)
+
+    @cached_property
     def _block_powers(self) -> tuple:
         """:class:`_GroupPowers` of the block step ``A^b`` and of its transpose."""
         step = np.linalg.matrix_power(self.A, _BLOCK)
@@ -164,12 +170,17 @@ class StateSpaceMode:
 
     @cached_property
     def _parity(self) -> tuple:
-        """``(L, N, NT)``: windows of L = lag + 1 samples, the lag the first k at which
-        the rank of the rows ``C A^j`` (j < k) stops growing, and their parity check."""
-        O = _power_rows(self.C, self.A, self.n + 1)
+        """``(L, N, NT)``: windows of L = lag + 1 samples, the lag the first k at which the
+        rank of the rows ``O = C A^j`` (j < k) stops growing; the orthonormal left kernel
+        ``N`` of ``O`` (j < L) and ``N T``, ``T`` the window's forced response, transposed
+        in blocks per sample: ``N[j]`` is (m, p) and ``NT[j]`` is (l, p)."""
+        O = _power_rows(self.C, self._step_powers, self.n + 1)
         ranks = [0] + [np.linalg.matrix_rank(O[: k * self.m]) for k in range(1, self.n + 2)]
         L = 1 + next(k for k in range(self.n + 1) if ranks[k + 1] == ranks[k])
-        return (L, *_parity_check(self, L))
+        O = O[: L * self.m]
+        N = nullspace_basis(O.T)
+        NT, p = _block_toeplitz(O.reshape(L, self.m, self.n), self.B, L - 1).T @ N, N.shape[1]
+        return L, N.reshape(L, self.m, p), NT.reshape(L - 1, self.l, p)
 
 
 @dataclass(frozen=True)
@@ -384,22 +395,12 @@ def _group_powers(step) -> _GroupPowers:
     return step if isinstance(step, _GroupPowers) else _GroupPowers(step)
 
 
-def _power_rows(first: np.ndarray, step, count: int, level: int = 0) -> np.ndarray:
-    """Stack ``first step^k``, k < count: the group starts ``first step^(G q)`` by
-    this routine one level up, in ``step^G``, then one product with ``[I, step,
-    ..., step^(G-1)]``, truncated for the tail group."""
-    powers, (r, n) = _group_powers(step), first.shape
-    full, tail = divmod(count, _GROUP)
-    H, _ = powers.level(level, min(_GROUP, count - 1))
-    if count > _GROUP:
-        first = _power_rows(first, powers, full + (tail > 0), level + 1)
-    rows, w = np.empty((count, r, n)), full * _GROUP
-    if full:
-        block = (first[: full * r] @ H[:, : _GROUP * n]).reshape(full, r, _GROUP, n)
-        rows[:w].reshape(full, _GROUP, r, n)[...] = block.swapaxes(1, 2)
-    if tail:
-        rows[w:] = (first[full * r :] @ H[:, : tail * n]).reshape(r, tail, n).swapaxes(0, 1)
-    return rows.reshape(-1, n)
+def _power_rows(first: np.ndarray, step, count: int) -> np.ndarray:
+    """Stack ``first step^k``, k < count: the grouped scan (:func:`_group_scan`)
+    of the impulse ``first`` followed by zeros."""
+    impulse = np.zeros((len(first), count, first.shape[1]))
+    impulse[:, 0] = first
+    return _group_scan(impulse, _group_powers(step), 0).swapaxes(0, 1).reshape(-1, first.shape[1])
 
 
 def _block_toeplitz(O: np.ndarray, B: np.ndarray, cols: int) -> np.ndarray:
@@ -410,16 +411,6 @@ def _block_toeplitz(O: np.ndarray, B: np.ndarray, cols: int) -> np.ndarray:
     padded = np.concatenate([np.zeros((1, m, B.shape[1])), O[: rows - 1] @ B])
     blocks = padded[np.maximum(lag, 0)].transpose(0, 2, 1, 3)
     return blocks.reshape(rows * m, cols * B.shape[1])
-
-
-def _parity_check(mode: StateSpaceMode, L: int) -> tuple:
-    """``(N, NT)`` of windows of L samples: the orthonormal rows ``N`` of the left kernel of
-    the rows ``C A^j`` (j < L) and ``N T``, ``T`` the window's forced response, transposed
-    in blocks per sample: ``N[j]`` is (m, p) and ``NT[j]`` is (l, p)."""
-    O = _power_rows(mode.C, mode.A, L)
-    N = nullspace_basis(O.T)
-    NT, p = _block_toeplitz(O.reshape(L, mode.m, mode.n), mode.B, L - 1).T @ N, N.shape[1]
-    return N.reshape(L, mode.m, p), NT.reshape(L - 1, mode.l, p)
 
 
 def _pad_blocks(a: np.ndarray, blocks: int, width: int) -> np.ndarray:
@@ -503,9 +494,8 @@ def _block_response(pieces_t: tuple, x, U, K: int) -> np.ndarray:
 
 def _free_response(pieces_t: tuple, x, K: int) -> np.ndarray:
     """Stacked outputs y(1..K) from state ``x`` under zero input: the block-start
-    states ``x (A^b)^j`` by the grouped :func:`_power_rows` (the group starts one
-    level up, then one product with ``[I, A^b, ..., (A^b)^(G-1)]``), then one
-    product with ``Ob``."""
+    states ``x (A^b)^j`` by :func:`_power_rows`, the grouped scan of the impulse
+    ``x``, then one product with ``Ob``."""
     Ob, _, _, Ab = pieces_t
     S = _power_rows(np.reshape(x, (1, len(Ob))), Ab, -(-K // _BLOCK))
     return (S @ Ob).reshape(-1)[: K * Ob.shape[1] // _BLOCK]
@@ -594,7 +584,7 @@ class LiftedOperators:
         column kept), once the forced response is removed.  It forms ``Ot``: it is
         meant for short windows, such as a deadbeat reconstruction's n samples."""
         Y, U = self._data(Y, U)
-        Ot = _power_rows(self.mode.C, self.mode.A, self.K)
+        Ot = _power_rows(self.mode.C, self.mode._step_powers, self.K)
         norms = np.linalg.norm(Ot, axis=0)
         scale = 1.0 / np.where(norms > 0.0, norms, 1.0)
         z, residual = lstsq_min_norm(Ot * scale, Y.reshape(-1) - self.apply(np.zeros(self.n), U))
@@ -604,11 +594,11 @@ class LiftedOperators:
         """Distance of ``(U, Y)`` from the mode's behaviour: the norm of the parity residuals
         ``N (y_window - T_L u_window)`` of all windows of L samples, a sum of 2 L - 1 shifted
         products that holds two arrays of p floats per window.  Below L samples the one
-        window is the horizon: the least-squares distance of ``Y - Tt U`` from ``Ot``'s range."""
+        window is the horizon: the residual of :meth:`fit`."""
         Y, U = self._data(Y, U)
         L, N, NT = self.mode._parity
         if self.K < L:
-            L, (N, NT) = self.K, _parity_check(self.mode, self.K)
+            return self.fit(Y, U)[1]
         W = self.K - L + 1
         E, part = np.dot(Y[:W], N[0]), np.empty((W, N.shape[2]))
         for j in range(1, L):

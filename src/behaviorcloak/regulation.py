@@ -110,6 +110,24 @@ class RegulationDiagnostics:
         return float(np.max(self.e_norms))
 
 
+def _shapes(true_mode: StateSpaceMode, target_mode: StateSpaceMode) -> tuple:
+    """The shapes of Pi, Gamma and Theta."""
+    n_s, l_t = true_mode.n, target_mode.l
+    return (target_mode.n, n_s), (l_t, n_s), (l_t, true_mode.l)
+
+
+def _equations(true_mode, target_mode, Pi, Gamma, Theta, C_s) -> tuple:
+    """Left sides ``A_t Pi - Pi A_s + B_t Gamma``, ``C_t Pi - C_s`` and ``B_t Theta - Pi B_s``
+    of the regulator equations; ``Pi``, ``Gamma`` and ``Theta`` may be stacks."""
+    A_s, B_s, A_t, B_t = true_mode.A, true_mode.B, target_mode.A, target_mode.B
+    return A_t @ Pi - Pi @ A_s + B_t @ Gamma, target_mode.C @ Pi - C_s, B_t @ Theta - Pi @ B_s
+
+
+def _vec(matrices) -> np.ndarray:
+    """The column-major entries of (stacks of) matrices, side by side."""
+    return np.concatenate([M.swapaxes(-1, -2).reshape(*M.shape[:-2], -1) for M in matrices], -1)
+
+
 def regulator_residuals(
     true_mode: StateSpaceMode,
     target_mode: StateSpaceMode,
@@ -118,21 +136,12 @@ def regulator_residuals(
     Theta,
 ) -> tuple[float, float, float]:
     """Max-abs residual of each regulator equation; ValueError on a misfit shape."""
-    A_s, B_s, C_s = true_mode.A, true_mode.B, true_mode.C
-    A_t, B_t, C_t = target_mode.A, target_mode.B, target_mode.C
-    Pi, Gamma, Theta = (np.asarray(M, dtype=float) for M in (Pi, Gamma, Theta))
-    n_t, n_s, l_t, l_s = target_mode.n, true_mode.n, target_mode.l, true_mode.l
-    for name, M, shape in (
-        ("Pi", Pi, (n_t, n_s)),
-        ("Gamma", Gamma, (l_t, n_s)),
-        ("Theta", Theta, (l_t, l_s)),
-    ):
+    unknowns = [np.asarray(M, dtype=float) for M in (Pi, Gamma, Theta)]
+    for name, M, shape in zip(_CONTROLLER_KEYS, unknowns, _shapes(true_mode, target_mode)):
         if M.shape != shape:
             raise ValueError(f"{name} must have shape {shape}, got {M.shape}")
-    r1 = A_t @ Pi - Pi @ A_s + B_t @ Gamma
-    r2 = C_t @ Pi - C_s
-    r3 = B_t @ Theta - Pi @ B_s
-    return tuple(float(abs(r).max()) for r in (r1, r2, r3))
+    residuals = _equations(true_mode, target_mode, *unknowns, true_mode.C)
+    return tuple(float(abs(r).max()) for r in residuals)
 
 
 def solve_regulator_equations(
@@ -141,11 +150,13 @@ def solve_regulator_equations(
 ) -> RegulatorSolution:
     """Solve the regulator equations for (Pi, Gamma, Theta).
 
-    The three matrix equations are vectorized into one linear system in
-    the stacked unknowns and solved by minimum-norm least squares.  A
-    solution is accepted as feasible iff its max-abs equation residual is
-    at most ``RESIDUAL_TOL``; otherwise the target mode cannot imitate
-    the source outputs and :class:`RegulationInfeasibleError` is raised.
+    The equations are affine in ``z = [vec(Pi); vec(Gamma); vec(Theta)]``
+    (column-major): column j of their matrix is the homogeneous equations at
+    the j-th unit ``z``, all evaluated in one batched call, and the right side
+    is minus the equations at ``z = 0``.  Minimum-norm least squares solves
+    the system.  A solution is accepted as feasible iff its max-abs equation
+    residual is at most ``RESIDUAL_TOL``; otherwise the target mode cannot
+    imitate the source outputs and :class:`RegulationInfeasibleError` is raised.
 
     Raises
     ------
@@ -156,38 +167,17 @@ def solve_regulator_equations(
     """
     if true_mode.m != target_mode.m or true_mode.l != target_mode.l:
         raise ValueError("source and target modes must share m and l")
-    n_s, n_t, m, l = true_mode.n, target_mode.n, true_mode.m, true_mode.l
-    A_s, B_s, C_s = true_mode.A, true_mode.B, true_mode.C
-    A_t, B_t, C_t = target_mode.A, target_mode.B, target_mode.C
+    shapes = _shapes(true_mode, target_mode)
+    ends = np.cumsum([rows * cols for rows, cols in shapes])
 
-    # Unknown layout: z = [vec(Pi); vec(Gamma); vec(Theta)], column-major.
-    n_pi, n_gamma, n_theta = n_t * n_s, l * n_s, l * l
-    cols = n_pi + n_gamma + n_theta
-    rows = n_t * n_s + m * n_s + n_t * l
-    M = np.zeros((rows, cols))
-    b = np.zeros(rows)
+    def unknowns(z):  # the inverse of _vec for (Pi, Gamma, Theta)
+        parts = np.split(z, ends[:-1], axis=-1)
+        return [p.reshape(*p.shape[:-1], c, r).swapaxes(-1, -2) for p, (r, c) in zip(parts, shapes)]
 
-    I_ns = np.eye(n_s)
-    I_nt = np.eye(n_t)
-    I_l = np.eye(l)
-
-    r0 = 0
-    # A_t Pi - Pi A_s + B_t Gamma = 0
-    M[r0 : r0 + n_t * n_s, :n_pi] = np.kron(I_ns, A_t) - np.kron(A_s.T, I_nt)
-    M[r0 : r0 + n_t * n_s, n_pi : n_pi + n_gamma] = np.kron(I_ns, B_t)
-    r0 += n_t * n_s
-    # C_t Pi = C_s
-    M[r0 : r0 + m * n_s, :n_pi] = np.kron(I_ns, C_t)
-    b[r0 : r0 + m * n_s] = C_s.reshape(-1, order="F")
-    r0 += m * n_s
-    # B_t Theta - Pi B_s = 0
-    M[r0 : r0 + n_t * l, :n_pi] = -np.kron(B_s.T, I_nt)
-    M[r0 : r0 + n_t * l, n_pi + n_gamma :] = np.kron(I_l, B_t)
-
+    M = _vec(_equations(true_mode, target_mode, *unknowns(np.eye(ends[-1])), 0.0)).T
+    b = -_vec(_equations(true_mode, target_mode, *unknowns(np.zeros(ends[-1])), true_mode.C))
     z, _ = lstsq_min_norm(M, b)
-    Pi = z[:n_pi].reshape(n_t, n_s, order="F")
-    Gamma = z[n_pi : n_pi + n_gamma].reshape(l, n_s, order="F")
-    Theta = z[n_pi + n_gamma :].reshape(l, l, order="F")
+    Pi, Gamma, Theta = unknowns(z)
     residual = max(regulator_residuals(true_mode, target_mode, Pi, Gamma, Theta))
     if residual > RESIDUAL_TOL:
         raise RegulationInfeasibleError(residual)

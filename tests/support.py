@@ -288,6 +288,37 @@ def feedback_twin_pair(rng, n=4, m=2, l=2):
     raise RuntimeError("failed to draw a feedback twin")
 
 
+def kronecker_regulator_solution(true_mode, target_mode):
+    """Reference solve of the regulator equations: ``(Pi, Gamma, Theta, residual)``.
+
+    The three matrix equations are vectorized by Kronecker products into one
+    linear system in ``z = [vec(Pi); vec(Gamma); vec(Theta)]`` (column-major)
+    and solved by ``lstsq_min_norm``; ``residual`` is the largest max-abs
+    entry of the three equations at the solution.
+    """
+    n_s, n_t, m, l = true_mode.n, target_mode.n, true_mode.m, true_mode.l
+    A_s, B_s, C_s = true_mode.A, true_mode.B, true_mode.C
+    A_t, B_t, C_t = target_mode.A, target_mode.B, target_mode.C
+    n_pi, n_gamma = n_t * n_s, l * n_s
+    M = np.zeros((n_t * n_s + m * n_s + n_t * l, n_pi + n_gamma + l * l))
+    b = np.zeros(len(M))
+    I_ns, I_nt, I_l = np.eye(n_s), np.eye(n_t), np.eye(l)
+    r0 = n_t * n_s  # A_t Pi - Pi A_s + B_t Gamma = 0
+    M[:r0, :n_pi] = np.kron(I_ns, A_t) - np.kron(A_s.T, I_nt)
+    M[:r0, n_pi : n_pi + n_gamma] = np.kron(I_ns, B_t)
+    r1 = r0 + m * n_s  # C_t Pi = C_s
+    M[r0:r1, :n_pi] = np.kron(I_ns, C_t)
+    b[r0:r1] = C_s.reshape(-1, order="F")
+    M[r1:, :n_pi] = -np.kron(B_s.T, I_nt)  # B_t Theta - Pi B_s = 0
+    M[r1:, n_pi + n_gamma :] = np.kron(I_l, B_t)
+    z, _ = lstsq_min_norm(M, b)
+    Pi = z[:n_pi].reshape(n_t, n_s, order="F")
+    Gamma = z[n_pi : n_pi + n_gamma].reshape(l, n_s, order="F")
+    Theta = z[n_pi + n_gamma :].reshape(l, l, order="F")
+    equations = (A_t @ Pi - Pi @ A_s + B_t @ Gamma, C_t @ Pi - C_s, B_t @ Theta - Pi @ B_s)
+    return Pi, Gamma, Theta, max(float(abs(r).max()) for r in equations)
+
+
 def two_copy_replay(cfg, traj):
     """Cloaked pair from two virtual copies of the target mode, step by step.
 

@@ -16,6 +16,7 @@ from behaviorcloak import (
     load_mode_bank,
     longitudinal_vehicle_mode,
     read_trajectory_csv,
+    reconstruct_state,
     save_mode_bank,
     simulate_mode,
     validate_mode,
@@ -320,8 +321,8 @@ class TestSimulateMode:
 
 
 class TestBlockKernels:
-    """The fold ``sum_j c[j] step^j`` and the free response ``Ot x`` against
-    explicit sums and the sample-by-sample recursion."""
+    """The fold ``sum_j c[j] step^j``, the rows ``first step^k`` and the free
+    response ``Ot x`` against explicit sums and the sample-by-sample recursion."""
 
     @staticmethod
     def fold(c, step):
@@ -337,8 +338,14 @@ class TestBlockKernels:
         step = rng.standard_normal((3, 3))
         step *= radius / np.max(np.abs(np.linalg.eigvals(step)))
         c = rng.standard_normal((count, 3))
-        expected = sum(c[j] @ np.linalg.matrix_power(step, j) for j in range(count))
+        powers = [np.linalg.matrix_power(step, j) for j in range(count)]
+        expected = sum(c[j] @ powers[j] for j in range(count))
         got = self.fold(c.copy(), step)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+        # The rows first step^k, k < count, as the grouped scan of an impulse.
+        first = rng.standard_normal((2, 3))
+        expected = np.vstack([first @ power for power in powers])
+        got = _power_rows(first, step, count)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("K", [1, 2, 17, 500, *GROUP_HORIZONS])
@@ -366,7 +373,10 @@ class TestBlockKernels:
         def calls():
             simulate_mode(mode, x, U)
             ops.apply_adjoint(rng.standard_normal((3, K)))
-            ops.free_response(ops.apply(x, U)[: mode.n])
+            Y = ops.apply(x, U)
+            ops.free_response(Y[: mode.n])
+            ops.fit(Y, U)
+            reconstruct_state(mode, U[: mode.n - 1], Y[: mode.n])
 
         calls()
         first = len(built)

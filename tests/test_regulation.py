@@ -22,6 +22,7 @@ from behaviorcloak import (
     vehicle_demo_bank,
     verify_regulation,
 )
+from behaviorcloak.linalg import RESIDUAL_TOL
 from behaviorcloak.regulation import regulator_residuals
 
 PAPER_PI = np.array([[1.0, -0.038, 0.001], [0.0, 1.000, -0.038], [0.0, 0.000, 1.000]])
@@ -73,6 +74,31 @@ def oracle_modes():
 ORACLE_MODES = oracle_modes()
 
 
+def regulator_oracle_pairs():
+    """(source, target) pairs on which the solve is checked against the Kronecker
+    reference: the vehicles, the MIMO and feedback-twin fixtures, two refused pairs
+    and 30 seeded random similarity pairs with n in 1..4 and m, l in 1..2."""
+    cases = [
+        ("vehicle", tuple(vehicle_demo_bank())),
+        ("mimo", support.feedback_twin_pair(np.random.default_rng(54))),
+    ]
+    for seed in range(3):
+        cases.append((f"twin{seed}", support.feedback_twin_pair(np.random.default_rng(seed))))
+    rng = np.random.default_rng(11)
+    cases.append(("random", (support.random_valid_mode(rng), support.random_valid_mode(rng))))
+    cases.append(("vehicle_C1e8", support.scaled_vehicles(c=1e8)))
+    rng = np.random.default_rng(23)
+    for case in range(30):
+        n = int(rng.integers(1, 5))
+        m, l = (int(v) for v in rng.integers(1, min(2, n) + 1, size=2))
+        source = support.random_valid_mode(rng, n=n, m=m, l=l)
+        T = rng.standard_normal((n, n))
+        T_inv = np.linalg.inv(T)
+        target = StateSpaceMode(2, T @ source.A @ T_inv, T @ source.B, source.C @ T_inv)
+        cases.append((f"similar{case}", (source, target)))
+    return [pytest.param(pair, id=name) for name, pair in cases]
+
+
 class TestSolveRegulatorEquations:
     def test_identical_modes(self):
         rng = np.random.default_rng(10)
@@ -118,6 +144,21 @@ class TestSolveRegulatorEquations:
         wide = support.random_valid_mode(np.random.default_rng(0), n=2, m=1, l=2)
         with pytest.raises(ValueError):
             solve_regulator_equations(scalar, wide)
+
+    @pytest.mark.parametrize("pair", regulator_oracle_pairs())
+    def test_matches_kronecker_oracle(self, pair):
+        # Bitwise the same (Pi, Gamma, Theta) as the Kronecker-assembled system,
+        # or the same refusal with the same residual.
+        Pi, Gamma, Theta, residual = support.kronecker_regulator_solution(*pair)
+        if residual > RESIDUAL_TOL:
+            with pytest.raises(RegulationInfeasibleError) as err:
+                solve_regulator_equations(*pair)
+            assert err.value.residual == residual
+            return
+        sol = solve_regulator_equations(*pair)
+        for got, expected in ((sol.Pi, Pi), (sol.Gamma, Gamma), (sol.Theta, Theta)):
+            np.testing.assert_array_equal(got, expected)
+        assert sol.residual == residual
 
 
 class TestDesignStabilizingGain:
