@@ -311,7 +311,7 @@ def load_kernel_plan(path, target_mode: StateSpaceMode) -> KernelPlan:
             raise ValueError("plan dimensions do not match the target mode")
         rows = _sample_rows(doc["U2"], "plan U2", 1 if l is None else target_mode.l)
         U2 = _frozen(rows, "plan U2", samples=True)
-        if x2.size != target_mode.n or U2.ndim != 2 or U2.shape[1] != target_mode.l:
+        if x2.size != target_mode.n or U2.shape[1] != target_mode.l:
             raise ValueError("plan dimensions do not match the target mode")
         delta = build_lifted_operators(target_mode, U2.shape[0] + 1).apply(x2, U2)
         delta.setflags(write=False)  # handed over: the plan keeps it uncopied

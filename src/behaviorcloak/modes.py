@@ -28,10 +28,10 @@ IEEE TAC 1984), with ``N`` and ``N T_L`` cached on the mode.
 
 The on-disk formats are text: trajectories as CSV, everything else as one
 JSON document.  A whole-horizon array crosses the disk ``_ROWS_PER_BLOCK``
-rows (or JSON entries) at a time: the CSV reader parses blocks of lines
-and the CSV writer formats blocks of rows, and the JSON writer streams an
-array value in blocks of entries, so no side holds the whole text or the
-array as a tree of Python objects.
+rows (or JSON entries) at a time: the CSV reader hands blocks of lines to
+one ``numpy.loadtxt`` call, the CSV writer formats blocks of rows, and the
+JSON writer streams an array value in blocks of entries, so no side holds
+the whole text or the array as a tree of Python objects.
 """
 
 from __future__ import annotations
@@ -72,9 +72,11 @@ def _frozen(value, name: str, samples: bool = False) -> np.ndarray:
     """``value`` as a frozen float array, by the one rule of every record: an array
     that is read-only and owns its data, or one just built from a list or tuple, is
     kept; anything else is copied.  With ``samples`` it has one row per sample (a
-    vector becomes a column).  ValueError naming the array and its first row, or
-    sample, with a non-finite entry."""
+    vector becomes a column).  ValueError naming the array if it has samples but
+    is not 1-D or 2-D, or its first row, or sample, with a non-finite entry."""
     arr = np.asarray(value, dtype=float)
+    if samples and arr.ndim not in (1, 2):
+        raise ValueError(f"{name} must be 1-D or 2-D, one row per sample, got shape {arr.shape}")
     if isinstance(value, (list, tuple)):  # a new array that no caller holds
         arr.setflags(write=False)
     elif arr.flags.writeable or not arr.flags.owndata:
@@ -663,18 +665,25 @@ def simulate_mode(mode: StateSpaceMode, x1, U) -> Trajectory:
     ``U`` has one row per step, K-1 rows total; the returned trajectory
     records the state sequence.  The states are the block scan
     :func:`_block_response` with ``C = I``, and the outputs are ``X C'``.
+    A response that is not finite, from a non-finite input or from a power of
+    the block step past the float range, is one ValueError naming the mode
+    and K, with no overflow warning.
     """
     x1 = _vector(x1, mode.n, "x1")
     U = np.asarray(U, dtype=float)
     if U.ndim == 1:
         U = U.reshape(-1, 1)
-    if U.shape[1] != mode.l:
-        raise ValueError(f"U has {U.shape[1]} input channels, expected {mode.l}")
-    X = _block_response(mode._state_blocks, x1, U, U.shape[0] + 1)
-    Y = X @ mode.C.T
+    if U.ndim != 2 or U.shape[1] != mode.l:
+        raise ValueError(f"U has shape {U.shape}, expected one row of {mode.l} inputs per step")
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = _block_response(mode._state_blocks, x1, U, U.shape[0] + 1)
+        Y = X @ mode.C.T
     X.setflags(write=False)  # handed over: the trajectory keeps both uncopied
     Y.setflags(write=False)
-    return Trajectory(U=U, Y=Y, X=X)
+    try:
+        return Trajectory(U=U, Y=Y, X=X)
+    except ValueError as exc:
+        raise ValueError(f"simulating mode {mode.mode_id} over K = {len(Y)}: {exc}") from None
 
 
 def longitudinal_vehicle_mode(
@@ -858,77 +867,55 @@ def _row_values(line: str, row: int, width: int, inputs: int = 0) -> list[float]
         raise ValueError(f"row {row} has a non-numeric cell: {line!r}") from None
 
 
-def _line_blocks(fh):
-    """The lines of an open text file, split as ``str.splitlines`` splits its
-    whole text, in lists of ``_ROWS_PER_BLOCK`` data lines; the header line
-    heads the first list.  Each list is the split of whole file lines, which
-    (newlines already translated) all end at a line break."""
-    size = _ROWS_PER_BLOCK + 1
-    while chunk := list(islice(fh, size)):
-        yield "".join(chunk).splitlines()
-        size = _ROWS_PER_BLOCK
-
-
 def read_trajectory_csv(path) -> Trajectory:
     """Read a trajectory written by :func:`write_trajectory_csv`.
 
-    Accepts CRLF or LF lines, a missing final line end and quoted cells.
-    The file is read ``_ROWS_PER_BLOCK`` lines at a time, each block's body
-    rows parsed by one ``numpy.loadtxt`` call, so no whole-file string or
-    list of lines is held; the final row, whose input cells must be empty,
-    is parsed by hand.  A malformed file raises ValueError: no header or a
-    wrong one, fewer than two rows, a blank row, a wrong cell count, a
-    non-numeric cell, ``k`` other than ``1..K``, input on the final row.
-    The faults are named in this order, a blank row or a cell fault by the
-    first such row in the file, wherever the blocks fall.
+    Accepts CRLF, LF or CR line ends, a missing final line end and quoted
+    cells.  All rows but the final one (empty input cells) go
+    ``_ROWS_PER_BLOCK`` lines at a time into one ``numpy.loadtxt`` call, so no
+    whole-file text is held.  ValueError, by the first fault in this order and
+    its first row: no header or a wrong one, fewer than two rows, a blank row,
+    a wrong cell count or a non-numeric cell (the one fault that re-reads the
+    file, to find its row), input on the final row, ``k`` other than ``1..K``.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        blocks = _line_blocks(fh)
-        first = next(blocks, [])
-        if not first:
+        header = fh.readline()
+        if not header:
             raise ValueError("empty trajectory file")
-        header = first[0].replace('"', "").split(",")
+        header = header.rstrip("\n").replace('"', "").split(",")
         l = sum(1 for name in header if name.startswith("u_"))
         m = sum(1 for name in header if name.startswith("y_"))
         if header != _csv_header(l, m, len(header) - 1 - l - m):
             raise ValueError(f"unexpected trajectory header: {header}")
-        width, K, parsed, ordered = len(header), 0, [], True
-        fault, scanning, last = None, False, []  # last: the final row once the file ends
-        for block in chain([first[1:]], blocks):
-            if not block:
-                continue
-            row, K = K + 1 - len(last), K + len(block)  # the body's first row; the rows so far
-            body, last = last + block[:-1], block[-1:]
-            if "" in body:  # loadtxt would skip a blank line
-                raise ValueError(f"row {row + body.index('')} is blank")
-            if fault is not None or not body:
-                continue
-            if not scanning:
-                try:
-                    values = np.loadtxt(body, ndmin=2, **_CSV)
-                except ValueError:
-                    values = None
-                if values is not None and values.shape == (len(body), width):
-                    ordered = ordered and np.array_equal(values[:, 0], np.arange(row, row + len(body)))
-                    parsed.append(values)
-                    continue
-                scanning = True  # loadtxt numbers rows its own way: find the first bad one
-            for i, line in enumerate(body):
-                try:
-                    _row_values(line, row + i, width)
-                except ValueError as exc:
-                    fault = exc
-                    break
-    if K < 2:
-        raise ValueError(f"a trajectory file needs at least two data rows, got {K}")
-    if last == [""]:
-        raise ValueError(f"row {K} is blank")
-    if fault is not None:
-        raise fault
-    if scanning:
-        raise ValueError("unreadable trajectory rows")
-    cells = _row_values(last[0], K, width, inputs=l)
-    if not (ordered and cells[0] == K):
+        width, K, blank, last = len(header), 0, 0, []
+
+        def body(block: list) -> list:
+            # Count the rows, note the first blank one, and hold back the last.
+            nonlocal K, blank, last
+            if not blank and "\n" in block:
+                blank = K + block.index("\n") + 1
+            K, lines, last = K + len(block), last + block[:-1], block[-1:]
+            return lines
+
+        blocks = map(body, iter(lambda: list(islice(fh, _ROWS_PER_BLOCK)), []))
+        lines = chain(next(blocks, []), chain.from_iterable(blocks))
+        if K < 2:  # decided by the first block, before loadtxt warns of no data
+            raise ValueError(f"a trajectory file needs at least two data rows, got {K}")
+        try:  # loadtxt would skip a blank line
+            values = None if blank else np.loadtxt(lines, ndmin=2, **_CSV)
+        except ValueError:
+            values = None
+            for _ in lines:  # the rows past the fault, for K and a blank row
+                pass
+        if blank:
+            raise ValueError(f"row {blank} is blank")
+        if values is None or values.shape != (K - 1, width):
+            fh.seek(0)  # loadtxt numbers rows its own way: find the first bad one
+            for row, line in enumerate(islice(fh, 1, K), 1):
+                _row_values(line.rstrip("\n"), row, width)
+            raise ValueError("unreadable trajectory rows")
+    cells = _row_values(last[0].rstrip("\n"), K, width, inputs=l)
+    if not (np.array_equal(values[:, 0], np.arange(1, K)) and cells[0] == K):
         raise ValueError("sample indices must be contiguous and 1-based")
     final = np.array([cells[:1] + [0.0] * l + cells[1:]])  # at full width, no input
 
@@ -938,7 +925,7 @@ def read_trajectory_csv(path) -> Trajectory:
         arr.setflags(write=False)
         return arr
 
-    U = column(1, 1 + l, parsed)
-    Y = column(1 + l, 1 + l + m, parsed + [final])
-    X = column(1 + l + m, width, parsed + [final]) if width > 1 + l + m else None
+    U = column(1, 1 + l, [values])
+    Y = column(1 + l, 1 + l + m, [values, final])
+    X = column(1 + l + m, width, [values, final]) if width > 1 + l + m else None
     return Trajectory(U=U, Y=Y, X=X)

@@ -400,6 +400,13 @@ class TestReconstructState:
         with pytest.raises(InconsistentDataError):
             reconstruct_state(mode, foreign.U, foreign.Y)
 
+    def test_window_of_another_rank_rejected(self):
+        mode = support.double_integrator()
+        with pytest.raises(ValueError, match=r"window Y must be 1-D or 2-D.*\(2, 1, 1\)"):
+            reconstruct_state(mode, np.zeros((1, 1)), np.ones((2, 1, 1)))
+        with pytest.raises(ValueError, match=r"window U must be 1-D or 2-D.*\(\)"):
+            reconstruct_state(mode, 0.0, [[1.0], [1.1]])
+
     def test_window_shorter_than_state_rejected(self):
         mode = support.double_integrator()
         with pytest.raises(ValueError):
@@ -505,6 +512,13 @@ class TestPipeline:
         _, _, traj, spec, cfg = scenario
         with pytest.raises(ValueError, match="must carry state columns"):
             cloak(cfg, Trajectory(U=traj.U, Y=traj.Y), spec)
+
+    def test_input_of_another_rank_is_refused(self, scenario):
+        # A (K - 1, 1, 1) input once replayed into a (K - 1, K - 1, 1) Ubar that
+        # passed the utility check; no such trajectory reaches the cloak.
+        _, _, traj, spec, cfg = scenario
+        with pytest.raises(ValueError, match=r"trajectory U must be 1-D or 2-D.*\(199, 1, 1\)"):
+            cloak(cfg, Trajectory(U=traj.U[:, :, None], Y=traj.Y, X=traj.X), spec)
 
     @pytest.mark.parametrize("K, m", [(199, 1), (200, 2)])
     def test_utility_of_another_shape_is_refused(self, scenario, K, m):

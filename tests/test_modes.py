@@ -285,12 +285,19 @@ class TestSimulateMode:
     def test_bounded_response_of_unstable_mode(self):
         # The input never reaches the state at the pole 1.05 and x1 starts off
         # it, so |y| < 4 although 1.05^20000 overflows: the recursion forms no
-        # power past those the horizon composes, the largest (A^4096)^3.
+        # power past those the horizon composes, the largest (A^4096)^3.  At
+        # K = 36000 a composed power overflows and 0 * inf spoils the states:
+        # one ValueError names the mode and K, with no warning, and the mode's
+        # cached powers still give K = 20000 exactly afterwards.
         mode = oracle_mode("unstable")
         K = 20000
-        U = np.random.default_rng(20).uniform(-1.0, 1.0, (K - 1, 1))
-        traj = simulate_mode(mode, [0.0, 1.0], U)
-        X, Y = support.loop_simulate(mode, [0.0, 1.0], U)
+        U = np.random.default_rng(20).uniform(-1.0, 1.0, (36000 - 1, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="simulating mode 1 over K = 36000: trajectory Y"):
+                simulate_mode(mode, [0.0, 1.0], U)
+            traj = simulate_mode(mode, [0.0, 1.0], U[: K - 1])
+        X, Y = support.loop_simulate(mode, [0.0, 1.0], U[: K - 1])
         assert np.max(np.abs(Y)) < 4.0
         assert np.max(np.abs(traj.X - X)) <= 1e-14 and np.max(np.abs(traj.Y - Y)) <= 1e-14
 
@@ -459,6 +466,20 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             Trajectory(U=np.zeros((0, 1)), Y=np.zeros((1, 1)))
 
+    @pytest.mark.parametrize(
+        "arrays, name, shape",
+        [
+            (dict(U=[[0.0]], Y=3.0), "Y", r"\(\)"),
+            (dict(U=np.zeros((2, 1, 1)), Y=np.zeros((3, 1))), "U", r"\(2, 1, 1\)"),
+            (dict(U=np.zeros((2, 1)), Y=np.zeros((3, 1)), X=np.zeros((3, 2, 1))), "X", r"\(3, 2, 1\)"),
+        ],
+        ids=["scalar-Y", "3d-U", "3d-X"],
+    )
+    def test_samples_are_rows(self, arrays, name, shape):
+        # A scalar once raised IndexError, and a (K - 1, 1, 1) U was accepted.
+        with pytest.raises(ValueError, match=f"trajectory {name} must be 1-D or 2-D.*{shape}"):
+            Trajectory(**arrays)
+
     def test_stacking_order(self):
         traj = Trajectory(U=[[1.0], [2.0]], Y=[[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
         np.testing.assert_array_equal(
@@ -595,8 +616,12 @@ class TestTrajectoryCsvAgainstOracle:
                 b",".join(b'"' + cell + b'"' for cell in line.split(b","))
                 for line in b.split(b"\r\n")[:-1]
             ),
+            # Every data line's last cell ends in a form feed or a vertical tab:
+            # not a line break in the file, nor to the csv module.
+            lambda b: b.replace(b"\r\n", b"\x0c\r\n").replace(b"\x0c\r\n", b"\r\n", 1),
+            lambda b: b.replace(b"\r\n", b"\x0b\n").replace(b"\x0b\n", b"\n", 1),
         ],
-        ids=["lf", "no-final-crlf", "lf-no-final-lf", "quoted"],
+        ids=["lf", "no-final-crlf", "lf-no-final-lf", "quoted", "form-feed", "vertical-tab"],
     )
     def test_reader_accepts_what_the_csv_module_accepts(self, tmp_path, rewrite):
         path = tmp_path / "traj.csv"
@@ -624,20 +649,26 @@ class TestTrajectoryCsvAgainstOracle:
             ("k,u_1,y_1\n1,0,1\n2,,x\n", "row 2 has a non-numeric cell"),
             ("k,u_1,y_1\n1,0,1\n2.5,,1\n", "contiguous and 1-based"),
             ("k,u_1,y_1\n0,0,1\n1,,1\n", "contiguous and 1-based"),
+            ("k,u_1,y_1\n\n\n", "row 1 is blank"),
+            ("\nk,u_1,y_1\n1,0,1\n2,,1\n", r"unexpected trajectory header: \[''\]"),
         ],
         ids=[
             "empty-file", "bad-header", "unknown-column", "no-rows", "one-row",
             "blank-body-row", "blank-last-line", "short-row", "extra-cell-one-row",
             "extra-cell-every-row", "extra-cell-final-row", "comment-line",
             "non-numeric-body", "empty-body-cell", "non-numeric-final",
-            "non-integral-k", "zero-based-k",
+            "non-integral-k", "zero-based-k", "blank-body", "blank-header",
         ],
     )
     def test_reader_rejects(self, tmp_path, text, message):
+        # Only the ValueError: no warning (numpy's "no data" one) escapes.
         path = tmp_path / "traj.csv"
         path.write_text(text)
-        with pytest.raises(ValueError, match=message):
-            read_trajectory_csv(path)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=message):
+                read_trajectory_csv(path)
+        assert seen == []
 
 
 # Data rows around the first block boundary, one well inside the last block,
@@ -775,6 +806,21 @@ class TestTrajectoryCsvMemory:
             traj, path = self.drive(K), tmp_path / f"{K}.csv"
             peaks.append(support.traced_peak(lambda: write_trajectory_csv(traj, path)))
         assert peaks[1] <= peaks[0] + 16 * 1024
+
+    def test_reader_parses_the_body_in_one_loadtxt_call(self, tmp_path, monkeypatch):
+        # One call for the K - 1 body rows, one for the final row's cells.
+        K = 36000
+        traj, path = self.drive(K), tmp_path / "drive.csv"
+        write_trajectory_csv(traj, path)
+        loadtxt, dtypes = np.loadtxt, []
+
+        def spy(*args, **kwargs):
+            dtypes.append(kwargs.get("dtype", float))
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        assert_same_arrays(read_trajectory_csv(path), traj)
+        assert dtypes == [float, str]
 
     def test_reader_peak_is_a_few_copies_of_the_data(self, tmp_path):
         # The parsed blocks and the trajectory's own arrays, not the file's text
