@@ -58,7 +58,6 @@ from .modes import (
 )
 from .regulation import (
     GainDesignError,
-    RegulationDiagnostics,
     RegulationInfeasibleError,
     RegulatorSolution,
     TrackingController,
@@ -68,7 +67,6 @@ from .regulation import (
     regulator_residuals,
     save_controller,
     solve_regulator_equations,
-    verify_regulation,
 )
 
 __version__ = "0.1.0"

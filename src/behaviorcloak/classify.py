@@ -62,9 +62,13 @@ def mode_residual(mode: StateSpaceMode, traj: Trajectory) -> float:
     """Normalized distance of a trajectory from a mode's behaviour: the norm of
     the parity residuals of its windows of lag + 1 samples
     (:meth:`LiftedOperators.residual`) over ``1 + ||Y||``.  No power of A past
-    a window is formed, so an unstable mode scores at any horizon."""
+    a window is formed, so an unstable mode scores at any horizon.  ValueError naming the
+    mode if the residual or ``||Y||`` overflows; :func:`classify` keeps numpy from warning."""
     residual = build_lifted_operators(mode, traj.K).residual(traj.Y, traj.U)
-    return residual / (1.0 + float(np.linalg.norm(traj.Y)))
+    norm = float(np.linalg.norm(traj.Y))
+    if not residual + norm < np.inf:  # a NaN fails too
+        raise ValueError(f"mode {mode.mode_id} has no finite score: {residual} / (1 + {norm})")
+    return residual / (1.0 + norm)
 
 
 def classify(
@@ -73,5 +77,6 @@ def classify(
     """Score a trajectory against every mode of a bank."""
     if not (np.isfinite(accept_tol) and accept_tol >= 0.0):
         raise ValueError(f"accept_tol must be finite and nonnegative, got {accept_tol}")
-    residuals = {mode.mode_id: mode_residual(mode, traj) for mode in bank}
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by name
+        residuals = {mode.mode_id: mode_residual(mode, traj) for mode in bank}
     return ClassificationReport(residuals=residuals, accept_tol=accept_tol)

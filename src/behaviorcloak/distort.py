@@ -88,7 +88,7 @@ class DistortionConfig:
         if s.m != t.m or s.l != t.l:
             raise ValueError("source and target modes must share m and l")
         residual = max(regulator_residuals(s, t, r.Pi, r.Gamma, r.Theta))
-        if residual > RESIDUAL_TOL:
+        if not residual <= RESIDUAL_TOL:  # a NaN residual fails too
             raise ValueError(
                 f"the regulator solution does not solve the equations of modes "
                 f"{s.mode_id} -> {t.mode_id} (residual {residual:.3e})"
@@ -271,7 +271,7 @@ def design(true_mode, target_mode, utility, magnitude=1.0, seed=0) -> Distortion
 def cloak(cfg: DistortionConfig, traj: Trajectory, utility: UtilitySpec) -> DistortedTrajectory:
     """:func:`run_offline` of a trajectory with states under a utility of its K and m (else
     ValueError); UtilityChangedError unless ``|F_i Ybar - F_i Y| <= 1e-8 ||F_i|| (||Y|| +
-    ||Ybar||)`` for every row ``F_i``."""
+    ||Ybar||)`` for every row ``F_i``, and ValueError naming a norm there that overflows."""
     if traj.X is None:
         raise ValueError("the input trajectory must carry state columns")
     if utility.K != cfg.K or utility.m != cfg.true_mode.m:
@@ -281,7 +281,12 @@ def cloak(cfg: DistortionConfig, traj: Trajectory, utility: UtilitySpec) -> Dist
         )
     distorted = run_offline(cfg, traj)
     F, Y, Ybar = utility.F, traj.Y.reshape(-1), distorted.Ybar.reshape(-1)
-    gap, rows = np.abs(F @ Ybar - F @ Y), np.sqrt(np.einsum("ij,ij->i", F, F))  # no copy of F
-    if not np.all(gap <= _UTILITY_RTOL * rows * (np.linalg.norm(Y) + np.linalg.norm(Ybar))):
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite bound holds for any gap
+        gap, rows = np.abs(F @ Ybar - F @ Y), np.sqrt(np.einsum("ij,ij->i", F, F))  # no copy of F
+        norms = {"F": rows, "Y": np.linalg.norm(Y), "Ybar": np.linalg.norm(Ybar)}
+    for name, norm in norms.items():
+        if not np.isfinite(norm).all():
+            raise ValueError(f"the norm of {name} is not finite: no utility change can be bounded")
+    if not np.all(gap <= _UTILITY_RTOL * rows * (norms["Y"] + norms["Ybar"])):
         raise UtilityChangedError(f"the plan changes this utility by {np.max(gap):.3e}")
     return distorted

@@ -861,10 +861,14 @@ def _row_values(line: str, row: int, width: int, inputs: int = 0) -> list[float]
         raise ValueError(f"row {row} has {len(cells)} cells, expected {width}")
     if any(cell.strip() for cell in cells[1 : 1 + inputs]):
         raise ValueError("the final sample must not carry input values")
-    try:
-        return [float(cell) for cell in cells[:1] + cells[1 + inputs :]]
-    except ValueError:
-        raise ValueError(f"row {row} has a non-numeric cell: {line!r}") from None
+    texts = [cell.strip() for cell in cells[:1] + cells[1 + inputs :]]
+    # As the body's numpy parser reads a cell: ASCII only, no "_" digit separators.
+    if all(text.isascii() and "_" not in text for text in texts):
+        try:
+            return [float(text) for text in texts]
+        except ValueError:
+            pass
+    raise ValueError(f"row {row} has a non-numeric cell: {line!r}")
 
 
 def read_trajectory_csv(path) -> Trajectory:

@@ -16,10 +16,9 @@ Schur-stabilizing gain R,
 
     u_t(k) = R xbar(k) + L x(k) + S u(k),   L = Gamma - R Pi,  S = Theta,
 
-which reproduces the source output exactly from ``xbar(1) = Pi x(1)``
-and pulls any other start towards it.  R enters only this experiment,
-:func:`verify_regulation`; on the aligned state ``R xbar = R Pi x`` and
-the input is ``Gamma x + Theta u`` again.
+which pulls any virtual start towards ``Pi x``.  On the aligned state
+``xbar = Pi x`` the input is ``Gamma x + Theta u`` again, so no replayed
+sample depends on R; :class:`TrackingController` records it.
 """
 
 from __future__ import annotations
@@ -29,19 +28,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import RESIDUAL_TOL, is_schur, lstsq_min_norm
-from .modes import StateSpaceMode, Trajectory, _read_document, _write_document, simulate_mode
+from .modes import StateSpaceMode, _frozen, _read_document, _write_document
 
 __all__ = [
     "RegulationInfeasibleError",
     "GainDesignError",
     "RegulatorSolution",
     "TrackingController",
-    "RegulationDiagnostics",
     "regulator_residuals",
     "solve_regulator_equations",
     "design_stabilizing_gain",
     "build_tracking_controller",
-    "verify_regulation",
     "save_controller",
     "load_controller",
 ]
@@ -59,9 +56,7 @@ class RegulationInfeasibleError(RuntimeError):
     """The target mode cannot reproduce the source mode's outputs exactly."""
 
     def __init__(self, residual: float):
-        super().__init__(
-            f"regulator equations are infeasible (best residual {residual:.3e})"
-        )
+        super().__init__(f"regulator equations are infeasible (best residual {residual:.3e})")
         self.residual = residual
 
 
@@ -92,22 +87,6 @@ class TrackingController(RegulatorSolution):
     @property
     def S(self) -> np.ndarray:
         return self.Theta
-
-
-@dataclass(frozen=True)
-class RegulationDiagnostics:
-    """Per-step tracking and state-alignment error norms over a test horizon."""
-
-    r_norms: np.ndarray
-    e_norms: np.ndarray
-
-    @property
-    def max_r(self) -> float:
-        return float(np.max(self.r_norms))
-
-    @property
-    def max_e(self) -> float:
-        return float(np.max(self.e_norms))
 
 
 def _shapes(true_mode: StateSpaceMode, target_mode: StateSpaceMode) -> tuple:
@@ -179,7 +158,7 @@ def solve_regulator_equations(
     z, _ = lstsq_min_norm(M, b)
     Pi, Gamma, Theta = unknowns(z)
     residual = max(regulator_residuals(true_mode, target_mode, Pi, Gamma, Theta))
-    if residual > RESIDUAL_TOL:
+    if not residual <= RESIDUAL_TOL:  # a NaN residual is infeasible too
         raise RegulationInfeasibleError(residual)
     return RegulatorSolution(Pi=Pi, Gamma=Gamma, Theta=Theta, residual=residual)
 
@@ -205,8 +184,7 @@ def design_stabilizing_gain(target_mode: StateSpaceMode) -> np.ndarray:
     step changes ``H_k`` by at most 1e-12 of its max-abs entry; then
     ``R = -(I + B'PB)^(-1) B'PA``.  A gain of the caller's own choosing
     goes straight to :func:`build_tracking_controller`, which checks it.
-    The gain serves the closed-loop experiment of
-    :func:`verify_regulation`; the distorter does not need one.
+    The distorter needs no gain.
 
     Raises
     ------
@@ -226,9 +204,7 @@ def design_stabilizing_gain(target_mode: StateSpaceMode) -> np.ndarray:
             step = A_k.T @ H_k @ W[:, :n]
             A_k, G_k, H_k = A_k @ W[:, :n], G_k + A_k @ W[:, n:] @ A_k.T, H_k + step
             if not np.isfinite([A_k, G_k, H_k]).all():
-                raise GainDesignError(
-                    "Riccati iterate overflowed: no gain stabilizes the mode"
-                )
+                raise GainDesignError("Riccati iterate overflowed: no gain stabilizes the mode")
             if np.abs(step).max() <= _DOUBLING_STEP_TOL * np.abs(H_k).max():
                 break
         else:
@@ -260,35 +236,6 @@ def build_tracking_controller(
     )
 
 
-def verify_regulation(
-    true_mode: StateSpaceMode,
-    target_mode: StateSpaceMode,
-    ctrl: TrackingController,
-    test_traj: Trajectory,
-) -> RegulationDiagnostics:
-    """Replay a recorded trajectory through the closed-loop virtual system.
-
-    Under the tracking controller the virtual target is the mode
-    ``(A_t + B_t R, B_t, C_t)`` driven by ``L x(k) + S u(k)``;
-    :func:`simulate_mode` runs it from ``xbar(1) = Pi x(1)``.  Reports
-    per-step norms of the tracking error ``r(k) = ybar(k) - y(k)`` and
-    the alignment error ``e(k) = xbar(k) - Pi x(k)``.  The trajectory
-    must carry states.
-    """
-    if test_traj.X is None:
-        raise ValueError("verification requires a trajectory with recorded states")
-    A, B, C = target_mode.A, target_mode.B, target_mode.C
-    closed = StateSpaceMode(target_mode.mode_id, A + B @ ctrl.R, B, C)
-    X = test_traj.X
-    # np.dot: for l = 1, matmul's (K, 1) @ (1, 1) loop is about 5x slower.
-    drive = X[:-1] @ ctrl.L.T + np.dot(test_traj.U, ctrl.S.T)
-    virtual = simulate_mode(closed, ctrl.Pi @ X[0], drive)
-    return RegulationDiagnostics(
-        r_norms=np.linalg.norm(virtual.Y - test_traj.Y, axis=1),
-        e_norms=np.linalg.norm(virtual.X - X @ ctrl.Pi.T, axis=1),
-    )
-
-
 def save_controller(sol: RegulatorSolution, path) -> None:
     """Write ``{"Pi", "Gamma", "Theta"}`` of a regulator solution."""
     doc = {key: getattr(sol, key).tolist() for key in _CONTROLLER_KEYS}
@@ -299,11 +246,9 @@ def load_controller(
     path, true_mode: StateSpaceMode, target_mode: StateSpaceMode
 ) -> RegulatorSolution:
     """Read a regulator solution and measure its residual on the mode pair.
-    A missing entry or one of the wrong type is a ValueError."""
+    A missing entry, one of the wrong type or a non-finite one is a ValueError."""
     Pi, Gamma, Theta = _read_document(
-        path,
-        "controller",
-        lambda doc: [np.array(doc[key], dtype=float) for key in _CONTROLLER_KEYS],
+        path, "controller", lambda doc: [_frozen(doc[key], key) for key in _CONTROLLER_KEYS]
     )
     residual = max(regulator_residuals(true_mode, target_mode, Pi, Gamma, Theta))
     return RegulatorSolution(Pi=Pi, Gamma=Gamma, Theta=Theta, residual=residual)

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 
 from behaviorcloak import (
+    DistortionConfig,
     InvarianceInfeasibleError,
     KernelPlan,
     StateSpaceMode,
@@ -17,6 +18,7 @@ from behaviorcloak import (
     lstsq_min_norm,
     nullspace_basis,
     pseudoinverse,
+    run_offline,
     simulate_mode,
     validate_mode,
     vehicle_demo_bank,
@@ -317,6 +319,16 @@ def kronecker_regulator_solution(true_mode, target_mode):
     Theta = z[n_pi + n_gamma :].reshape(l, l, order="F")
     equations = (A_t @ Pi - Pi @ A_s + B_t @ Gamma, C_t @ Pi - C_s, B_t @ Theta - Pi @ B_s)
     return Pi, Gamma, Theta, max(float(abs(r).max()) for r in equations)
+
+
+def pipeline_replay(true_mode, target_mode, sol, traj) -> Trajectory:
+    """The target's own trajectory from ``Pi x(1)`` under the pipeline's replay of a
+    trajectory with states: ``run_offline``'s ``Ubar`` with the zero plan, run by
+    ``simulate_mode``.  Its outputs track ``traj.Y`` exactly; ``cli demo`` reports
+    the same difference as ``max_tracking_error``."""
+    zero = KernelPlan.zero(target_mode.n, traj.K, target_mode.m, target_mode.l)
+    cfg = DistortionConfig(true_mode, target_mode, sol, zero, traj.K)
+    return simulate_mode(target_mode, sol.Pi @ traj.X[0], run_offline(cfg, traj).Ubar)
 
 
 def two_copy_replay(cfg, traj):

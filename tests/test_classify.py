@@ -127,6 +127,18 @@ class TestClassify:
         assert report.verdict == NONE
         assert report.accepted == ()
 
+    def test_overflowing_output_is_refused_by_mode(self):
+        # A finite 1e308 output overflows ||Y|| and the residual: the scores would be
+        # NaN, the verdict NONE.  One ValueError names the mode, and no warning escapes.
+        bank = vehicle_demo_bank()
+        traj = support.random_trajectory(np.random.default_rng(66), bank.mode(1), K=50)
+        Y = traj.Y.copy()
+        Y[6, 0] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="mode 1 has no finite score"):
+                classify(bank, Trajectory(U=traj.U, Y=Y, X=traj.X))
+
     def test_report_serialization(self):
         bank = vehicle_demo_bank()
         rng = np.random.default_rng(65)

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -414,6 +415,40 @@ class TestDistortAndClassify:
         assert code == 2
         assert captured.out == ""
         assert "trajectory Y is not finite at sample 6" in captured.err
+
+    def test_non_finite_controller_is_bad_input(self, capsys, designed, tmp_path):
+        # A NaN Gamma is refused on loading, by name, before any replay.
+        bank_path, design_dir, traj_path = designed
+        doc = json.loads((design_dir / "controller.json").read_text())
+        doc["Gamma"][0][0] = float("nan")
+        controller = tmp_path / "nan_controller.json"
+        controller.write_text(json.dumps(doc))
+        out_csv = tmp_path / "distorted.csv"
+        code = distort_pair(bank_path, controller, design_dir / "plan.json", traj_path, out_csv)
+        assert code == 2
+        assert "Gamma is not finite" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("command", ["distort", "classify"])
+    def test_overflowing_output_is_bad_input(self, capsys, designed, tmp_path, command):
+        bank_path, _, traj_path = designed
+        big_path, out_csv = tmp_path / "big.csv", tmp_path / "distorted.csv"
+        traj = read_trajectory_csv(traj_path)
+        Y = traj.Y.copy()
+        Y[6, 0] = 1e308  # finite, but ||Y|| overflows
+        write_trajectory_csv(Trajectory(U=traj.U, Y=Y, X=traj.X), big_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if command == "distort":
+                code = self.distort(designed, big_path, out_csv)
+            else:
+                code = main(["classify", "--bank", str(bank_path), "--input", str(big_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        message = "the norm of Y is not finite" if command == "distort" else "mode 1 has no finite"
+        assert message in captured.err
+        assert not out_csv.exists()
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-6"])
     def test_bad_accept_tol_is_bad_input(self, capsys, designed, tol):

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,17 @@ class TestDistortionConfig:
         DistortionConfig(sports, average, cfg.regulator, cfg.plan, 10)
         with pytest.raises(ValueError, match="modes 1 -> 2"):
             DistortionConfig(sports, average, foreign, cfg.plan, 10)
+
+    def test_rejects_non_finite_solution(self):
+        # A NaN Gamma makes the residual NaN, which no bound test may pass.
+        rng = np.random.default_rng(42)
+        true, target = identical_pair(rng)
+        cfg = make_config(true, target, K=10)
+        Gamma = cfg.regulator.Gamma.copy()
+        Gamma[0, 0] = np.nan
+        spoiled = dataclasses.replace(cfg.regulator, Gamma=Gamma)
+        with pytest.raises(ValueError, match=r"residual nan"):
+            DistortionConfig(true, target, spoiled, cfg.plan, 10)
 
     def test_tracking_controller_replays_its_solution(self):
         # The closed-loop controller is a regulator solution: the replay
@@ -507,6 +519,22 @@ class TestPipeline:
         forged = dataclasses.replace(cfg, plan=support.free_response_plan(cfg.target_mode, cfg.K))
         with pytest.raises(UtilityChangedError, match="changes this utility by"):
             cloak(forged, traj, spec)
+
+    @pytest.mark.parametrize("name", ["Y", "F"])
+    def test_overflowing_norm_is_refused_by_name(self, scenario, name):
+        # An infinite ||Y|| (a finite 1e308 output) or ||F_i|| makes the bound hold
+        # for any gap; the check refuses by name, with no warning.
+        _, _, traj, spec, cfg = scenario
+        if name == "Y":
+            Y = traj.Y.copy()
+            Y[6, 0] = 1e308
+            traj = Trajectory(U=traj.U, Y=Y, X=traj.X)
+        else:
+            spec = UtilitySpec(F=[np.full(self.K, 1e200)], mu=[0.0], K=self.K)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"the norm of {name} is not finite"):
+                cloak(cfg, traj, spec)
 
     def test_stateless_trajectory_is_refused(self, scenario):
         _, _, traj, spec, cfg = scenario

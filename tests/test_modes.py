@@ -647,6 +647,9 @@ class TestTrajectoryCsvAgainstOracle:
             ("k,u_1,y_1\n1,0,1\n2,abc,1\n3,,1\n", "row 2 has a non-numeric cell"),
             ("k,u_1,y_1\n1,,1\n2,,1\n", "row 1 has a non-numeric cell"),
             ("k,u_1,y_1\n1,0,1\n2,,x\n", "row 2 has a non-numeric cell"),
+            # float() reads "1_0" as 10; numpy's parser, and so the body's, does not.
+            ("k,u_1,y_1\n1,1_0,1\n2,,1\n", "row 1 has a non-numeric cell"),
+            ("k,u_1,y_1\n1,0,1\n2,,1_0\n", "row 2 has a non-numeric cell"),
             ("k,u_1,y_1\n1,0,1\n2.5,,1\n", "contiguous and 1-based"),
             ("k,u_1,y_1\n0,0,1\n1,,1\n", "contiguous and 1-based"),
             ("k,u_1,y_1\n\n\n", "row 1 is blank"),
@@ -657,6 +660,7 @@ class TestTrajectoryCsvAgainstOracle:
             "blank-body-row", "blank-last-line", "short-row", "extra-cell-one-row",
             "extra-cell-every-row", "extra-cell-final-row", "comment-line",
             "non-numeric-body", "empty-body-cell", "non-numeric-final",
+            "digit-separator-body", "digit-separator-final",
             "non-integral-k", "zero-based-k", "blank-body", "blank-header",
         ],
     )

@@ -12,7 +12,6 @@ from behaviorcloak import (
     RegulationInfeasibleError,
     RegulatorSolution,
     StateSpaceMode,
-    Trajectory,
     build_tracking_controller,
     design_stabilizing_gain,
     is_schur,
@@ -20,7 +19,6 @@ from behaviorcloak import (
     save_controller,
     solve_regulator_equations,
     vehicle_demo_bank,
-    verify_regulation,
 )
 from behaviorcloak.linalg import RESIDUAL_TOL
 from behaviorcloak.regulation import regulator_residuals
@@ -290,6 +288,14 @@ class TestBuildTrackingController:
 
 
 class TestVerifyRegulation:
+    """Exact tracking through the pipeline's replay, ``support.pipeline_replay``:
+    the target driven by ``Gamma x + Theta u`` from ``Pi x(1)`` emits ``y``."""
+
+    @staticmethod
+    def _replay(true, target, traj):
+        sol = solve_regulator_equations(true, target)
+        return sol, support.pipeline_replay(true, target, sol, traj)
+
     def _controller(self, true, target):
         sol = solve_regulator_equations(true, target)
         return build_tracking_controller(sol, design_stabilizing_gain(target), target)
@@ -297,43 +303,42 @@ class TestVerifyRegulation:
     def test_identical_modes_track_exactly(self):
         rng = np.random.default_rng(14)
         mode = support.random_valid_mode(rng)
-        ctrl = self._controller(mode, mode)
         traj = support.random_trajectory(rng, mode, K=100)
-        diag = verify_regulation(mode, mode, ctrl, traj)
-        assert diag.max_r <= 1e-9 * (1.0 + np.max(np.abs(traj.Y)))
+        _, virtual = self._replay(mode, mode, traj)
+        assert np.max(np.abs(virtual.Y - traj.Y)) <= 1e-9 * (1.0 + np.max(np.abs(traj.Y)))
 
     def test_scalar_pair_long_horizon(self):
         rng = np.random.default_rng(15)
         true = support.scalar_mode(0.5)
         target = support.scalar_mode(0.8, mode_id=2)
-        ctrl = self._controller(true, target)
         traj = support.random_trajectory(rng, true, K=200)
-        diag = verify_regulation(true, target, ctrl, traj)
-        assert diag.max_r <= 1e-9 * np.max(np.abs(traj.Y))
-        assert diag.max_e <= 1e-9
+        sol, virtual = self._replay(true, target, traj)
+        assert np.max(np.abs(virtual.Y - traj.Y)) <= 1e-9 * np.max(np.abs(traj.Y))
+        # max_e: the alignment error ||xbar(k) - Pi x(k)|| of the simulated target.
+        assert np.max(np.linalg.norm(virtual.X - traj.X @ sol.Pi.T, axis=1)) <= 1e-9
 
     def test_vehicle_pair_indistinguishable(self, vehicle_pair):
         sports, average = vehicle_pair
         rng = np.random.default_rng(16)
-        ctrl = self._controller(sports, average)
         traj = support.random_trajectory(rng, sports, K=500)
-        diag = verify_regulation(sports, average, ctrl, traj)
-        assert diag.max_r <= 1e-6 * (1.0 + np.max(np.abs(traj.Y)))
+        _, virtual = self._replay(sports, average, traj)
+        assert np.max(np.abs(virtual.Y - traj.Y)) <= 1e-6 * (1.0 + np.max(np.abs(traj.Y)))
 
     def test_per_step_error_bounds(self):
         rng = np.random.default_rng(17)
         true = support.scalar_mode(0.3)
         target = support.scalar_mode(0.9, mode_id=2)
-        ctrl = self._controller(true, target)
         traj = support.random_trajectory(rng, true, K=150)
-        diag = verify_regulation(true, target, ctrl, traj)
+        sol, virtual = self._replay(true, target, traj)
+        r_norms = np.linalg.norm(virtual.Y - traj.Y, axis=1)
+        e_norms = np.linalg.norm(virtual.X - traj.X @ sol.Pi.T, axis=1)
         for k in range(traj.K):
-            assert diag.r_norms[k] <= 1e-9 * (1.0 + np.linalg.norm(traj.Y[k]))
-            assert diag.e_norms[k] <= 1e-9 * (1.0 + np.linalg.norm(traj.X[k]))
+            assert r_norms[k] <= 1e-9 * (1.0 + np.linalg.norm(traj.Y[k]))
+            assert e_norms[k] <= 1e-9 * (1.0 + np.linalg.norm(traj.X[k]))
 
     def test_matches_step_by_step_first_copy(self, vehicle_pair):
-        # With zero outputs recorded, r(k) = |ybar(k)|: the first virtual copy
-        # of the two-copy replay, which closes the loop one step at a time.
+        # The first virtual copy of the two-copy replay closes the paper's loop
+        # one step at a time; with the zero plan its outputs are the copy's own.
         sports, average = vehicle_pair
         K = 2000
         rng = np.random.default_rng(21)
@@ -342,20 +347,9 @@ class TestVerifyRegulation:
         zero = KernelPlan.zero(average.n, K, average.m, average.l)
         cfg = DistortionConfig(sports, average, sol, zero, K)
         _, Ybar = support.two_copy_replay(cfg, drive)
-        ctrl = self._controller(sports, average)
-        traj = Trajectory(U=drive.U, Y=np.zeros_like(drive.Y), X=drive.X)
-        diag = verify_regulation(sports, average, ctrl, traj)
+        virtual = support.pipeline_replay(sports, average, sol, drive)
         expected = np.linalg.norm(Ybar, axis=1)
-        assert np.max(np.abs(diag.r_norms - expected)) <= 1e-9 * np.max(expected)
-
-    def test_requires_states(self, vehicle_pair):
-        sports, average = vehicle_pair
-        ctrl = self._controller(sports, average)
-        rng = np.random.default_rng(18)
-        traj = support.random_trajectory(rng, sports, K=20)
-        stateless = type(traj)(U=traj.U, Y=traj.Y)
-        with pytest.raises(ValueError):
-            verify_regulation(sports, average, ctrl, stateless)
+        assert np.max(np.linalg.norm(virtual.Y - Ybar, axis=1)) <= 1e-9 * np.max(expected)
 
     def test_perturbed_start_decays_geometrically(self, vehicle_pair):
         # With xbar(1) = Pi x(1) + d the alignment error evolves as
@@ -377,16 +371,6 @@ class TestVerifyRegulation:
             expected = closed_loop @ expected
         # Schur stability contracts the perturbation.
         assert np.linalg.norm(expected) < np.linalg.norm(d)
-
-    def test_feasibility_is_gain_independent(self, vehicle_pair):
-        sports, average = vehicle_pair
-        sol = solve_regulator_equations(sports, average)
-        rng = np.random.default_rng(20)
-        traj = support.random_trajectory(rng, sports, K=120)
-        for R in (design_stabilizing_gain(average), PAPER_GAIN):
-            ctrl = build_tracking_controller(sol, R, average)
-            diag = verify_regulation(sports, average, ctrl, traj)
-            assert diag.max_r <= 1e-9 * (1.0 + np.max(np.abs(traj.Y)))
 
 
 class TestControllerFiles:
@@ -419,6 +403,16 @@ class TestControllerFiles:
         doc = {key: getattr(ctrl, key).tolist() for key in ("R", "L", "S", "Pi")}
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="no 'Gamma' entry"):
+            load_controller(path, sports, average)
+
+    def test_rejects_non_finite_entry(self, tmp_path, vehicle_pair):
+        sports, average = vehicle_pair
+        path = tmp_path / "controller.json"
+        save_controller(solve_regulator_equations(sports, average), path)
+        doc = json.loads(path.read_text())
+        doc["Gamma"][0][0] = float("nan")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="Gamma is not finite at row 1"):
             load_controller(path, sports, average)
 
     def test_rejects_shapes_of_another_pair(self, tmp_path, vehicle_pair):
