@@ -36,7 +36,6 @@ from .linalg import (
     lstsq_min_norm,
     matrix_exponential,
     nullspace_basis,
-    pseudoinverse,
 )
 from .modes import (
     ContinuousMode,

@@ -5,17 +5,20 @@ A distortion plan is an input-space point ``z = (x(1), U)`` whose response
 lies in the kernel of the known utility matrix F, so adding it to a
 transmitted output trajectory leaves ``F Y + mu`` unchanged.
 
-Plans are found by one projection in input space: a seeded Gaussian draw
-z is projected onto Ker[F M], and its response M z is rescaled to the
-requested size.  ``F M`` has only q rows, all formed by one batched
-adjoint apply ``M' F'``, so the projection solves with the q x q Gram
-``F M (F M)'``; the draw's start state is scaled by ``Ot``'s column norms,
-so that an unstable target's does not swamp it.  When the free and
-forced parts of the projected response cancel to rounding, or the scaled
+Plans are found by one projection in input space: a seeded Gaussian
+input draw U, as the point ``(0, U)``, is projected onto Ker[F M], and the
+response M z of the projected point z is rescaled to the requested size.
+``F M`` has only q rows, all formed by one batched adjoint apply ``M' F'``,
+so the projection solves with the q x q Gram ``F M (F M)'``, with each
+column of ``F Ot`` scaled to unit norm lest an unstable target's swamp it;
+the start state of z is the projection's correction.  When the projected
+response is rounding next to its forced part ``Tt U``, or the scaled
 response is not in Ker[F] to rounding, no plan is found: Ker[F] is
-trivial, or the target behaviour meets it only at zero.  A plan costs
-O(q K) work in a few vectorized steps per level of the block kernel's
-grouped recursion, even at paper-scale horizons.
+trivial, or the target behaviour meets it only at zero.  A Gram or a
+response norm past the float range (an unstable target at a long horizon)
+is a ValueError naming the mode and K.  A plan costs O(q K) work in a few
+vectorized steps per level of the block kernel's grouped recursion, even
+at paper-scale horizons.
 """
 
 from __future__ import annotations
@@ -48,9 +51,9 @@ __all__ = [
 ]
 
 # A projected response is rounding, not a plan, if it is this small next to
-# the sum of its free and forced parts (they cancel), or if its distance from
-# Ker[F] is this large a share of it (Ker[F M] is trivial or inside Ker M,
-# or an unstable target outgrows the precision at this horizon).
+# its forced part ``Tt U`` (the start state's free response cancels it), or if
+# its distance from Ker[F] is this large a share of it (Ker[F M] is trivial or
+# inside Ker M, or an unstable target outgrows the precision at this horizon).
 _INFEASIBLE_RATIO = 1e-8
 _MISS_RATIO = 1e-6
 
@@ -149,6 +152,13 @@ class KernelPlan:
         )
 
 
+def _finite(value, ops: LiftedOperators):
+    """``value``, or the ValueError of a plan past the float range at this horizon."""
+    if not np.isfinite(value).all():
+        raise ValueError(f"the plan of mode {ops.mode.mode_id} at K = {ops.K} is not finite")
+    return value
+
+
 def solve_utility_invariance(
     ops: LiftedOperators,
     spec: UtilitySpec,
@@ -157,14 +167,14 @@ def solve_utility_invariance(
 ) -> KernelPlan:
     """Find an initial condition and input sequence whose response lies in Ker[F].
 
-    A seeded Gaussian draw ``z = (x, U)`` is projected onto Ker[F M] with
-    ``M = [Ot Tt]``, and the projected point is scaled so that its
-    response ``delta_Y = M z`` has the requested norm.  The start-state
-    part is drawn in units of the column norms of ``Ot`` (the balanced
-    draw), and the projection solves with the q x q Gram ``F M (F M)'``;
-    the distance from Ker[F] solves with ``F F'``.  The response is one
-    forced recursion plus the start state's free response; the plan is
-    exact but not the minimum-norm input.
+    A seeded Gaussian input draw U, as the point ``(0, U)``, is projected
+    onto Ker[F M], ``M = [Ot Tt]``, in the metric that scales each nonzero
+    column of ``F Ot`` to unit norm by ``s``: the start state is
+    ``x = -s^2 (F Ot)' c``, with c solved from the q x q Gram.  The point
+    ``z = (x, U)`` is scaled so that its response ``delta_Y = M z``, a run of
+    :meth:`~behaviorcloak.modes.LiftedOperators.apply` as is the forced part
+    ``Tt U``, has the requested norm; the distance from Ker[F] solves with
+    ``F F'``.  The plan is exact but not the minimum-norm input.
 
     Parameters
     ----------
@@ -177,10 +187,13 @@ def solve_utility_invariance(
         Requested 2-norm of the distortion ``delta_Y``.  Zero returns the
         zero plan unconditionally.
     seed : int
-        Seed for the Gaussian draw; plans are reproducible bit-for-bit.
+        Seed for the Gaussian input draw; plans are reproducible bit-for-bit.
 
     Raises
     ------
+    ValueError
+        If ``F Ot``, the Gram or the norm of the response is not finite:
+        an unstable target outgrows the float range at this horizon.
     InvarianceInfeasibleError
         If Ker[F] is trivial, or the target behaviour meets it only at zero,
         or rounding leaves the projected response more than 1e-6 of its
@@ -193,27 +206,24 @@ def solve_utility_invariance(
     if magnitude == 0.0:
         return KernelPlan.zero(ops.n, ops.K, ops.m, ops.l, seed=seed)
     n, K, F = ops.n, ops.K, spec.F
-    balance = ops.balance
-    rng = np.random.default_rng(seed)
-    x, U = rng.standard_normal(n), rng.standard_normal((K - 1, ops.l))
-    # Start states in units of their responses: the state half of F M is scaled by
-    # ``balance``, and so is the projected x.  Each whole-horizon array goes once
-    # used.  np.dot: for q = 1, matmul's (N, 1) @ (1,) loop is about 6x slower.
-    FMx, FMu = ops.apply_adjoint(F)
-    FMx *= balance
-    c = gram_solve(FMx @ FMx.T + FMu @ FMu.T, FMx @ x + FMu @ U.ravel(), max(len(F), n + U.size))
-    x -= np.dot(c, FMx)
-    U -= np.dot(c, FMu).reshape(U.shape)
-    del FMx, FMu
-    x *= balance
-    forced = ops.apply(np.zeros(n), U)
-    free = ops.free_response(x)
-    parts = np.linalg.norm(free) + np.linalg.norm(forced)
-    delta = np.add(forced, free, out=forced)
-    del free
-    norm = float(np.linalg.norm(delta))
+    U = np.random.default_rng(seed).standard_normal((K - 1, ops.l))
+    # The draw (0, U) moves by -(F M)' c, with F Ot's columns scaled to unit norm by s in
+    # the Gram, so x is s * -(F Ot s)' c.  Past the float range a plan is refused by name.
+    # np.dot: for q = 1, matmul's (N, 1) @ (1,) loop is about 6x slower.
+    with np.errstate(over="ignore", invalid="ignore"):
+        FMx, FMu = ops.apply_adjoint(F)
+        s = 1.0 / np.maximum(np.linalg.norm(FMx, axis=0), np.finfo(float).tiny)
+        FMx *= s
+        gram = _finite(FMx @ FMx.T + FMu @ FMu.T, ops)
+        c = gram_solve(gram, np.dot(FMu, U.ravel()), max(len(F), n + U.size))
+        x = -np.dot(c, FMx) * s
+        U -= np.dot(c, FMu).reshape(U.shape)
+        del FMx, FMu
+        forced = np.linalg.norm(ops.apply(np.zeros(n), U))
+        delta = ops.apply(x, U)
+        norm = float(_finite(np.linalg.norm(delta), ops))
     miss = float(np.linalg.norm(np.dot(gram_solve(F @ F.T, F @ delta, max(F.shape)), F)))
-    if norm <= _INFEASIBLE_RATIO * parts or miss > _MISS_RATIO * norm:
+    if norm <= _INFEASIBLE_RATIO * forced or miss > _MISS_RATIO * norm:
         raise InvarianceInfeasibleError(
             "Ker[F] is trivial or the target behaviour meets it only at zero, or "
             "rounding swamps the projection at this horizon; no nonzero plan found"

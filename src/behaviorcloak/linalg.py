@@ -20,7 +20,6 @@ __all__ = [
     "RESIDUAL_TOL",
     "SCHUR_MARGIN",
     "rank_cutoff",
-    "pseudoinverse",
     "nullspace_basis",
     "lstsq_min_norm",
     "gram_solve",
@@ -51,12 +50,6 @@ def _as_square(M, name: str = "M") -> np.ndarray:
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
     return M
-
-
-def pseudoinverse(M) -> np.ndarray:
-    """Moore-Penrose inverse of ``M`` with a scale-aware rank cutoff."""
-    M = _as_matrix(M)
-    return np.linalg.pinv(M, rcond=rank_cutoff(M))
 
 
 def nullspace_basis(M) -> np.ndarray:

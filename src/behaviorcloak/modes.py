@@ -12,13 +12,13 @@ and :func:`simulate_mode` run it without forming either matrix, on one
 block kernel: the recursion runs 16 samples at a time with two dense
 products per block (pieces cached on the mode), and the block-start states
 follow from one grouped recursion (:func:`_group_scan`) in O(K) work, about
-log_16(K/16) levels of three products each.  The rows ``C A^k`` and the free
-response are the grouped scan of an impulse (:func:`_power_rows`).  The
-powers of ``A`` and of the block step are built once per mode, level by
-level as far as a horizon asks, so none past the horizon is formed (it may
-overflow), and entries below ``tiny`` are flushed to zero, so an
-underflowed power adds exactly zero.  A forward response of w outputs peaks
-at 2 w arrays of K floats and hands over its buffer (:func:`_block_response`).
+log_16(K/16) levels of three products each.  The rows ``C A^k`` are the
+grouped scan of an impulse (:func:`_power_rows`).  The powers of ``A`` and
+of the block step are built once per mode, level by level as far as a
+horizon asks, so none past the horizon is formed (it may overflow), and
+entries below ``tiny`` are flushed to zero, so an underflowed power adds
+exactly zero.  A forward response of w outputs peaks at 2 w arrays of K
+floats and hands over its buffer (:func:`_block_response`).
 
 Behaviour membership runs no recursion: a trajectory is in a mode's
 behaviour iff each of its windows of L = lag + 1 samples is (Willems,
@@ -494,15 +494,6 @@ def _block_response(pieces_t: tuple, x, U, K: int) -> np.ndarray:
     return Y
 
 
-def _free_response(pieces_t: tuple, x, K: int) -> np.ndarray:
-    """Stacked outputs y(1..K) from state ``x`` under zero input: the block-start
-    states ``x (A^b)^j`` by :func:`_power_rows`, the grouped scan of the impulse
-    ``x``, then one product with ``Ob``."""
-    Ob, _, _, Ab = pieces_t
-    S = _power_rows(np.reshape(x, (1, len(Ob))), Ab, -(-K // _BLOCK))
-    return (S @ Ob).reshape(-1)[: K * Ob.shape[1] // _BLOCK]
-
-
 @dataclass(frozen=True)
 class LiftedOperators:
     """Horizon-K response ``Ot x + Tt U`` of one mode, its adjoint and the
@@ -528,34 +519,11 @@ class LiftedOperators:
     def l(self) -> int:
         return self.mode.l
 
-    @property
-    def balance(self) -> np.ndarray:
-        """Column scaling of ``Ot``: ``diag(W)^(-1/2)``, 1 for a zero column, with the Gramian
-        ``W = Ot' Ot`` by binary doubling of the horizon in O(log K) products; ValueError
-        naming the mode and K if it overflows."""
-        C, A, bits = self.mode.C, self.mode.A, bin(self.K)[3:]
-        W, power = C.T @ C, A
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i, bit in enumerate(bits):
-                W = W + power.T @ W @ power  # horizon s -> 2 s
-                if bit == "1":
-                    W = C.T @ C + A.T @ W @ A  # 2 s -> 2 s + 1
-                if i + 1 < len(bits):  # no power past the last one used: it may overflow
-                    power = power @ power @ A if bit == "1" else power @ power
-        if not np.isfinite(W).all():
-            raise ValueError(f"the Gramian of mode {self.mode.mode_id} at K = {self.K} is not finite")
-        d = np.diag(W)
-        return 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0))
-
     def apply(self, x, U) -> np.ndarray:
         """Stacked response ``Ot x + Tt U``, in an array that owns its data."""
         Y = _block_response(self.mode._output_blocks_t, x, U, self.K)
         Y.shape = (Y.size,)  # flat in place, not a view: a plan keeps it uncopied
         return Y
-
-    def free_response(self, x) -> np.ndarray:
-        """Stacked free response ``Ot x``."""
-        return _free_response(self.mode._output_blocks_t, x, self.K)
 
     def apply_adjoint(self, w) -> tuple[np.ndarray, np.ndarray]:
         """Adjoint pair ``(Ot' w, Tt' w)``; a stack of weights (q, K*m) gives

@@ -17,7 +17,6 @@ from behaviorcloak import (
     design_stabilizing_gain,
     lstsq_min_norm,
     nullspace_basis,
-    pseudoinverse,
     run_offline,
     simulate_mode,
     validate_mode,
@@ -26,6 +25,15 @@ from behaviorcloak import (
 from behaviorcloak import modes
 from behaviorcloak.linalg import rank_cutoff
 from behaviorcloak.modes import _block_toeplitz
+
+
+def pseudoinverse(M) -> np.ndarray:
+    """Moore-Penrose inverse of ``M`` by SVD, with the package's scale-aware rank
+    cutoff; ValueError on a non-finite entry.  An oracle for the Gram solves."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    if not np.isfinite(M).all():
+        raise ValueError("M contains non-finite entries")
+    return np.linalg.pinv(M, rcond=rank_cutoff(M))
 
 
 def random_valid_mode(rng, n=3, m=1, l=1, mode_id=1, radius=0.9):
@@ -221,6 +229,14 @@ def unstable_pair():
     )
 
 
+def unstable_twin():
+    """The source ``(diag(1.05, 0.5), [1; 1], [1 1])`` and its feedback twin
+    ``A + B [0.02 0.1]``, with poles 1.074 and 0.596: the input reaches the
+    unstable pole of both."""
+    source = StateSpaceMode(1, np.diag([1.05, 0.5]), [[1.0], [1.0]], [[1.0, 1.0]])
+    return source, StateSpaceMode(2, source.A + source.B @ [[0.02, 0.1]], source.B, source.C)
+
+
 def scaled_vehicles(c=1.0, b=1.0):
     """The demo vehicles (sports, average) with ``C`` scaled by ``c`` and ``B`` by ``b``."""
     return tuple(StateSpaceMode(m.mode_id, m.A, b * m.B, c * m.C) for m in vehicle_demo_bank())
@@ -229,9 +245,10 @@ def scaled_vehicles(c=1.0, b=1.0):
 def free_response_plan(target, K, x2=(0.0, 0.0, 5.0)) -> KernelPlan:
     """A forged plan: the target's free response from ``x2``.  It is an exact
     target response, but not one in the kernel of an average."""
-    delta = build_lifted_operators(target, K).free_response(np.asarray(x2))
+    U2 = np.zeros((K - 1, target.l))
+    delta = build_lifted_operators(target, K).apply(np.asarray(x2), U2)
     return KernelPlan(
-        x2_init=x2, U2=np.zeros((K - 1, target.l)), delta_Y=delta, residual=0.0,
+        x2_init=x2, U2=U2, delta_Y=delta, residual=0.0,
         seed=None, magnitude=float(np.linalg.norm(delta)),
     )
 

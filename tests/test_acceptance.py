@@ -25,7 +25,6 @@ from behaviorcloak import (
     design_stabilizing_gain,
     longitudinal_vehicle_mode,
     nullspace_basis,
-    pseudoinverse,
     run_offline,
     simulate_mode,
     solve_regulator_equations,
@@ -34,6 +33,7 @@ from behaviorcloak import (
 )
 from behaviorcloak.linalg import RESIDUAL_TOL
 from behaviorcloak.regulation import regulator_residuals
+from support import pseudoinverse
 
 PRINTED_SPORTS_AB = np.array(
     [

@@ -156,11 +156,9 @@ class TestUnstableModes:
 
     @pytest.mark.parametrize("K", [200, 2000, 36000])
     def test_feedback_twin_closed_loop_drive(self, K):
-        # The source (diag(1.05, 0.5), [1; 1], [1 1]) and its feedback twin
-        # A + B [0.02 0.1] (poles 1.074 and 0.596); the drive is the source under
-        # u = R x + v with a stabilizing R, so its states stay bounded.
-        source = StateSpaceMode(1, np.diag([1.05, 0.5]), [[1.0], [1.0]], [[1.0, 1.0]])
-        twin = StateSpaceMode(2, source.A + source.B @ [[0.02, 0.1]], source.B, source.C)
+        # The drive is the source under u = R x + v with a stabilizing R, so its
+        # states stay bounded.
+        source, twin = support.unstable_twin()
         R = design_stabilizing_gain(source)
         closed = StateSpaceMode(1, source.A + source.B @ R, source.B, source.C)
         v = np.random.default_rng(66).standard_normal((K - 1, 1))
@@ -175,7 +173,7 @@ class TestUnstableModes:
     @pytest.mark.parametrize("K", [7500, 20000])
     def test_unstable_pair_long_drive(self, K):
         # The pole 1.05 of both modes is out of the input's reach and the drive
-        # starts off it, so it stays bounded while 1.05^K overflows the Gramian.
+        # starts off it, so it stays bounded while 1.05^K overflows the plan's Gram.
         source, target = support.unstable_pair()
         U = np.random.default_rng(3).uniform(-1.0, 1.0, (K - 1, 1))
         drive = simulate_mode(source, [0.0, 1.0], U)

@@ -598,17 +598,21 @@ class TestDistortAndClassify:
         assert "Traceback" not in err
 
     def test_overflowing_gramian_is_bad_input(self, capsys, tmp_path):
-        # 1.05^(2K) overflows the Gramian that balances the plan's draw: design
-        # exits 2, naming the mode and K.  Classify reads no Gramian.
+        # 1.05^K overflows F Ot, and with it the plan's Gram F M (F M)', from
+        # K = 14700 or so: design exits 2 with no warning, naming the mode and K.
+        # Classify forms no power of A past its window.
         bank_path = tmp_path / "bank.json"
         save_mode_bank(ModeBank(support.unstable_pair()), bank_path)
-        code = main([
-            "design", "--bank", str(bank_path), "--true-mode", "1", "--target-mode", "2",
-            "--K", "20000", "--out", str(tmp_path / "d"),
-        ])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert "mode 2 at K = 20000 is not finite" in captured.err
+        for K in (15000, 20000):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main([
+                    "design", "--bank", str(bank_path), "--true-mode", "1", "--target-mode", "2",
+                    "--K", str(K), "--out", str(tmp_path / "d"),
+                ])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert f"mode 2 at K = {K} is not finite" in captured.err
 
     def test_zero_trajectory_ambiguous(self, capsys, vehicle_bank_path, tmp_path):
         bank = load_mode_bank(vehicle_bank_path)

@@ -34,7 +34,8 @@ from behaviorcloak import (
     vehicle_demo_bank,
 )
 from behaviorcloak import invariance, modes
-from behaviorcloak.linalg import lstsq_min_norm, nullspace_basis, pseudoinverse
+from behaviorcloak.linalg import lstsq_min_norm, nullspace_basis
+from support import pseudoinverse
 
 
 def kernel_projector(F):
@@ -305,11 +306,12 @@ class TestBuildLiftedOperators:
         # All three modes have eigenvalues at 1, so A^s does not decay.  The
         # double integrator's blocks grow linearly, and so does the
         # oracle's own rounding error, hence its shorter horizon.  The rows
-        # C A^k by the grouped recursion, and the free response's columns Ot e_i.
+        # C A^k by the grouped recursion, and the columns Ot e_i = apply(e_i, 0).
         mode = make_mode()
         ops = build_lifted_operators(mode, K)
         Ot = support.iterated_observability(mode, K)
-        columns = np.column_stack([ops.free_response(e) for e in np.eye(mode.n)])
+        zeros = np.zeros((K - 1, mode.l))
+        columns = np.column_stack([ops.apply(e, zeros) for e in np.eye(mode.n)])
         for doubled in (modes._power_rows(mode.C, mode.A, K), columns):
             assert np.linalg.norm(doubled - Ot) <= 1e-12 * np.linalg.norm(Ot)
 
@@ -465,7 +467,7 @@ class TestGramFit:
             assert abs(ops.residual(data, U) - expected) <= 1e-12 * np.linalg.norm(data)
 
     def test_overflowing_gramian_is_loud(self):
-        # 1.05^(2K) overflows the Gramian at K = 20000: the plan's balance is a
+        # 1.05^K overflows F Ot, and with it the plan's Gram, at K = 20000: a
         # ValueError that names the mode and the horizon, not a nan or a warning.
         # The windowed residual holds no power past the window: finite scores.
         source, target = support.unstable_pair()
@@ -481,6 +483,69 @@ class TestGramFit:
                 solve_utility_invariance(
                     build_lifted_operators(target, K), UtilitySpec.average(K)
                 )
+
+
+# Plan verdicts of the two unstable targets by horizon, for the average utility
+# (q = 1) and ten window averages (q = 10): a plan, no plan
+# (InvarianceInfeasibleError, design's exit 4) or a plan past the float range
+# (ValueError, exit 2).  The horizons keep clear of the twin's rounding band near
+# K = 360, where its verdict flips from one K to the next.  The pair plans until
+# its F Ot leaves the float range, near K = 14700; the twin's Gram, whose F Tt
+# half grows as 1.074^(2K), leaves it near K = 5000.
+UNSTABLE_PLAN_VERDICTS = {
+    "twin-average": (support.unstable_twin, 1, (50, 200, 345, 500, 2000, 7500, 36000),
+                     ("plan", "plan", "plan", "none", "none", "float", "float")),
+    "twin-windows": (support.unstable_twin, 10, (50, 200, 345, 500, 2000, 7500, 36000),
+                     ("plan", "none", "none", "none", "none", "float", "float")),
+    "pair-average": (support.unstable_pair, 1, (50, 500, 2000, 7500, 14000, 15000, 36000),
+                     ("plan", "plan", "plan", "plan", "plan", "float", "float")),
+    "pair-windows": (support.unstable_pair, 10, (50, 500, 2000, 7500, 14000, 15000, 36000),
+                     ("plan", "plan", "plan", "plan", "plan", "float", "float")),
+}
+
+
+def window_averages(K, q):
+    """The utility of q averages over consecutive windows of the horizon."""
+    F = np.zeros((q, K))
+    for row, window in zip(F, np.array_split(np.arange(K), q)):
+        row[window] = 1.0 / len(window)
+    return UtilitySpec(F=F, mu=np.zeros(q), K=K)
+
+
+@pytest.mark.parametrize("case", UNSTABLE_PLAN_VERDICTS)
+def test_unstable_plan_verdicts_by_horizon(case):
+    make, q, horizons, expected = UNSTABLE_PLAN_VERDICTS[case]
+    target = make()[1]
+    got = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for K in horizons:
+            spec = window_averages(K, q)
+            try:
+                plan = solve_utility_invariance(build_lifted_operators(target, K), spec)
+            except InvarianceInfeasibleError:
+                got.append("none")
+            except ValueError as error:
+                assert str(error) == f"the plan of mode 2 at K = {K} is not finite"
+                got.append("float")
+            else:  # a plan is refused past 1e-6 of its size off Ker[F]
+                miss = pseudoinverse(spec.F) @ (spec.F @ plan.delta_Y)
+                assert np.linalg.norm(miss) <= 1e-6
+                got.append("plan")
+    assert tuple(got) == expected
+
+
+def test_response_past_the_float_range_is_refused_by_name():
+    # A utility that reads only the first 100 samples keeps F Ot and the Gram of
+    # the pair's pole small, but the response grows as 1.05^K to the horizon.
+    K = 20000
+    F = np.zeros((1, K))
+    F[0, :100] = 0.01
+    ops = build_lifted_operators(support.unstable_pair()[1], K)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^the plan of mode 2 at K = {K} is not finite$"):
+            solve_utility_invariance(ops, UtilitySpec(F=F, mu=np.zeros(1), K=K))
 
 
 def test_hour_design_and_classify_make_no_large_svd(monkeypatch):
@@ -565,8 +630,9 @@ def test_fit_runs_one_forward_recursion(monkeypatch):
 
 
 def test_hour_session_recursion_counts(monkeypatch):
-    # As the benchmark's hour session: the plan's adjoint and forced response
-    # are its only recursions; the replay and the two classifies run none.
+    # As the benchmark's hour session: the plan's adjoint, its forced part and
+    # its response are its only recursions; the replay and the two classifies
+    # run none.
     bank = vehicle_demo_bank()
     sports, average = bank.mode(1), bank.mode(2)
     K = 36000
@@ -578,7 +644,7 @@ def test_hour_session_recursion_counts(monkeypatch):
     cloaked = run_offline(DistortionConfig(sports, average, ctrl, plan, K), traj)
     assert classify(bank, traj).verdict == 1
     assert classify(bank, cloaked.to_trajectory()).verdict == 2
-    assert counts == {"apply": 1, "apply_adjoint": 1, "scan": 2}
+    assert counts == {"apply": 2, "apply_adjoint": 1, "scan": 3}
 
 
 # Each record built around one of its arrays: (build, field, value, message of a nan).
@@ -748,11 +814,10 @@ class TestSolveUtilityInvariance:
             solve_utility_invariance(ops, spec, magnitude=1.0, seed=0)
 
     def test_cancelling_parts_are_refused(self, monkeypatch):
-        # The free response cancels the forced one but for an alternating
-        # +-2^-40, a Ker[F] vector about 1e-12 of their size.  The forced
-        # response is rounded to multiples of 2^-10, so the sum is exact and its
-        # miss is exactly zero: only the comparison with the parts, taken before
-        # the in-place sum, refuses it.
+        # The start state's free response cancels the forced part but for an
+        # alternating +-2^-40, a Ker[F] vector about 1e-12 of the forced part's
+        # size.  The response is exactly that vector, so its miss is exactly
+        # zero: only the comparison with the forced part refuses it.
         K = 500
         ops = build_lifted_operators(vehicle_demo_bank().mode(2), K)
         spec = UtilitySpec.average(K)
@@ -760,20 +825,20 @@ class TestSolveUtilityInvariance:
         forced = []
         apply = behaviorcloak.LiftedOperators.apply
 
-        def rounded(ops, x, U):
-            forced.append(np.round(apply(ops, x, U) * 1024.0) / 1024.0)
-            return forced[-1].copy()
+        def cancelling(ops, x, U):
+            if np.any(x):
+                return kernel.copy()
+            forced.append(apply(ops, x, U))
+            return forced[-1]
 
-        def cancelling(pieces_t, x, K):
-            return kernel - forced[-1]
-
-        monkeypatch.setattr(behaviorcloak.LiftedOperators, "apply", rounded)
-        monkeypatch.setattr(modes, "_free_response", cancelling)
+        monkeypatch.setattr(behaviorcloak.LiftedOperators, "apply", cancelling)
         with pytest.raises(InvarianceInfeasibleError):
             solve_utility_invariance(ops, spec, seed=4)
-        assert np.linalg.norm(forced[-1]) > 1.0
-        np.testing.assert_array_equal(forced[-1] + cancelling(None, None, K), kernel)
+        assert len(forced) == 1 and np.linalg.norm(forced[-1]) > 1.0
         assert spec.F @ kernel == 0.0
+        monkeypatch.setattr(invariance, "_INFEASIBLE_RATIO", 0.0)
+        plan = solve_utility_invariance(ops, spec, seed=4)
+        np.testing.assert_array_equal(plan.delta_Y, kernel / np.linalg.norm(kernel))
 
     def test_rank_deficient_square_utility_gets_a_plan(self):
         K = 200
@@ -796,7 +861,8 @@ class TestSolveUtilityInvariance:
     @pytest.mark.parametrize("K", [500, 1000, 2000])
     def test_unstable_target_long_horizon(self, K):
         # The unstable pole is unreachable, so a random draw's response grows
-        # as 1.05^K; the balanced draw keeps the plan's parts of order one.
+        # as 1.05^K; the start state is the projection's correction, scaled by
+        # the column norms of F Ot, so the Gram stays of order one.
         _, target = support.unstable_pair()
         spec = UtilitySpec.average(K)
         plan = solve_utility_invariance(
@@ -835,8 +901,8 @@ class TestSolveUtilityInvariance:
         assert relative_gap(sim, plan.delta_Y) <= 1e-9
 
     def test_plan_keeps_the_arrays_the_solver_froze(self, monkeypatch):
-        # The average spec keeps the F it builds, and the plan the forced response
-        # that ``apply`` allocates (the free response is added into it in place).
+        # The average spec keeps the F it builds, and the plan the response that
+        # the last ``apply`` allocates.
         handed, responses = [], []
         frozen, apply = invariance._frozen, modes.LiftedOperators.apply
 

@@ -8,9 +8,9 @@ from behaviorcloak import (
     lstsq_min_norm,
     matrix_exponential,
     nullspace_basis,
-    pseudoinverse,
 )
 from behaviorcloak.linalg import RESIDUAL_TOL, gram_solve
+from support import pseudoinverse
 
 
 def random_matrix_of_rank(rng, p, q, r):
@@ -21,6 +21,8 @@ def random_matrix_of_rank(rng, p, q, r):
 
 
 class TestPseudoinverse:
+    """``support.pseudoinverse``, the SVD oracle that the Gram solves are checked against."""
+
     def test_row_of_equal_entries(self):
         # Full-row-rank row: pinv = M' / (M M')
         M = np.array([[0.5, 0.5]])

@@ -277,7 +277,7 @@ class TestSimulateMode:
                 ops.apply(x, U),
                 *ops.apply_adjoint(rng.standard_normal(K)),
                 _power_rows(mode.C, mode.A, K),
-                ops.free_response(x),
+                ops.apply(x, np.zeros_like(U)),
             ]
         assert all(np.isfinite(r).all() for r in results)
         assert np.max(np.abs(results[0])) > 1e290
@@ -329,7 +329,8 @@ class TestSimulateMode:
 
 class TestBlockKernels:
     """The fold ``sum_j c[j] step^j``, the rows ``first step^k`` and the free
-    response ``Ot x`` against explicit sums and the sample-by-sample recursion."""
+    response ``Ot x = apply(x, 0)`` against explicit sums and the sample-by-sample
+    recursion."""
 
     @staticmethod
     def fold(c, step):
@@ -360,8 +361,9 @@ class TestBlockKernels:
     def test_free_response_matches_recursion(self, case, K):
         mode = oracle_mode(case)
         x = np.random.default_rng(K).standard_normal(mode.n)
-        _, Y = support.loop_simulate(mode, x, np.zeros((K - 1, mode.l)))
-        got = build_lifted_operators(mode, K).free_response(x)
+        zeros = np.zeros((K - 1, mode.l))
+        _, Y = support.loop_simulate(mode, x, zeros)
+        got = build_lifted_operators(mode, K).apply(x, zeros)
         assert got.shape == (K * mode.m,)
         assert np.max(np.abs(got - Y.reshape(-1))) <= 1e-12 * np.max(np.abs(Y))
 
@@ -381,7 +383,7 @@ class TestBlockKernels:
             simulate_mode(mode, x, U)
             ops.apply_adjoint(rng.standard_normal((3, K)))
             Y = ops.apply(x, U)
-            ops.free_response(Y[: mode.n])
+            ops.apply(Y[: mode.n], np.zeros_like(U))
             ops.fit(Y, U)
             reconstruct_state(mode, U[: mode.n - 1], Y[: mode.n])
 

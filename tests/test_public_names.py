@@ -30,7 +30,7 @@ PACKAGE_FILES = sorted(Path(behaviorcloak.__file__).parent.glob("*.py"))
 # The names of the block kernel and of its caches on a mode.
 KERNEL_NAMES = {
     "_BLOCK", "_GROUP", "_scan", "_power_rows", "_pad_blocks", "_block_response",
-    "_free_response", "_block_toeplitz", "_state_blocks", "_block_powers", "_step_powers",
+    "_block_toeplitz", "_state_blocks", "_block_powers", "_step_powers",
     "_GroupPowers",
 }
 KERNEL_PREFIXES = ("_output_blocks", "_parity", "_group_")
