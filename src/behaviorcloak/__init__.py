@@ -5,12 +5,12 @@ toolkit distorts it, in batch or sample by sample, so that the result is
 exactly consistent with a chosen target mode while a known affine
 functional of the output trajectory keeps its value.  A classifier
 module scores trajectories by behaviour membership to verify that the
-cloaking works.
+cloaking works.  The package root names what the demos, the README, the
+benchmark and the acceptance tests use; the rest imports from its module.
 """
 
-from .classify import AMBIGUOUS, NONE, ClassificationReport, classify, mode_residual
+from .classify import classify, mode_residual
 from .distort import (
-    DistortedTrajectory,
     DistortionConfig,
     DistortionEngine,
     HorizonExhaustedError,
@@ -26,26 +26,16 @@ from .invariance import (
     KernelPlan,
     UtilitySpec,
     load_kernel_plan,
-    load_utility_spec,
     save_kernel_plan,
-    save_utility_spec,
     solve_utility_invariance,
 )
-from .linalg import (
-    is_schur,
-    lstsq_min_norm,
-    matrix_exponential,
-    nullspace_basis,
-)
+from .linalg import nullspace_basis
 from .modes import (
-    ContinuousMode,
     LiftedOperators,
     ModeBank,
-    ModeValidationReport,
     StateSpaceMode,
     Trajectory,
     build_lifted_operators,
-    discretize_zoh,
     load_mode_bank,
     longitudinal_vehicle_mode,
     read_trajectory_csv,
@@ -63,7 +53,6 @@ from .regulation import (
     build_tracking_controller,
     design_stabilizing_gain,
     load_controller,
-    regulator_residuals,
     save_controller,
     solve_regulator_equations,
 )

@@ -12,14 +12,16 @@ the affine replay
     ubar(k) = Gamma x(k) + Theta u(k) + U2(k),   ybar(k) = y(k) + dY(k),
 
 an exact trajectory of the target mode.  :func:`run_offline` evaluates it
-for all samples at once and :meth:`DistortionEngine.step` for one sample;
-the two agree bitwise with recorded states and to rounding without them.
+for all samples at once and :meth:`DistortionEngine.step` for one sample.
+Their ``Ybar`` agree bitwise, their ``Ubar`` bitwise for scalar modes with
+recorded states and otherwise to rounding (a row's products round unlike a batch's).
 Then the first n samples are withheld: they recover the start state by
 deadbeat reconstruction, and the source model runs on from it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -147,6 +149,7 @@ class DistortionEngine:
     def __init__(self, cfg: DistortionConfig):
         self.cfg = cfg
         self._Gamma, self._Theta, self._U2, self._dY = cfg.replay_maps()
+        self._n, self._m, self._l = cfg.true_mode.n, cfg.true_mode.m, cfg.true_mode.l
         self._k = 1
         self._xhat: Optional[np.ndarray] = None
         self._u_buf: list[np.ndarray] = []
@@ -160,24 +163,30 @@ class DistortionEngine:
         already withheld stay withheld.  Without a state the engine buffers
         samples until it holds n outputs, reconstructs the state from them and
         withholds all n.  ``u`` must be None at the final step k = K (there is
-        no input there) and the returned pair is then (None, ybar).
+        no input there) and the returned pair is then (None, ybar).  A sample
+        with a NaN or an infinity is refused with a ValueError naming the array
+        and k, and is not consumed.
         """
-        cfg = self.cfg
-        if self._k > cfg.K:
+        cfg, k = self.cfg, self._k
+        if k > cfg.K:
             raise HorizonExhaustedError(f"horizon K = {cfg.K} already completed")
-        k = self._k
         last = k == cfg.K
-        src = cfg.true_mode
-        y = _vector(y, src.m, "y")
-        if last:
-            if u is not None:
-                raise ValueError("no input exists at the final sample")
-        else:
-            u = _vector(u, src.l, "u")
+        y = _vector(y, self._m, "y")
+        if last and u is not None:
+            raise ValueError("no input exists at the final sample")
+        u = None if last else _vector(u, self._l, "u")
+        x = None if x is None else _vector(x, self._n, "x")
+        # One test per sample: math.isfinite over its few floats beats numpy's reductions.
+        values = y.tolist() if last else y.tolist() + u.tolist()
+        if not all(map(math.isfinite, values if x is None else values + x.tolist())):
+            sample = (("y", y), ("u", u), ("x", x))
+            bad = next(name for name, a in sample if a is not None and not np.isfinite(a).all())
+            raise ValueError(f"{bad} is not finite at sample {k}")
         if x is not None:
-            self._xhat = _vector(x, src.n, "x")
+            self._xhat = x
 
         self._k += 1
+        src = cfg.true_mode
         if self._xhat is None:
             # Reconstruction mode: buffer until n outputs are available,
             # then recover the state and carry it past the withheld window.
@@ -229,7 +238,7 @@ def run_offline(cfg: DistortionConfig, traj: Trajectory) -> DistortedTrajectory:
     """Cloak a recorded trajectory with the affine replay, all samples at once.
 
     Folding :meth:`DistortionEngine.step` over the samples in order gives
-    the same rows: bitwise with recorded states, to rounding without them.
+    the same rows: ``Ybar`` bitwise, ``Ubar`` to rounding (see the module).
     Then the first n samples are withheld: they recover the start state,
     and :func:`simulate_mode` runs the source model on from it.
     """

@@ -51,11 +51,9 @@ __all__ = [
     "StateSpaceMode",
     "ModeBank",
     "Trajectory",
-    "ContinuousMode",
     "AssumptionCheck",
     "ModeValidationReport",
     "validate_mode",
-    "discretize_zoh",
     "simulate_mode",
     "LiftedOperators",
     "build_lifted_operators",
@@ -274,23 +272,6 @@ class Trajectory:
     def stacked_outputs(self) -> np.ndarray:
         """col[y(1); ...; y(K)] as a flat vector of length K*m."""
         return self.Y.reshape(-1)
-
-
-@dataclass(frozen=True)
-class ContinuousMode:
-    """Continuous-time model ``dx/dt = A x + B u``, ``y = C x`` plus a sample period."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    sample_period: float
-
-    def __post_init__(self):
-        A, B, C = _matrices(self)
-        if A.shape[0] != A.shape[1] or B.shape[0] != A.shape[0] or C.shape[1] != A.shape[0]:
-            raise ValueError("inconsistent continuous-time model dimensions")
-        if not self.sample_period > 0.0:
-            raise ValueError("sample_period must be positive")
 
 
 @dataclass(frozen=True)
@@ -610,23 +591,6 @@ def validate_mode(mode: StateSpaceMode) -> ModeValidationReport:
     return ModeValidationReport(mode.mode_id, checks)
 
 
-def discretize_zoh(cm: ContinuousMode, mode_id: int = 1) -> StateSpaceMode:
-    """Exact zero-order-hold discretization at the model's sample period.
-
-    Computes the exponential of the augmented matrix ``[[A, B], [0, 0]] * h``;
-    its top-left block is the discrete state matrix and its top-right block
-    the discrete input matrix.  The output matrix is unchanged.
-    """
-    n, l = cm.A.shape[0], cm.B.shape[1]
-    aug = np.zeros((n + l, n + l))
-    aug[:n, :n] = cm.A
-    aug[:n, n:] = cm.B
-    exp_aug = matrix_exponential(aug * cm.sample_period)
-    return StateSpaceMode(
-        mode_id=mode_id, A=exp_aug[:n, :n], B=exp_aug[:n, n:], C=cm.C
-    )
-
-
 def simulate_mode(mode: StateSpaceMode, x1, U) -> Trajectory:
     """Run the defining recursion from ``x1`` under the input sequence ``U``.
 
@@ -663,15 +627,13 @@ def longitudinal_vehicle_mode(
     measured and the input is an acceleration command filtered through a
     power-train lag ``tau`` with engine gain ``beta``.
     """
-    if tau <= 0.0 or beta <= 0.0:
-        raise ValueError("tau and beta must be positive")
-    cm = ContinuousMode(
-        A=[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0 / tau]],
-        B=[[0.0], [0.0], [beta / tau]],
-        C=[[0.0, 0.0, 1.0]],
-        sample_period=sample_period,
-    )
-    return discretize_zoh(cm, mode_id=mode_id)
+    if not (tau > 0.0 and beta > 0.0 and sample_period > 0.0):
+        raise ValueError("tau, beta and sample_period must be positive")
+    # Zero-order hold: exp([[A, B], [0, 0]] h) holds the discrete A and B in its top rows.
+    aug = np.zeros((4, 4))
+    aug[:3, 1:] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0 / tau, beta / tau]]
+    exp_aug = matrix_exponential(aug * sample_period)
+    return StateSpaceMode(mode_id, exp_aug[:3, :3], exp_aug[:3, 3:], [[0.0, 0.0, 1.0]])
 
 
 def vehicle_demo_bank(sample_period: float = 0.1) -> ModeBank:
@@ -693,9 +655,13 @@ _CSV = dict(delimiter=",", quotechar='"', comments=None)
 
 def _read_document(path, kind: str, build):
     """``build(doc)`` of the JSON document at ``path``, by the one error rule of
-    every document: a missing entry or one of the wrong type is a ValueError."""
+    every document: text that is not JSON, a missing entry or one of the wrong
+    type is a ValueError naming the document."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{kind} document {path} is not JSON: {exc}") from None
     try:
         return build(doc)
     except KeyError as exc:

@@ -15,7 +15,6 @@ from behaviorcloak import (
     build_lifted_operators,
     build_tracking_controller,
     design_stabilizing_gain,
-    lstsq_min_norm,
     nullspace_basis,
     run_offline,
     simulate_mode,
@@ -23,7 +22,7 @@ from behaviorcloak import (
     vehicle_demo_bank,
 )
 from behaviorcloak import modes
-from behaviorcloak.linalg import rank_cutoff
+from behaviorcloak.linalg import lstsq_min_norm, rank_cutoff
 from behaviorcloak.modes import _block_toeplitz
 
 

@@ -5,8 +5,6 @@ import pytest
 
 import support
 from behaviorcloak import (
-    AMBIGUOUS,
-    NONE,
     DistortionConfig,
     StateSpaceMode,
     Trajectory,
@@ -22,6 +20,7 @@ from behaviorcloak import (
     solve_utility_invariance,
     vehicle_demo_bank,
 )
+from behaviorcloak.classify import AMBIGUOUS, NONE
 
 
 class TestModeResidual:

@@ -20,13 +20,13 @@ from behaviorcloak import (
     read_trajectory_csv,
     save_kernel_plan,
     save_mode_bank,
-    save_utility_spec,
     simulate_mode,
     vehicle_demo_bank,
     write_trajectory_csv,
 )
 from behaviorcloak import distort
 from behaviorcloak.cli import _write_figure, main
+from behaviorcloak.invariance import save_utility_spec
 from behaviorcloak.modes import _ROWS_PER_BLOCK
 
 
@@ -316,6 +316,34 @@ class TestDistortAndClassify:
         )
         assert code == 1
         assert "utility" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize(
+        "option, kind",
+        [
+            ("--bank", "mode bank"),
+            ("--controller", "controller"),
+            ("--plan", "plan"),
+            ("--utility", "utility spec"),
+        ],
+    )
+    def test_document_that_is_not_json_is_named(self, capsys, designed, tmp_path, option, kind):
+        # The trajectory CSV given in place of one JSON document: exit 2, naming both.
+        bank_path, design_dir, traj_path = designed
+        documents = {
+            "--bank": bank_path,
+            "--controller": design_dir / "controller.json",
+            "--plan": design_dir / "plan.json",
+            "--utility": "average",
+        }
+        documents[option] = traj_path
+        out_csv = tmp_path / "distorted.csv"
+        argv = ["distort", "--true-mode", "1", "--target-mode", "2"]
+        argv += ["--input", str(traj_path), "--out", str(out_csv)]
+        code = main(argv + [str(a) for pair in documents.items() for a in pair])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: {kind} document {traj_path} is not JSON: ")
         assert not out_csv.exists()
 
     def test_forged_plan_on_small_outputs_fails_loudly(self, capsys, tmp_path):

@@ -202,6 +202,32 @@ class TestEngineStep:
         with pytest.raises(ValueError):
             engine.step(traj.U[1], traj.Y[2])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("bad", ["u", "y", "x"])
+    def test_non_finite_sample_is_refused_and_not_consumed(self, bad, value):
+        # The state is given at sample 1 and at the refused sample k only, so the
+        # engine carries it in between; a consumed bad sample would shift or
+        # poison every later row.
+        sports, average = vehicle_demo_bank()
+        K, k_bad = 50, 21
+        cfg = make_config(sports, average, K, magnitude=1.0, seed=3)
+        traj = support.random_trajectory(np.random.default_rng(3), sports, K)
+        clean, probed = DistortionEngine(cfg), DistortionEngine(cfg)
+        for k in range(1, K + 1):
+            sample = {
+                "u": traj.U[k - 1] if k < K else None,
+                "y": traj.Y[k - 1],
+                "x": traj.X[k - 1] if k in (1, k_bad) else None,
+            }
+            if k == k_bad:
+                broken = dict(sample, **{bad: sample[bad].copy()})
+                broken[bad][0] = value
+                with pytest.raises(ValueError, match=f"^{bad} is not finite at sample {k}$"):
+                    probed.step(**broken)
+            expected, got = clean.step(**sample), probed.step(**sample)
+            for want, have in zip(expected, got):
+                np.testing.assert_array_equal(have, want)
+
     def test_superposition_of_plans(self):
         rng = np.random.default_rng(48)
         true, target = identical_pair(rng)

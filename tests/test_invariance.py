@@ -23,17 +23,16 @@ from behaviorcloak import (
     classify,
     design_stabilizing_gain,
     load_kernel_plan,
-    load_utility_spec,
     mode_residual,
     run_offline,
     save_kernel_plan,
-    save_utility_spec,
     simulate_mode,
     solve_regulator_equations,
     solve_utility_invariance,
     vehicle_demo_bank,
 )
 from behaviorcloak import invariance, modes
+from behaviorcloak.invariance import load_utility_spec, save_utility_spec
 from behaviorcloak.linalg import lstsq_min_norm, nullspace_basis
 from support import pseudoinverse
 

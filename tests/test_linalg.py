@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from behaviorcloak import (
+from behaviorcloak.linalg import (
+    RESIDUAL_TOL,
+    gram_solve,
     is_schur,
     lstsq_min_norm,
     matrix_exponential,
     nullspace_basis,
 )
-from behaviorcloak.linalg import RESIDUAL_TOL, gram_solve
 from support import pseudoinverse
 
 

@@ -7,12 +7,10 @@ import pytest
 
 import support
 from behaviorcloak import (
-    ContinuousMode,
     ModeBank,
     StateSpaceMode,
     Trajectory,
     build_lifted_operators,
-    discretize_zoh,
     load_mode_bank,
     longitudinal_vehicle_mode,
     read_trajectory_csv,
@@ -152,14 +150,12 @@ class TestValidateMode:
 
 
 class TestDiscretizeZoh:
-    def test_pure_gain_integrator(self):
-        cm = ContinuousMode(
-            A=np.zeros((2, 2)), B=[[1.0], [2.0]], C=[[1.0, 0.0]], sample_period=0.25
-        )
-        mode = discretize_zoh(cm)
-        np.testing.assert_allclose(mode.A, np.eye(2), atol=1e-15)
-        np.testing.assert_allclose(mode.B, [[0.25], [0.5]], atol=1e-15)
-        np.testing.assert_array_equal(mode.C, cm.C)
+    @pytest.mark.parametrize(
+        "tau, beta, h", [(0.0, 1.0, 0.1), (0.5, -1.0, 0.1), (0.5, 1.0, 0.0), (0.5, 1.0, np.nan)]
+    )
+    def test_rejects_non_positive_parameters(self, tau, beta, h):
+        with pytest.raises(ValueError, match="must be positive"):
+            longitudinal_vehicle_mode(tau, beta, sample_period=h)
 
     @pytest.mark.parametrize(
         "tau, beta, printed",

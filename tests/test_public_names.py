@@ -1,5 +1,7 @@
-"""The package names that the benchmark and the demos use must exist, and
-only ``modes`` names the block kernel and reads or writes JSON documents.
+"""The package names that the benchmark and the demos use must exist, the
+package root holds no other names but the README's, the acceptance tests'
+and the exceptions those raise, and only ``modes`` names the block kernel
+and reads or writes JSON documents.
 
 Tier-1 runs neither ``bench/`` nor ``demos/``, so a removed or renamed
 public name would break them without failing a test.  These tests read
@@ -13,6 +15,7 @@ pipeline only through ``distort.design`` and ``distort.cloak``.
 import ast
 import contextlib
 import importlib
+import inspect
 import io
 import re
 from pathlib import Path
@@ -35,6 +38,13 @@ KERNEL_NAMES = {
 }
 KERNEL_PREFIXES = ("_output_blocks", "_parity", "_group_")
 
+# Package-root names that no demo, README line, bench call or acceptance test
+# takes from the root, kept there because names that are used raise them.
+ROOT_EXCEPTIONS = {
+    "HorizonExhaustedError",  # DistortionEngine.step
+    "InconsistentDataError",  # reconstruct_state, DistortionEngine.step
+}
+
 
 def imported_names(path):
     """(module, name) pairs of every ``from behaviorcloak... import name``."""
@@ -46,6 +56,11 @@ def imported_names(path):
         and (node.module or "").split(".")[0] == "behaviorcloak"
         for alias in node.names
     ]
+
+
+def root_imports(path):
+    """Names ``path`` takes from the package root."""
+    return {name for module, name in imported_names(path) if module == "behaviorcloak"}
 
 
 def test_sources_are_present():
@@ -152,6 +167,25 @@ def test_demo_imports_resolve(path):
         if not hasattr(importlib.import_module(module), name)
     ]
     assert not missing, f"{path.name} imports {missing}"
+
+
+def test_package_root_holds_only_used_names():
+    # The root re-exports what the demos, the README, the bench (as ``bc.<name>``)
+    # and the acceptance tests use; every other name imports from its own module.
+    root = {
+        name
+        for name, value in vars(behaviorcloak).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    used = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    used |= root_imports(ROOT / "tests" / "test_acceptance.py")
+    for path in DEMO_FILES:
+        used |= root_imports(path)
+    for path in BENCH_FILES:
+        used |= set(re.findall(r"\bbc\.(\w+)", path.read_text(encoding="utf-8")))
+    assert ROOT_EXCEPTIONS <= root
+    unused = sorted(root - used - ROOT_EXCEPTIONS)
+    assert not unused, f"the package root re-exports unused {unused}"
 
 
 def test_readme_quick_start_runs():

@@ -14,13 +14,12 @@ from behaviorcloak import (
     StateSpaceMode,
     build_tracking_controller,
     design_stabilizing_gain,
-    is_schur,
     load_controller,
     save_controller,
     solve_regulator_equations,
     vehicle_demo_bank,
 )
-from behaviorcloak.linalg import RESIDUAL_TOL
+from behaviorcloak.linalg import RESIDUAL_TOL, is_schur
 from behaviorcloak.regulation import regulator_residuals
 
 PAPER_PI = np.array([[1.0, -0.038, 0.001], [0.0, 1.000, -0.038], [0.0, 0.000, 1.000]])
