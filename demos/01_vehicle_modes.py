@@ -43,9 +43,10 @@ for mode in vehicle_demo_bank():
 print()
 print(
     "Note the observability failure: the sensor measures acceleration only,\n"
-    "so absolute position and velocity are invisible.  Everything downstream\n"
-    "works with recorded states; deadbeat reconstruction (demo 05) needs an\n"
-    "observable mode."
+    "so absolute position and velocity are invisible.  Cloaking does not need\n"
+    "them: without recorded states, deadbeat reconstruction (demo 05) fits\n"
+    "the minimum-norm state that explains the first n samples, which emits\n"
+    "the same outputs as the true one, so the replay stays exact."
 )
 
 print()

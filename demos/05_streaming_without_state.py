@@ -1,10 +1,12 @@
 """Streaming with nothing but the sensor feed.
 
-The replay ubar = Gamma x(k) + Theta u(k) wants the true state x(k).
-When only (u, y) samples arrive, an observable mode lets the engine
-recover the state after n samples by deadbeat reconstruction; until
-then it withholds output.  We use a double integrator (position measured, n = 2), so
-exactly the first two samples are withheld.
+The replay ubar = Gamma x(k) + Theta u(k) wants a state x(k).
+When only (u, y) samples arrive, the engine fits one after n samples by
+deadbeat reconstruction; until then it withholds output.  The fit is the
+minimum-norm state that explains those samples: for an observable mode it
+is the true state, and otherwise it differs from it only where no output
+can see, so the replay stays exact either way.  We use a double integrator
+(position measured, n = 2), so exactly the first two samples are withheld.
 """
 
 import numpy as np

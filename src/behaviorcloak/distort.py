@@ -111,12 +111,15 @@ class DistortionConfig:
 
 
 def reconstruct_state(mode: StateSpaceMode, U_window, Y_window) -> np.ndarray:
-    """Recover the window-start state of an observable mode from I/O samples.
+    """Recover a window-start state of a mode from I/O samples.
 
     ``Y_window`` holds at least n consecutive outputs and ``U_window`` the
     inputs between them (one fewer), one row per sample; a vector is one
     column.  The state is the least squares fit of the lifted response
-    equations, :meth:`LiftedOperators.fit`; it is exact for noise-free data.
+    equations, :meth:`LiftedOperators.fit`: the minimum-norm state (in the
+    fit's column scaling) that explains the window.  It is the true state for
+    noise-free data of an observable mode; otherwise the two differ by a
+    direction no output sees, and the mode emits the same outputs from both.
 
     Raises
     ------

@@ -24,7 +24,6 @@ at paper-scale horizons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -34,6 +33,7 @@ from .modes import (
     LiftedOperators,
     StateSpaceMode,
     _frozen,
+    _integer,
     _read_document,
     _write_document,
     build_lifted_operators,
@@ -80,6 +80,8 @@ class UtilitySpec:
         mu = np.reshape(_frozen(self.mu, "utility mu"), -1)
         if self.K < 2:
             raise ValueError("utility horizon must be at least 2")
+        if 0 in F.shape:
+            raise ValueError(f"F needs at least one row and one column, got shape {F.shape}")
         if F.shape[1] % self.K != 0:
             raise ValueError(
                 f"F has {F.shape[1]} columns, not a multiple of the horizon {self.K}"
@@ -252,9 +254,9 @@ def load_utility_spec(path) -> UtilitySpec:
 
     def build(doc) -> UtilitySpec:
         if doc.get("kind") == "average":
-            return UtilitySpec.average(int(doc["K"]), int(doc["m"]))
-        spec = UtilitySpec(F=doc["F"], mu=doc["mu"], K=int(doc["K"]))
-        if spec.q != int(doc["q"]):
+            return UtilitySpec.average(_integer(doc, "K"), _integer(doc, "m"))
+        spec = UtilitySpec(F=doc["F"], mu=doc["mu"], K=_integer(doc, "K"))
+        if spec.q != _integer(doc, "q"):
             raise ValueError("declared q disagrees with the rows of F")
         return spec
 
@@ -267,12 +269,11 @@ def save_utility_spec(spec: UtilitySpec, path) -> None:
 
 def save_kernel_plan(plan: KernelPlan, path) -> None:
     """Write a plan; ``U2`` is one flat row-major list of its K - 1 input rows
-    of ``l`` inputs (a list per sample if it has no inputs, whose rows no flat
-    list can count)."""
+    of ``l`` inputs."""
     doc = {
         "x2_init": plan.x2_init,
         "l": plan.U2.shape[1],
-        "U2": plan.U2.reshape(-1) if plan.U2.shape[1] else plan.U2,
+        "U2": plan.U2.reshape(-1),
         "seed": plan.seed,
         "magnitude": plan.magnitude,
     }
@@ -280,49 +281,31 @@ def save_kernel_plan(plan: KernelPlan, path) -> None:
 
 
 def _sample_rows(rows: list, name: str, width: int) -> np.ndarray:
-    """A JSON list of samples as one frozen (samples, width) array that owns its
-    data: either flat, ``width`` numbers per sample in row-major order, or one
-    list per sample, all of one width (which may differ from ``width``), filled
-    from the chained rows without a nested copy.  ValueError naming a flat list
-    that is not whole rows, or the first row of another width."""
+    """A flat JSON list of ``width`` numbers per sample, in row-major order, as one
+    frozen (samples, width) array that owns its data.  ValueError naming a list
+    that is not whole rows; ``float``'s TypeError for an entry that is a list."""
     if not isinstance(rows, list):
         raise TypeError(f"{name} is not a list")
-    if rows and isinstance(rows[0], list):
-        width = len(rows[0])
-        if set(map(len, rows)) != {width}:
-            bad = next(i for i, row in enumerate(rows) if len(row) != width)
-            raise ValueError(
-                f"{name} has {len(rows[bad])} entries at sample {bad + 1}, expected {width}"
-            )
-        shape, values = (len(rows), width), chain.from_iterable(rows)
-    elif width and len(rows) % width == 0:
-        shape, values = (len(rows) // width, width), rows
-    else:
+    if len(rows) % width:
         raise ValueError(f"{name} has {len(rows)} entries, not whole rows of {width} inputs")
-    arr = np.fromiter(values, float, shape[0] * shape[1])
-    arr.shape = shape  # in place: the array keeps its data
+    arr = np.fromiter(map(float, rows), float, len(rows))
+    arr.shape = (len(rows) // width, width)  # in place: the array keeps its data
     arr.setflags(write=False)
     return arr
 
 
 def load_kernel_plan(path, target_mode: StateSpaceMode) -> KernelPlan:
     """Read a plan and rebuild its response through the target's lifted operators.
-    ``U2`` is either the flat row-major list that :func:`save_kernel_plan`
-    writes, cut into rows of the plan's ``l`` inputs, or one list per sample,
-    the form of plans written before it, which carry no ``l``; a flat list
-    without ``l`` is one input column.  A plan for another ``n`` or ``l`` than
-    the target's, a missing entry, one of the wrong type or a non-finite one
-    is a ValueError, raised before the response is rebuilt."""
+    ``U2`` is the flat row-major list that :func:`save_kernel_plan` writes, cut
+    into rows of the plan's ``l`` inputs.  A plan for another ``n`` or ``l`` than
+    the target's, a missing entry, one of the wrong type or a non-finite one is a
+    ValueError, raised before the response is rebuilt."""
 
     def build(doc) -> KernelPlan:
         x2 = _frozen(doc["x2_init"], "plan x2_init")
-        l = doc.get("l")  # None in a plan written before U2 went flat
-        if l is not None and l != target_mode.l:
+        if x2.size != target_mode.n or _integer(doc, "l") != target_mode.l:
             raise ValueError("plan dimensions do not match the target mode")
-        rows = _sample_rows(doc["U2"], "plan U2", 1 if l is None else target_mode.l)
-        U2 = _frozen(rows, "plan U2", samples=True)
-        if x2.size != target_mode.n or U2.shape[1] != target_mode.l:
-            raise ValueError("plan dimensions do not match the target mode")
+        U2 = _frozen(_sample_rows(doc["U2"], "plan U2", target_mode.l), "plan U2", samples=True)
         delta = build_lifted_operators(target_mode, U2.shape[0] + 1).apply(x2, U2)
         delta.setflags(write=False)  # handed over: the plan keeps it uncopied
         return KernelPlan(
@@ -330,7 +313,7 @@ def load_kernel_plan(path, target_mode: StateSpaceMode) -> KernelPlan:
             U2=U2,
             delta_Y=delta,
             residual=0.0,
-            seed=doc.get("seed"),
+            seed=doc["seed"],
             magnitude=float(doc["magnitude"]),
         )
 

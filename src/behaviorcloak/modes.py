@@ -123,6 +123,8 @@ class StateSpaceMode:
             raise ValueError("B must have as many rows as A")
         if C.shape[1] != A.shape[0]:
             raise ValueError("C must have as many columns as A")
+        if B.shape[1] == 0 or C.shape[0] == 0:
+            raise ValueError(f"a mode needs inputs and outputs, got B {B.shape} and C {C.shape}")
 
     @property
     def n(self) -> int:
@@ -670,6 +672,15 @@ def _read_document(path, kind: str, build):
         raise ValueError(f"ill-formed {kind} document: {exc}") from exc
 
 
+def _integer(doc, key: str) -> int:
+    """Entry ``key`` of a document, which must be a JSON integer: a bool, a string
+    or a float is a TypeError, which :func:`_read_document` names."""
+    value = doc[key]
+    if type(value) is not int:
+        raise TypeError(f"{key!r} is not an integer: {value!r}")
+    return value
+
+
 def _write_array(fh, a: np.ndarray) -> None:
     """Write ``json.dumps(a.tolist())`` from ``_ROWS_PER_BLOCK`` entries at a time."""
     fh.write("[")
@@ -715,10 +726,10 @@ def load_mode_bank(path) -> ModeBank:
     """
 
     def build(doc) -> ModeBank:
-        m, l = int(doc["m"]), int(doc["l"])
+        m, l = _integer(doc, "m"), _integer(doc, "l")
         bank = ModeBank(
             tuple(
-                StateSpaceMode(mode_id=int(e["id"]), A=e["A"], B=e["B"], C=e["C"])
+                StateSpaceMode(mode_id=_integer(e, "id"), A=e["A"], B=e["B"], C=e["C"])
                 for e in doc["modes"]
             )
         )

@@ -94,6 +94,31 @@ class TestValidateCommand:
         path.write_text("{not json")
         assert main(["validate", "--bank", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "B, C, message",
+        [
+            ([[]], [[1.0]], r"a mode needs inputs and outputs, got B \(1, 0\) and C \(1, 1\)"),
+            ([[1.0]], [], r"C must be 2-dimensional, got shape \(0,\)"),
+        ],
+        ids=["no-inputs", "no-outputs"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "design"])
+    def test_bank_without_inputs_or_outputs_is_bad_input(
+        self, capsys, tmp_path, command, B, C, message
+    ):
+        # JSON has no empty row, so a C without rows reaches the mode as 1-D.
+        path = tmp_path / "bank.json"
+        mode = {"A": [[0.5]], "B": B, "C": C}
+        doc = {"m": len(C), "l": len(B[0]), "modes": [dict(mode, id=1), dict(mode, id=2)]}
+        path.write_text(json.dumps(doc))
+        argv = [command, "--bank", path]
+        if command == "design":
+            argv += ["--true-mode", 1, "--target-mode", 2, "--K", 20, "--out", tmp_path / "d"]
+        code = main([str(a) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert re.fullmatch(f"error: {message}\n", captured.err)
+
 
 class TestDesignCommand:
     def test_vehicle_scenario(self, capsys, vehicle_bank_path, tmp_path):
@@ -389,19 +414,69 @@ class TestDistortAndClassify:
             ]
         )
 
-    def test_nested_U2_plan_distorts_byte_identically(self, capsys, designed, tmp_path):
-        # A plan.json written before U2 went flat has one list per sample and no l.
+    @pytest.mark.parametrize(
+        "layout, message",
+        [
+            ("no-l", "plan document has no 'l' entry"),
+            ("per-sample", "ill-formed plan document: float() argument must be "),
+        ],
+        ids=["no-l", "per-sample"],
+    )
+    def test_plan_of_another_layout_is_bad_input(self, capsys, designed, tmp_path, layout, message):
+        # One U2 list per sample and no l, the layout of plans before U2 went flat,
+        # and that U2 beside an l: both refused by the one rule of every document.
         _, design_dir, traj_path = designed
         doc = json.loads((design_dir / "plan.json").read_text())
-        assert doc.pop("l") == 1 and all(isinstance(v, float) for v in doc["U2"])
         doc["U2"] = [[v] for v in doc["U2"]]
-        nested = tmp_path / "nested_plan.json"
-        nested.write_text(json.dumps(doc))
-        flat_csv, nested_csv = tmp_path / "flat.csv", tmp_path / "nested.csv"
-        assert self.distort(designed, traj_path, flat_csv) == 0
-        assert self.distort(designed, traj_path, nested_csv, nested) == 0
-        capsys.readouterr()
-        assert flat_csv.read_bytes() == nested_csv.read_bytes()
+        if layout == "no-l":
+            del doc["l"]
+        plan = tmp_path / "old_plan.json"
+        plan.write_text(json.dumps(doc))
+        out_csv = tmp_path / "distorted.csv"
+        assert self.distort(designed, traj_path, out_csv, plan) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {message}")
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("mode bank", "id", 1.7),
+            ("mode bank", "id", "1"),
+            ("mode bank", "m", 1.9),
+            ("utility spec", "K", "200"),
+            ("utility spec", "q", 1.5),
+            ("plan", "l", True),
+        ],
+    )
+    def test_integer_entry_of_another_type_is_bad_input(
+        self, capsys, designed, tmp_path, kind, key, value
+    ):
+        # An integer entry must be a JSON integer: a float, a string or a bool is
+        # ill-formed, never truncated or converted.
+        bank_path, design_dir, traj_path = designed
+        paths = {"mode bank": bank_path, "plan": design_dir / "plan.json"}
+        if kind == "utility spec":
+            doc = {"K": 200, "q": 1, "F": [[1.0 / 200] * 200], "mu": [0.0]}
+        else:
+            doc = json.loads(paths[kind].read_text())
+        (doc["modes"][0] if key == "id" else doc)[key] = value
+        paths[kind] = tmp_path / "bad.json"
+        paths[kind].write_text(json.dumps(doc))
+        pair = ["--bank", paths["mode bank"], "--true-mode", 1, "--target-mode", 2]
+        if kind == "plan":
+            argv = [
+                "distort", *pair, "--controller", design_dir / "controller.json",
+                "--plan", paths["plan"], "--input", traj_path, "--out", tmp_path / "distorted.csv",
+            ]
+        else:
+            argv = ["design", *pair, "--K", 200, "--out", tmp_path / "d"]
+            argv += ["--utility", paths[kind]] if kind == "utility spec" else []
+        code = main([str(a) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        message = f"ill-formed {kind} document: {key!r} is not an integer: {value!r}"
+        assert captured.err == f"error: {message}\n"
 
     def test_non_finite_plan_is_bad_input(self, capsys, designed, tmp_path):
         _, design_dir, traj_path = designed
@@ -586,7 +661,7 @@ class TestDistortAndClassify:
             ("utility", {"K": 200, "q": 1, "mu": [0.0]}, "utility spec document has no 'F' entry"),
             (
                 "plan",
-                {"x2_init": [0.0, 0.0, 0.0], "seed": 0, "magnitude": 1.0},
+                {"x2_init": [0.0, 0.0, 0.0], "l": 1, "seed": 0, "magnitude": 1.0},
                 "plan document has no 'U2' entry",
             ),
         ],

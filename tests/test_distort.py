@@ -399,6 +399,31 @@ class TestReconstructionMode:
         np.testing.assert_allclose(Ubar, out.Ubar, rtol=0, atol=1e-13 * scale)
         np.testing.assert_array_equal(Ybar, out.Ybar)
 
+    @pytest.mark.parametrize("K", [200, 2000])
+    def test_unobservable_source_is_cloaked_without_states(self, K):
+        # The vehicles measure acceleration only (observability rank 1 of 3).  The
+        # fit returns the minimum-norm start state that explains the window, not
+        # the true one; the two differ by a direction the outputs never see, so
+        # the replay from it is still a trajectory of the target.
+        bank = vehicle_demo_bank()
+        sports, average = bank.mode(1), bank.mode(2)
+        cfg = make_config(sports, average, K, magnitude=1.0, seed=3)
+        rng = np.random.default_rng(5)
+        full = simulate_mode(sports, rng.normal(size=3), rng.uniform(-1.0, 1.0, (K - 1, 1)))
+        traj = Trajectory(U=full.U, Y=full.Y)
+        x1 = reconstruct_state(sports, traj.U[:2], traj.Y[:3])
+        assert np.linalg.norm(x1) < np.linalg.norm(full.X[0])
+        np.testing.assert_allclose(simulate_mode(sports, x1, traj.U).Y, traj.Y, rtol=0, atol=1e-9)
+        out = run_offline(cfg, traj)
+        Ubar, Ybar = fold_steps(cfg, traj)
+        assert out.k_start == 4 and Ybar.shape == (K - 3, 1)
+        dY = cfg.plan.delta_Y.reshape(K, 1)
+        np.testing.assert_array_equal(out.Ybar, traj.Y[3:] + dY[3:])
+        np.testing.assert_array_equal(Ybar, out.Ybar)
+        np.testing.assert_allclose(Ubar, out.Ubar, rtol=0, atol=1e-13 * np.max(np.abs(out.Ubar)))
+        cloaked = out.to_trajectory()
+        assert mode_residual(average, cloaked) <= 1e-12 < 1.0 < mode_residual(sports, cloaked)
+
     def test_stateless_run_too_short(self):
         mode = support.double_integrator()
         twin = support.double_integrator(mode_id=2)

@@ -110,6 +110,11 @@ class TestUtilitySpec:
         with pytest.raises(ValueError):
             UtilitySpec(F=np.ones((1, 4)), mu=[0.0], K=1)
 
+    @pytest.mark.parametrize("shape", [(0, 6), (2, 0), (0, 0)])
+    def test_rejects_F_without_rows_or_columns(self, shape):
+        with pytest.raises(ValueError, match=r"F needs at least one row and one column, got shape"):
+            UtilitySpec(F=np.zeros(shape), mu=np.zeros(shape[0]), K=3)
+
 
 class TestBuildLiftedOperators:
     # The columns of [Ot Tt] below are ``apply`` on unit vectors.
@@ -1089,6 +1094,42 @@ class TestFileFormats:
         with pytest.raises(ValueError):
             load_utility_spec(path)
 
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ('{"K": "200", "q": 1, "F": [[1.0, 0.0]], "mu": [0.0]}', "K"),
+            ('{"K": 2, "q": 1.5, "F": [[1.0, 0.0]], "mu": [0.0]}', "q"),
+            ('{"K": 2, "q": true, "F": [[1.0, 0.0]], "mu": [0.0]}', "q"),
+            ('{"kind": "average", "K": 2.0, "m": 1}', "K"),
+            ('{"kind": "average", "K": 2, "m": 1.9}', "m"),
+        ],
+        ids=["K-string", "q-float", "q-bool", "average-K-float", "average-m-float"],
+    )
+    def test_spec_integer_entries_are_json_integers(self, tmp_path, doc, key):
+        path = tmp_path / "utility.json"
+        path.write_text(doc)
+        message = f"ill-formed utility spec document: '{key}' is not an integer"
+        with pytest.raises(ValueError, match=message):
+            load_utility_spec(path)
+
+    @pytest.mark.parametrize("l", ["true", "1.0", '"1"'], ids=["bool", "float", "string"])
+    def test_plan_l_is_a_json_integer(self, tmp_path, l):
+        path = tmp_path / "plan.json"
+        path.write_text('{"x2_init": [0.0], "l": %s, "U2": [0.0], "seed": 0, "magnitude": 1.0}' % l)
+        mode = StateSpaceMode(1, A=[[0.8]], B=[[1.0]], C=[[1.0]])
+        with pytest.raises(ValueError, match="ill-formed plan document: 'l' is not an integer"):
+            load_kernel_plan(path, mode)
+
+    @pytest.mark.parametrize("key", ["x2_init", "l", "U2", "seed", "magnitude"])
+    def test_plan_entries_are_required(self, tmp_path, key):
+        doc = {"x2_init": [0.0], "l": 1, "U2": [0.0], "seed": 0, "magnitude": 1.0}
+        del doc[key]
+        path = tmp_path / "plan.json"
+        support.json_dump_file(doc, path)
+        mode = StateSpaceMode(1, A=[[0.8]], B=[[1.0]], C=[[1.0]])
+        with pytest.raises(ValueError, match=f"plan document has no '{key}' entry"):
+            load_kernel_plan(path, mode)
+
     def test_plan_roundtrip_rebuilds_response(self, tmp_path):
         mode = support.scalar_mode(0.8)
         ops = build_lifted_operators(mode, 5)
@@ -1142,10 +1183,8 @@ class TestFileFormats:
             support.json_dump_file(doc, oracle)
             assert ours.read_bytes() == oracle.read_bytes()
 
-    @pytest.mark.parametrize("l", [1, 2, 0])
+    @pytest.mark.parametrize("l", [1, 2])
     def test_flat_U2_roundtrip(self, tmp_path, l):
-        # Without inputs U2 stays one (empty) list per sample: a flat list
-        # could not count them.
         rng = np.random.default_rng(l)
         mode = StateSpaceMode(1, rng.standard_normal((2, 2)) * 0.3, np.ones((2, l)), [[1.0, 0.5]])
         K = 2 * modes._ROWS_PER_BLOCK + 3
@@ -1154,31 +1193,12 @@ class TestFileFormats:
         path = tmp_path / "plan.json"
         save_kernel_plan(plan, path)
         doc = support.json_load_file(path)
-        assert doc["l"] == l and doc["U2"] == (U2.reshape(-1) if l else U2).tolist()
+        assert doc["l"] == l and doc["U2"] == U2.reshape(-1).tolist()
         loaded = load_kernel_plan(path, mode)
         assert loaded.U2.shape == (K - 1, l) and loaded.U2.tobytes() == U2.tobytes()
         assert loaded.x2_init.tobytes() == plan.x2_init.tobytes()
         want = build_lifted_operators(mode, K).apply(plan.x2_init, U2)
         assert loaded.delta_Y.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("l", [1, 2])
-    def test_nested_U2_loads_bit_identically(self, tmp_path, l):
-        # Every plan written before U2 went flat has one list per sample and no l.
-        rng = np.random.default_rng(10 + l)
-        mode = support.random_valid_mode(rng, n=2, m=1, l=l)
-        K = 300
-        plan = KernelPlan(rng.standard_normal(2), rng.standard_normal((K - 1, l)), np.zeros(K), 0.0, 5, 1.0)
-        flat, nested = tmp_path / "flat.json", tmp_path / "nested.json"
-        save_kernel_plan(plan, flat)
-        doc = support.json_load_file(flat)
-        del doc["l"]
-        doc["U2"] = plan.U2.tolist()
-        support.json_dump_file(doc, nested)
-        a, b = load_kernel_plan(flat, mode), load_kernel_plan(nested, mode)
-        for name in ("x2_init", "U2", "delta_Y"):
-            x, y = getattr(a, name), getattr(b, name)
-            assert x.shape == y.shape and x.tobytes() == y.tobytes()
-        assert (a.seed, a.magnitude) == (b.seed, b.magnitude)
 
     def test_plan_for_another_mode_rejected(self, tmp_path):
         ops = build_lifted_operators(support.scalar_mode(0.8), 5)
@@ -1205,7 +1225,7 @@ class TestFileFormats:
     def test_non_finite_plan_rejected(self, tmp_path):
         mode = support.scalar_mode(0.8)
         path = tmp_path / "plan.json"
-        path.write_text('{"x2_init": [NaN], "U2": [[0.0]], "seed": 0, "magnitude": 1.0}')
+        path.write_text('{"x2_init": [NaN], "l": 1, "U2": [0.0], "seed": 0, "magnitude": 1.0}')
         with pytest.raises(ValueError, match="finite"):
             load_kernel_plan(path, mode)
         with pytest.raises(ValueError, match="finite"):
@@ -1217,27 +1237,26 @@ class TestFileFormats:
     @pytest.mark.parametrize(
         "U2, l, target_l, message",
         [
-            (None, None, 1, "no 'U2' entry"),
-            ("[[0.0], [NaN]]", None, 1, "plan U2 is not finite at sample 2"),
-            ("[[0.0, 1.0]]", None, 1, "do not match the target mode"),
-            ("[[0.0], [0.0, 1.0]]", None, 1, "2 entries at sample 2, expected 1"),
-            ('[["a"]]', None, 1, "could not convert"),
-            ("[[0.0], 1.0]", None, 1, "ill-formed plan document"),
-            ('{"a": 1}', None, 1, "ill-formed plan document"),
+            (None, 1, 1, "no 'U2' entry"),
+            ("[0.0, NaN]", 1, 1, "plan U2 is not finite at sample 2"),
+            ('["a"]', 1, 1, "could not convert"),
+            ("[0.0, [1.0]]", 1, 1, "ill-formed plan document"),
+            ('{"a": 1}', 1, 1, "ill-formed plan document"),
             ("[0.0, 1.0, 2.0]", 2, 2, "plan U2 has 3 entries, not whole rows of 2 inputs"),
             ("[0.0, 1.0, NaN, 2.0]", 2, 2, "plan U2 is not finite at sample 2"),
             ('[0.0, "a"]', 1, 1, "could not convert"),
             ("[0.0, 1.0, 2.0, 3.0]", 2, 1, "do not match the target mode"),
-            ("[0.0, 1.0]", None, 2, "do not match the target mode"),
+            ("[0.0, 1.0]", None, 1, "plan document has no 'l' entry"),
+            ("[[0.0], [1.0]]", 1, 1, "ill-formed plan document"),
         ],
         ids=[
-            "missing", "non_finite", "wrong_width", "ragged", "non_numeric", "mixed", "not_a_list",
+            "missing", "non_finite", "non_numeric", "mixed", "not_a_list",
             "flat_not_whole_rows", "flat_non_finite", "flat_non_numeric", "flat_other_l",
-            "flat_without_l_is_one_column",
+            "flat_without_l", "per_sample_lists",
         ],
     )
     def test_malformed_U2_rejected(self, tmp_path, U2, l, target_l, message):
-        # l None: no "l" entry, the form of plans written with one U2 list per sample.
+        # A plan has one layout: l, and U2 as one flat row-major list.
         path = tmp_path / "plan.json"
         entry = ("" if l is None else f', "l": {l}') + ("" if U2 is None else f', "U2": {U2}')
         path.write_text('{"x2_init": [0.0]' + entry + ', "seed": 0, "magnitude": 1.0}')
@@ -1246,10 +1265,10 @@ class TestFileFormats:
             load_kernel_plan(path, mode)
 
     def test_plan_loader_fills_U2_in_one_array(self):
-        # The parsed rows of an hour's U2 fill one array: the peak stays below two
-        # arrays of its size, where np.asarray on the nested list peaked at five.
+        # The parsed flat list of an hour's U2 fills one array: the peak stays below
+        # two arrays of its size, where np.asarray on a nested list peaked at five.
         K = 36000
-        rows = np.random.default_rng(3).standard_normal((K - 1, 1)).tolist()
+        rows = np.random.default_rng(3).standard_normal(K - 1).tolist()
         peak = support.traced_peak(lambda: invariance._sample_rows(rows, "plan U2", 1))
         assert peak <= 2 * (K - 1) * 8
 

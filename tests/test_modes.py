@@ -55,6 +55,19 @@ class TestStateSpaceMode:
         with pytest.raises(ValueError, match=r"at least one state, got A of shape \(0, 0\)"):
             StateSpaceMode(1, np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)))
 
+    @pytest.mark.parametrize(
+        "B, C, message",
+        [
+            (np.zeros((2, 0)), np.ones((1, 2)), r"inputs and outputs, got B \(2, 0\) and C \(1, 2\)"),
+            (np.ones((2, 1)), np.zeros((0, 2)), r"inputs and outputs, got B \(2, 1\) and C \(0, 2\)"),
+        ],
+        ids=["no-inputs", "no-outputs"],
+    )
+    def test_rejects_zero_inputs_or_outputs(self, B, C, message):
+        # Nothing to cloak without an input to regulate or an output to send.
+        with pytest.raises(ValueError, match=message):
+            StateSpaceMode(1, 0.5 * np.eye(2), B, C)
+
     def test_arrays_frozen(self):
         mode = support.double_integrator()
         with pytest.raises(ValueError):
@@ -509,6 +522,26 @@ class TestFileFormats:
         path = tmp_path / "bank.json"
         path.write_text('{"m": 1, "modes": []}')
         with pytest.raises(ValueError):
+            load_mode_bank(path)
+
+    @pytest.mark.parametrize(
+        "m, l, mode_id, key",
+        [
+            ("1.9", "1", "1", "m"),
+            ("1", "true", "1", "l"),
+            ("1", '"1"', "1", "l"),
+            ("1", "1", "1.7", "id"),
+            ("1", "1", '"1"', "id"),
+            ("1", "1", "true", "id"),
+        ],
+        ids=["m-float", "l-bool", "l-string", "id-float", "id-string", "id-bool"],
+    )
+    def test_bank_integer_entries_are_json_integers(self, tmp_path, m, l, mode_id, key):
+        path = tmp_path / "bank.json"
+        mode = '{"id": %s, "A": [[0.5]], "B": [[1.0]], "C": [[1.0]]}' % mode_id
+        path.write_text('{"m": %s, "l": %s, "modes": [%s]}' % (m, l, mode))
+        message = f"ill-formed mode bank document: '{key}' is not an integer"
+        with pytest.raises(ValueError, match=message):
             load_mode_bank(path)
 
     def test_trajectory_roundtrip_exact(self, tmp_path):
