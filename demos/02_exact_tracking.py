@@ -50,7 +50,7 @@ print("Replaying a seeded 500-sample drive through the virtual car:")
 K = 500
 rng = np.random.default_rng(1)
 traj = simulate_mode(sports, rng.normal(size=3), rng.uniform(-1, 1, size=(K - 1, 1)))
-zero = KernelPlan.zero(average.n, K, average.m, average.l)  # no distortion: ubar1 only
+zero = KernelPlan.zero(average, K)  # no distortion: ubar1 only
 ubar1 = run_offline(DistortionConfig(sports, average, sol, zero, K), traj).Ubar
 virtual = simulate_mode(average, sol.Pi @ traj.X[0], ubar1)  # the virtual car's own run
 max_r = np.max(np.abs(virtual.Y - traj.Y))

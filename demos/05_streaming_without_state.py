@@ -31,9 +31,7 @@ rng = np.random.default_rng(4)
 drive = simulate_mode(plant, rng.normal(size=2), rng.uniform(-1, 1, size=(K - 1, 1)))
 
 sol = solve_regulator_equations(plant, target)
-cfg = DistortionConfig(
-    plant, target, sol, KernelPlan.zero(target.n, K, target.m, target.l), K
-)
+cfg = DistortionConfig(plant, target, sol, KernelPlan.zero(target, K), K)
 
 engine = DistortionEngine(cfg)  # no initial state supplied
 print("feeding samples;", f"state dimension n = {plant.n}")

@@ -26,6 +26,9 @@ __all__ = [
 AMBIGUOUS = "AMBIGUOUS"
 NONE = "NONE"
 
+# The default score below which a mode accepts a trajectory.
+ACCEPT_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class ClassificationReport:
@@ -72,7 +75,7 @@ def mode_residual(mode: StateSpaceMode, traj: Trajectory) -> float:
 
 
 def classify(
-    bank: ModeBank, traj: Trajectory, accept_tol: float = 1e-6
+    bank: ModeBank, traj: Trajectory, accept_tol: float = ACCEPT_TOL
 ) -> ClassificationReport:
     """Score a trajectory against every mode of a bank."""
     if not (np.isfinite(accept_tol) and accept_tol >= 0.0):

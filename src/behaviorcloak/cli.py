@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import classify
+from .classify import ACCEPT_TOL, classify
 from .distort import DistortionConfig, UtilityChangedError, cloak, design
 from .invariance import (
     InvarianceInfeasibleError,
@@ -162,7 +162,7 @@ def _cmd_demo(args) -> int:
     U = rng.uniform(-1.0, 1.0, size=(K - 1, sports.l))
     traj = simulate_mode(sports, x1, U)
     cfg = design(sports, average, utility, args.magnitude, seed + 1)
-    zero_plan = KernelPlan.zero(average.n, K, average.m, average.l)
+    zero_plan = KernelPlan.zero(average, K)
     ubar1 = cloak(dataclasses.replace(cfg, plan=zero_plan), traj, utility).Ubar
     ybar1 = simulate_mode(average, cfg.regulator.Pi @ x1, ubar1).Y  # the target's own output
     cloaked = cloak(cfg, traj, utility)
@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="score a trajectory against a bank")
     p.add_argument("--bank", required=True)
     p.add_argument("--input", required=True, help="trajectory CSV")
-    p.add_argument("--accept-tol", type=float, default=1e-6)
+    p.add_argument("--accept-tol", type=float, default=ACCEPT_TOL)
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("demo", help="run the two-vehicle demo end to end")
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int, default=500)
     p.add_argument("--magnitude", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--accept-tol", type=float, default=1e-6)
+    p.add_argument("--accept-tol", type=float, default=ACCEPT_TOL)
     p.set_defaults(handler=_cmd_demo)
 
     return parser

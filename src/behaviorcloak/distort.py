@@ -127,8 +127,8 @@ def reconstruct_state(mode: StateSpaceMode, U_window, Y_window) -> np.ndarray:
         If the window is not explainable by this mode, i.e. the fit
         residual exceeds ``RESIDUAL_TOL * (1 + ||Y||)``.
     """
-    Y = _frozen(Y_window, "window Y", samples=True)
-    U = _frozen(U_window, "window U", samples=True)
+    Y = _frozen(Y_window, "window Y", samples=1)
+    U = _frozen(U_window, "window U", samples=1)
     if U.size == 0:  # n = 1: no inputs, of any width
         U = U.reshape(0, mode.l)
     w = Y.shape[0]
@@ -168,7 +168,8 @@ class DistortionEngine:
         withholds all n.  ``u`` must be None at the final step k = K (there is
         no input there) and the returned pair is then (None, ybar).  A sample
         with a NaN or an infinity is refused with a ValueError naming the array
-        and k, and is not consumed.
+        and k, and one that completes a window the source mode does not explain
+        with InconsistentDataError; a refused sample is not consumed.
         """
         cfg, k = self.cfg, self._k
         if k > cfg.K:
@@ -188,23 +189,19 @@ class DistortionEngine:
         if x is not None:
             self._xhat = x
 
-        self._k += 1
         src = cfg.true_mode
         if self._xhat is None:
-            # Reconstruction mode: buffer until n outputs are available,
-            # then recover the state and carry it past the withheld window.
-            self._y_buf.append(y)
-            self._u_buf.append(u)
-            if len(self._y_buf) == src.n:
-                x = reconstruct_state(src, np.array(self._u_buf[:-1]), np.array(self._y_buf))
+            # Reconstruction mode: buffer until n outputs are available, then recover
+            # the state and carry it past the withheld window.
+            U, Y = self._u_buf + [u], self._y_buf + [y]
+            if len(Y) == src.n:
+                x = reconstruct_state(src, np.array(U[:-1]), np.array(Y))
                 if not last:
-                    for u_k in self._u_buf:
-                        x = src.A @ x + src.B @ u_k
-                    if not np.isfinite(x).all():
-                        raise ValueError("reconstruction window is not finite")
-                    self._xhat = x
+                    self._xhat = simulate_mode(src, x, np.array(U)).X[-1]
+            self._u_buf, self._y_buf, self._k = U, Y, k + 1
             return None
 
+        self._k += 1
         ybar = y + self._dY[k - 1]
         if last:
             return None, ybar

@@ -16,15 +16,14 @@ response is rounding next to its forced part ``Tt U``, or the scaled
 response is not in Ker[F] to rounding, no plan is found: Ker[F] is
 trivial, or the target behaviour meets it only at zero.  A Gram or a
 response norm past the float range (an unstable target at a long horizon)
-is a ValueError naming the mode and K.  A plan costs O(q K) work in a few
-vectorized steps per level of the block kernel's grouped recursion, even
-at paper-scale horizons.
+is a ValueError naming the mode and K.  A plan costs O(q^2 K) work, for the
+q x q Grams of ``F M`` and of ``F``; the adjoint apply of the q rows of F takes
+a few vectorized steps per level of the block kernel's grouped recursion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -126,14 +125,10 @@ class KernelPlan:
     U2: np.ndarray
     delta_Y: np.ndarray
     residual: float
-    seed: Optional[int]
-    magnitude: float
 
     def __post_init__(self):
-        if not np.isfinite(self.magnitude):
-            raise ValueError(f"plan magnitude is not finite: {self.magnitude}")
         object.__setattr__(self, "x2_init", np.reshape(_frozen(self.x2_init, "plan x2_init"), -1))
-        object.__setattr__(self, "U2", _frozen(self.U2, "plan U2", samples=True))
+        object.__setattr__(self, "U2", _frozen(self.U2, "plan U2", samples=1))
         object.__setattr__(self, "delta_Y", np.reshape(_frozen(self.delta_Y, "plan delta_Y"), -1))
 
     @property
@@ -141,17 +136,8 @@ class KernelPlan:
         return self.U2.shape[0] + 1
 
     @classmethod
-    def zero(
-        cls, n: int, K: int, m: int, l: int, seed: Optional[int] = None
-    ) -> "KernelPlan":
-        return cls(
-            x2_init=np.zeros(n),
-            U2=np.zeros((K - 1, l)),
-            delta_Y=np.zeros(K * m),
-            residual=0.0,
-            seed=seed,
-            magnitude=0.0,
-        )
+    def zero(cls, target: StateSpaceMode, K: int) -> "KernelPlan":
+        return cls(np.zeros(target.n), np.zeros((K - 1, target.l)), np.zeros(K * target.m), 0.0)
 
 
 def _finite(value, ops: LiftedOperators):
@@ -206,7 +192,7 @@ def solve_utility_invariance(
     if not (np.isfinite(magnitude) and magnitude >= 0.0):
         raise ValueError(f"magnitude must be finite and nonnegative, got {magnitude}")
     if magnitude == 0.0:
-        return KernelPlan.zero(ops.n, ops.K, ops.m, ops.l, seed=seed)
+        return KernelPlan.zero(ops.mode, ops.K)
     n, K, F = ops.n, ops.K, spec.F
     U = np.random.default_rng(seed).standard_normal((K - 1, ops.l))
     # The draw (0, U) moves by -(F M)' c, with F Ot's columns scaled to unit norm by s in
@@ -234,14 +220,7 @@ def solve_utility_invariance(
     for part in (x, U, delta):
         part *= scale
         part.setflags(write=False)  # handed over: the plan keeps it uncopied if it owns it
-    return KernelPlan(
-        x2_init=x,
-        U2=U,
-        delta_Y=delta,
-        residual=miss * scale,
-        seed=seed,
-        magnitude=magnitude,
-    )
+    return KernelPlan(x2_init=x, U2=U, delta_Y=delta, residual=miss * scale)
 
 
 # --- file formats -----------------------------------------------------------
@@ -270,51 +249,27 @@ def save_utility_spec(spec: UtilitySpec, path) -> None:
 def save_kernel_plan(plan: KernelPlan, path) -> None:
     """Write a plan; ``U2`` is one flat row-major list of its K - 1 input rows
     of ``l`` inputs."""
-    doc = {
-        "x2_init": plan.x2_init,
-        "l": plan.U2.shape[1],
-        "U2": plan.U2.reshape(-1),
-        "seed": plan.seed,
-        "magnitude": plan.magnitude,
-    }
+    doc = {"x2_init": plan.x2_init, "l": plan.U2.shape[1], "U2": plan.U2.reshape(-1)}
     _write_document(doc, path)
-
-
-def _sample_rows(rows: list, name: str, width: int) -> np.ndarray:
-    """A flat JSON list of ``width`` numbers per sample, in row-major order, as one
-    frozen (samples, width) array that owns its data.  ValueError naming a list
-    that is not whole rows; ``float``'s TypeError for an entry that is a list."""
-    if not isinstance(rows, list):
-        raise TypeError(f"{name} is not a list")
-    if len(rows) % width:
-        raise ValueError(f"{name} has {len(rows)} entries, not whole rows of {width} inputs")
-    arr = np.fromiter(map(float, rows), float, len(rows))
-    arr.shape = (len(rows) // width, width)  # in place: the array keeps its data
-    arr.setflags(write=False)
-    return arr
 
 
 def load_kernel_plan(path, target_mode: StateSpaceMode) -> KernelPlan:
     """Read a plan and rebuild its response through the target's lifted operators.
-    ``U2`` is the flat row-major list that :func:`save_kernel_plan` writes, cut
-    into rows of the plan's ``l`` inputs.  A plan for another ``n`` or ``l`` than
-    the target's, a missing entry, one of the wrong type or a non-finite one is a
-    ValueError, raised before the response is rebuilt."""
+    ``U2`` is the flat row-major list that :func:`save_kernel_plan` writes, cut into
+    rows of the plan's ``l`` inputs; other entries are not read.  A plan for another
+    ``n`` or ``l`` than the target's, a missing entry, one of the wrong type or a
+    non-finite one is a ValueError, raised before the response is rebuilt."""
 
     def build(doc) -> KernelPlan:
         x2 = _frozen(doc["x2_init"], "plan x2_init")
         if x2.size != target_mode.n or _integer(doc, "l") != target_mode.l:
             raise ValueError("plan dimensions do not match the target mode")
-        U2 = _frozen(_sample_rows(doc["U2"], "plan U2", target_mode.l), "plan U2", samples=True)
+        rows = doc["U2"]
+        if isinstance(rows, list) and rows and isinstance(rows[0], list):  # one list per sample
+            raise TypeError("plan U2 is not a flat list")
+        U2 = _frozen(rows, "plan U2", samples=target_mode.l)
         delta = build_lifted_operators(target_mode, U2.shape[0] + 1).apply(x2, U2)
         delta.setflags(write=False)  # handed over: the plan keeps it uncopied
-        return KernelPlan(
-            x2_init=x2,
-            U2=U2,
-            delta_Y=delta,
-            residual=0.0,
-            seed=doc["seed"],
-            magnitude=float(doc["magnitude"]),
-        )
+        return KernelPlan(x2_init=x2, U2=U2, delta_Y=delta, residual=0.0)
 
     return _read_document(path, "plan", build)

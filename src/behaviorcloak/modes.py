@@ -66,34 +66,37 @@ __all__ = [
 ]
 
 
-def _frozen(value, name: str, samples: bool = False) -> np.ndarray:
+def _frozen(value, name: str, samples: int = 0) -> np.ndarray:
     """``value`` as a frozen float array, by the one rule of every record: an array
-    that is read-only and owns its data, or one just built from a list or tuple, is
-    kept; anything else is copied.  With ``samples`` it has one row per sample (a
-    vector becomes a column).  ValueError naming the array if it has samples but
-    is not 1-D or 2-D, or its first row, or sample, with a non-finite entry."""
-    arr = np.asarray(value, dtype=float)
+    that is read-only and owns its data, or one just built from a list, a tuple or
+    another dtype, is kept; anything else is copied.  TypeError naming the array if an
+    entry is not a number: a string, a bool, a null or a ragged list (numpy turns a
+    bool among numbers into 0.0 or 1.0 first).  With ``samples`` it has one row per
+    sample, a vector cut into rows of ``samples`` entries.  ValueError naming the
+    array if it has samples but is not 1-D or 2-D or whole rows, or by its first row,
+    or sample, with a non-finite entry."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged list
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf":
+        raise TypeError(f"{name} is not an array of numbers")
     if samples and arr.ndim not in (1, 2):
         raise ValueError(f"{name} must be 1-D or 2-D, one row per sample, got shape {arr.shape}")
-    if isinstance(value, (list, tuple)):  # a new array that no caller holds
-        arr.setflags(write=False)
-    elif arr.flags.writeable or not arr.flags.owndata:
+    cut = samples and arr.ndim == 1
+    if cut and arr.size % samples:
+        raise ValueError(f"{name} has {arr.size} entries, not whole rows of {samples} inputs")
+    if isinstance(value, (list, tuple)) or arr.dtype != float:  # a new array that no caller holds
+        arr = arr.astype(float, copy=False)
+    elif arr.flags.writeable or not arr.flags.owndata or cut:
         arr = arr.copy()
-        arr.setflags(write=False)
+    if cut:
+        arr.shape = (arr.size // samples, samples)
+    arr.setflags(write=False)
     if not np.isfinite(arr).all():
         bad = np.argwhere(~np.isfinite(np.atleast_1d(arr)))[0, 0] + 1
         raise ValueError(f"{name} is not finite at {'sample' if samples else 'row'} {bad}")
-    return arr.reshape(-1, 1) if samples and arr.ndim == 1 else arr
-
-
-def _matrices(record) -> tuple:
-    """Freeze a model's ``A``, ``B`` and ``C`` in place; each must be 2-dimensional."""
-    for name in "ABC":
-        arr = _frozen(getattr(record, name), name)
-        if arr.ndim != 2:
-            raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
-        object.__setattr__(record, name, arr)
-    return record.A, record.B, record.C
+    return arr
 
 
 def _vector(value, size: int, name: str) -> np.ndarray:
@@ -114,7 +117,12 @@ class StateSpaceMode:
     C: np.ndarray
 
     def __post_init__(self):
-        A, B, C = _matrices(self)
+        for name in "ABC":
+            arr = _frozen(getattr(self, name), name)
+            if arr.ndim != 2:
+                raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
+            object.__setattr__(self, name, arr)
+        A, B, C = self.A, self.B, self.C
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got shape {A.shape}")
         if A.shape[0] == 0:
@@ -210,10 +218,6 @@ class ModeBank:
         object.__setattr__(self, "modes", modes)
 
     @property
-    def N(self) -> int:
-        return len(self.modes)
-
-    @property
     def m(self) -> int:
         return self.modes[0].m
 
@@ -248,7 +252,7 @@ class Trajectory:
         for name in ("U", "Y", "X"):
             value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, name, _frozen(value, f"trajectory {name}", samples=True))
+                object.__setattr__(self, name, _frozen(value, f"trajectory {name}", samples=1))
         if self.Y.shape[0] < 2:
             raise ValueError("a trajectory needs a horizon of at least K = 2")
         if self.U.shape[0] != self.Y.shape[0] - 1:
@@ -638,12 +642,12 @@ def longitudinal_vehicle_mode(
     return StateSpaceMode(mode_id, exp_aug[:3, :3], exp_aug[:3, 3:], [[0.0, 0.0, 1.0]])
 
 
-def vehicle_demo_bank(sample_period: float = 0.1) -> ModeBank:
-    """Two-mode demo bank: a fast sports car and a sluggish average car."""
+def vehicle_demo_bank() -> ModeBank:
+    """Two-mode demo bank at 10 Hz: a fast sports car and a sluggish average car."""
     return ModeBank(
         (
-            longitudinal_vehicle_mode(0.01, 1.50, sample_period, mode_id=1),
-            longitudinal_vehicle_mode(0.60, 0.70, sample_period, mode_id=2),
+            longitudinal_vehicle_mode(0.01, 1.50, mode_id=1),
+            longitudinal_vehicle_mode(0.60, 0.70, mode_id=2),
         )
     )
 

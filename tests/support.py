@@ -207,7 +207,7 @@ def frozen_copies(monkeypatch, *modules) -> list:
             made.append(np.asarray(*args, **kwargs))
             return made[-1]
 
-    def spy(value, name, samples=False):
+    def spy(value, name, samples=0):
         result = frozen(value, name, samples)
         calls.append((name, not np.shares_memory(result, made[-1])))
         return result
@@ -246,10 +246,7 @@ def free_response_plan(target, K, x2=(0.0, 0.0, 5.0)) -> KernelPlan:
     target response, but not one in the kernel of an average."""
     U2 = np.zeros((K - 1, target.l))
     delta = build_lifted_operators(target, K).apply(np.asarray(x2), U2)
-    return KernelPlan(
-        x2_init=x2, U2=U2, delta_Y=delta, residual=0.0,
-        seed=None, magnitude=float(np.linalg.norm(delta)),
-    )
+    return KernelPlan(x2_init=x2, U2=U2, delta_Y=delta, residual=0.0)
 
 
 def dense_kernel_plan(ops, spec, magnitude, seed) -> KernelPlan:
@@ -279,8 +276,6 @@ def dense_kernel_plan(ops, spec, magnitude, seed) -> KernelPlan:
         U2=U.reshape(ops.K - 1, ops.l),
         delta_Y=delta,
         residual=float(np.linalg.norm(delta - (theta - P_row @ theta))),
-        seed=seed,
-        magnitude=magnitude,
     )
 
 
@@ -342,7 +337,7 @@ def pipeline_replay(true_mode, target_mode, sol, traj) -> Trajectory:
     trajectory with states: ``run_offline``'s ``Ubar`` with the zero plan, run by
     ``simulate_mode``.  Its outputs track ``traj.Y`` exactly; ``cli demo`` reports
     the same difference as ``max_tracking_error``."""
-    zero = KernelPlan.zero(target_mode.n, traj.K, target_mode.m, target_mode.l)
+    zero = KernelPlan.zero(target_mode, traj.K)
     cfg = DistortionConfig(true_mode, target_mode, sol, zero, traj.K)
     return simulate_mode(target_mode, sol.Pi @ traj.X[0], run_offline(cfg, traj).Ubar)
 

@@ -263,7 +263,7 @@ def test_criterion_9c_superposition():
             plan = solve_utility_invariance(
                 ops, spec, magnitude=float(rng.uniform(0.5, 3.0)), seed=case
             )
-            zero = KernelPlan.zero(target.n, K, target.m, target.l)
+            zero = KernelPlan.zero(target, K)
             traj = support.random_trajectory(rng, true, K)
             base = run_offline(DistortionConfig(true, target, ctrl, zero, K), traj)
             shifted = run_offline(DistortionConfig(true, target, ctrl, plan, K), traj)

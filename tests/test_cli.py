@@ -418,7 +418,7 @@ class TestDistortAndClassify:
         "layout, message",
         [
             ("no-l", "plan document has no 'l' entry"),
-            ("per-sample", "ill-formed plan document: float() argument must be "),
+            ("per-sample", "ill-formed plan document: plan U2 is not a flat list"),
         ],
         ids=["no-l", "per-sample"],
     )
@@ -477,6 +477,75 @@ class TestDistortAndClassify:
         assert code == 2 and captured.out == ""
         message = f"ill-formed {kind} document: {key!r} is not an integer: {value!r}"
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "kind, name, spoil",
+        [
+            ("mode bank", "A", lambda d: d["modes"][0]["A"][0].__setitem__(0, "0.5")),
+            ("mode bank", "C", lambda d: d["modes"][1].__setitem__("C", [[True, True, True]])),
+            ("controller", "Theta", lambda d: d["Theta"][0].__setitem__(0, "1.0")),
+            ("utility spec", "utility F", lambda d: d["F"][0].__setitem__(0, "0.005")),
+            ("utility spec", "utility mu", lambda d: d.__setitem__("mu", [False])),
+            ("plan", "plan x2_init", lambda d: d["x2_init"].__setitem__(0, "0.25")),
+            ("plan", "plan U2", lambda d: d["U2"].__setitem__(0, "0.5")),
+            ("plan", "plan U2", lambda d: d["U2"].__setitem__(0, None)),
+            ("plan", "plan U2", lambda d: d["U2"].__setitem__(1, [d["U2"][1]])),
+        ],
+        ids=[
+            "bank-A-string", "bank-C-bools", "controller-Theta-string", "spec-F-string",
+            "spec-mu-bool", "plan-x2_init-string", "plan-U2-string", "plan-U2-null",
+            "plan-U2-nested",
+        ],
+    )
+    def test_number_entry_of_another_type_is_bad_input(
+        self, capsys, designed, tmp_path, kind, name, spoil
+    ):
+        # A float entry must be a JSON number: a string, a bool, a null or a nested
+        # list is ill-formed and named by its array, never converted.
+        bank_path, design_dir, traj_path = designed
+        paths = {
+            "mode bank": bank_path,
+            "controller": design_dir / "controller.json",
+            "plan": design_dir / "plan.json",
+        }
+        if kind == "utility spec":
+            doc = {"K": 200, "q": 1, "F": [[1.0 / 200] * 200], "mu": [0.0]}
+        else:
+            doc = json.loads(paths[kind].read_text())
+        spoil(doc)
+        paths[kind] = tmp_path / "bad.json"
+        paths[kind].write_text(json.dumps(doc))
+        pair = ["--bank", paths["mode bank"], "--true-mode", 1, "--target-mode", 2]
+        if kind == "mode bank":
+            argv = ["validate", "--bank", paths["mode bank"]]
+        elif kind == "utility spec":
+            argv = ["design", *pair, "--K", 200, "--utility", paths[kind], "--out", tmp_path / "d"]
+        else:
+            argv = [
+                "distort", *pair, "--controller", paths["controller"],
+                "--plan", paths["plan"], "--input", traj_path, "--out", tmp_path / "distorted.csv",
+            ]
+        code = main([str(a) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        message = f"ill-formed {kind} document: {name} is not an array of numbers"
+        assert captured.err == f"error: {message}\n"
+        assert not (tmp_path / "distorted.csv").exists()
+
+    def test_plan_written_with_seed_and_magnitude_loads(self, capsys, designed, tmp_path):
+        # Plans written before the record held only its arrays carry a seed and a
+        # magnitude; the reader does not read them, so the plan distorts byte-identically.
+        _, design_dir, traj_path = designed
+        doc = json.loads((design_dir / "plan.json").read_text())
+        assert list(doc) == ["x2_init", "l", "U2"]
+        doc.update(seed=4, magnitude=1.0)
+        old = tmp_path / "old_plan.json"
+        old.write_text(json.dumps(doc))
+        outputs = [tmp_path / "new.csv", tmp_path / "old.csv"]
+        for plan, out_csv in zip([design_dir / "plan.json", old], outputs):
+            assert self.distort(designed, traj_path, out_csv, plan) == 0
+        capsys.readouterr()
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
     def test_non_finite_plan_is_bad_input(self, capsys, designed, tmp_path):
         _, design_dir, traj_path = designed
@@ -777,8 +846,6 @@ class TestDemoCommand:
                 U2=np.zeros((ops.K - 1, ops.l)),
                 delta_Y=np.full(ops.K * ops.m, 0.1),
                 residual=0.0,
-                seed=seed,
-                magnitude=magnitude,
             )
 
         monkeypatch.setattr(distort, "solve_utility_invariance", shifted_plan)

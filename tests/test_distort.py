@@ -111,7 +111,7 @@ class TestEngineStep:
             Theta=np.eye(true.l),
             residual=0.0,
         )
-        plan = KernelPlan.zero(target.n, K, target.m, target.l)
+        plan = KernelPlan.zero(target, K)
         cfg = DistortionConfig(true, target, sol, plan, K)
         traj = support.random_trajectory(rng, true, K)
         out = run_offline(cfg, traj)
@@ -381,6 +381,47 @@ class TestReconstructionMode:
             engine.step(U[1], Y[1])
         assert engine.step(U[2], Y[2]) is None
 
+    @staticmethod
+    def spoiled(shifted):
+        """A MIMO pair with n = 4, a drive whose output ``shifted`` (0-based) moved by 1e-3,
+        and an engine that has withheld samples 1 to n - 1 and refused sample n."""
+        rng = np.random.default_rng(7)
+        source, target = support.feedback_twin_pair(rng)
+        cfg = make_config(source, target, 60, magnitude=1.0, seed=3)
+        traj = support.random_trajectory(rng, source, 60)
+        Y = traj.Y.copy()
+        Y[shifted, 0] += 1e-3
+        engine, n = DistortionEngine(cfg), source.n
+        for k in range(n - 1):
+            assert engine.step(traj.U[k], Y[k]) is None
+        with pytest.raises(InconsistentDataError):
+            engine.step(traj.U[n - 1], Y[n - 1])
+        return cfg, traj, Y, engine
+
+    def test_refused_window_then_state_emits_every_later_sample(self):
+        # The refused sample is not consumed: given again with its state it emits,
+        # and no later sample is withheld.
+        cfg, traj, Y, engine = self.spoiled(1)
+        n, K = cfg.true_mode.n, cfg.K
+        rows = [engine.step(traj.U[n - 1], Y[n - 1], x=traj.X[n - 1])]
+        rows += [engine.step(traj.U[k] if k < K - 1 else None, Y[k]) for k in range(n, K)]
+        assert all(row is not None for row in rows)
+        dY = cfg.plan.delta_Y.reshape(K, -1)
+        np.testing.assert_array_equal(np.array([row[1] for row in rows]), Y[n - 1 :] + dY[n - 1 :])
+        out = run_offline(cfg, traj)
+        assert rel_gap(np.array([row[0] for row in rows[:-1]]), out.Ubar[n - 1 :]) <= 1e-12
+
+    def test_refused_window_then_corrected_sample_reconstructs(self):
+        # The shifted sample is the one refused: its corrected value completes the
+        # window, and the engine emits the stateless replay of the clean drive.
+        cfg, traj, _, engine = self.spoiled(3)
+        n, K = cfg.true_mode.n, cfg.K
+        assert engine.step(traj.U[n - 1], traj.Y[n - 1]) is None
+        rows = [engine.step(traj.U[k] if k < K - 1 else None, traj.Y[k]) for k in range(n, K)]
+        out = run_offline(cfg, Trajectory(U=traj.U, Y=traj.Y))
+        np.testing.assert_array_equal(np.array([row[1] for row in rows]), out.Ybar)
+        assert rel_gap(np.array([row[0] for row in rows[:-1]]), out.Ubar) <= 1e-12
+
     def test_scalar_stream_withholds_one_sample(self):
         # n = 1: the window is a single output and no input (K = 1 operators).
         true = support.scalar_mode(0.5)
@@ -393,8 +434,8 @@ class TestReconstructionMode:
         Ubar, Ybar = fold_steps(cfg, traj)
         assert out.k_start == 2
         assert Ubar.shape == (K - 2, 1) and Ybar.shape == (K - 1, 1)
-        # The engine carries the state sample by sample, run_offline by the
-        # block scan: the outputs agree bitwise, the inputs to rounding.
+        # Past the window the engine carries the state sample by sample,
+        # run_offline by the block scan: the outputs agree bitwise, the inputs to rounding.
         scale = np.max(np.abs(out.Ubar))
         np.testing.assert_allclose(Ubar, out.Ubar, rtol=0, atol=1e-13 * scale)
         np.testing.assert_array_equal(Ybar, out.Ybar)
@@ -536,7 +577,7 @@ class TestPipeline:
         size = shift * (1.0 + abs(spec.F @ traj.Y.reshape(-1))[0])
         plan = KernelPlan(
             x2_init=np.zeros(3), U2=np.zeros((self.K - 1, 1)),
-            delta_Y=np.full(self.K, size), residual=0.0, seed=None, magnitude=size,
+            delta_Y=np.full(self.K, size), residual=0.0,
         )
         shifted = DistortionConfig(cfg.true_mode, cfg.target_mode, cfg.regulator, plan, self.K)
         if kept:

@@ -666,7 +666,7 @@ RECORDS = {
         "F", [[0.5, 0.5]], "utility F is not finite at row 1",
     ),
     "KernelPlan": (
-        lambda a: KernelPlan([0.0], a, np.zeros(3), 0.0, None, 1.0),
+        lambda a: KernelPlan([0.0], a, np.zeros(3), 0.0),
         "U2", [[1.0], [2.0]], "plan U2 is not finite at sample 2",
     ),
 }
@@ -694,6 +694,27 @@ def test_records_own_their_arrays(record):
     bad[-1, -1] = np.nan
     with pytest.raises(ValueError, match=f"^{message}$"):
         build(bad)
+
+
+@pytest.mark.parametrize("record", RECORDS)
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda rows: rows[:-1] + [rows[-1][:-1] + ["0.5"]],
+        lambda rows: [[True] * len(row) for row in rows],
+        lambda rows: rows[:-1] + [rows[-1][:-1] + [None]],
+        lambda rows: rows[:-1] + [rows[-1] + [[0.5]]],
+    ],
+    ids=["string", "bools", "null", "ragged"],
+)
+def test_records_refuse_entries_that_are_not_numbers(record, spoil):
+    # A float conversion would take a string, and bools that no number sits
+    # beside; the number rule of every record refuses them, a null and a ragged
+    # list with a TypeError naming the array.
+    build, _, value, message = RECORDS[record]
+    name = message.split(" is not finite")[0]
+    with pytest.raises(TypeError, match=f"^{name} is not an array of numbers$"):
+        build(spoil(value))
 
 
 def test_working_set_at_paper_horizon():
@@ -799,7 +820,7 @@ class TestSolveUtilityInvariance:
             solve_utility_invariance(ops, spec, magnitude=1.0)
         # ... but the zero plan is still fine.
         plan = solve_utility_invariance(ops, spec, magnitude=0.0)
-        assert plan.magnitude == 0.0
+        assert not plan.delta_Y.any()
 
     @pytest.mark.parametrize(
         "K, F",
@@ -1088,6 +1109,18 @@ class TestFileFormats:
         loaded = load_utility_spec(path)
         np.testing.assert_array_equal(loaded.F, UtilitySpec.average(5, 2).F)
 
+    @pytest.mark.parametrize(
+        "F, mu, name",
+        [('[["0.5", 0.5]]', "[0.0]", "utility F"), ("[[0.5, 0.5]]", "[false]", "utility mu")],
+        ids=["F-string", "mu-bool"],
+    )
+    def test_spec_entries_are_json_numbers(self, tmp_path, F, mu, name):
+        path = tmp_path / "utility.json"
+        path.write_text('{"K": 2, "q": 1, "F": %s, "mu": %s}' % (F, mu))
+        message = f"^ill-formed utility spec document: {name} is not an array of numbers$"
+        with pytest.raises(ValueError, match=message):
+            load_utility_spec(path)
+
     def test_rejects_inconsistent_q(self, tmp_path):
         path = tmp_path / "utility.json"
         path.write_text('{"K": 2, "q": 2, "F": [[1.0, 0.0, 0.0, 0.0]], "mu": [0.0]}')
@@ -1115,19 +1148,27 @@ class TestFileFormats:
     @pytest.mark.parametrize("l", ["true", "1.0", '"1"'], ids=["bool", "float", "string"])
     def test_plan_l_is_a_json_integer(self, tmp_path, l):
         path = tmp_path / "plan.json"
-        path.write_text('{"x2_init": [0.0], "l": %s, "U2": [0.0], "seed": 0, "magnitude": 1.0}' % l)
+        path.write_text('{"x2_init": [0.0], "l": %s, "U2": [0.0]}' % l)
         mode = StateSpaceMode(1, A=[[0.8]], B=[[1.0]], C=[[1.0]])
         with pytest.raises(ValueError, match="ill-formed plan document: 'l' is not an integer"):
             load_kernel_plan(path, mode)
 
-    @pytest.mark.parametrize("key", ["x2_init", "l", "U2", "seed", "magnitude"])
+    @pytest.mark.parametrize("key", ["x2_init", "l", "U2"])
     def test_plan_entries_are_required(self, tmp_path, key):
-        doc = {"x2_init": [0.0], "l": 1, "U2": [0.0], "seed": 0, "magnitude": 1.0}
+        doc = {"x2_init": [0.0], "l": 1, "U2": [0.0]}
         del doc[key]
         path = tmp_path / "plan.json"
         support.json_dump_file(doc, path)
         mode = StateSpaceMode(1, A=[[0.8]], B=[[1.0]], C=[[1.0]])
         with pytest.raises(ValueError, match=f"plan document has no '{key}' entry"):
+            load_kernel_plan(path, mode)
+
+    def test_plan_x2_init_is_json_numbers(self, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text('{"x2_init": ["0.25"], "l": 1, "U2": [0.5]}')
+        mode = StateSpaceMode(1, A=[[0.8]], B=[[1.0]], C=[[1.0]])
+        message = "^ill-formed plan document: plan x2_init is not an array of numbers$"
+        with pytest.raises(ValueError, match=message):
             load_kernel_plan(path, mode)
 
     def test_plan_roundtrip_rebuilds_response(self, tmp_path):
@@ -1141,8 +1182,6 @@ class TestFileFormats:
         np.testing.assert_array_equal(loaded.x2_init, plan.x2_init)
         np.testing.assert_array_equal(loaded.U2, plan.U2)
         np.testing.assert_allclose(loaded.delta_Y, plan.delta_Y, rtol=1e-9, atol=1e-12)
-        assert loaded.seed == plan.seed
-        assert loaded.magnitude == plan.magnitude
 
     def test_plan_loader_keeps_the_arrays_it_builds(self, tmp_path, monkeypatch):
         # The arrays parsed from JSON lists, and the rebuilt response, are frozen in
@@ -1167,8 +1206,6 @@ class TestFileFormats:
             "x2_init": plan.x2_init.tolist(),
             "l": 1,
             "U2": plan.U2.reshape(-1).tolist(),
-            "seed": plan.seed,
-            "magnitude": plan.magnitude,
         }
         F = np.random.default_rng(6).standard_normal((3, 2 * K)) * 10.0 ** np.arange(-9, 9, 6)[:, None]
         F[0, :5] = [-0.0, 5e-324, 1e16, 1.5e17, 1e-300]
@@ -1189,7 +1226,7 @@ class TestFileFormats:
         mode = StateSpaceMode(1, rng.standard_normal((2, 2)) * 0.3, np.ones((2, l)), [[1.0, 0.5]])
         K = 2 * modes._ROWS_PER_BLOCK + 3
         U2 = rng.standard_normal((K - 1, l))
-        plan = KernelPlan(rng.standard_normal(2), U2, np.zeros(K), 0.0, 5, 1.0)
+        plan = KernelPlan(rng.standard_normal(2), U2, np.zeros(K), 0.0)
         path = tmp_path / "plan.json"
         save_kernel_plan(plan, path)
         doc = support.json_load_file(path)
@@ -1215,7 +1252,7 @@ class TestFileFormats:
         rng = np.random.default_rng(plan_l)
         K = 5
         U2 = rng.standard_normal((2 * (K - 1) // plan_l, plan_l))
-        plan = KernelPlan(rng.standard_normal(2), U2, np.zeros(U2.shape[0] + 1), 0.0, 3, 1.0)
+        plan = KernelPlan(rng.standard_normal(2), U2, np.zeros(U2.shape[0] + 1), 0.0)
         path = tmp_path / "plan.json"
         save_kernel_plan(plan, path)
         target = support.random_valid_mode(rng, n=2, m=1, l=target_l)
@@ -1225,41 +1262,40 @@ class TestFileFormats:
     def test_non_finite_plan_rejected(self, tmp_path):
         mode = support.scalar_mode(0.8)
         path = tmp_path / "plan.json"
-        path.write_text('{"x2_init": [NaN], "l": 1, "U2": [0.0], "seed": 0, "magnitude": 1.0}')
+        path.write_text('{"x2_init": [NaN], "l": 1, "U2": [0.0]}')
         with pytest.raises(ValueError, match="finite"):
             load_kernel_plan(path, mode)
         with pytest.raises(ValueError, match="finite"):
-            KernelPlan(
-                x2_init=[0.0], U2=[[np.inf], [0.0]], delta_Y=np.zeros(3),
-                residual=0.0, seed=None, magnitude=1.0,
-            )
+            KernelPlan(x2_init=[0.0], U2=[[np.inf], [0.0]], delta_Y=np.zeros(3), residual=0.0)
 
     @pytest.mark.parametrize(
         "U2, l, target_l, message",
         [
             (None, 1, 1, "no 'U2' entry"),
             ("[0.0, NaN]", 1, 1, "plan U2 is not finite at sample 2"),
-            ('["a"]', 1, 1, "could not convert"),
+            ('["a"]', 1, 1, "ill-formed plan document: plan U2 is not an array of numbers"),
             ("[0.0, [1.0]]", 1, 1, "ill-formed plan document"),
             ('{"a": 1}', 1, 1, "ill-formed plan document"),
             ("[0.0, 1.0, 2.0]", 2, 2, "plan U2 has 3 entries, not whole rows of 2 inputs"),
             ("[0.0, 1.0, NaN, 2.0]", 2, 2, "plan U2 is not finite at sample 2"),
-            ('[0.0, "a"]', 1, 1, "could not convert"),
+            ('[0.0, "a"]', 1, 1, "ill-formed plan document: plan U2 is not an array of numbers"),
             ("[0.0, 1.0, 2.0, 3.0]", 2, 1, "do not match the target mode"),
             ("[0.0, 1.0]", None, 1, "plan document has no 'l' entry"),
-            ("[[0.0], [1.0]]", 1, 1, "ill-formed plan document"),
+            ("[[0.0], [1.0]]", 1, 1, "ill-formed plan document: plan U2 is not a flat list"),
+            ("[0.0, null]", 1, 1, "ill-formed plan document: plan U2 is not an array of numbers"),
+            ("[true, false]", 1, 1, "ill-formed plan document: plan U2 is not an array of numbers"),
         ],
         ids=[
             "missing", "non_finite", "non_numeric", "mixed", "not_a_list",
             "flat_not_whole_rows", "flat_non_finite", "flat_non_numeric", "flat_other_l",
-            "flat_without_l", "per_sample_lists",
+            "flat_without_l", "per_sample_lists", "null", "bools",
         ],
     )
     def test_malformed_U2_rejected(self, tmp_path, U2, l, target_l, message):
         # A plan has one layout: l, and U2 as one flat row-major list.
         path = tmp_path / "plan.json"
         entry = ("" if l is None else f', "l": {l}') + ("" if U2 is None else f', "U2": {U2}')
-        path.write_text('{"x2_init": [0.0]' + entry + ', "seed": 0, "magnitude": 1.0}')
+        path.write_text('{"x2_init": [0.0]' + entry + "}")
         mode = StateSpaceMode(1, A=[[0.8]], B=[[1.0] * target_l], C=[[1.0]])
         with pytest.raises(ValueError, match=message):
             load_kernel_plan(path, mode)
@@ -1269,7 +1305,7 @@ class TestFileFormats:
         # two arrays of its size, where np.asarray on a nested list peaked at five.
         K = 36000
         rows = np.random.default_rng(3).standard_normal(K - 1).tolist()
-        peak = support.traced_peak(lambda: invariance._sample_rows(rows, "plan U2", 1))
+        peak = support.traced_peak(lambda: invariance._frozen(rows, "plan U2", 1))
         assert peak <= 2 * (K - 1) * 8
 
     def test_plan_and_spec_writers_hold_no_whole_horizon_list(self, tmp_path):
@@ -1278,19 +1314,19 @@ class TestFileFormats:
         # json.dumps string peaked at about eleven.
         K = 36000
         rng = np.random.default_rng(12)
-        plan = KernelPlan(rng.standard_normal(3), rng.standard_normal((K - 1, 1)), np.zeros(K), 0.0, 1, 1.0)
+        plan = KernelPlan(rng.standard_normal(3), rng.standard_normal((K - 1, 1)), np.zeros(K), 0.0)
         spec = UtilitySpec(F=rng.standard_normal((2, K)), mu=np.zeros(2), K=K)
         for save, obj in ((save_kernel_plan, plan), (save_utility_spec, spec)):
             path = tmp_path / "doc.json"
             assert support.traced_peak(lambda: save(obj, path)) <= K * 8
 
     def test_zero_plan_constructor(self):
-        plan = KernelPlan.zero(n=2, K=4, m=1, l=3)
+        plan = KernelPlan.zero(StateSpaceMode(1, np.eye(2), np.ones((2, 3)), [[1.0, 0.0]]), 4)
         assert plan.K == 4
         assert plan.U2.shape == (3, 3)
         np.testing.assert_array_equal(plan.delta_Y, np.zeros(4))
 
     def test_vector_inputs_are_one_column(self):
         # As a trajectory's U: K - 1 samples of one input, not one sample of K - 1.
-        plan = KernelPlan([0.0], [1.0, 2.0], np.zeros(3), 0.0, None, 1.0)
+        plan = KernelPlan([0.0], [1.0, 2.0], np.zeros(3), 0.0)
         assert plan.U2.shape == (2, 1) and plan.K == 3

@@ -90,7 +90,7 @@ class TestModeBank:
         b = support.double_integrator(mode_id=2)
         # double integrator shares m = l = 1, so this is fine
         bank = ModeBank((a, b))
-        assert bank.N == 2 and bank.m == 1 and bank.l == 1
+        assert len(bank.modes) == 2 and bank.m == 1 and bank.l == 1
         c = StateSpaceMode(2, A=np.eye(2), B=np.eye(2), C=np.eye(2))
         with pytest.raises(ValueError):
             ModeBank((a, c))
@@ -504,7 +504,7 @@ class TestFileFormats:
         path = tmp_path / "bank.json"
         save_mode_bank(bank, path)
         loaded = load_mode_bank(path)
-        assert loaded.N == bank.N
+        assert len(loaded.modes) == len(bank.modes)
         for original, read in zip(bank, loaded):
             np.testing.assert_array_equal(original.A, read.A)
             np.testing.assert_array_equal(original.B, read.B)
@@ -516,6 +516,19 @@ class TestFileFormats:
             '{"m": 2, "l": 1, "modes": [{"id": 1, "A": [[0.5]], "B": [[1.0]], "C": [[1.0]]}]}'
         )
         with pytest.raises(ValueError):
+            load_mode_bank(path)
+
+    @pytest.mark.parametrize(
+        "A, C, name",
+        [('[["0.5"]]', "[[1.0]]", "A"), ("[[0.5]]", "[[true]]", "C"), ("[[0.5]]", "[[null]]", "C")],
+        ids=["A-string", "C-bool", "C-null"],
+    )
+    def test_bank_entries_are_json_numbers(self, tmp_path, A, C, name):
+        path = tmp_path / "bank.json"
+        mode = '{"id": 1, "A": %s, "B": [[1.0]], "C": %s}' % (A, C)
+        path.write_text('{"m": 1, "l": 1, "modes": [%s]}' % mode)
+        message = f"^ill-formed mode bank document: {name} is not an array of numbers$"
+        with pytest.raises(ValueError, match=message):
             load_mode_bank(path)
 
     def test_bank_rejects_missing_fields(self, tmp_path):

@@ -343,7 +343,7 @@ class TestVerifyRegulation:
         rng = np.random.default_rng(21)
         drive = support.random_trajectory(rng, sports, K)
         sol = solve_regulator_equations(sports, average)
-        zero = KernelPlan.zero(average.n, K, average.m, average.l)
+        zero = KernelPlan.zero(average, K)
         cfg = DistortionConfig(sports, average, sol, zero, K)
         _, Ybar = support.two_copy_replay(cfg, drive)
         virtual = support.pipeline_replay(sports, average, sol, drive)
@@ -412,6 +412,17 @@ class TestControllerFiles:
         doc["Gamma"][0][0] = float("nan")
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="Gamma is not finite at row 1"):
+            load_controller(path, sports, average)
+
+    def test_rejects_entry_that_is_not_a_number(self, tmp_path, vehicle_pair):
+        sports, average = vehicle_pair
+        path = tmp_path / "controller.json"
+        save_controller(solve_regulator_equations(sports, average), path)
+        doc = json.loads(path.read_text())
+        doc["Theta"][0][0] = str(doc["Theta"][0][0])
+        path.write_text(json.dumps(doc))
+        message = "^ill-formed controller document: Theta is not an array of numbers$"
+        with pytest.raises(ValueError, match=message):
             load_controller(path, sports, average)
 
     def test_rejects_shapes_of_another_pair(self, tmp_path, vehicle_pair):
