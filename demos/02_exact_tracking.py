@@ -35,7 +35,8 @@ print("Pi =")
 print(sol.Pi)
 print("Gamma =", sol.Gamma.ravel())
 print("Theta =", sol.Theta.ravel())
-print("equation residual:", max(regulator_residuals(sports, average, sol.Pi, sol.Gamma, sol.Theta)))
+residuals = regulator_residuals(sports, average, sol.Pi, sol.Gamma, sol.Theta)
+print("relative equation residual (max-abs residual over max-abs term):", max(residuals))
 
 gain = design_stabilizing_gain(average)
 print()

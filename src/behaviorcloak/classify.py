@@ -2,9 +2,10 @@
 
 A trajectory belongs to a mode's behaviour iff each of its windows of lag + 1
 samples does (Willems, Automatica 1986).  The classifier scores each mode in
-a bank by the normalized parity-space residual of those windows (Chow and
-Willsky, IEEE TAC 1984) and accepts every mode below a tolerance; several
-accepted modes mean the trajectory is not classifiable.
+a bank by the parity-space residual of those windows (Chow and Willsky, IEEE
+TAC 1984) over the norm of the outputs, a unit-free score, and accepts every
+mode below a tolerance; several accepted modes mean the trajectory is not
+classifiable.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import stable_norm
 from .modes import ModeBank, StateSpaceMode, Trajectory, build_lifted_operators
 
 __all__ = [
@@ -26,7 +28,8 @@ __all__ = [
 AMBIGUOUS = "AMBIGUOUS"
 NONE = "NONE"
 
-# The default score below which a mode accepts a trajectory.
+# The default score below which a mode accepts a trajectory: a share of ||Y||, so it
+# holds in any units.  A member of the behaviour scores rounding, a few eps per window.
 ACCEPT_TOL = 1e-6
 
 
@@ -62,16 +65,17 @@ class ClassificationReport:
 
 
 def mode_residual(mode: StateSpaceMode, traj: Trajectory) -> float:
-    """Normalized distance of a trajectory from a mode's behaviour: the norm of
-    the parity residuals of its windows of lag + 1 samples
-    (:meth:`LiftedOperators.residual`) over ``1 + ||Y||``.  No power of A past
-    a window is formed, so an unstable mode scores at any horizon.  ValueError naming the
-    mode if the residual or ``||Y||`` overflows; :func:`classify` keeps numpy from warning."""
+    """Relative distance of a trajectory from a mode's behaviour: the norm of the parity
+    residuals of its windows of lag + 1 samples (:meth:`LiftedOperators.residual`) over
+    ``||Y||``.  A trajectory with zero outputs scores 0 if its residual is 0 and inf
+    otherwise.  No power of A past a window is formed, so an unstable mode scores at any
+    horizon.  ValueError naming the mode if the residual plus ``||Y||`` overflows;
+    :func:`classify` keeps numpy from warning."""
     residual = build_lifted_operators(mode, traj.K).residual(traj.Y, traj.U)
-    norm = float(np.linalg.norm(traj.Y))
+    norm = stable_norm(traj.Y)
     if not residual + norm < np.inf:  # a NaN fails too
-        raise ValueError(f"mode {mode.mode_id} has no finite score: {residual} / (1 + {norm})")
-    return residual / (1.0 + norm)
+        raise ValueError(f"mode {mode.mode_id} has no finite score: {residual} / {norm}")
+    return residual / norm if norm else (np.inf if residual else 0.0)
 
 
 def classify(

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .invariance import KernelPlan, UtilitySpec, solve_utility_invariance
-from .linalg import RESIDUAL_TOL
+from .linalg import stable_norm
 from .modes import (
     StateSpaceMode,
     Trajectory,
@@ -38,7 +38,12 @@ from .modes import (
     build_lifted_operators,
     simulate_mode,
 )
-from .regulation import RegulatorSolution, regulator_residuals, solve_regulator_equations
+from .regulation import (
+    _REGULATOR_RTOL,
+    RegulatorSolution,
+    regulator_residuals,
+    solve_regulator_equations,
+)
 
 __all__ = [
     "HorizonExhaustedError",
@@ -55,6 +60,10 @@ __all__ = [
 
 # cloak's bound on |F_i Ybar - F_i Y| per ||F_i|| (||Y|| + ||Ybar||): relative to the data.
 _UTILITY_RTOL = 1e-8
+
+# reconstruct_state's bound on a window's fit residual per ||Y||: an exact window fits
+# to a few eps of ||Y||, a window the mode does not explain misses by a share of it.
+_WINDOW_RTOL = 1e-9
 
 
 class HorizonExhaustedError(RuntimeError):
@@ -90,10 +99,10 @@ class DistortionConfig:
         if s.m != t.m or s.l != t.l:
             raise ValueError("source and target modes must share m and l")
         residual = max(regulator_residuals(s, t, r.Pi, r.Gamma, r.Theta))
-        if not residual <= RESIDUAL_TOL:  # a NaN residual fails too
+        if not residual <= _REGULATOR_RTOL:  # a NaN residual fails too
             raise ValueError(
                 f"the regulator solution does not solve the equations of modes "
-                f"{s.mode_id} -> {t.mode_id} (residual {residual:.3e})"
+                f"{s.mode_id} -> {t.mode_id} (relative residual {residual:.3e})"
             )
         if self.K < 2:
             raise ValueError("horizon must be at least 2")
@@ -125,7 +134,7 @@ def reconstruct_state(mode: StateSpaceMode, U_window, Y_window) -> np.ndarray:
     ------
     InconsistentDataError
         If the window is not explainable by this mode, i.e. the fit
-        residual exceeds ``RESIDUAL_TOL * (1 + ||Y||)``.
+        residual exceeds ``1e-9 ||Y||``.
     """
     Y = _frozen(Y_window, "window Y", samples=1)
     U = _frozen(U_window, "window U", samples=1)
@@ -135,7 +144,7 @@ def reconstruct_state(mode: StateSpaceMode, U_window, Y_window) -> np.ndarray:
     if w < mode.n:
         raise ValueError(f"need at least {mode.n} output samples, got {w}")
     x1, residual = build_lifted_operators(mode, w).fit(Y, U)
-    if residual > RESIDUAL_TOL * (1.0 + np.linalg.norm(Y)):
+    if not residual <= _WINDOW_RTOL * stable_norm(Y):  # a NaN residual fails too
         raise InconsistentDataError(residual)
     return x1
 
@@ -269,8 +278,9 @@ def run_offline(cfg: DistortionConfig, traj: Trajectory) -> DistortedTrajectory:
 
 
 def design(true_mode, target_mode, utility, magnitude=1.0, seed=0) -> DistortionConfig:
-    """The regulator solution of a mode pair, then a plan of ``magnitude`` in Ker[F] for the
-    target over the utility's horizon; an infeasible pair raises before any plan is tried."""
+    """The regulator solution of a mode pair, then a plan in Ker[F] for the target over the
+    utility's horizon whose response has 2-norm ``magnitude``, in the units of the outputs;
+    an infeasible pair raises before any plan is tried."""
     sol = solve_regulator_equations(true_mode, target_mode)
     ops = build_lifted_operators(target_mode, utility.K)
     plan = solve_utility_invariance(ops, utility, magnitude=magnitude, seed=seed)
@@ -280,7 +290,9 @@ def design(true_mode, target_mode, utility, magnitude=1.0, seed=0) -> Distortion
 def cloak(cfg: DistortionConfig, traj: Trajectory, utility: UtilitySpec) -> DistortedTrajectory:
     """:func:`run_offline` of a trajectory with states under a utility of its K and m (else
     ValueError); UtilityChangedError unless ``|F_i Ybar - F_i Y| <= 1e-8 ||F_i|| (||Y|| +
-    ||Ybar||)`` for every row ``F_i``, and ValueError naming a norm there that overflows."""
+    ||Ybar||)`` for every row ``F_i``.  The bound is relative to the data, so it holds in
+    any units; a ValueError names ``F`` when a ``||F_i||`` overflows and ``Y`` when
+    ``||Y|| + ||Ybar||`` does (:func:`~behaviorcloak.linalg.stable_norm`)."""
     if traj.X is None:
         raise ValueError("the input trajectory must carry state columns")
     if utility.K != cfg.K or utility.m != cfg.true_mode.m:
@@ -292,10 +304,10 @@ def cloak(cfg: DistortionConfig, traj: Trajectory, utility: UtilitySpec) -> Dist
     F, Y, Ybar = utility.F, traj.Y.reshape(-1), distorted.Ybar.reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite bound holds for any gap
         gap, rows = np.abs(F @ Ybar - F @ Y), np.sqrt(np.einsum("ij,ij->i", F, F))  # no copy of F
-        norms = {"F": rows, "Y": np.linalg.norm(Y), "Ybar": np.linalg.norm(Ybar)}
+        norms = {"F": rows, "Y": stable_norm(Y) + stable_norm(Ybar)}
     for name, norm in norms.items():
         if not np.isfinite(norm).all():
             raise ValueError(f"the norm of {name} is not finite: no utility change can be bounded")
-    if not np.all(gap <= _UTILITY_RTOL * rows * (norms["Y"] + norms["Ybar"])):
+    if not np.all(gap <= _UTILITY_RTOL * rows * norms["Y"]):
         raise UtilityChangedError(f"the plan changes this utility by {np.max(gap):.3e}")
     return distorted

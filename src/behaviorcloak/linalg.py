@@ -5,9 +5,10 @@ decisions everywhere drop singular values below
 ``sigma_max * max(M.shape) * machine_eps`` (the cutoff numpy's
 ``matrix_rank`` uses by default), so all callers agree on what counts as
 numerically zero; a solve through the Gram ``M' M`` or ``M M'`` uses that
-cutoff squared on its eigenvalues.  A linear equation counts as satisfied
-at a residual of at most ``RESIDUAL_TOL``, and a matrix is Schur stable
-when its spectral radius is at most ``1 - SCHUR_MARGIN``.
+cutoff squared on its eigenvalues.  A matrix is Schur stable when its
+spectral radius is at most ``1 - SCHUR_MARGIN``.  Whether a residual is
+small is decided by each caller, relative to the data it checks; a 2-norm
+of such data is :func:`stable_norm`, finite whenever the norm itself is.
 """
 
 from __future__ import annotations
@@ -17,17 +18,16 @@ from math import factorial
 import numpy as np
 
 __all__ = [
-    "RESIDUAL_TOL",
     "SCHUR_MARGIN",
     "rank_cutoff",
     "nullspace_basis",
     "lstsq_min_norm",
     "gram_solve",
     "is_schur",
+    "stable_norm",
     "matrix_exponential",
 ]
 
-RESIDUAL_TOL = 1e-9
 SCHUR_MARGIN = 1e-9
 
 
@@ -106,6 +106,18 @@ def is_schur(M) -> bool:
     """True iff all eigenvalues lie at least ``SCHUR_MARGIN`` inside the unit circle."""
     radius = np.abs(np.linalg.eigvals(_as_square(M))).max()
     return bool(radius <= 1.0 - SCHUR_MARGIN)
+
+
+def stable_norm(x) -> float:
+    """2-norm of an array, finite whenever the norm is: when the sum of squares
+    overflows, the norm of the array over its max-abs entry, times that entry.
+    Only that case allocates; a NaN or an infinite entry gives a NaN or inf."""
+    norm = np.linalg.norm(x)
+    if norm == np.inf:
+        peak = np.abs(x).max()
+        if peak < np.inf:
+            norm = peak * np.linalg.norm(x / peak)
+    return float(norm)
 
 
 # Coefficients of the [13/13] Pade approximant of exp, normalized to b[0] = 1,

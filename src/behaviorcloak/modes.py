@@ -45,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import lstsq_min_norm, matrix_exponential, nullspace_basis
+from .linalg import lstsq_min_norm, matrix_exponential, nullspace_basis, stable_norm
 
 __all__ = [
     "StateSpaceMode",
@@ -562,7 +562,7 @@ class LiftedOperators:
             E += np.dot(Y[j : j + W], N[j], out=part)
         for j in range(L - 1):
             E -= np.dot(U[j : j + W], NT[j], out=part)
-        return float(np.linalg.norm(E))
+        return stable_norm(E)
 
 
 def build_lifted_operators(target_mode: StateSpaceMode, K: int) -> LiftedOperators:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RESIDUAL_TOL, is_schur, lstsq_min_norm
+from .linalg import is_schur, lstsq_min_norm
 from .modes import StateSpaceMode, _frozen, _read_document, _write_document
 
 __all__ = [
@@ -47,6 +47,14 @@ __all__ = [
 # The entries of controller.json, in file order.
 _CONTROLLER_KEYS = ("Pi", "Gamma", "Theta")
 
+# The bound on each regulator equation's relative residual (regulator_residuals).  A
+# solution that misses by r of the equations' terms puts the replayed target r off the
+# source outputs, so a cloak scores about r on the target: 1e-9 keeps that a thousandfold
+# below classify's ACCEPT_TOL.  It is 4.5e6 eps, far above the few eps that a
+# backward-stable solve of the equilibrated system leaves, and far below the order-one
+# miss of a target that cannot imitate the source.
+_REGULATOR_RTOL = 1e-9
+
 # Stopping rule of the Riccati doubling in design_stabilizing_gain.
 _DOUBLING_MAX_STEPS = 64
 _DOUBLING_STEP_TOL = 1e-12
@@ -56,7 +64,7 @@ class RegulationInfeasibleError(RuntimeError):
     """The target mode cannot reproduce the source mode's outputs exactly."""
 
     def __init__(self, residual: float):
-        super().__init__(f"regulator equations are infeasible (best residual {residual:.3e})")
+        super().__init__(f"regulator equations are infeasible (relative residual {residual:.3e})")
         self.residual = residual
 
 
@@ -66,7 +74,7 @@ class GainDesignError(RuntimeError):
 
 @dataclass(frozen=True)
 class RegulatorSolution:
-    """A feasible (Pi, Gamma, Theta) triple with its equation residual."""
+    """A feasible (Pi, Gamma, Theta) triple with its largest relative equation residual."""
 
     Pi: np.ndarray
     Gamma: np.ndarray
@@ -95,16 +103,25 @@ def _shapes(true_mode: StateSpaceMode, target_mode: StateSpaceMode) -> tuple:
     return (target_mode.n, n_s), (l_t, n_s), (l_t, true_mode.l)
 
 
-def _equations(true_mode, target_mode, Pi, Gamma, Theta, C_s) -> tuple:
-    """Left sides ``A_t Pi - Pi A_s + B_t Gamma``, ``C_t Pi - C_s`` and ``B_t Theta - Pi B_s``
-    of the regulator equations; ``Pi``, ``Gamma`` and ``Theta`` may be stacks."""
-    A_s, B_s, A_t, B_t = true_mode.A, true_mode.B, target_mode.A, target_mode.B
-    return A_t @ Pi - Pi @ A_s + B_t @ Gamma, target_mode.C @ Pi - C_s, B_t @ Theta - Pi @ B_s
+def _terms(source, target, Pi, Gamma, Theta) -> tuple:
+    """The terms of the regulator equations' left sides, one tuple per equation:
+    ``(A_t Pi, -Pi A_s, B_t Gamma)``, ``(C_t Pi, -C_s)`` and ``(B_t Theta, -Pi B_s)``.
+    ``source`` and ``target`` are ``(A, B, C)`` triples; the unknowns may be stacks."""
+    (A_s, B_s, C_s), (A_t, B_t, C_t) = source, target
+    return (A_t @ Pi, -(Pi @ A_s), B_t @ Gamma), (C_t @ Pi, -C_s), (B_t @ Theta, -(Pi @ B_s))
 
 
 def _vec(matrices) -> np.ndarray:
     """The column-major entries of (stacks of) matrices, side by side."""
     return np.concatenate([M.swapaxes(-1, -2).reshape(*M.shape[:-2], -1) for M in matrices], -1)
+
+
+def _relative(terms) -> float:
+    """Max-abs entry of the sum of ``terms`` over the max-abs entry of the largest term
+    (0 when every term is 0); NaN when a term is not finite."""
+    T = np.array(terms)
+    size, residual = float(np.abs(T).max()), float(np.abs(T.sum(0)).max())
+    return residual / size if size else residual
 
 
 def regulator_residuals(
@@ -114,13 +131,15 @@ def regulator_residuals(
     Gamma,
     Theta,
 ) -> tuple[float, float, float]:
-    """Max-abs residual of each regulator equation; ValueError on a misfit shape."""
+    """Relative residual of each regulator equation: the max-abs entry of its left side
+    over the max-abs entry of its largest term, so it does not depend on the units of
+    u and y.  ValueError on a misfit shape."""
     unknowns = [np.asarray(M, dtype=float) for M in (Pi, Gamma, Theta)]
     for name, M, shape in zip(_CONTROLLER_KEYS, unknowns, _shapes(true_mode, target_mode)):
         if M.shape != shape:
             raise ValueError(f"{name} must have shape {shape}, got {M.shape}")
-    residuals = _equations(true_mode, target_mode, *unknowns, true_mode.C)
-    return tuple(float(abs(r).max()) for r in residuals)
+    modes = [(mode.A, mode.B, mode.C) for mode in (true_mode, target_mode)]
+    return tuple(_relative(terms) for terms in _terms(*modes, *unknowns))
 
 
 def solve_regulator_equations(
@@ -132,17 +151,23 @@ def solve_regulator_equations(
     The equations are affine in ``z = [vec(Pi); vec(Gamma); vec(Theta)]``
     (column-major): column j of their matrix is the homogeneous equations at
     the j-th unit ``z``, all evaluated in one batched call, and the right side
-    is minus the equations at ``z = 0``.  Minimum-norm least squares solves
-    the system.  A solution is accepted as feasible iff its max-abs equation
-    residual is at most ``RESIDUAL_TOL``; otherwise the target mode cannot
-    imitate the source outputs and :class:`RegulationInfeasibleError` is raised.
+    is minus the equations at ``z = 0``.  The system is equilibrated first by
+    the units of u and y: input channel i is divided by the smallest power of
+    two ``d_i`` above the max-abs entry of column i of ``B_s`` and ``B_t``, output
+    channel j by that ``g_j`` of row j of ``C_s`` and ``C_t``.  In those units
+    ``Gamma`` is ``D Gamma`` and ``Theta`` is ``D Theta D^-1``; powers of two make
+    the scaling exact.  Minimum-norm least squares solves the scaled system.  A
+    solution is accepted as feasible iff every relative residual
+    (:func:`regulator_residuals`) is at most 1e-9; otherwise the target mode
+    cannot imitate the source outputs and :class:`RegulationInfeasibleError` is
+    raised.
 
     Raises
     ------
     ValueError
         If the two modes do not share input/output dimensions.
     RegulationInfeasibleError
-        If the best residual exceeds ``RESIDUAL_TOL``.
+        If the largest relative residual exceeds 1e-9.
     """
     if true_mode.m != target_mode.m or true_mode.l != target_mode.l:
         raise ValueError("source and target modes must share m and l")
@@ -153,12 +178,18 @@ def solve_regulator_equations(
         parts = np.split(z, ends[:-1], axis=-1)
         return [p.reshape(*p.shape[:-1], c, r).swapaxes(-1, -2) for p, (r, c) in zip(parts, shapes)]
 
-    M = _vec(_equations(true_mode, target_mode, *unknowns(np.eye(ends[-1])), 0.0)).T
-    b = -_vec(_equations(true_mode, target_mode, *unknowns(np.zeros(ends[-1])), true_mode.C))
+    modes = (true_mode, target_mode)
+    d = np.ldexp(1.0, np.frexp(np.abs(np.vstack([mode.B for mode in modes])).max(0))[1])
+    g = np.ldexp(1.0, np.frexp(np.abs(np.hstack([mode.C for mode in modes])).max(1))[1])
+    source, target = [(mode.A, mode.B / d, mode.C / g[:, None]) for mode in modes]
+    homogeneous = source[:2] + (0.0,)  # C_s = 0
+    M = _vec(map(sum, _terms(homogeneous, target, *unknowns(np.eye(ends[-1]))))).T
+    b = -_vec(map(sum, _terms(source, target, *unknowns(np.zeros(ends[-1])))))
     z, _ = lstsq_min_norm(M, b)
     Pi, Gamma, Theta = unknowns(z)
+    Gamma, Theta = Gamma / d[:, None], Theta / d[:, None] * d
     residual = max(regulator_residuals(true_mode, target_mode, Pi, Gamma, Theta))
-    if not residual <= RESIDUAL_TOL:  # a NaN residual is infeasible too
+    if not residual <= _REGULATOR_RTOL:  # a NaN residual is infeasible too
         raise RegulationInfeasibleError(residual)
     return RegulatorSolution(Pi=Pi, Gamma=Gamma, Theta=Theta, residual=residual)
 

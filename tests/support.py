@@ -25,6 +25,10 @@ from behaviorcloak import modes
 from behaviorcloak.linalg import lstsq_min_norm, rank_cutoff
 from behaviorcloak.modes import _block_toeplitz
 
+# The tests' bound on the residual of a linear identity (a Penrose identity, a
+# least-squares fit), times the scale each check states.
+RESIDUAL_TOL = 1e-9
+
 
 def pseudoinverse(M) -> np.ndarray:
     """Moore-Penrose inverse of ``M`` by SVD, with the package's scale-aware rank
@@ -306,12 +310,18 @@ def kronecker_regulator_solution(true_mode, target_mode):
 
     The three matrix equations are vectorized by Kronecker products into one
     linear system in ``z = [vec(Pi); vec(Gamma); vec(Theta)]`` (column-major)
-    and solved by ``lstsq_min_norm``; ``residual`` is the largest max-abs
-    entry of the three equations at the solution.
+    and solved by ``lstsq_min_norm``, in the units the solver uses: input
+    channel i divided by the power of two ``d_i`` just above the max-abs entry
+    of column i of both B, output channel j by that ``g_j`` of row j of both C,
+    so that the unknowns are ``(Pi, D Gamma, D Theta D^-1)``.  ``residual`` is
+    the largest relative residual of the three equations at the solution: the
+    max-abs entry of each over the max-abs entry of its largest term.
     """
     n_s, n_t, m, l = true_mode.n, target_mode.n, true_mode.m, true_mode.l
-    A_s, B_s, C_s = true_mode.A, true_mode.B, true_mode.C
-    A_t, B_t, C_t = target_mode.A, target_mode.B, target_mode.C
+    d = np.ldexp(1.0, np.frexp(np.abs(np.vstack([true_mode.B, target_mode.B])).max(0))[1])
+    g = np.ldexp(1.0, np.frexp(np.abs(np.hstack([true_mode.C, target_mode.C])).max(1))[1])
+    A_s, B_s, C_s = true_mode.A, true_mode.B / d, true_mode.C / g[:, None]
+    A_t, B_t, C_t = target_mode.A, target_mode.B / d, target_mode.C / g[:, None]
     n_pi, n_gamma = n_t * n_s, l * n_s
     M = np.zeros((n_t * n_s + m * n_s + n_t * l, n_pi + n_gamma + l * l))
     b = np.zeros(len(M))
@@ -326,10 +336,21 @@ def kronecker_regulator_solution(true_mode, target_mode):
     M[r1:, n_pi + n_gamma :] = np.kron(I_l, B_t)
     z, _ = lstsq_min_norm(M, b)
     Pi = z[:n_pi].reshape(n_t, n_s, order="F")
-    Gamma = z[n_pi : n_pi + n_gamma].reshape(l, n_s, order="F")
-    Theta = z[n_pi + n_gamma :].reshape(l, l, order="F")
-    equations = (A_t @ Pi - Pi @ A_s + B_t @ Gamma, C_t @ Pi - C_s, B_t @ Theta - Pi @ B_s)
-    return Pi, Gamma, Theta, max(float(abs(r).max()) for r in equations)
+    Gamma = z[n_pi : n_pi + n_gamma].reshape(l, n_s, order="F") / d[:, None]
+    Theta = z[n_pi + n_gamma :].reshape(l, l, order="F") / d[:, None] * d
+    A_s, B_s, C_s, A_t, B_t, C_t = (
+        getattr(mode, name) for mode in (true_mode, target_mode) for name in "ABC"
+    )
+    terms = (
+        (A_t @ Pi, Pi @ A_s, B_t @ Gamma, A_t @ Pi - Pi @ A_s + B_t @ Gamma),
+        (C_t @ Pi, C_s, C_t @ Pi - C_s),
+        (B_t @ Theta, Pi @ B_s, B_t @ Theta - Pi @ B_s),
+    )
+    residuals = []
+    for *parts, left in terms:
+        size = max(float(abs(T).max()) for T in parts)
+        residuals.append(float(abs(left).max()) / size if size else 0.0)
+    return Pi, Gamma, Theta, max(residuals)
 
 
 def pipeline_replay(true_mode, target_mode, sol, traj) -> Trajectory:

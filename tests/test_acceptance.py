@@ -31,9 +31,8 @@ from behaviorcloak import (
     solve_utility_invariance,
     vehicle_demo_bank,
 )
-from behaviorcloak.linalg import RESIDUAL_TOL
 from behaviorcloak.regulation import regulator_residuals
-from support import pseudoinverse
+from support import RESIDUAL_TOL, pseudoinverse
 
 PRINTED_SPORTS_AB = np.array(
     [

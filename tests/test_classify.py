@@ -42,7 +42,7 @@ class TestModeResidual:
         assert oracle_sq == pytest.approx(0.0686, abs=2e-4)
         traj = Trajectory(U=np.zeros((2, 1)), Y=Y.reshape(-1, 1))
         residual = mode_residual(support.scalar_mode(0.8), traj)
-        expected = np.sqrt(oracle_sq) / (1.0 + np.linalg.norm(Y))
+        expected = np.sqrt(oracle_sq) / np.linalg.norm(Y)
         assert residual == pytest.approx(expected, rel=1e-9)
 
     def test_dimension_mismatch(self):
@@ -127,8 +127,8 @@ class TestClassify:
         assert report.accepted == ()
 
     def test_overflowing_output_is_refused_by_mode(self):
-        # A finite 1e308 output overflows ||Y|| and the residual: the scores would be
-        # NaN, the verdict NONE.  One ValueError names the mode, and no warning escapes.
+        # A finite 1e308 output: the residual plus ||Y|| overflows, and a score of
+        # such data would read nothing.  One ValueError names the mode, and no warning escapes.
         bank = vehicle_demo_bank()
         traj = support.random_trajectory(np.random.default_rng(66), bank.mode(1), K=50)
         Y = traj.Y.copy()

@@ -607,7 +607,7 @@ class TestDistortAndClassify:
         big_path, out_csv = tmp_path / "big.csv", tmp_path / "distorted.csv"
         traj = read_trajectory_csv(traj_path)
         Y = traj.Y.copy()
-        Y[6, 0] = 1e308  # finite, but ||Y|| overflows
+        Y[6, 0] = 1e308  # finite, but ||Y|| + ||Ybar|| and residual + ||Y|| overflow
         write_trajectory_csv(Trajectory(U=traj.U, Y=Y, X=traj.X), big_path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -621,6 +621,28 @@ class TestDistortAndClassify:
         message = "the norm of Y is not finite" if command == "distort" else "mode 1 has no finite"
         assert message in captured.err
         assert not out_csv.exists()
+
+    @pytest.mark.parametrize("command", ["distort", "classify"])
+    def test_large_finite_output_is_processed(self, capsys, designed, tmp_path, command):
+        # A 1e160 output: its sum of squares overflows, but no norm does.
+        bank_path, _, traj_path = designed
+        big_path, out_csv = tmp_path / "big.csv", tmp_path / "distorted.csv"
+        traj = read_trajectory_csv(traj_path)
+        Y = traj.Y.copy()
+        Y[6, 0] = 1e160
+        write_trajectory_csv(Trajectory(U=traj.U, Y=Y, X=traj.X), big_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if command == "distort":
+                code = self.distort(designed, big_path, out_csv)
+            else:
+                code = main(["classify", "--bank", str(bank_path), "--input", str(big_path)])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        if command == "distort":
+            assert read_trajectory_csv(out_csv).Y[6, 0] == pytest.approx(1e160, rel=1e-12)
+        else:
+            assert json.loads(captured.out)["verdict"] == "NONE"
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-6"])
     def test_bad_accept_tol_is_bad_input(self, capsys, designed, tol):

@@ -614,8 +614,8 @@ class TestPipeline:
 
     @pytest.mark.parametrize("name", ["Y", "F"])
     def test_overflowing_norm_is_refused_by_name(self, scenario, name):
-        # An infinite ||Y|| (a finite 1e308 output) or ||F_i|| makes the bound hold
-        # for any gap; the check refuses by name, with no warning.
+        # An infinite ||Y|| + ||Ybar|| (a finite 1e308 output) or ||F_i|| makes the
+        # bound hold for any gap; the check refuses by name, with no warning.
         _, _, traj, spec, cfg = scenario
         if name == "Y":
             Y = traj.Y.copy()

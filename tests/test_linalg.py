@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from behaviorcloak.linalg import (
-    RESIDUAL_TOL,
     gram_solve,
     is_schur,
     lstsq_min_norm,
     matrix_exponential,
     nullspace_basis,
 )
-from support import pseudoinverse
+from support import RESIDUAL_TOL, pseudoinverse
 
 
 def random_matrix_of_rank(rng, p, q, r):

@@ -19,8 +19,8 @@ from behaviorcloak import (
     solve_regulator_equations,
     vehicle_demo_bank,
 )
-from behaviorcloak.linalg import RESIDUAL_TOL, is_schur
-from behaviorcloak.regulation import regulator_residuals
+from behaviorcloak.linalg import is_schur
+from behaviorcloak.regulation import _REGULATOR_RTOL, regulator_residuals
 
 PAPER_PI = np.array([[1.0, -0.038, 0.001], [0.0, 1.000, -0.038], [0.0, 0.000, 1.000]])
 PAPER_GAMMA = np.array([[0.000, 0.000, -7.876]])
@@ -147,7 +147,7 @@ class TestSolveRegulatorEquations:
         # Bitwise the same (Pi, Gamma, Theta) as the Kronecker-assembled system,
         # or the same refusal with the same residual.
         Pi, Gamma, Theta, residual = support.kronecker_regulator_solution(*pair)
-        if residual > RESIDUAL_TOL:
+        if residual > _REGULATOR_RTOL:
             with pytest.raises(RegulationInfeasibleError) as err:
                 solve_regulator_equations(*pair)
             assert err.value.residual == residual
