@@ -57,8 +57,11 @@ class ClassificationReport:
         return AMBIGUOUS if accepted else NONE
 
     def to_dict(self) -> dict:
+        """The report as JSON values: a score with no finite value is ``None``."""
         return {
-            "residuals": {str(k): v for k, v in self.residuals.items()},
+            "residuals": {
+                str(k): v if np.isfinite(v) else None for k, v in self.residuals.items()
+            },
             "accepted": list(self.accepted),
             "verdict": str(self.verdict),
         }

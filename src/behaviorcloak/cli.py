@@ -9,8 +9,8 @@ two-vehicle end-to-end scenario.
 
 Exit codes: 0 success, 1 a validation check failed (or ``distort`` or
 ``demo`` would change the utility), 2 bad input or configuration, 3 regulation
-infeasible, 4 utility invariance infeasible.
-The environment variable ``BEHAVIOR_CLOAK_SEED`` overrides ``--seed``.
+infeasible, 4 utility invariance infeasible.  Every subcommand prints strict
+JSON (RFC 8259): a score with no finite value prints as ``null``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -55,19 +54,6 @@ EXIT_BAD_INPUT = 2
 EXIT_REGULATION_INFEASIBLE = 3
 EXIT_INVARIANCE_INFEASIBLE = 4
 
-SEED_ENV_VAR = "BEHAVIOR_CLOAK_SEED"
-
-
-def _resolve_seed(args) -> int:
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return args.seed
-
-
 def _resolve_utility(value: str, K: int, m: int) -> UtilitySpec:
     if value == "average":
         return UtilitySpec.average(K, m)
@@ -88,7 +74,7 @@ def _mode_pair(bank: ModeBank, true_id: int, target_id: int):
 
 
 def _print_json(doc) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    sys.stdout.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def _cmd_validate(args) -> int:
@@ -102,8 +88,7 @@ def _cmd_design(args) -> int:
     bank = load_mode_bank(args.bank)
     true_mode, target_mode = _mode_pair(bank, args.true_mode, args.target_mode)
     utility = _resolve_utility(args.utility, args.K, bank.m)
-    seed = _resolve_seed(args)
-    cfg = design(true_mode, target_mode, utility, args.magnitude, seed)
+    cfg = design(true_mode, target_mode, utility, args.magnitude, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_controller(cfg.regulator, out / "controller.json")
@@ -150,8 +135,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    seed = _resolve_seed(args)
-    K = args.K
+    seed, K = args.seed, args.K
     out = Path(args.out)
     bank = vehicle_demo_bank()
     sports, average = bank.mode(1), bank.mode(2)

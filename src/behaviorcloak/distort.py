@@ -41,7 +41,7 @@ from .modes import (
 from .regulation import (
     _REGULATOR_RTOL,
     RegulatorSolution,
-    regulator_residuals,
+    _worst_equation,
     solve_regulator_equations,
 )
 
@@ -98,11 +98,11 @@ class DistortionConfig:
         s, t, r, p = self.true_mode, self.target_mode, self.regulator, self.plan
         if s.m != t.m or s.l != t.l:
             raise ValueError("source and target modes must share m and l")
-        residual = max(regulator_residuals(s, t, r.Pi, r.Gamma, r.Theta))
+        equation, residual = _worst_equation(s, t, r.Pi, r.Gamma, r.Theta)
         if not residual <= _REGULATOR_RTOL:  # a NaN residual fails too
             raise ValueError(
-                f"the regulator solution does not solve the equations of modes "
-                f"{s.mode_id} -> {t.mode_id} (relative residual {residual:.3e})"
+                f"the regulator solution does not solve the equations of modes {s.mode_id} -> "
+                f"{t.mode_id}: {equation} misses (relative residual {residual:.3e})"
             )
         if self.K < 2:
             raise ValueError("horizon must be at least 2")

@@ -227,13 +227,10 @@ def solve_utility_invariance(
 
 
 def load_utility_spec(path) -> UtilitySpec:
-    """Read a utility spec, either explicit {K, q, F, mu} or the
-    {"kind": "average", "K": ..., "m": ...} shorthand.  A missing entry or
-    one of the wrong type is a ValueError."""
+    """Read the explicit utility spec {K, q, F, mu}.  A missing entry or one of the
+    wrong type is a ValueError."""
 
     def build(doc) -> UtilitySpec:
-        if doc.get("kind") == "average":
-            return UtilitySpec.average(_integer(doc, "K"), _integer(doc, "m"))
         spec = UtilitySpec(F=doc["F"], mu=doc["mu"], K=_integer(doc, "K"))
         if spec.q != _integer(doc, "q"):
             raise ValueError("declared q disagrees with the rows of F")

@@ -47,6 +47,9 @@ __all__ = [
 # The entries of controller.json, in file order.
 _CONTROLLER_KEYS = ("Pi", "Gamma", "Theta")
 
+# The regulator equations, in the order of regulator_residuals.
+_EQUATIONS = ("A_t Pi - Pi A_s + B_t Gamma = 0", "C_t Pi = C_s", "B_t Theta = Pi B_s")
+
 # The bound on each regulator equation's relative residual (regulator_residuals).  A
 # solution that misses by r of the equations' terms puts the replayed target r off the
 # source outputs, so a cloak scores about r on the target: 1e-9 keeps that a thousandfold
@@ -63,8 +66,9 @@ _DOUBLING_STEP_TOL = 1e-12
 class RegulationInfeasibleError(RuntimeError):
     """The target mode cannot reproduce the source mode's outputs exactly."""
 
-    def __init__(self, residual: float):
-        super().__init__(f"regulator equations are infeasible (relative residual {residual:.3e})")
+    def __init__(self, residual: float, equation: str):
+        message = f"{equation} misses (relative residual {residual:.3e})"
+        super().__init__(f"regulator equations are infeasible: {message}")
         self.residual = residual
 
 
@@ -142,6 +146,14 @@ def regulator_residuals(
     return tuple(_relative(terms) for terms in _terms(*modes, *unknowns))
 
 
+def _worst_equation(*args) -> tuple[str, float]:
+    """The regulator equation with the largest of :func:`regulator_residuals` of
+    ``args`` and that residual; a NaN counts as the largest."""
+    residuals = regulator_residuals(*args)
+    worst = int(np.argmax(residuals))
+    return _EQUATIONS[worst], residuals[worst]
+
+
 def solve_regulator_equations(
     true_mode: StateSpaceMode,
     target_mode: StateSpaceMode,
@@ -188,9 +200,9 @@ def solve_regulator_equations(
     z, _ = lstsq_min_norm(M, b)
     Pi, Gamma, Theta = unknowns(z)
     Gamma, Theta = Gamma / d[:, None], Theta / d[:, None] * d
-    residual = max(regulator_residuals(true_mode, target_mode, Pi, Gamma, Theta))
+    equation, residual = _worst_equation(true_mode, target_mode, Pi, Gamma, Theta)
     if not residual <= _REGULATOR_RTOL:  # a NaN residual is infeasible too
-        raise RegulationInfeasibleError(residual)
+        raise RegulationInfeasibleError(residual, equation)
     return RegulatorSolution(Pi=Pi, Gamma=Gamma, Theta=Theta, residual=residual)
 
 

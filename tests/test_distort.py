@@ -81,6 +81,39 @@ class TestDistortionConfig:
         with pytest.raises(ValueError, match=r"residual nan"):
             DistortionConfig(true, target, spoiled, cfg.plan, 10)
 
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("m-l", "source and target modes must share m and l"),
+            (
+                "nan-Theta",
+                r"the regulator solution does not solve the equations of modes 1 -> 2: "
+                r"B_t Theta = Pi B_s misses \(relative residual nan\)",
+            ),
+            ("K-below-2", "horizon must be at least 2"),
+            ("plan-horizon", "plan is bound to horizon 10, configured 11"),
+            ("plan-width", "plan dimensions do not match the target mode"),
+            ("plan-delta-Y", "plan distortion length does not match the horizon"),
+        ],
+    )
+    def test_refusals_are_named(self, case, message):
+        # A NaN in Theta alone leaves the first two equations exact; the NaN
+        # residual of the third still refuses the solution.
+        true, target = identical_pair(np.random.default_rng(40))
+        cfg = make_config(true, target, K=10)
+        reg, plan = cfg.regulator, cfg.plan
+        args = dict(true_mode=true, target_mode=target, regulator=reg, plan=plan, K=10)
+        args |= {
+            "m-l": {"target_mode": support.random_valid_mode(np.random.default_rng(0), l=2)},
+            "nan-Theta": {"regulator": dataclasses.replace(reg, Theta=np.full((1, 1), np.nan))},
+            "K-below-2": {"K": 1},
+            "plan-horizon": {"K": 11},
+            "plan-width": {"plan": KernelPlan(np.zeros(3), np.zeros((9, 2)), plan.delta_Y, 0.0)},
+            "plan-delta-Y": {"plan": KernelPlan(np.zeros(3), plan.U2, np.zeros(11), 0.0)},
+        }[case]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DistortionConfig(**args)
+
     def test_tracking_controller_replays_its_solution(self):
         # The closed-loop controller is a regulator solution: the replay
         # uses its Gamma and Theta, whatever the gain.
@@ -472,6 +505,27 @@ class TestReconstructionMode:
         stateless = Trajectory(U=np.zeros((1, 1)), Y=np.zeros((2, 1)))
         with pytest.raises(ValueError):
             run_offline(cfg, stateless)
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("horizon", "trajectory horizon 11 does not match configured 10"),
+            ("outputs", "trajectory dimensions do not match the source mode"),
+            ("states", "states have dimension 2, expected 3"),
+        ],
+    )
+    def test_run_offline_refusals_are_named(self, case, message):
+        true, target = identical_pair(np.random.default_rng(40))
+        cfg = make_config(true, target, K=10)
+        rng = np.random.default_rng(57)
+        traj = support.random_trajectory(rng, true, 10)
+        bad = {
+            "horizon": support.random_trajectory(rng, true, 11),
+            "outputs": Trajectory(U=traj.U, Y=np.hstack([traj.Y, traj.Y]), X=traj.X),
+            "states": Trajectory(U=traj.U, Y=traj.Y, X=traj.X[:, :2]),
+        }[case]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_offline(cfg, bad)
 
 
 class TestReconstructState:

@@ -736,23 +736,58 @@ def test_working_set_at_paper_horizon():
     assert support.traced_peak(lambda: mode_residual(ops.mode, response)) <= 2.5 * array
 
 
-def test_import_loads_no_scipy_module():
+def run_probe(probe, *args) -> str:
+    """The stdout of ``probe`` run by a fresh interpreter that imports this package."""
     src = str(Path(behaviorcloak.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = (
-        "import sys, behaviorcloak; "
-        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    )
     result = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", probe, *map(str, args)],
         env=env,
         capture_output=True,
         text=True,
         check=True,
         timeout=120,
     )
-    assert result.stdout.strip() == "[]"
+    return result.stdout
+
+
+def test_import_loads_no_scipy_module():
+    probe = (
+        "import sys, behaviorcloak; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    assert run_probe(probe).strip() == "[]"
+
+
+def test_cli_without_a_draw_loads_no_random_module(tmp_path):
+    # Importing numpy.random costs a CLI process 10-20 ms; only design and demo
+    # draw.  The import, classify and distort load no numpy.random module that
+    # numpy itself does not (numpy 1.x loads it with numpy, numpy 2 does not).
+    bank = vehicle_demo_bank()
+    sports, average = bank.mode(1), bank.mode(2)
+    cfg = behaviorcloak.design(sports, average, UtilitySpec.average(50), seed=4)
+    behaviorcloak.save_mode_bank(bank, tmp_path / "bank.json")
+    behaviorcloak.save_controller(cfg.regulator, tmp_path / "controller.json")
+    save_kernel_plan(cfg.plan, tmp_path / "plan.json")
+    traj = support.random_trajectory(np.random.default_rng(3), sports, 50)
+    behaviorcloak.write_trajectory_csv(traj, tmp_path / "drive.csv")
+    probe = """if True:
+        import contextlib, io, sys, numpy
+        def loaded():
+            return {m for m in sys.modules if m.split(".")[:2] == ["numpy", "random"]}
+        before = loaded()
+        from behaviorcloak.cli import main
+        d = sys.argv[1] + "/"
+        pair = ["--bank", d + "bank.json", "--true-mode", "1", "--target-mode", "2"]
+        files = ["--controller", d + "controller.json", "--plan", d + "plan.json"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["distort", *pair, *files, "--input", d + "drive.csv",
+                         "--out", d + "cloaked.csv"]) == 0
+            assert main(["classify", "--bank", d + "bank.json", "--input", d + "cloaked.csv"]) == 0
+        print(sorted(loaded() - before))
+    """
+    assert run_probe(probe, tmp_path).strip() == "[]"
 
 
 class TestKernelProjector:
@@ -1103,11 +1138,12 @@ class TestFileFormats:
         np.testing.assert_array_equal(loaded.mu, spec.mu)
         assert loaded.K == spec.K
 
-    def test_average_shorthand(self, tmp_path):
+    def test_average_has_no_document(self, tmp_path):
+        # The average is --utility average or UtilitySpec.average; a document is explicit.
         path = tmp_path / "utility.json"
         path.write_text('{"kind": "average", "K": 5, "m": 2}')
-        loaded = load_utility_spec(path)
-        np.testing.assert_array_equal(loaded.F, UtilitySpec.average(5, 2).F)
+        with pytest.raises(ValueError, match="^utility spec document has no 'F' entry$"):
+            load_utility_spec(path)
 
     @pytest.mark.parametrize(
         "F, mu, name",
@@ -1133,10 +1169,8 @@ class TestFileFormats:
             ('{"K": "200", "q": 1, "F": [[1.0, 0.0]], "mu": [0.0]}', "K"),
             ('{"K": 2, "q": 1.5, "F": [[1.0, 0.0]], "mu": [0.0]}', "q"),
             ('{"K": 2, "q": true, "F": [[1.0, 0.0]], "mu": [0.0]}', "q"),
-            ('{"kind": "average", "K": 2.0, "m": 1}', "K"),
-            ('{"kind": "average", "K": 2, "m": 1.9}', "m"),
         ],
-        ids=["K-string", "q-float", "q-bool", "average-K-float", "average-m-float"],
+        ids=["K-string", "q-float", "q-bool"],
     )
     def test_spec_integer_entries_are_json_integers(self, tmp_path, doc, key):
         path = tmp_path / "utility.json"

@@ -68,6 +68,18 @@ class TestNullspaceBasis:
     def test_trivial_kernel_zero_width(self):
         assert nullspace_basis(np.eye(3)).shape == (3, 0)
 
+    @pytest.mark.parametrize(
+        "M, message",
+        [
+            (np.zeros((2, 2, 2)), "M must be at most two-dimensional"),
+            ([[1.0, np.nan]], "M contains non-finite entries"),
+        ],
+        ids=["3d", "nan"],
+    )
+    def test_refusals_are_named(self, M, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            nullspace_basis(M)
+
     def test_averaging_row_against_projector_oracle(self):
         # Oracle: the orthogonal projector I - M^+ M with M^+ the column of
         # ones (since M M' = 1/3 for M = ones(1,3)/3).

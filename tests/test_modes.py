@@ -95,6 +95,25 @@ class TestModeBank:
         with pytest.raises(ValueError):
             ModeBank((a, c))
 
+    @pytest.mark.parametrize(
+        "modes, message",
+        [
+            ((), "a mode bank needs at least one mode"),
+            (
+                (support.scalar_mode(0.5), StateSpaceMode(2, np.eye(2), np.eye(2), np.eye(2))),
+                "all modes in a bank must share output and input dimensions",
+            ),
+            (
+                (support.scalar_mode(0.5), support.scalar_mode(0.8, mode_id=3)),
+                r"mode ids must be unique and contiguous 1\.\.N",
+            ),
+        ],
+        ids=["empty", "dimensions", "ids"],
+    )
+    def test_refusals_are_named(self, modes, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ModeBank(modes)
+
     def test_lookup(self):
         bank = vehicle_demo_bank()
         assert bank.mode(2).mode_id == 2
@@ -489,6 +508,28 @@ class TestTrajectory:
     def test_samples_are_rows(self, arrays, name, shape):
         # A scalar once raised IndexError, and a (K - 1, 1, 1) U was accepted.
         with pytest.raises(ValueError, match=f"trajectory {name} must be 1-D or 2-D.*{shape}"):
+            Trajectory(**arrays)
+
+    @pytest.mark.parametrize(
+        "arrays, message",
+        [
+            (
+                dict(U=np.zeros((0, 1)), Y=np.zeros((1, 1))),
+                "a trajectory needs a horizon of at least K = 2",
+            ),
+            (
+                dict(U=np.zeros((3, 1)), Y=np.zeros((3, 1))),
+                "expected 2 input samples for 3 outputs, got 3",
+            ),
+            (
+                dict(U=np.zeros((2, 1)), Y=np.zeros((3, 1)), X=np.zeros((2, 2))),
+                "X must record one state per output sample",
+            ),
+        ],
+        ids=["short-horizon", "input-count", "state-rows"],
+    )
+    def test_refusals_are_named(self, arrays, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             Trajectory(**arrays)
 
     def test_stacking_order(self):

@@ -14,6 +14,7 @@ bound reads the same are oracle guards: the design cases with s and t in
 """
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -77,11 +78,35 @@ def test_design_cloak_and_verdicts_do_not_depend_on_units(unscaled_pi, s, t):
     assert classify(bank, cloaked).verdict == 2
 
 
+EQUATIONS = ("A_t Pi - Pi A_s + B_t Gamma = 0", "C_t Pi = C_s", "B_t Theta = Pi B_s")
+
+
 @pytest.mark.parametrize("s, t", GRID)
 def test_infeasible_pair_is_refused_at_every_scale(s, t):
     with pytest.raises(RegulationInfeasibleError) as err:
         solve_regulator_equations(*infeasible_pair(10.0**s, 10.0**t))
     assert err.value.residual > 1e-3
+    equation = "|".join(map(re.escape, EQUATIONS))
+    residual = re.escape(f"(relative residual {err.value.residual:.3e})")
+    message = f"regulator equations are infeasible: ({equation}) misses {residual}"
+    assert re.fullmatch(message, str(err.value))
+
+
+def test_infeasible_pair_names_the_equation_that_misses(capsys, tmp_path):
+    # The least-squares solution misses B_t Theta = Pi B_s most (relative residuals
+    # 0.12, 0.08 and 0.35 at the Kronecker oracle's solution); the library and the
+    # CLI (exit 3, nothing on stdout) name that equation.
+    message = "regulator equations are infeasible: B_t Theta = Pi B_s misses"
+    message += " (relative residual 3.484e-01)"
+    with pytest.raises(RegulationInfeasibleError) as err:
+        solve_regulator_equations(*infeasible_pair())
+    assert str(err.value) == message
+    assert err.value.residual == pytest.approx(0.3484, abs=5e-5)
+    bank_path = tmp_path / "bank.json"
+    save_mode_bank(ModeBank(infeasible_pair()), bank_path)
+    pair = ["--bank", str(bank_path), "--true-mode", "1", "--target-mode", "2"]
+    assert main(["design", *pair, "--K", "50", "--out", str(tmp_path / "d")]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_pi_near_zero_is_refused_by_the_gate():
