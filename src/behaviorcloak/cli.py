@@ -262,7 +262,3 @@ def main(argv=None) -> int:
         message = exc.args[0] if isinstance(exc, KeyError) else exc
         print(f"error: {message}", file=sys.stderr)
         return EXIT_BAD_INPUT
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
+import behaviorcloak
 from behaviorcloak import (
     DistortionConfig,
     InvarianceInfeasibleError,
@@ -184,6 +189,22 @@ def windowed_residual(mode, Y, U):
     R = (Yw - Uw @ T.T).T
     X = np.linalg.lstsq(O, R, rcond=rank_cutoff(O))[0]
     return float(np.linalg.norm(O @ X - R))
+
+
+def run_python(*argv, check=False) -> subprocess.CompletedProcess:
+    """``python -W error::RuntimeWarning *argv`` in a fresh interpreter that imports
+    this package from the tree under test, with its output captured as text."""
+    src = str(Path(behaviorcloak.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", *map(str, argv)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=check,
+        timeout=120,
+    )
 
 
 def traced_peak(call) -> float:

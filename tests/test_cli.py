@@ -102,6 +102,9 @@ class TestValidateCommand:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["validate", "--bank", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: mode bank document {path} is not JSON: ")
 
     @pytest.mark.parametrize(
         "B, C, message",
@@ -188,18 +191,30 @@ class TestDesignCommand:
             assert code == 4
             assert "Ker[F] is trivial" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("K", [500, 1000, 2000])
+    @pytest.mark.parametrize("K", [500, 1000, 2000, 4113, 7500])
     def test_unstable_target_long_horizon(self, capsys, tmp_path, K):
-        # The pole at 1.05 is unreachable from the input; plans exist
-        # although an unprojected response grows as 1.05^K.
-        bank_path = tmp_path / "bank.json"
-        save_mode_bank(ModeBank(support.unstable_pair()), bank_path)
-        code, report = run_cli(
-            capsys, "design", "--bank", bank_path, "--true-mode", 1,
-            "--target-mode", 2, "--K", K, "--out", tmp_path / "d",
-        )
+        # The pole at 1.05 is unreachable from the input; plans exist although
+        # an unprojected response grows as 1.05^K.  A drive that starts off the
+        # pole reads 1 and its cloak 2.  At K = 4113 the block scan runs over
+        # 258 block starts: 16 full groups and a tail of two.
+        source, target = support.unstable_pair()
+        bank_path, drive = tmp_path / "bank.json", tmp_path / "drive.csv"
+        save_mode_bank(ModeBank((source, target)), bank_path)
+        U = np.random.default_rng(3).uniform(-1.0, 1.0, (K - 1, 1))
+        write_trajectory_csv(simulate_mode(source, [0.0, 1.0], U), drive)
+        pair = ["--bank", bank_path, "--true-mode", 1, "--target-mode", 2]
+        code, report = run_cli(capsys, "design", *pair, "--K", K, "--out", tmp_path / "d")
         assert code == 0
         assert report["kernel_deviation"] <= 1e-8
+        cloaked = tmp_path / "distorted.csv"
+        code, _ = run_cli(
+            capsys, "distort", *pair, "--controller", tmp_path / "d" / "controller.json",
+            "--plan", tmp_path / "d" / "plan.json", "--input", drive, "--out", cloaked,
+        )
+        assert code == 0
+        for path, verdict in ((drive, "1"), (cloaked, "2")):
+            code, report = run_cli(capsys, "classify", "--bank", bank_path, "--input", path)
+            assert code == 0 and report["verdict"] == verdict
 
     @pytest.mark.parametrize("magnitude", ["nan", "inf"])
     def test_non_finite_magnitude_is_bad_input(
@@ -1016,3 +1031,20 @@ class TestControllerOfThePair:
         assert np.all(gap <= 1e-8 * (1.0 + np.abs(FY)))
         code, verdict = run_cli(capsys, "classify", "--bank", bank_path, "--input", out_csv)
         assert code == 0 and verdict["verdict"] == "2"
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # python -m behaviorcloak in a fresh process: strict JSON on success, one error
+    # line and exit 2 on bad input, and argparse's exit 2 on a missing option.
+    run = support.run_python("-m", "behaviorcloak", "demo", "--out", tmp_path / "demo", "--K", 50)
+    assert run.returncode == 0 and isinstance(strict_json(run.stdout), dict)
+    missing, drive = tmp_path / "missing.json", tmp_path / "demo" / "original.csv"
+    run = support.run_python("-m", "behaviorcloak", "classify", "--bank", missing, "--input", drive)
+    assert run.returncode == 2 and run.stdout == ""
+    assert re.fullmatch(f"error: .*{re.escape(str(missing))}.*\n", run.stderr)
+    run = support.run_python(
+        "-m", "behaviorcloak", "design", "--bank", tmp_path / "demo" / "bank.json",
+        "--true-mode", 1, "--target-mode", 2, "--out", tmp_path / "design",
+    )
+    assert run.returncode == 2 and run.stdout == ""
+    assert "the following arguments are required: --K" in run.stderr

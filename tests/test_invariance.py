@@ -1,9 +1,5 @@
 import dataclasses
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -721,11 +717,13 @@ def test_working_set_at_paper_horizon():
     # In arrays of K floats: a plan holds at most three and a half at once, two
     # of them the plan itself (it keeps the solver's U2 and copies only delta_Y,
     # a slice of apply's block buffer), and apply and the behaviour residual two.
-    # An hour session keeps the plan and the cloak (four arrays) through
-    # classify, so one array more in a residual grows the heap past glibc's trim
-    # threshold.
+    # The replay, run_offline and cloak, holds the two arrays it returns.  An
+    # hour session keeps the plan and the cloak (four arrays) through classify,
+    # so one array more in a residual or the replay grows the heap past glibc's
+    # trim threshold.
     K = 36000
-    ops = build_lifted_operators(vehicle_demo_bank().mode(2), K)
+    sports, average = vehicle_demo_bank().modes
+    ops = build_lifted_operators(average, K)
     spec = UtilitySpec.average(K)
     plan = solve_utility_invariance(ops, spec, seed=1)  # caches the mode's pieces
     array = K * 8
@@ -734,22 +732,11 @@ def test_working_set_at_paper_horizon():
     response = Trajectory(U=plan.U2, Y=plan.delta_Y)
     assert mode_residual(ops.mode, response) <= 1e-12  # caches the parity check
     assert support.traced_peak(lambda: mode_residual(ops.mode, response)) <= 2.5 * array
-
-
-def run_probe(probe, *args) -> str:
-    """The stdout of ``probe`` run by a fresh interpreter that imports this package."""
-    src = str(Path(behaviorcloak.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", probe, *map(str, args)],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=120,
-    )
-    return result.stdout
+    cfg = DistortionConfig(sports, average, solve_regulator_equations(sports, average), plan, K)
+    rng = np.random.default_rng(5)
+    drive = simulate_mode(sports, rng.standard_normal(3), rng.uniform(-1.0, 1.0, (K - 1, 1)))
+    assert support.traced_peak(lambda: run_offline(cfg, drive)) <= 2.5 * array
+    assert support.traced_peak(lambda: behaviorcloak.cloak(cfg, drive, spec)) <= 2.5 * array
 
 
 def test_import_loads_no_scipy_module():
@@ -757,7 +744,7 @@ def test_import_loads_no_scipy_module():
         "import sys, behaviorcloak; "
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     )
-    assert run_probe(probe).strip() == "[]"
+    assert support.run_python("-c", probe, check=True).stdout.strip() == "[]"
 
 
 def test_cli_without_a_draw_loads_no_random_module(tmp_path):
@@ -787,7 +774,7 @@ def test_cli_without_a_draw_loads_no_random_module(tmp_path):
             assert main(["classify", "--bank", d + "bank.json", "--input", d + "cloaked.csv"]) == 0
         print(sorted(loaded() - before))
     """
-    assert run_probe(probe, tmp_path).strip() == "[]"
+    assert support.run_python("-c", probe, tmp_path, check=True).stdout.strip() == "[]"
 
 
 class TestKernelProjector:

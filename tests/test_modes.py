@@ -11,6 +11,7 @@ from behaviorcloak import (
     StateSpaceMode,
     Trajectory,
     build_lifted_operators,
+    classify,
     load_mode_bank,
     longitudinal_vehicle_mode,
     read_trajectory_csv,
@@ -255,7 +256,7 @@ ORACLE_CASES = [
         ("sports", (2, 17, 500, 36000)),
         ("average", (2, 17, 500, 36000)),
         ("mimo", (2, 17, 500, 36000)),
-        ("unstable", (2, 17, 600, 2000)),
+        ("unstable", (2, 17, 600, 2000, 4113)),
         ("random", (40,)),
         ("decaying", (17, 500, 36000)),
         ("underflow", ()),
@@ -464,9 +465,11 @@ class TestBlockKernels:
         _scan(S, step)
         np.testing.assert_array_equal(S, rows)
 
-    @pytest.mark.parametrize("K", [17, 500, 36000])
-    def test_decaying_mode_matches_dense_oracles(self, K):
-        # The block step's powers underflow well inside these horizons.
+    @pytest.mark.parametrize("K", [17, 500, 36000, 36001])
+    def test_decaying_mode_matches_dense_oracles(self, tmp_path, K):
+        # The block step's powers underflow well inside these horizons; at
+        # K = 36001 the last block holds one sample.  A drive read back from its
+        # file is classified as the mode.
         mode = oracle_mode("decaying")
         rng = np.random.default_rng(K)
         x, w = rng.standard_normal(3), rng.standard_normal(K)
@@ -487,6 +490,9 @@ class TestBlockKernels:
             x_ref, expected = support.dense_fit(ops, data, U)
             assert np.linalg.norm(x_fit - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
             assert abs(residual - expected) <= 1e-12 * np.linalg.norm(data)
+        path = tmp_path / "drive.csv"
+        write_trajectory_csv(simulate_mode(mode, x, U), path)
+        assert classify(ModeBank((mode,)), read_trajectory_csv(path)).verdict == 1
 
 
 class TestTrajectory:

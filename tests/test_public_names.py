@@ -3,13 +3,14 @@ package root holds no other names but the README's, the acceptance tests'
 and the exceptions those raise, and only ``modes`` names the block kernel
 and reads or writes JSON documents.
 
-Tier-1 runs neither ``bench/`` nor ``demos/``, so a removed or renamed
-public name would break them without failing a test.  These tests read
-their source and resolve every name they take from ``behaviorcloak``,
-and run the README's library example.  The block kernel and the caches it
-keeps on a mode belong to ``modes``; the other modules reach them only
-through ``LiftedOperators`` and ``simulate_mode``.  The CLI runs the
-pipeline only through ``distort.design`` and ``distort.cloak``.
+Tier-1 does not run ``bench/``, so a removed or renamed public name would
+break it without failing a test.  These tests read the bench's and the
+demos' source and resolve every name they take from ``behaviorcloak``, run
+each demo in a fresh process, and run the README's library example.  The
+block kernel and the caches it keeps on a mode belong to ``modes``; the
+other modules reach them only through ``LiftedOperators`` and
+``simulate_mode``.  The CLI runs the pipeline only through
+``distort.design`` and ``distort.cloak``.
 """
 
 import ast
@@ -24,6 +25,7 @@ import numpy as np
 import pytest
 
 import behaviorcloak
+import support
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH_FILES = sorted((ROOT / "bench").glob("*.py"))
@@ -167,6 +169,12 @@ def test_demo_imports_resolve(path):
         if not hasattr(importlib.import_module(module), name)
     ]
     assert not missing, f"{path.name} imports {missing}"
+
+
+@pytest.mark.parametrize("path", DEMO_FILES, ids=lambda p: p.name)
+def test_demo_exits_zero(path):
+    run = support.run_python(path)
+    assert run.returncode == 0, run.stderr
 
 
 def test_package_root_holds_only_used_names():
