@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .invariance import KernelPlan, UtilitySpec, solve_utility_invariance
+from .invariance import KernelPlan, UtilitySpec, _utility_kept, solve_utility_invariance
 from .linalg import stable_norm
 from .modes import (
     StateSpaceMode,
@@ -57,9 +57,6 @@ __all__ = [
     "design",
     "cloak",
 ]
-
-# cloak's bound on |F_i Ybar - F_i Y| per ||F_i|| (||Y|| + ||Ybar||): relative to the data.
-_UTILITY_RTOL = 1e-8
 
 # reconstruct_state's bound on a window's fit residual per ||Y||: an exact window fits
 # to a few eps of ||Y||, a window the mode does not explain misses by a share of it.
@@ -290,9 +287,9 @@ def design(true_mode, target_mode, utility, magnitude=1.0, seed=0) -> Distortion
 def cloak(cfg: DistortionConfig, traj: Trajectory, utility: UtilitySpec) -> DistortedTrajectory:
     """:func:`run_offline` of a trajectory with states under a utility of its K and m (else
     ValueError); UtilityChangedError unless ``|F_i Ybar - F_i Y| <= 1e-8 ||F_i|| (||Y|| +
-    ||Ybar||)`` for every row ``F_i``.  The bound is relative to the data, so it holds in
-    any units; a ValueError names ``F`` when a ``||F_i||`` overflows and ``Y`` when
-    ``||Y|| + ||Ybar||`` does (:func:`~behaviorcloak.linalg.stable_norm`)."""
+    ||Ybar||)`` for every row ``F_i``: the plan's test, ``invariance._utility_kept``.  A
+    ValueError names ``F`` when a ``||F_i||`` overflows and ``Y`` when ``||Y|| + ||Ybar||``
+    does (:func:`~behaviorcloak.linalg.stable_norm`)."""
     if traj.X is None:
         raise ValueError("the input trajectory must carry state columns")
     if utility.K != cfg.K or utility.m != cfg.true_mode.m:
@@ -302,12 +299,8 @@ def cloak(cfg: DistortionConfig, traj: Trajectory, utility: UtilitySpec) -> Dist
         )
     distorted = run_offline(cfg, traj)
     F, Y, Ybar = utility.F, traj.Y.reshape(-1), distorted.Ybar.reshape(-1)
-    with np.errstate(over="ignore", invalid="ignore"):  # an infinite bound holds for any gap
-        gap, rows = np.abs(F @ Ybar - F @ Y), np.sqrt(np.einsum("ij,ij->i", F, F))  # no copy of F
-        norms = {"F": rows, "Y": stable_norm(Y) + stable_norm(Ybar)}
-    for name, norm in norms.items():
-        if not np.isfinite(norm).all():
-            raise ValueError(f"the norm of {name} is not finite: no utility change can be bounded")
-    if not np.all(gap <= _UTILITY_RTOL * rows * norms["Y"]):
-        raise UtilityChangedError(f"the plan changes this utility by {np.max(gap):.3e}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is _utility_kept's to judge
+        change, size = F @ Ybar - F @ Y, stable_norm(Y) + stable_norm(Ybar)
+    if not _utility_kept(F, change, size)[0]:
+        raise UtilityChangedError(f"the plan changes this utility by {np.max(np.abs(change)):.3e}")
     return distorted

@@ -12,13 +12,13 @@ response M z of the projected point z is rescaled to the requested size.
 so the projection solves with the q x q Gram ``F M (F M)'``, with each
 column of ``F Ot`` scaled to unit norm lest an unstable target's swamp it;
 the start state of z is the projection's correction.  When the projected
-response is rounding next to its forced part ``Tt U``, or the scaled
-response is not in Ker[F] to rounding, no plan is found: Ker[F] is
-trivial, or the target behaviour meets it only at zero.  A Gram or a
+response is rounding next to its forced part ``Tt U``, or it fails the
+utility test of every cloak, :func:`_utility_kept`, no plan is found: Ker[F]
+is trivial, or the target behaviour meets it only at zero.  A Gram or a
 response norm past the float range (an unstable target at a long horizon)
 is a ValueError naming the mode and K.  A plan costs O(q^2 K) work, for the
-q x q Grams of ``F M`` and of ``F``; the adjoint apply of the q rows of F takes
-a few vectorized steps per level of the block kernel's grouped recursion.
+q x q Gram of ``F M``; the adjoint apply of the q rows of F takes a few
+vectorized steps per level of the block kernel's grouped recursion.
 """
 
 from __future__ import annotations
@@ -50,11 +50,11 @@ __all__ = [
 ]
 
 # A projected response is rounding, not a plan, if it is this small next to
-# its forced part ``Tt U`` (the start state's free response cancels it), or if
-# its distance from Ker[F] is this large a share of it (Ker[F M] is trivial or
-# inside Ker M, or an unstable target outgrows the precision at this horizon).
+# its forced part ``Tt U``: the start state's free response cancels it.
 _INFEASIBLE_RATIO = 1e-8
-_MISS_RATIO = 1e-6
+
+# _utility_kept's bound on |F_i dY| per ||F_i|| s, for the norm s of the data compared.
+_UTILITY_RTOL = 1e-8
 
 
 class InvarianceInfeasibleError(RuntimeError):
@@ -112,13 +112,28 @@ class UtilitySpec:
         return cls(F=F, mu=np.zeros(m), K=K)
 
 
+def _utility_kept(F, change, size) -> tuple[bool, float]:
+    """Whether a utility change ``change = F dY`` is rounding next to data of norm ``size``,
+    ``|change_i| <= 1e-8 ||F_i|| size`` for every row ``F_i`` (a zero row passes), and the
+    largest ``|change_i| / ||F_i||``.  A ValueError names ``F`` when a ``||F_i||``
+    overflows and ``Y`` when ``size`` does."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite bound holds for any gap
+        gap, rows = np.abs(change), np.sqrt(np.einsum("ij,ij->i", F, F))  # no copy of F
+        kept = bool(np.all(gap <= _UTILITY_RTOL * rows * size))
+        ratio = float(np.max(gap / np.where(rows > 0.0, rows, np.inf)))
+    for name, norm in (("F", rows), ("Y", size)):
+        if not np.isfinite(norm).all():
+            raise ValueError(f"the norm of {name} is not finite: no utility change can be bounded")
+    return kept, ratio
+
+
 @dataclass(frozen=True)
 class KernelPlan:
     """Off-line plan steering the target model's free output into Ker[F].
 
     ``delta_Y`` is the attained stacked response, the kernel element the
-    plan realizes; ``residual`` is its distance ``||F^+ F delta_Y||`` from
-    Ker[F].  ``U2`` has one row per input sample, as a trajectory's ``U``.
+    plan realizes; ``residual`` is ``max_i |F_i delta_Y| / ||F_i||`` over the nonzero
+    rows of F (for one row, ``||F^+ F delta_Y||``).  ``U2`` has one row per input sample.
     """
 
     x2_init: np.ndarray
@@ -161,8 +176,9 @@ def solve_utility_invariance(
     ``x = -s^2 (F Ot)' c``, with c solved from the q x q Gram.  The point
     ``z = (x, U)`` is scaled so that its response ``delta_Y = M z``, a run of
     :meth:`~behaviorcloak.modes.LiftedOperators.apply` as is the forced part
-    ``Tt U``, has the requested norm; the distance from Ker[F] solves with
-    ``F F'``.  The plan is exact but not the minimum-norm input.
+    ``Tt U``, has the requested norm, and is kept iff :func:`_utility_kept` passes
+    ``F delta_Y`` at ``||delta_Y|| <= ||Y|| + ||Ybar||``, so every cloak passes it too,
+    to the replay's rounding.  The plan is exact but not the minimum-norm input.
 
     Parameters
     ----------
@@ -184,8 +200,7 @@ def solve_utility_invariance(
         an unstable target outgrows the float range at this horizon.
     InvarianceInfeasibleError
         If Ker[F] is trivial, or the target behaviour meets it only at zero,
-        or rounding leaves the projected response more than 1e-6 of its
-        size off Ker[F].
+        or rounding leaves a ``|F_i delta_Y|`` above ``1e-8 ||F_i|| ||delta_Y||``.
     """
     if spec.K != ops.K or spec.m != ops.m:
         raise ValueError("utility spec and lifted operators disagree on K or m")
@@ -210,8 +225,8 @@ def solve_utility_invariance(
         forced = np.linalg.norm(ops.apply(np.zeros(n), U))
         delta = ops.apply(x, U)
         norm = float(_finite(np.linalg.norm(delta), ops))
-    miss = float(np.linalg.norm(np.dot(gram_solve(F @ F.T, F @ delta, max(F.shape)), F)))
-    if norm <= _INFEASIBLE_RATIO * forced or miss > _MISS_RATIO * norm:
+    kept, miss = _utility_kept(F, F @ delta, norm)
+    if norm <= _INFEASIBLE_RATIO * forced or not kept:
         raise InvarianceInfeasibleError(
             "Ker[F] is trivial or the target behaviour meets it only at zero, or "
             "rounding swamps the projection at this horizon; no nonzero plan found"

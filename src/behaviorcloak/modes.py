@@ -699,18 +699,14 @@ def _write_array(fh, a: np.ndarray) -> None:
     fh.write("]")
 
 
-def _write_document(doc, path, indent: Optional[int] = None) -> None:
-    """Write one JSON document and a newline.
+def _write_document(doc, path) -> None:
+    """Write one JSON document and a newline, on one line.
 
-    Without ``indent``, ``doc`` is a dict whose numpy-array values are written
-    a block of entries at a time, so no whole-horizon array becomes a list of
-    Python floats or one string; the bytes are those of ``json.dumps`` with
-    the arrays' ``tolist()``.
+    ``doc`` is a dict whose numpy-array values are written a block of entries
+    at a time, so no whole-horizon array becomes a list of Python floats or
+    one string; the bytes are those of ``json.dumps`` with the arrays' ``tolist()``.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        if indent is not None:
-            fh.write(json.dumps(doc, indent=indent) + "\n")
-            return
         fh.write("{")
         for i, (key, value) in enumerate(doc.items()):
             fh.write((", " if i else "") + json.dumps(key) + ": ")
@@ -748,20 +744,11 @@ def load_mode_bank(path) -> ModeBank:
 
 
 def save_mode_bank(bank: ModeBank, path) -> None:
-    doc = {
-        "m": bank.m,
-        "l": bank.l,
-        "modes": [
-            {
-                "id": mode.mode_id,
-                "A": mode.A.tolist(),
-                "B": mode.B.tolist(),
-                "C": mode.C.tolist(),
-            }
-            for mode in bank
-        ],
-    }
-    _write_document(doc, path, indent=2)
+    modes = [
+        {"id": mode.mode_id, "A": mode.A.tolist(), "B": mode.B.tolist(), "C": mode.C.tolist()}
+        for mode in bank
+    ]
+    _write_document({"m": bank.m, "l": bank.l, "modes": modes}, path)
 
 
 def _csv_header(l: int, m: int, n: int) -> list[str]:

@@ -137,13 +137,14 @@ def regulator_residuals(
 ) -> tuple[float, float, float]:
     """Relative residual of each regulator equation: the max-abs entry of its left side
     over the max-abs entry of its largest term, so it does not depend on the units of
-    u and y.  ValueError on a misfit shape."""
+    u and y; NaN, without a warning, when a term overflows.  ValueError on a misfit shape."""
     unknowns = [np.asarray(M, dtype=float) for M in (Pi, Gamma, Theta)]
     for name, M, shape in zip(_CONTROLLER_KEYS, unknowns, _shapes(true_mode, target_mode)):
         if M.shape != shape:
             raise ValueError(f"{name} must have shape {shape}, got {M.shape}")
     modes = [(mode.A, mode.B, mode.C) for mode in (true_mode, target_mode)]
-    return tuple(_relative(terms) for terms in _terms(*modes, *unknowns))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return tuple(_relative(terms) for terms in _terms(*modes, *unknowns))
 
 
 def _worst_equation(*args) -> tuple[str, float]:
@@ -281,8 +282,7 @@ def build_tracking_controller(
 
 def save_controller(sol: RegulatorSolution, path) -> None:
     """Write ``{"Pi", "Gamma", "Theta"}`` of a regulator solution."""
-    doc = {key: getattr(sol, key).tolist() for key in _CONTROLLER_KEYS}
-    _write_document(doc, path, indent=2)
+    _write_document({key: getattr(sol, key) for key in _CONTROLLER_KEYS}, path)
 
 
 def load_controller(
@@ -293,5 +293,5 @@ def load_controller(
     Pi, Gamma, Theta = _read_document(
         path, "controller", lambda doc: [_frozen(doc[key], key) for key in _CONTROLLER_KEYS]
     )
-    residual = max(regulator_residuals(true_mode, target_mode, Pi, Gamma, Theta))
+    residual = _worst_equation(true_mode, target_mode, Pi, Gamma, Theta)[1]
     return RegulatorSolution(Pi=Pi, Gamma=Gamma, Theta=Theta, residual=residual)

@@ -261,6 +261,19 @@ def unstable_twin():
     return source, StateSpaceMode(2, source.A + source.B @ [[0.02, 0.1]], source.B, source.C)
 
 
+def stabilized_drive(source, K, norm=0.3, seed=0) -> Trajectory:
+    """A small drive of :func:`unstable_pair`'s or :func:`unstable_twin`'s source:
+    from ``x(1) = (0, 1)`` under ``u = -0.1 x_1 + r`` for a uniform ``r``, which holds
+    the twin's unstable state at pole 0.95 and leaves the pair's at zero; the whole
+    trajectory scaled so that ``||Y|| = norm``."""
+    G = np.array([[0.1, 0.0]])
+    closed = StateSpaceMode(source.mode_id, source.A - source.B @ G, source.B, source.C)
+    R = np.random.default_rng(seed).uniform(-0.1, 0.1, (K - 1, source.l))
+    run = simulate_mode(closed, [0.0, 1.0], R)
+    c = norm / np.linalg.norm(run.Y)
+    return Trajectory(U=c * (R - run.X[:-1] @ G.T), Y=c * run.Y, X=c * run.X)
+
+
 def scaled_vehicles(c=1.0, b=1.0):
     """The demo vehicles (sports, average) with ``C`` scaled by ``c`` and ``B`` by ``b``."""
     return tuple(StateSpaceMode(m.mode_id, m.A, b * m.B, c * m.C) for m in vehicle_demo_bank())

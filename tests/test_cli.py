@@ -216,6 +216,30 @@ class TestDesignCommand:
             code, report = run_cli(capsys, "classify", "--bank", bank_path, "--input", path)
             assert code == 0 and report["verdict"] == verdict
 
+    @pytest.mark.parametrize("K, code", [(300, 0), (345, 4)])
+    def test_twin_plan_is_refused_by_design_or_cloaks(self, capsys, tmp_path, K, code):
+        # The twin's average plan changes the utility by 2.8e-9 of its size at K = 300
+        # and by 4.5e-7 at K = 345.  design refuses the second by the test that cloak
+        # applies (exit 4), so no plan it writes fails on a drive smaller than itself.
+        source, target = support.unstable_twin()
+        bank_path, drive = tmp_path / "bank.json", tmp_path / "drive.csv"
+        save_mode_bank(ModeBank((source, target)), bank_path)
+        write_trajectory_csv(support.stabilized_drive(source, K), drive)
+        pair = ["--bank", bank_path, "--true-mode", 1, "--target-mode", 2]
+        design_dir = tmp_path / "d"
+        assert main([str(a) for a in ("design", *pair, "--K", K, "--out", design_dir)]) == code
+        captured = capsys.readouterr()
+        if code == 4:
+            assert captured.out == "" and "no nonzero plan found" in captured.err
+            assert not design_dir.exists()
+            return
+        code, report = run_cli(
+            capsys, "distort", *pair, "--controller", design_dir / "controller.json",
+            "--plan", design_dir / "plan.json", "--input", drive, "--out", tmp_path / "c.csv",
+        )
+        assert code == 0
+        assert report["utility_distorted"] == pytest.approx(report["utility_original"], abs=1e-9)
+
     @pytest.mark.parametrize("magnitude", ["nan", "inf"])
     def test_non_finite_magnitude_is_bad_input(
         self, capsys, vehicle_bank_path, tmp_path, magnitude
@@ -624,6 +648,28 @@ class TestDistortAndClassify:
         assert code == 2
         assert "Gamma is not finite" in capsys.readouterr().err
         assert not out_csv.exists()
+
+    def test_overflowing_controller_is_bad_input(self, capsys, tmp_path):
+        # A finite Theta of 1.7e308 overflows B_t Theta: that equation's residual is
+        # NaN, the worst of the three, and distort refuses it by name with no warning.
+        source, target = support.feedback_twin_pair(np.random.default_rng(0))
+        bank_path, traj_path = tmp_path / "bank.json", tmp_path / "original.csv"
+        save_mode_bank(ModeBank((source, target)), bank_path)
+        K = 50
+        assert design_pair(bank_path, 1, 2, K, tmp_path / "d") == 0
+        rng = np.random.default_rng(75)
+        write_trajectory_csv(support.random_trajectory(rng, source, K), traj_path)
+        controller = tmp_path / "d" / "controller.json"
+        doc = json.loads(controller.read_text())
+        doc["Theta"] = np.full((2, 2), 1.7e308).tolist()
+        controller.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out_csv = tmp_path / "distorted.csv"
+        code = distort_pair(bank_path, controller, tmp_path / "d" / "plan.json", traj_path, out_csv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not out_csv.exists()
+        assert captured.err.count("error:") == 1
+        assert "B_t Theta = Pi B_s misses (relative residual nan)" in captured.err
 
     @pytest.mark.parametrize("command", ["distort", "classify"])
     def test_overflowing_output_is_bad_input(self, capsys, designed, tmp_path, command):

@@ -29,6 +29,7 @@ from behaviorcloak import (
     solve_utility_invariance,
     vehicle_demo_bank,
 )
+from behaviorcloak import distort, invariance
 
 
 def make_config(true_mode, target_mode, K, magnitude=0.0, seed=0):
@@ -606,6 +607,23 @@ class TestPipeline:
             assert np.array_equal(getattr(cfg.regulator, name), getattr(sol, name))
         for name in ("x2_init", "U2", "delta_Y"):
             assert np.array_equal(getattr(cfg.plan, name), getattr(plan, name))
+
+    def test_design_and_cloak_judge_by_one_rule(self, scenario, monkeypatch):
+        # design keeps a plan, and cloak a trajectory, by the one row test of
+        # invariance._utility_kept: at the plan's norm, then at ||Y|| + ||Ybar||.
+        sports, average, traj, spec, _ = scenario
+        sizes, kept = [], invariance._utility_kept
+
+        def spy(F, change, size):
+            sizes.append(size)
+            return kept(F, change, size)
+
+        for module in (invariance, distort):
+            monkeypatch.setattr(module, "_utility_kept", spy)
+        cloaked = cloak(design(sports, average, spec, 1.0, seed=4), traj, spec)
+        norms = np.linalg.norm(traj.Y) + np.linalg.norm(cloaked.Ybar)
+        assert len(sizes) == 2 and sizes[1] == pytest.approx(norms, rel=1e-15)
+        assert not hasattr(distort, "_UTILITY_RTOL")
 
     def test_cloak_equals_run_offline(self, scenario):
         _, _, traj, spec, cfg = scenario

@@ -17,11 +17,15 @@ from behaviorcloak import (
     build_lifted_operators,
     build_tracking_controller,
     classify,
+    cloak,
+    design,
     design_stabilizing_gain,
     load_kernel_plan,
     mode_residual,
     run_offline,
+    save_controller,
     save_kernel_plan,
+    save_mode_bank,
     simulate_mode,
     solve_regulator_equations,
     solve_utility_invariance,
@@ -29,7 +33,7 @@ from behaviorcloak import (
 )
 from behaviorcloak import invariance, modes
 from behaviorcloak.invariance import load_utility_spec, save_utility_spec
-from behaviorcloak.linalg import lstsq_min_norm, nullspace_basis
+from behaviorcloak.linalg import gram_solve, lstsq_min_norm, nullspace_basis
 from support import pseudoinverse
 
 
@@ -110,6 +114,28 @@ class TestUtilitySpec:
     def test_rejects_F_without_rows_or_columns(self, shape):
         with pytest.raises(ValueError, match=r"F needs at least one row and one column, got shape"):
             UtilitySpec(F=np.zeros(shape), mu=np.zeros(shape[0]), K=3)
+
+
+class TestUtilityKept:
+    # |change_i| <= 1e-8 ||F_i|| size, row by row; rows (0, 0, 0) and (3, 4, 0).
+    F = np.array([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0]])
+
+    @pytest.mark.parametrize("share, kept", [(0.99, True), (1.01, False)])
+    def test_each_row_is_bounded_by_its_norm(self, share, kept):
+        change = np.array([0.0, share * 1e-8 * 5.0 * 2.0])
+        assert invariance._utility_kept(self.F, change, 2.0) == (kept, pytest.approx(share * 2e-8))
+
+    def test_zero_row_passes_only_an_unchanged_utility(self):
+        assert invariance._utility_kept(self.F, np.zeros(2), 0.0) == (True, 0.0)
+        assert not invariance._utility_kept(self.F, np.array([1e-300, 0.0]), 1.0)[0]
+
+    @pytest.mark.parametrize("name", ["F", "Y"])
+    def test_overflowing_norm_is_refused_by_name(self, name):
+        F, size = (self.F * 1e300, 1.0) if name == "F" else (self.F, np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^the norm of {name} is not finite"):
+                invariance._utility_kept(F, np.zeros(2), size)
 
 
 class TestBuildLiftedOperators:
@@ -488,13 +514,15 @@ class TestGramFit:
 # Plan verdicts of the two unstable targets by horizon, for the average utility
 # (q = 1) and ten window averages (q = 10): a plan, no plan
 # (InvarianceInfeasibleError, design's exit 4) or a plan past the float range
-# (ValueError, exit 2).  The horizons keep clear of the twin's rounding band near
-# K = 360, where its verdict flips from one K to the next.  The pair plans until
-# its F Ot leaves the float range, near K = 14700; the twin's Gram, whose F Tt
-# half grows as 1.074^(2K), leaves it near K = 5000.
+# (ValueError, exit 2).  The horizons keep clear of the twin's rounding band between
+# K = 300, where its average plan changes the utility by 2.8e-9 of its size, and
+# K = 320, where by 1.7e-7, past the 1e-8 that design and cloak allow; at K = 345 it
+# was a plan while design allowed 1e-6, and cloak refused a drive smaller than it.
+# The pair plans until its F Ot leaves the float range, near K = 14700; the twin's
+# Gram, whose F Tt half grows as 1.074^(2K), leaves it near K = 5000.
 UNSTABLE_PLAN_VERDICTS = {
     "twin-average": (support.unstable_twin, 1, (50, 200, 345, 500, 2000, 7500, 36000),
-                     ("plan", "plan", "plan", "none", "none", "float", "float")),
+                     ("plan", "plan", "none", "none", "none", "float", "float")),
     "twin-windows": (support.unstable_twin, 10, (50, 200, 345, 500, 2000, 7500, 36000),
                      ("plan", "none", "none", "none", "none", "float", "float")),
     "pair-average": (support.unstable_pair, 1, (50, 500, 2000, 7500, 14000, 15000, 36000),
@@ -514,23 +542,26 @@ def window_averages(K, q):
 
 @pytest.mark.parametrize("case", UNSTABLE_PLAN_VERDICTS)
 def test_unstable_plan_verdicts_by_horizon(case):
+    # Every plan passes the row test and cloaks a source drive smaller than itself.
     make, q, horizons, expected = UNSTABLE_PLAN_VERDICTS[case]
-    target = make()[1]
+    source, target = make()
     got = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for K in horizons:
             spec = window_averages(K, q)
             try:
-                plan = solve_utility_invariance(build_lifted_operators(target, K), spec)
+                cfg = design(source, target, spec)
             except InvarianceInfeasibleError:
                 got.append("none")
             except ValueError as error:
                 assert str(error) == f"the plan of mode 2 at K = {K} is not finite"
                 got.append("float")
-            else:  # a plan is refused past 1e-6 of its size off Ker[F]
-                miss = pseudoinverse(spec.F) @ (spec.F @ plan.delta_Y)
-                assert np.linalg.norm(miss) <= 1e-6
+            else:
+                F, delta = spec.F, cfg.plan.delta_Y
+                assert np.all(np.abs(F @ delta) <= 1e-8 * np.linalg.norm(F, axis=1))
+                drive = support.stabilized_drive(source, K)
+                cloak(cfg, drive, spec)
                 got.append("plan")
     assert tuple(got) == expected
 
@@ -1097,6 +1128,22 @@ class TestSolveUtilityInvariance:
         assert calls == [(q, K)]
         assert np.linalg.norm(spec.F @ plan.delta_Y) <= 1e-12
 
+    @pytest.mark.parametrize("q", [1, 10])
+    def test_plan_takes_one_gram_solve(self, monkeypatch, q):
+        # The q x q Gram of F M is the plan's one solve: its utility change is
+        # judged row by row, with no Gram of F.
+        calls = []
+
+        def counted(G, B, long_side):
+            calls.append(np.shape(G))
+            return gram_solve(G, B, long_side)
+
+        monkeypatch.setattr(invariance, "gram_solve", counted)
+        K = 500
+        ops = build_lifted_operators(vehicle_demo_bank().mode(2), K)
+        plan = solve_utility_invariance(ops, window_averages(K, q), seed=6)
+        assert calls == [(q, q)] and plan.residual <= 1e-15
+
     def test_large_magnitudes_on_vehicle_pair(self):
         # The stacked feasibility operator has full row rank here, so plans
         # of arbitrary size must exist.
@@ -1218,8 +1265,10 @@ class TestFileFormats:
 
     def test_plan_and_spec_bytes_match_streaming_encoder(self, tmp_path):
         # The block-wise writer against json.dump of the nested lists: U2 is the
-        # flat row-major list, and F a list of rows, each several blocks long.
-        average = vehicle_demo_bank().mode(2)
+        # flat row-major list, and F a list of rows, each several blocks long.  The
+        # bank and the controller go the same way, on one line.
+        bank = vehicle_demo_bank()
+        average = bank.mode(2)
         K = 3000
         spec = UtilitySpec.average(K)
         plan = solve_utility_invariance(build_lifted_operators(average, K), spec, seed=4)
@@ -1234,6 +1283,13 @@ class TestFileFormats:
         cases = [(save_kernel_plan, plan, plan_doc)] + [
             (save_utility_spec, s, {"K": s.K, "q": s.q, "F": s.F.tolist(), "mu": s.mu.tolist()})
             for s in (spec, explicit)
+        ]
+        modes = [{"id": m.mode_id, "A": m.A.tolist(), "B": m.B.tolist(), "C": m.C.tolist()}
+                 for m in bank]
+        sol = solve_regulator_equations(bank.mode(1), average)
+        cases += [
+            (save_mode_bank, bank, {"m": 1, "l": 1, "modes": modes}),
+            (save_controller, sol, {k: getattr(sol, k).tolist() for k in ("Pi", "Gamma", "Theta")}),
         ]
         for save, obj, doc in cases:
             ours, oracle = tmp_path / "ours.json", tmp_path / "oracle.json"

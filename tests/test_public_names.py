@@ -4,9 +4,10 @@ and the exceptions those raise, and only ``modes`` names the block kernel
 and reads or writes JSON documents.
 
 Tier-1 does not run ``bench/``, so a removed or renamed public name would
-break it without failing a test.  These tests read the bench's and the
-demos' source and resolve every name they take from ``behaviorcloak``, run
-each demo in a fresh process, and run the README's library example.  The
+break it without failing a test.  These tests read the bench's source and
+resolve every name it takes from ``behaviorcloak``, run each demo in a fresh
+process, run the README's library example, and check the README's table of
+tolerances against the constants of the package.  The
 block kernel and the caches it keeps on a mode belong to ``modes``; the
 other modules reach them only through ``LiftedOperators`` and
 ``simulate_mode``.  The CLI runs the pipeline only through
@@ -160,21 +161,49 @@ def test_cli_runs_the_pipeline_only_through_design_and_cloak():
 
 
 @pytest.mark.parametrize("path", DEMO_FILES, ids=lambda p: p.name)
-def test_demo_imports_resolve(path):
-    pairs = imported_names(path)
-    assert pairs, f"{path.name} imports nothing from behaviorcloak"
-    missing = [
-        f"{module}.{name}"
-        for module, name in pairs
-        if not hasattr(importlib.import_module(module), name)
-    ]
-    assert not missing, f"{path.name} imports {missing}"
-
-
-@pytest.mark.parametrize("path", DEMO_FILES, ids=lambda p: p.name)
 def test_demo_exits_zero(path):
+    # A removed or renamed name that a demo imports fails its run with an ImportError.
+    assert imported_names(path), f"{path.name} imports nothing from behaviorcloak"
     run = support.run_python(path)
     assert run.returncode == 0, run.stderr
+
+
+def tolerance_rows():
+    """``{"module.NAME": value}`` of the README's table of tolerances."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| bound | value | bounds | relative to | when it fails |")
+    rows = {}
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            break
+        bound, value = [cell.strip() for cell in line.split("|")[1:3]]
+        rows[re.match(r"`(\w+\.\w+)`", bound).group(1)] = value.strip("`")
+    return rows
+
+
+def test_readme_tolerance_table_matches_the_package():
+    # Every row names a constant of the listed value, and every float constant whose
+    # name ends in _TOL, _RTOL, _RATIO or _MARGIN has a row.
+    rows = tolerance_rows()
+    for row, value in rows.items():
+        module, name = row.split(".")
+        bound = getattr(importlib.import_module(f"behaviorcloak.{module}"), name, None)
+        if value == "max(shape) · eps":  # the one bound that is a function of the matrix
+            assert bound(np.zeros((2, 3))) == 3 * np.finfo(float).eps
+        else:
+            assert bound == float(value), f"README lists {row} = {value}, the package {bound}"
+    defined = {
+        f"{path.stem}.{target.id}"
+        for path in PACKAGE_FILES
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, float)
+        for target in node.targets
+        if isinstance(target, ast.Name) and re.search(r"_(TOL|RTOL|RATIO|MARGIN)$", target.id)
+    }
+    assert len(defined) >= 7
+    assert not defined - set(rows), f"the README has no row for {sorted(defined - set(rows))}"
 
 
 def test_package_root_holds_only_used_names():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -413,6 +414,17 @@ class TestControllerFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="Gamma is not finite at row 1"):
             load_controller(path, sports, average)
+
+    def test_overflowing_equation_reads_nan(self, tmp_path):
+        # B_t Theta overflows for a finite Theta of 1.7e308: the loaded residual is that
+        # equation's NaN, not the largest of the other two, and no warning is raised.
+        source, target = support.feedback_twin_pair(np.random.default_rng(0))
+        sol = solve_regulator_equations(source, target)
+        path = tmp_path / "controller.json"
+        save_controller(dataclasses.replace(sol, Theta=np.full((2, 2), 1.7e308)), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(load_controller(path, source, target).residual)
 
     def test_rejects_entry_that_is_not_a_number(self, tmp_path, vehicle_pair):
         sports, average = vehicle_pair
