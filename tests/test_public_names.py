@@ -4,10 +4,10 @@ and the exceptions those raise, and only ``modes`` names the block kernel
 and reads or writes JSON documents.
 
 Tier-1 does not run ``bench/``, so a removed or renamed public name would
-break it without failing a test.  These tests read the bench's source and
-resolve every name it takes from ``behaviorcloak``, run each demo in a fresh
-process, run the README's library example, and check the README's table of
-tolerances against the constants of the package.  The
+break it without failing a test.  These tests read the bench's and the
+demos' source and resolve every name they take from ``behaviorcloak``, run
+each demo in a fresh process, run the README's library example, and check
+the README's table of tolerances against the constants of the package.  The
 block kernel and the caches it keeps on a mode belong to ``modes``; the
 other modules reach them only through ``LiftedOperators`` and
 ``simulate_mode``.  The CLI runs the pipeline only through
@@ -161,9 +161,19 @@ def test_cli_runs_the_pipeline_only_through_design_and_cloak():
 
 
 @pytest.mark.parametrize("path", DEMO_FILES, ids=lambda p: p.name)
+def test_demo_imports_resolve(path):
+    pairs = imported_names(path)
+    assert pairs, f"{path.name} imports nothing from behaviorcloak"
+    missing = [
+        f"{module}.{name}"
+        for module, name in pairs
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert not missing, f"{path.name} imports {missing}"
+
+
+@pytest.mark.parametrize("path", DEMO_FILES, ids=lambda p: p.name)
 def test_demo_exits_zero(path):
-    # A removed or renamed name that a demo imports fails its run with an ImportError.
-    assert imported_names(path), f"{path.name} imports nothing from behaviorcloak"
     run = support.run_python(path)
     assert run.returncode == 0, run.stderr
 
