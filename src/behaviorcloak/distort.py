@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .invariance import KernelPlan, UtilitySpec, _utility_kept, solve_utility_invariance
-from .linalg import stable_norm
+from .linalg import product, stable_norm
 from .modes import (
     StateSpaceMode,
     Trajectory,
@@ -266,8 +266,7 @@ def run_offline(cfg: DistortionConfig, traj: Trajectory) -> DistortedTrajectory:
     # X now holds the source states from sample s + 1 on.
     Gamma, Theta, U2, dY = cfg.replay_maps()
     U = traj.U[s:]
-    # np.dot: for l = 1, matmul's (K, 1) @ (1, 1) loop is about 5x slower.
-    Ubar = X[:-1] @ Gamma.T + np.dot(U, Theta.T) + U2[s:]
+    Ubar = X[:-1] @ Gamma.T + product(U, Theta.T) + U2[s:]
     Ybar = traj.Y[s:] + dY[s:]
     Ubar.setflags(write=False)  # frozen owners: to_trajectory() keeps them uncopied
     Ybar.setflags(write=False)

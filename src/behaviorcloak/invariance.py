@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import gram_solve
+from .linalg import gram_solve, product, squares_normal, stable_row_norms
 from .modes import (
     LiftedOperators,
     StateSpaceMode,
@@ -112,13 +112,14 @@ class UtilitySpec:
         return cls(F=F, mu=np.zeros(m), K=K)
 
 
-def _utility_kept(F, change, size) -> tuple[bool, float]:
+def _utility_kept(F, change, size, rows=None) -> tuple[bool, float]:
     """Whether a utility change ``change = F dY`` is rounding next to data of norm ``size``,
     ``|change_i| <= 1e-8 ||F_i|| size`` for every row ``F_i`` (a zero row passes), and the
-    largest ``|change_i| / ||F_i||``.  A ValueError names ``F`` when a ``||F_i||``
-    overflows and ``Y`` when ``size`` does."""
+    largest ``|change_i| / ||F_i||``; ``rows`` are the ``||F_i||`` if the caller has them.
+    A ValueError names ``F`` when a ``||F_i||`` overflows and ``Y`` when ``size`` does."""
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite bound holds for any gap
-        gap, rows = np.abs(change), np.sqrt(np.einsum("ij,ij->i", F, F))  # no copy of F
+        gap = np.abs(change)
+        rows = stable_row_norms(F) if rows is None else rows
         kept = bool(np.all(gap <= _UTILITY_RTOL * rows * size))
         ratio = float(np.max(gap / np.where(rows > 0.0, rows, np.inf)))
     for name, norm in (("F", rows), ("Y", size)):
@@ -173,7 +174,8 @@ def solve_utility_invariance(
     A seeded Gaussian input draw U, as the point ``(0, U)``, is projected
     onto Ker[F M], ``M = [Ot Tt]``, in the metric that scales each nonzero
     column of ``F Ot`` to unit norm by ``s``: the start state is
-    ``x = -s^2 (F Ot)' c``, with c solved from the q x q Gram.  The point
+    ``x = -s^2 (F Ot)' c``, with c solved from the q x q Gram; a row of F whose
+    squares leave the normal floats enters it scaled by a power of two.  The point
     ``z = (x, U)`` is scaled so that its response ``delta_Y = M z``, a run of
     :meth:`~behaviorcloak.modes.LiftedOperators.apply` as is the forced part
     ``Tt U``, has the requested norm, and is kept iff :func:`_utility_kept` passes
@@ -212,20 +214,26 @@ def solve_utility_invariance(
     U = np.random.default_rng(seed).standard_normal((K - 1, ops.l))
     # The draw (0, U) moves by -(F M)' c, with F Ot's columns scaled to unit norm by s in
     # the Gram, so x is s * -(F Ot s)' c.  Past the float range a plan is refused by name.
-    # np.dot: for q = 1, matmul's (N, 1) @ (1,) loop is about 6x slower.
     with np.errstate(over="ignore", invalid="ignore"):
         FMx, FMu = ops.apply_adjoint(F)
+        rows = stable_row_norms(F)
+        # A row of F whose squares leave the normal floats enters the Gram scaled by a
+        # power of two to a norm near 1: exact, and the kernel is the same.
+        for i in np.flatnonzero(~squares_normal(rows) & (rows > 0.0) & (rows < np.inf)):
+            scale = np.ldexp(1.0, -np.frexp(rows[i])[1])
+            FMx[i] *= scale
+            FMu[i] *= scale
         s = 1.0 / np.maximum(np.linalg.norm(FMx, axis=0), np.finfo(float).tiny)
         FMx *= s
         gram = _finite(FMx @ FMx.T + FMu @ FMu.T, ops)
-        c = gram_solve(gram, np.dot(FMu, U.ravel()), max(len(F), n + U.size))
-        x = -np.dot(c, FMx) * s
-        U -= np.dot(c, FMu).reshape(U.shape)
+        c = gram_solve(gram, product(FMu, U.ravel()), max(len(F), n + U.size))
+        x = -(product(c, FMx) + 0.0) * s  # + 0.0: a zero product is +0, as np.dot makes it
+        U -= product(c, FMu).reshape(U.shape)
         del FMx, FMu
         forced = np.linalg.norm(ops.apply(np.zeros(n), U))
         delta = ops.apply(x, U)
         norm = float(_finite(np.linalg.norm(delta), ops))
-    kept, miss = _utility_kept(F, F @ delta, norm)
+    kept, miss = _utility_kept(F, F @ delta, norm, rows)
     if norm <= _INFEASIBLE_RATIO * forced or not kept:
         raise InvarianceInfeasibleError(
             "Ker[F] is trivial or the target behaviour meets it only at zero, or "

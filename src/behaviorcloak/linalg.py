@@ -8,7 +8,10 @@ numerically zero; a solve through the Gram ``M' M`` or ``M M'`` uses that
 cutoff squared on its eigenvalues.  A matrix is Schur stable when its
 spectral radius is at most ``1 - SCHUR_MARGIN``.  Whether a residual is
 small is decided by each caller, relative to the data it checks; a 2-norm
-of such data is :func:`stable_norm`, finite whenever the norm itself is.
+of such data is :func:`stable_norm`, accurate wherever the norm itself is a
+normal float.  Every product ``np.dot`` would make is :func:`product`: over a
+unit inner dimension, an outer product, it is one broadcast multiply, since
+numpy hands that shape to a BLAS call that takes two to three times as long.
 """
 
 from __future__ import annotations
@@ -24,11 +27,17 @@ __all__ = [
     "lstsq_min_norm",
     "gram_solve",
     "is_schur",
+    "squares_normal",
     "stable_norm",
+    "stable_row_norms",
+    "product",
     "matrix_exponential",
 ]
 
 SCHUR_MARGIN = 1e-9
+
+# The 2-norms whose sum of squares is a normal float: below, squares underflow; above, overflow.
+_SQUARES_NORMAL = np.sqrt(np.finfo(float).tiny), np.sqrt(np.finfo(float).max)
 
 
 def rank_cutoff(M: np.ndarray) -> float:
@@ -108,16 +117,43 @@ def is_schur(M) -> bool:
     return bool(radius <= 1.0 - SCHUR_MARGIN)
 
 
+def squares_normal(norm):
+    """Whether data of this 2-norm have a normal float as their sum of squares, so that a
+    norm or a Gram from the squares keeps its digits; False for 0, inf and NaN."""
+    return (norm >= _SQUARES_NORMAL[0]) & (norm < _SQUARES_NORMAL[1])
+
+
 def stable_norm(x) -> float:
-    """2-norm of an array, finite whenever the norm is: when the sum of squares
-    overflows, the norm of the array over its max-abs entry, times that entry.
-    Only that case allocates; a NaN or an infinite entry gives a NaN or inf."""
+    """2-norm of an array, accurate whenever the norm is a normal float: when the sum
+    of squares overflows or underflows, the norm of the array over its max-abs entry,
+    times that entry.  Only that case allocates; a NaN or an infinite entry gives a NaN
+    or inf."""
     norm = np.linalg.norm(x)
-    if norm == np.inf:
-        peak = np.abs(x).max()
-        if peak < np.inf:
+    if not squares_normal(norm):
+        peak = np.abs(x).max(initial=0.0)
+        if 0.0 < peak < np.inf:
             norm = peak * np.linalg.norm(x / peak)
     return float(norm)
+
+
+def stable_row_norms(M: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row of a matrix, each by :func:`stable_norm`'s rule: only a
+    row whose sum of squares leaves the normal floats is rescaled, and allocates."""
+    norms = np.sqrt(np.einsum("ij,ij->i", M, M))  # no copy of M
+    for i in np.flatnonzero(~squares_normal(norms)):
+        norms[i] = stable_norm(M[i])
+    return norms
+
+
+def product(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """``np.dot(a, b)`` of two arrays of one axis or more, into ``out`` if given.  Over a
+    unit inner dimension, ``(W, 1) . (1, p)`` or ``(1,) . (1, p)``, it is the broadcast
+    multiply of ``a`` by the row of ``b``: numpy hands that shape to a BLAS call that
+    takes two to three times as long.  Every finite entry has np.dot's bits, but a zero
+    product keeps its sign, where BLAS, which adds each product to +0, returns +0."""
+    if b.shape[0] == 1 and a.shape[-1] == 1 and b.ndim == 2 and a.ndim <= 2:
+        return np.multiply(a, b[0], out=out)
+    return np.dot(a, b, out=out)
 
 
 # Coefficients of the [13/13] Pade approximant of exp, normalized to b[0] = 1,

@@ -45,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import lstsq_min_norm, matrix_exponential, nullspace_basis, stable_norm
+from .linalg import lstsq_min_norm, matrix_exponential, nullspace_basis, product, stable_norm
 
 __all__ = [
     "StateSpaceMode",
@@ -557,11 +557,11 @@ class LiftedOperators:
         if self.K < L:
             return self.fit(Y, U)[1]
         W = self.K - L + 1
-        E, part = np.dot(Y[:W], N[0]), np.empty((W, N.shape[2]))
+        E, part = product(Y[:W], N[0]), np.empty((W, N.shape[2]))
         for j in range(1, L):
-            E += np.dot(Y[j : j + W], N[j], out=part)
+            E += product(Y[j : j + W], N[j], out=part)
         for j in range(L - 1):
-            E -= np.dot(U[j : j + W], NT[j], out=part)
+            E -= product(U[j : j + W], NT[j], out=part)
         return stable_norm(E)
 
 

@@ -191,6 +191,21 @@ def windowed_residual(mode, Y, U):
     return float(np.linalg.norm(O @ X - R))
 
 
+def dot_windowed_residual(mode, Y, U):
+    """``LiftedOperators.residual`` summed the same way with ``np.dot`` for every
+    window product: its bitwise reference at K >= L."""
+    L, N, NT = mode._parity
+    K = np.size(Y) // mode.m
+    Y, U = np.reshape(Y, (K, mode.m)), np.reshape(U, (K - 1, mode.l))
+    W = K - L + 1
+    E = np.dot(Y[:W], N[0])
+    for j in range(1, L):
+        E += np.dot(Y[j : j + W], N[j])
+    for j in range(L - 1):
+        E -= np.dot(U[j : j + W], NT[j])
+    return float(np.linalg.norm(E))
+
+
 def run_python(*argv, check=False) -> subprocess.CompletedProcess:
     """``python -W error::RuntimeWarning *argv`` in a fresh interpreter that imports
     this package from the tree under test, with its output captured as text."""

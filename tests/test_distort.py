@@ -584,6 +584,18 @@ class TestDeterminism:
         assert np.array_equal(first.Ubar, second.Ubar)
         assert np.array_equal(first.Ybar, second.Ybar)
 
+    def test_replay_is_np_dots_bit_for_bit(self, monkeypatch):
+        # U Theta' is an outer product, (K - 1, 1) by (1, 1): linalg.product, not BLAS.
+        bank = vehicle_demo_bank()
+        K = 500
+        traj = support.random_trajectory(np.random.default_rng(54), bank.mode(1), K)
+        cfg = make_config(bank.mode(1), bank.mode(2), K, 1.0, seed=12)
+        cloaked = run_offline(cfg, traj)
+        monkeypatch.setattr(distort, "product", np.dot)
+        reference = run_offline(cfg, traj)
+        assert cloaked.Ubar.tobytes() == reference.Ubar.tobytes()
+        assert cloaked.Ybar.tobytes() == reference.Ybar.tobytes()
+
 
 class TestPipeline:
     K = 200
@@ -614,9 +626,9 @@ class TestPipeline:
         sports, average, traj, spec, _ = scenario
         sizes, kept = [], invariance._utility_kept
 
-        def spy(F, change, size):
+        def spy(F, change, size, *rows):
             sizes.append(size)
-            return kept(F, change, size)
+            return kept(F, change, size, *rows)
 
         for module in (invariance, distort):
             monkeypatch.setattr(module, "_utility_kept", spy)
@@ -686,15 +698,16 @@ class TestPipeline:
 
     @pytest.mark.parametrize("name", ["Y", "F"])
     def test_overflowing_norm_is_refused_by_name(self, scenario, name):
-        # An infinite ||Y|| + ||Ybar|| (a finite 1e308 output) or ||F_i|| makes the
-        # bound hold for any gap; the check refuses by name, with no warning.
+        # An infinite ||Y|| + ||Ybar|| (a finite 1e308 output) or ||F_i|| (a row of
+        # 1e308s) makes the bound hold for any gap; the check refuses by name, with no
+        # warning.
         _, _, traj, spec, cfg = scenario
         if name == "Y":
             Y = traj.Y.copy()
             Y[6, 0] = 1e308
             traj = Trajectory(U=traj.U, Y=Y, X=traj.X)
         else:
-            spec = UtilitySpec(F=[np.full(self.K, 1e200)], mu=[0.0], K=self.K)
+            spec = UtilitySpec(F=[np.full(self.K, 1e308)], mu=[0.0], K=self.K)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"the norm of {name} is not finite"):

@@ -129,9 +129,21 @@ class TestUtilityKept:
         assert invariance._utility_kept(self.F, np.zeros(2), 0.0) == (True, 0.0)
         assert not invariance._utility_kept(self.F, np.array([1e-300, 0.0]), 1.0)[0]
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170, 1e300])
+    def test_row_norm_past_the_squares_is_measured(self, scale):
+        # The squares of (3, 4, 0) times 1e-170 underflow and times 1e170 overflow; the
+        # row's norm is 5 times the scale all the same, and so is its bound.
+        for share, kept in [(0.99, True), (1.01, False)]:
+            change = np.array([0.0, share * 1e-8 * 5.0 * scale])
+            assert invariance._utility_kept(self.F * scale, change, 1.0) == (
+                kept, pytest.approx(share * 1e-8)
+            )
+
     @pytest.mark.parametrize("name", ["F", "Y"])
     def test_overflowing_norm_is_refused_by_name(self, name):
-        F, size = (self.F * 1e300, 1.0) if name == "F" else (self.F, np.inf)
+        # The row (1.5e308, 1.5e308, 0) has a norm past the float range.
+        row = [1.5e308, 1.5e308, 0.0]
+        F, size = (np.array([[0.0, 0.0, 0.0], row]), 1.0) if name == "F" else (self.F, np.inf)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^the norm of {name} is not finite"):
@@ -375,11 +387,17 @@ class TestGramFit:
             assert abs(residual - expected) <= 1e-12 * np.linalg.norm(data)
             windowed = support.windowed_residual(ops.mode, data, drive.U)
             assert abs(ops.residual(data, drive.U) - windowed) <= 1e-12 * np.linalg.norm(data)
+            # The window products are outer products, (K - 1, 1) by (1, 1): bit for bit np.dot's.
+            oracle = support.dot_windowed_residual(ops.mode, data, drive.U)
+            assert ops.residual(data, drive.U) == oracle
 
     def test_random_observable_modes_match_oracle(self):
+        # m and l of 1 or 2: the window products have a unit inner dimension when m or l is 1.
         rng = np.random.default_rng(47)
+        shapes = set()
         for case in range(60):
             m, l = (int(v) for v in rng.integers(1, 3, size=2))
+            shapes.add((m, l))
             mode = support.random_valid_mode(rng, n=3, m=m, l=l)
             for K in (3, 40, 700):
                 ops = build_lifted_operators(mode, K)
@@ -392,6 +410,9 @@ class TestGramFit:
                     assert abs(residual - expected) <= 1e-12 * np.linalg.norm(data)
                     windowed = support.windowed_residual(mode, data, U)
                     assert abs(ops.residual(data, U) - windowed) <= 1e-12 * np.linalg.norm(data)
+                    if K >= mode._parity[0]:
+                        assert ops.residual(data, U) == support.dot_windowed_residual(mode, data, U)
+        assert shapes == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
     def test_double_integrator_paper_horizon(self):
         # The position column of Ot grows linearly, the other is constant.
@@ -840,6 +861,20 @@ class TestKernelProjector:
 
 
 class TestSolveUtilityInvariance:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_plan_is_np_dots_bit_for_bit(self, monkeypatch, seed):
+        # For q = 1, c F Mx and c F Mu are outer products, (1,) by (1, n): linalg.product.
+        # Two columns of F Ot are zero (the vehicles' unobservable states); their
+        # entries of x2_init are -0, as np.dot made them, whatever the sign of c.
+        ops = build_lifted_operators(vehicle_demo_bank().mode(2), 500)
+        spec = UtilitySpec.average(500)
+        plan = solve_utility_invariance(ops, spec, seed=seed)
+        monkeypatch.setattr(invariance, "product", np.dot)
+        reference = solve_utility_invariance(ops, spec, seed=seed)
+        for part in ("x2_init", "U2", "delta_Y"):
+            assert getattr(plan, part).tobytes() == getattr(reference, part).tobytes()
+        assert plan.residual == reference.residual
+
     def test_zero_magnitude_zero_plan(self):
         ops = build_lifted_operators(support.scalar_mode(0.8), 3)
         plan = solve_utility_invariance(ops, UtilitySpec.average(3), magnitude=0.0)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from behaviorcloak import linalg
 from behaviorcloak.linalg import (
     gram_solve,
     is_schur,
@@ -10,7 +11,7 @@ from behaviorcloak.linalg import (
     matrix_exponential,
     nullspace_basis,
 )
-from support import RESIDUAL_TOL, pseudoinverse
+from support import RESIDUAL_TOL, pseudoinverse, traced_peak
 
 
 def random_matrix_of_rank(rng, p, q, r):
@@ -239,3 +240,89 @@ class TestMatrixExponential:
         np.testing.assert_allclose(
             matrix_exponential([[0.0, t], [-t, 0.0]]), [[c, s], [-s, c]], atol=1e-12
         )
+
+
+class TestStableNorm:
+    """``stable_norm`` and ``stable_row_norms`` against the norm of the unscaled data."""
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-150, 1.0, 1e160, 1e300])
+    def test_norm_is_the_scale_times_the_unit_norm(self, scale):
+        # Below 1e-154 the squares underflow, above 1e154 they overflow (the caller
+        # silences numpy's overflow warning, as the package's callers do).
+        x = np.random.default_rng(5).standard_normal(36000)
+        norm = np.linalg.norm(x)
+        with np.errstate(over="ignore"):
+            assert linalg.stable_norm(scale * x) == pytest.approx(scale * norm, rel=1e-14)
+            rows = linalg.stable_row_norms(scale * x.reshape(4, -1))
+        expected = scale * np.linalg.norm(x.reshape(4, -1), axis=1)
+        np.testing.assert_allclose(rows, expected, rtol=1e-14)
+
+    @pytest.mark.parametrize(
+        "x, expected", [([0.0, 0.0], 0.0), ([1.0, np.nan], np.nan), ([1.0, -np.inf], np.inf)]
+    )
+    def test_zero_nan_and_inf(self, x, expected):
+        np.testing.assert_equal(linalg.stable_norm(np.array(x)), expected)
+        np.testing.assert_equal(linalg.stable_row_norms(np.array([x])), [expected])
+
+    def test_only_a_rescaled_norm_allocates(self):
+        # An array of 36000 floats is 288 KB; the normal norm takes no copy of it.
+        x = np.random.default_rng(6).standard_normal((1, 36000))
+        assert traced_peak(lambda: linalg.stable_norm(x)) < 4096
+        assert traced_peak(lambda: linalg.stable_row_norms(x)) < 4096
+        assert traced_peak(lambda: linalg.stable_norm(1e-170 * x)) >= x.nbytes
+        assert traced_peak(lambda: linalg.stable_row_norms(1e-170 * x)) >= x.nbytes
+
+    def test_squares_normal_bounds(self):
+        tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+        small, big = np.sqrt(tiny), np.sqrt(huge)
+        norms = np.array([0.0, small / 2, small, 1.0, big, np.inf, np.nan])
+        np.testing.assert_array_equal(
+            linalg.squares_normal(norms), [False, False, True, True, False, False, False]
+        )
+
+
+class TestProduct:
+    """``product`` against ``np.dot``, compared as bytes."""
+
+    @pytest.mark.parametrize("W", [1, 5, 36000])
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_outer_product_is_np_dot(self, W, p):
+        rng = np.random.default_rng(W + p)
+        a, b = rng.standard_normal((W, 1)), rng.standard_normal((1, p))
+        assert linalg.product(a, b).tobytes() == np.dot(a, b).tobytes()
+        out = np.empty((W, p))
+        assert linalg.product(a, b, out=out) is out
+        assert out.tobytes() == np.dot(a, b).tobytes()
+
+    @pytest.mark.parametrize("N", [1, 3, 36000])
+    def test_vector_times_row_is_np_dot(self, N):
+        rng = np.random.default_rng(N)
+        a, b = rng.standard_normal(1), rng.standard_normal((1, N))
+        assert linalg.product(a, b).shape == (N,)
+        assert linalg.product(a, b).tobytes() == np.dot(a, b).tobytes()
+        out = np.empty(N)
+        assert linalg.product(a, b, out=out) is out
+        assert out.tobytes() == np.dot(a, b).tobytes()
+
+    def test_a_zero_product_keeps_its_sign(self):
+        # BLAS adds each product to +0; the multiply leaves 0 * -1 at -0.
+        a, b = np.array([[0.0], [2.0]]), np.array([[-1.0, 3.0]])
+        np.testing.assert_array_equal(linalg.product(a, b), np.dot(a, b))
+        assert np.signbit(linalg.product(a, b)[0]).tolist() == [True, False]
+        assert not np.signbit(np.dot(a, b)[0]).any()
+
+    @pytest.mark.parametrize(
+        "a_shape, b_shape", [((7, 2), (2, 3)), ((2,), (2, 5)), ((7, 3), (3,)), ((7, 1), (1,))]
+    )
+    def test_other_shapes_go_to_np_dot(self, monkeypatch, a_shape, b_shape):
+        rng = np.random.default_rng(7)
+        a, b = rng.standard_normal(a_shape), rng.standard_normal(b_shape)
+        expected, calls = np.dot(a, b), []
+        dot = np.dot
+        monkeypatch.setattr(np, "dot", lambda *args, **kw: calls.append(1) or dot(*args, **kw))
+        assert linalg.product(a, b).tobytes() == expected.tobytes()
+        assert calls == [1]
+
+    def test_unit_inner_dimension_skips_np_dot(self, monkeypatch):
+        monkeypatch.setattr(np, "dot", None)
+        assert linalg.product(np.ones((4, 1)), np.ones((1, 2))).shape == (4, 2)

@@ -118,6 +118,20 @@ def test_only_modes_names_the_block_kernel(path):
     assert not kernel, f"{path.name} names {kernel}"
 
 
+@pytest.mark.parametrize(
+    "path", [p for p in PACKAGE_FILES if p.name != "linalg.py"], ids=lambda p: p.name
+)
+def test_only_linalg_calls_np_dot(path):
+    # Every product np.dot would make is linalg.product, which keeps an outer
+    # product off BLAS.
+    calls = [
+        f"line {number}"
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "np.dot(" in line
+    ]
+    assert not calls, f"{path.name} calls np.dot at {calls}"
+
+
 @pytest.mark.parametrize("path", PACKAGE_FILES, ids=lambda p: p.name)
 def test_only_modes_reads_and_writes_documents(path):
     # Every JSON document goes through ``modes._read_document`` and

@@ -11,6 +11,9 @@ smaller than the tolerance passes any fit.  The cases on which an absolute
 bound reads the same are oracle guards: the design cases with s and t in
 {-3, 0, 3}, (-3, -9) and (-9, 3), the infeasible cases with s, t >= 0 and
 (9, -9), and the command line at unit scale.
+
+Data and utilities far below 1, whose squares underflow (1e-170), keep the
+verdicts and plans of unit scale: their norms are rescaled, not read as 0.
 """
 
 import json
@@ -38,6 +41,7 @@ from behaviorcloak import (
     solve_regulator_equations,
     write_trajectory_csv,
 )
+from behaviorcloak.invariance import save_utility_spec
 from behaviorcloak.classify import NONE
 from behaviorcloak.cli import main
 from behaviorcloak.distort import InconsistentDataError
@@ -168,6 +172,59 @@ def test_cli_design_distort_classify(capsys, tmp_path, unscaled_pi, c, b):
     out_csv = tmp_path / "distorted.csv"
     argv = ["distort", *pair, "--controller", str(design_dir / "controller.json")]
     argv += ["--plan", str(design_dir / "plan.json"), "--input", str(drive), "--out", str(out_csv)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["classify", "--bank", str(bank_path), "--input", str(out_csv)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "2"
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-170, 1e-300])
+def test_tiny_drive_reads_the_unit_scale_verdict(scale):
+    # At 1e-170 and 1e-300 the squares of the outputs and residuals underflow: read
+    # as 0, both scores are 0 and the verdict is AMBIGUOUS.  Rescaled, the drive reads 1.
+    sports, average = support.scaled_vehicles()
+    bank = ModeBank((sports, average))
+    traj = support.random_trajectory(np.random.default_rng(72), sports, 200)
+    unit = classify(bank, traj)
+    tiny = classify(bank, Trajectory(U=scale * traj.U, Y=scale * traj.Y))
+    assert tiny.verdict == unit.verdict == 1
+    assert tiny.residuals[2] == pytest.approx(unit.residuals[2], rel=1e-9)
+
+
+def tiny_average(K):
+    """The per-sample average times 1e-170: the squares of its row underflow."""
+    average = UtilitySpec.average(K)
+    return UtilitySpec(F=1e-170 * average.F, mu=average.mu, K=K)
+
+
+def test_tiny_utility_is_planned_and_kept():
+    # Read as 0, the row's norm bounds every change at 0 and the plan's Gram loses
+    # the input part: design refuses (exit 4), although Ker[F] is the average's.
+    sports, average = support.scaled_vehicles()
+    traj = support.random_trajectory(np.random.default_rng(72), sports, 200)
+    spec = tiny_average(200)
+    cfg = design(sports, average, spec, seed=4)
+    assert cfg.plan.residual <= 1e-15
+    assert np.linalg.norm(cfg.plan.delta_Y) == pytest.approx(1.0)
+    cloaked = cloak(cfg, traj, spec).to_trajectory()
+    assert classify(ModeBank((sports, average)), cloaked).verdict == 2
+
+
+def test_cli_tiny_utility_document(capsys, tmp_path):
+    # The same utility as an explicit document: design, distort and classify exit 0.
+    bank_path, drive, utility_path = (tmp_path / f for f in ("bank.json", "drive.csv", "u.json"))
+    sports, average = support.scaled_vehicles()
+    save_mode_bank(ModeBank((sports, average)), bank_path)
+    write_trajectory_csv(support.random_trajectory(np.random.default_rng(72), sports, 200), drive)
+    save_utility_spec(tiny_average(200), utility_path)
+    pair = ["--bank", str(bank_path), "--true-mode", "1", "--target-mode", "2"]
+    design_dir, out_csv = tmp_path / "d", tmp_path / "distorted.csv"
+    argv = ["--utility", str(utility_path), "--K", "200", "--out", str(design_dir)]
+    assert main(["design", *pair, *argv]) == 0
+    assert json.loads(capsys.readouterr().out)["plan_residual"] <= 1e-15
+    argv = ["distort", *pair, "--controller", str(design_dir / "controller.json")]
+    argv += ["--plan", str(design_dir / "plan.json"), "--input", str(drive)]
+    argv += ["--utility", str(utility_path), "--out", str(out_csv)]
     assert main(argv) == 0
     capsys.readouterr()
     assert main(["classify", "--bank", str(bank_path), "--input", str(out_csv)]) == 0
