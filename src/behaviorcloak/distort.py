@@ -286,9 +286,9 @@ def design(true_mode, target_mode, utility, magnitude=1.0, seed=0) -> Distortion
 def cloak(cfg: DistortionConfig, traj: Trajectory, utility: UtilitySpec) -> DistortedTrajectory:
     """:func:`run_offline` of a trajectory with states under a utility of its K and m (else
     ValueError); UtilityChangedError unless ``|F_i Ybar - F_i Y| <= 1e-8 ||F_i|| (||Y|| +
-    ||Ybar||)`` for every row ``F_i``: the plan's test, ``invariance._utility_kept``.  A
-    ValueError names ``F`` when a ``||F_i||`` overflows and ``Y`` when ``||Y|| + ||Ybar||``
-    does (:func:`~behaviorcloak.linalg.stable_norm`)."""
+    ||Ybar||)`` for every row ``F_i``: the plan's test, ``invariance._utility_kept``, by the
+    spec's :attr:`~behaviorcloak.invariance.UtilitySpec.row_norms`.  A ValueError names ``F``
+    when a ``||F_i||`` overflows and ``Y`` when ``||Y|| + ||Ybar||`` does."""
     if traj.X is None:
         raise ValueError("the input trajectory must carry state columns")
     if utility.K != cfg.K or utility.m != cfg.true_mode.m:
@@ -300,6 +300,6 @@ def cloak(cfg: DistortionConfig, traj: Trajectory, utility: UtilitySpec) -> Dist
     F, Y, Ybar = utility.F, traj.Y.reshape(-1), distorted.Ybar.reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is _utility_kept's to judge
         change, size = F @ Ybar - F @ Y, stable_norm(Y) + stable_norm(Ybar)
-    if not _utility_kept(F, change, size)[0]:
+    if not _utility_kept(utility, change, size)[0]:
         raise UtilityChangedError(f"the plan changes this utility by {np.max(np.abs(change)):.3e}")
     return distorted

@@ -11,23 +11,25 @@ response M z of the projected point z is rescaled to the requested size.
 ``F M`` has only q rows, all formed by one batched adjoint apply ``M' F'``,
 so the projection solves with the q x q Gram ``F M (F M)'``, with each
 column of ``F Ot`` scaled to unit norm lest an unstable target's swamp it;
-the start state of z is the projection's correction.  When the projected
-response is rounding next to its forced part ``Tt U``, or it fails the
-utility test of every cloak, :func:`_utility_kept`, no plan is found: Ker[F]
-is trivial, or the target behaviour meets it only at zero.  A Gram or a
-response norm past the float range (an unstable target at a long horizon)
-is a ValueError naming the mode and K.  A plan costs O(q^2 K) work, for the
-q x q Gram of ``F M``; the adjoint apply of the q rows of F takes a few
-vectorized steps per level of the block kernel's grouped recursion.
+the start state of z is the projection's correction, and a row of F whose
+squares leave the normal floats enters it scaled by a power of two.  When
+the projected response is rounding next to its forced part ``Tt U``, or it
+fails every cloak's test, :func:`_utility_kept`, no plan is found: Ker[F]
+is trivial, or the target behaviour meets it only at zero.  A row norm of F
+(:attr:`UtilitySpec.row_norms`), a Gram or a response norm past the float
+range is a ValueError naming F, or the mode and K.  A plan costs O(q^2 K)
+work, for the q x q Gram of ``F M``; the adjoint apply of the q rows of F
+takes a few vectorized steps per level of the block kernel's grouped recursion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import gram_solve, product, squares_normal, stable_row_norms
+from .linalg import gram_solve, product, squares_normal, stable_norm
 from .modes import (
     LiftedOperators,
     StateSpaceMode,
@@ -98,6 +100,17 @@ class UtilitySpec:
     def m(self) -> int:
         return self.F.shape[1] // self.K
 
+    @cached_property
+    def row_norms(self) -> np.ndarray:
+        """``||F_i||`` of each row by :func:`~behaviorcloak.linalg.stable_norm`, taken on first
+        use; a ValueError names ``F`` when one overflows, as no change can then be bounded."""
+        with np.errstate(over="ignore"):  # an overflowing norm is refused below
+            norms = np.array([stable_norm(row) for row in self.F])
+        if not np.isfinite(norms).all():
+            raise ValueError("the norm of F is not finite: no utility change can be bounded")
+        norms.setflags(write=False)
+        return norms
+
     def utility(self, stacked_outputs) -> np.ndarray:
         """Evaluate ``F Y + mu`` on a stacked output trajectory."""
         return self.F @ np.asarray(stacked_outputs, dtype=float).reshape(-1) + self.mu
@@ -112,19 +125,18 @@ class UtilitySpec:
         return cls(F=F, mu=np.zeros(m), K=K)
 
 
-def _utility_kept(F, change, size, rows=None) -> tuple[bool, float]:
+def _utility_kept(spec: UtilitySpec, change, size) -> tuple[bool, float]:
     """Whether a utility change ``change = F dY`` is rounding next to data of norm ``size``,
-    ``|change_i| <= 1e-8 ||F_i|| size`` for every row ``F_i`` (a zero row passes), and the
-    largest ``|change_i| / ||F_i||``; ``rows`` are the ``||F_i||`` if the caller has them.
-    A ValueError names ``F`` when a ``||F_i||`` overflows and ``Y`` when ``size`` does."""
+    ``|change_i| <= 1e-8 ||F_i|| size`` for every row ``F_i`` of ``spec.F`` (a zero row
+    passes), and the largest ``|change_i| / ||F_i||``.  A ValueError names ``F`` when a
+    ``||F_i||`` overflows (:attr:`UtilitySpec.row_norms`) and ``Y`` when ``size`` does."""
+    rows = spec.row_norms
+    if not np.isfinite(size):
+        raise ValueError("the norm of Y is not finite: no utility change can be bounded")
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite bound holds for any gap
         gap = np.abs(change)
-        rows = stable_row_norms(F) if rows is None else rows
         kept = bool(np.all(gap <= _UTILITY_RTOL * rows * size))
         ratio = float(np.max(gap / np.where(rows > 0.0, rows, np.inf)))
-    for name, norm in (("F", rows), ("Y", size)):
-        if not np.isfinite(norm).all():
-            raise ValueError(f"the norm of {name} is not finite: no utility change can be bounded")
     return kept, ratio
 
 
@@ -175,7 +187,7 @@ def solve_utility_invariance(
     onto Ker[F M], ``M = [Ot Tt]``, in the metric that scales each nonzero
     column of ``F Ot`` to unit norm by ``s``: the start state is
     ``x = -s^2 (F Ot)' c``, with c solved from the q x q Gram; a row of F whose
-    squares leave the normal floats enters it scaled by a power of two.  The point
+    squares leave the normal floats enters the adjoint scaled by a power of two.  The point
     ``z = (x, U)`` is scaled so that its response ``delta_Y = M z``, a run of
     :meth:`~behaviorcloak.modes.LiftedOperators.apply` as is the forced part
     ``Tt U``, has the requested norm, and is kept iff :func:`_utility_kept` passes
@@ -198,8 +210,8 @@ def solve_utility_invariance(
     Raises
     ------
     ValueError
-        If ``F Ot``, the Gram or the norm of the response is not finite:
-        an unstable target outgrows the float range at this horizon.
+        If a row norm of F overflows (before any adjoint), or ``F Ot``, the Gram or the
+        response norm is not finite: an unstable target outgrows the float range.
     InvarianceInfeasibleError
         If Ker[F] is trivial, or the target behaviour meets it only at zero,
         or rounding leaves a ``|F_i delta_Y|`` above ``1e-8 ||F_i|| ||delta_Y||``.
@@ -210,19 +222,16 @@ def solve_utility_invariance(
         raise ValueError(f"magnitude must be finite and nonnegative, got {magnitude}")
     if magnitude == 0.0:
         return KernelPlan.zero(ops.mode, ops.K)
-    n, K, F = ops.n, ops.K, spec.F
+    n, K, F, rows = ops.n, ops.K, spec.F, spec.row_norms
+    # Rows whose squares leave the normal floats enter at a norm in [0.5, 1); zero rows shift 0.
+    shift = np.where(squares_normal(rows), 0, -np.frexp(rows)[1])
+    if shift.any():
+        F = np.ldexp(F, shift[:, None])
     U = np.random.default_rng(seed).standard_normal((K - 1, ops.l))
     # The draw (0, U) moves by -(F M)' c, with F Ot's columns scaled to unit norm by s in
     # the Gram, so x is s * -(F Ot s)' c.  Past the float range a plan is refused by name.
     with np.errstate(over="ignore", invalid="ignore"):
         FMx, FMu = ops.apply_adjoint(F)
-        rows = stable_row_norms(F)
-        # A row of F whose squares leave the normal floats enters the Gram scaled by a
-        # power of two to a norm near 1: exact, and the kernel is the same.
-        for i in np.flatnonzero(~squares_normal(rows) & (rows > 0.0) & (rows < np.inf)):
-            scale = np.ldexp(1.0, -np.frexp(rows[i])[1])
-            FMx[i] *= scale
-            FMu[i] *= scale
         s = 1.0 / np.maximum(np.linalg.norm(FMx, axis=0), np.finfo(float).tiny)
         FMx *= s
         gram = _finite(FMx @ FMx.T + FMu @ FMu.T, ops)
@@ -233,7 +242,7 @@ def solve_utility_invariance(
         forced = np.linalg.norm(ops.apply(np.zeros(n), U))
         delta = ops.apply(x, U)
         norm = float(_finite(np.linalg.norm(delta), ops))
-    kept, miss = _utility_kept(F, F @ delta, norm, rows)
+    kept, miss = _utility_kept(spec, spec.F @ delta, norm)
     if norm <= _INFEASIBLE_RATIO * forced or not kept:
         raise InvarianceInfeasibleError(
             "Ker[F] is trivial or the target behaviour meets it only at zero, or "

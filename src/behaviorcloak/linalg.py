@@ -7,11 +7,11 @@ decisions everywhere drop singular values below
 numerically zero; a solve through the Gram ``M' M`` or ``M M'`` uses that
 cutoff squared on its eigenvalues.  A matrix is Schur stable when its
 spectral radius is at most ``1 - SCHUR_MARGIN``.  Whether a residual is
-small is decided by each caller, relative to the data it checks; a 2-norm
-of such data is :func:`stable_norm`, accurate wherever the norm itself is a
-normal float.  Every product ``np.dot`` would make is :func:`product`: over a
-unit inner dimension, an outer product, it is one broadcast multiply, since
-numpy hands that shape to a BLAS call that takes two to three times as long.
+small is decided by each caller, relative to the data it checks; a 2-norm of
+such data or of a utility row is :func:`stable_norm`, accurate wherever the
+norm is a normal float.  Every product ``np.dot`` would make is :func:`product`:
+over a unit inner dimension, an outer product, it is one broadcast multiply,
+since numpy hands that shape to a BLAS call that takes two to three times as long.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "is_schur",
     "squares_normal",
     "stable_norm",
-    "stable_row_norms",
     "product",
     "matrix_exponential",
 ]
@@ -134,15 +133,6 @@ def stable_norm(x) -> float:
         if 0.0 < peak < np.inf:
             norm = peak * np.linalg.norm(x / peak)
     return float(norm)
-
-
-def stable_row_norms(M: np.ndarray) -> np.ndarray:
-    """The 2-norm of each row of a matrix, each by :func:`stable_norm`'s rule: only a
-    row whose sum of squares leaves the normal floats is rescaled, and allocates."""
-    norms = np.sqrt(np.einsum("ij,ij->i", M, M))  # no copy of M
-    for i in np.flatnonzero(~squares_normal(norms)):
-        norms[i] = stable_norm(M[i])
-    return norms
 
 
 def product(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:

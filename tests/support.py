@@ -17,6 +17,7 @@ from behaviorcloak import (
     KernelPlan,
     StateSpaceMode,
     Trajectory,
+    UtilitySpec,
     build_lifted_operators,
     build_tracking_controller,
     design_stabilizing_gain,
@@ -287,6 +288,12 @@ def stabilized_drive(source, K, norm=0.3, seed=0) -> Trajectory:
     run = simulate_mode(closed, [0.0, 1.0], R)
     c = norm / np.linalg.norm(run.Y)
     return Trajectory(U=c * (R - run.X[:-1] @ G.T), Y=c * run.Y, X=c * run.X)
+
+
+def row_utility(F) -> UtilitySpec:
+    """A utility spec of the rows ``F``, one output over as many samples as columns."""
+    F = np.atleast_2d(F)
+    return UtilitySpec(F=F, mu=np.zeros(len(F)), K=F.shape[1])
 
 
 def scaled_vehicles(c=1.0, b=1.0):

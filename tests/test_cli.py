@@ -191,6 +191,25 @@ class TestDesignCommand:
             assert code == 4
             assert "Ker[F] is trivial" in capsys.readouterr().err
 
+    def test_overflowing_utility_row_is_bad_input(self, capsys, vehicle_bank_path, tmp_path):
+        # A row of 1e308s has a norm past the float range: design names F, not the mode.
+        utility_path = tmp_path / "utility.json"
+        save_utility_spec(UtilitySpec(F=np.full((1, 200), 1e308), mu=[0.0], K=200), utility_path)
+        code = main(
+            [
+                "design",
+                "--bank", str(vehicle_bank_path),
+                "--true-mode", "1",
+                "--target-mode", "2",
+                "--utility", str(utility_path),
+                "--K", "200",
+                "--out", str(tmp_path / "x"),
+            ]
+        )
+        assert code == 2
+        assert "error: the norm of F is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("K", [500, 1000, 2000, 4113, 7500])
     def test_unstable_target_long_horizon(self, capsys, tmp_path, K):
         # The pole at 1.05 is unreachable from the input; plans exist although

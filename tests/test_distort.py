@@ -29,7 +29,7 @@ from behaviorcloak import (
     solve_utility_invariance,
     vehicle_demo_bank,
 )
-from behaviorcloak import distort, invariance
+from behaviorcloak import distort, invariance, modes
 
 
 def make_config(true_mode, target_mode, K, magnitude=0.0, seed=0):
@@ -626,9 +626,10 @@ class TestPipeline:
         sports, average, traj, spec, _ = scenario
         sizes, kept = [], invariance._utility_kept
 
-        def spy(F, change, size, *rows):
+        def spy(utility, change, size):
+            assert utility is spec
             sizes.append(size)
-            return kept(F, change, size, *rows)
+            return kept(utility, change, size)
 
         for module in (invariance, distort):
             monkeypatch.setattr(module, "_utility_kept", spy)
@@ -636,6 +637,35 @@ class TestPipeline:
         norms = np.linalg.norm(traj.Y) + np.linalg.norm(cloaked.Ybar)
         assert len(sizes) == 2 and sizes[1] == pytest.approx(norms, rel=1e-15)
         assert not hasattr(distort, "_UTILITY_RTOL")
+
+    def test_row_norms_are_measured_once_per_spec(self, scenario, monkeypatch):
+        # A design and a cloak on one spec measure its one row once; a second design on
+        # the same spec measures none.  A new spec: the scenario's design measured its own.
+        sports, average, traj, _, _ = scenario
+        spec, rows, norm = UtilitySpec.average(self.K), [], invariance.stable_norm
+
+        def spy(x):
+            rows.append(np.shares_memory(x, spec.F))
+            return norm(x)
+
+        monkeypatch.setattr(invariance, "stable_norm", spy)
+        cloak(design(sports, average, spec, 1.0, seed=4), traj, spec)
+        assert rows == [True]
+        design(sports, average, spec, 1.0, seed=5)
+        assert rows == [True]
+
+    def test_overflowing_utility_row_is_refused_before_the_plan(self, scenario, monkeypatch):
+        # A row of 1e308s has a norm past the float range: no change to it can be bounded.
+        # design names F, not the plan of the mode, and runs no adjoint.
+        sports, average, _, _, _ = scenario
+        spec = UtilitySpec(F=np.full((1, self.K), 1e308), mu=[0.0], K=self.K)
+        adjoint = []
+        monkeypatch.setattr(modes.LiftedOperators, "apply_adjoint", lambda *a: adjoint.append(a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^the norm of F is not finite"):
+                design(sports, average, spec, 1.0, seed=4)
+        assert adjoint == []
 
     def test_cloak_equals_run_offline(self, scenario):
         _, _, traj, spec, cfg = scenario

@@ -34,7 +34,7 @@ from behaviorcloak import (
 from behaviorcloak import invariance, modes
 from behaviorcloak.invariance import load_utility_spec, save_utility_spec
 from behaviorcloak.linalg import gram_solve, lstsq_min_norm, nullspace_basis
-from support import pseudoinverse
+from support import pseudoinverse, row_utility
 
 
 def kernel_projector(F):
@@ -123,19 +123,23 @@ class TestUtilityKept:
     @pytest.mark.parametrize("share, kept", [(0.99, True), (1.01, False)])
     def test_each_row_is_bounded_by_its_norm(self, share, kept):
         change = np.array([0.0, share * 1e-8 * 5.0 * 2.0])
-        assert invariance._utility_kept(self.F, change, 2.0) == (kept, pytest.approx(share * 2e-8))
+        spec = row_utility(self.F)
+        assert invariance._utility_kept(spec, change, 2.0) == (kept, pytest.approx(share * 2e-8))
 
     def test_zero_row_passes_only_an_unchanged_utility(self):
-        assert invariance._utility_kept(self.F, np.zeros(2), 0.0) == (True, 0.0)
-        assert not invariance._utility_kept(self.F, np.array([1e-300, 0.0]), 1.0)[0]
+        spec = row_utility(self.F)
+        assert invariance._utility_kept(spec, np.zeros(2), 0.0) == (True, 0.0)
+        assert not invariance._utility_kept(spec, np.array([1e-300, 0.0]), 1.0)[0]
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170, 1e300])
     def test_row_norm_past_the_squares_is_measured(self, scale):
         # The squares of (3, 4, 0) times 1e-170 underflow and times 1e170 overflow; the
         # row's norm is 5 times the scale all the same, and so is its bound.
+        spec = row_utility(self.F * scale)
+        assert spec.row_norms.tolist() == [0.0, pytest.approx(5.0 * scale, rel=1e-15)]
         for share, kept in [(0.99, True), (1.01, False)]:
             change = np.array([0.0, share * 1e-8 * 5.0 * scale])
-            assert invariance._utility_kept(self.F * scale, change, 1.0) == (
+            assert invariance._utility_kept(spec, change, 1.0) == (
                 kept, pytest.approx(share * 1e-8)
             )
 
@@ -147,7 +151,7 @@ class TestUtilityKept:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^the norm of {name} is not finite"):
-                invariance._utility_kept(F, np.zeros(2), size)
+                invariance._utility_kept(row_utility(F), np.zeros(2), size)
 
 
 class TestBuildLiftedOperators:

@@ -11,7 +11,7 @@ from behaviorcloak.linalg import (
     matrix_exponential,
     nullspace_basis,
 )
-from support import RESIDUAL_TOL, pseudoinverse, traced_peak
+from support import RESIDUAL_TOL, pseudoinverse, row_utility, traced_peak
 
 
 def random_matrix_of_rank(rng, p, q, r):
@@ -243,7 +243,8 @@ class TestMatrixExponential:
 
 
 class TestStableNorm:
-    """``stable_norm`` and ``stable_row_norms`` against the norm of the unscaled data."""
+    """``stable_norm`` and ``UtilitySpec.row_norms``, which applies it to each row of a
+    utility, against the norm of the unscaled data."""
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-150, 1.0, 1e160, 1e300])
     def test_norm_is_the_scale_times_the_unit_norm(self, scale):
@@ -253,7 +254,7 @@ class TestStableNorm:
         norm = np.linalg.norm(x)
         with np.errstate(over="ignore"):
             assert linalg.stable_norm(scale * x) == pytest.approx(scale * norm, rel=1e-14)
-            rows = linalg.stable_row_norms(scale * x.reshape(4, -1))
+        rows = row_utility(scale * x.reshape(4, -1)).row_norms
         expected = scale * np.linalg.norm(x.reshape(4, -1), axis=1)
         np.testing.assert_allclose(rows, expected, rtol=1e-14)
 
@@ -262,15 +263,20 @@ class TestStableNorm:
     )
     def test_zero_nan_and_inf(self, x, expected):
         np.testing.assert_equal(linalg.stable_norm(np.array(x)), expected)
-        np.testing.assert_equal(linalg.stable_row_norms(np.array([x])), [expected])
+        if expected == 0.0:
+            np.testing.assert_equal(row_utility(x).row_norms, [0.0])
+        else:  # a spec refuses a NaN or an infinity in F
+            with pytest.raises(ValueError, match="^utility F is not finite at row 1$"):
+                row_utility(x)
 
     def test_only_a_rescaled_norm_allocates(self):
         # An array of 36000 floats is 288 KB; the normal norm takes no copy of it.
         x = np.random.default_rng(6).standard_normal((1, 36000))
         assert traced_peak(lambda: linalg.stable_norm(x)) < 4096
-        assert traced_peak(lambda: linalg.stable_row_norms(x)) < 4096
         assert traced_peak(lambda: linalg.stable_norm(1e-170 * x)) >= x.nbytes
-        assert traced_peak(lambda: linalg.stable_row_norms(1e-170 * x)) >= x.nbytes
+        normal, tiny = row_utility(x), row_utility(1e-170 * x)
+        assert traced_peak(lambda: normal.row_norms) < 4096
+        assert traced_peak(lambda: tiny.row_norms) >= x.nbytes
 
     def test_squares_normal_bounds(self):
         tiny, huge = np.finfo(float).tiny, np.finfo(float).max

@@ -14,6 +14,8 @@ bound reads the same are oracle guards: the design cases with s and t in
 
 Data and utilities far below 1, whose squares underflow (1e-170), keep the
 verdicts and plans of unit scale: their norms are rescaled, not read as 0.
+Utilities with subnormal entries (1e-308, 1e-310) plan and cloak too, until
+the row test's own bound underflows (1e-320): then no plan is found (exit 4).
 """
 
 import json
@@ -41,7 +43,7 @@ from behaviorcloak import (
     solve_regulator_equations,
     write_trajectory_csv,
 )
-from behaviorcloak.invariance import save_utility_spec
+from behaviorcloak.invariance import InvarianceInfeasibleError, save_utility_spec
 from behaviorcloak.classify import NONE
 from behaviorcloak.cli import main
 from behaviorcloak.distort import InconsistentDataError
@@ -191,10 +193,11 @@ def test_tiny_drive_reads_the_unit_scale_verdict(scale):
     assert tiny.residuals[2] == pytest.approx(unit.residuals[2], rel=1e-9)
 
 
-def tiny_average(K):
-    """The per-sample average times 1e-170: the squares of its row underflow."""
+def tiny_average(K, scale=1e-170):
+    """The per-sample average times ``scale``: at 1e-170 the squares of its row underflow,
+    and from 1e-308 its entries are subnormal."""
     average = UtilitySpec.average(K)
-    return UtilitySpec(F=1e-170 * average.F, mu=average.mu, K=K)
+    return UtilitySpec(F=scale * average.F, mu=average.mu, K=K)
 
 
 def test_tiny_utility_is_planned_and_kept():
@@ -210,22 +213,64 @@ def test_tiny_utility_is_planned_and_kept():
     assert classify(ModeBank((sports, average)), cloaked).verdict == 2
 
 
-def test_cli_tiny_utility_document(capsys, tmp_path):
-    # The same utility as an explicit document: design, distort and classify exit 0.
+@pytest.mark.parametrize("scale", [1e-308, 1e-310])
+def test_subnormal_utility_is_planned_and_kept(scale):
+    # Entries of 5e-311 and 5e-313: F is scaled by a power of two before the adjoint
+    # (scaled after it, the factor 2^1032 overflowed: "the plan is not finite"), so the
+    # plan is in the average's kernel to rounding, and the row test passes it and its cloak.
+    sports, average = support.scaled_vehicles()
+    traj = support.random_trajectory(np.random.default_rng(72), sports, 200)
+    spec = tiny_average(200, scale)
+    cfg = design(sports, average, spec, seed=4)
+    assert abs(UtilitySpec.average(200).F @ cfg.plan.delta_Y) <= 1e-16
+    assert np.linalg.norm(cfg.plan.delta_Y) == pytest.approx(1.0)
+    cloaked = cloak(cfg, traj, spec).to_trajectory()
+    assert classify(ModeBank((sports, average)), cloaked).verdict == 2
+
+
+def test_utility_at_the_bottom_of_the_subnormals_has_no_plan():
+    # Entries of 5e-323, ten of the smallest subnormal: the bound 1e-8 ||F|| ||dY||
+    # underflows to 0, and F dY, rounded to whole subnormals, is not 0.  No change can
+    # be bounded, so design finds no plan; it is not a plan past the float range.
+    sports, average = support.scaled_vehicles()
+    with pytest.raises(InvarianceInfeasibleError, match="no nonzero plan found"):
+        design(sports, average, tiny_average(200, 1e-320), seed=4)
+
+
+def cli_design_distort_classify(capsys, tmp_path, spec):
+    """``design``, ``distort`` and ``classify`` of a vehicle drive at K = 200 with ``spec``
+    as an explicit document: design's exit code and report, and the verdict if it passes."""
     bank_path, drive, utility_path = (tmp_path / f for f in ("bank.json", "drive.csv", "u.json"))
     sports, average = support.scaled_vehicles()
     save_mode_bank(ModeBank((sports, average)), bank_path)
     write_trajectory_csv(support.random_trajectory(np.random.default_rng(72), sports, 200), drive)
-    save_utility_spec(tiny_average(200), utility_path)
+    save_utility_spec(spec, utility_path)
     pair = ["--bank", str(bank_path), "--true-mode", "1", "--target-mode", "2"]
     design_dir, out_csv = tmp_path / "d", tmp_path / "distorted.csv"
     argv = ["--utility", str(utility_path), "--K", "200", "--out", str(design_dir)]
-    assert main(["design", *pair, *argv]) == 0
-    assert json.loads(capsys.readouterr().out)["plan_residual"] <= 1e-15
+    code = main(["design", *pair, *argv])
+    report = capsys.readouterr().out
+    if code != 0:
+        return code, None, None
     argv = ["distort", *pair, "--controller", str(design_dir / "controller.json")]
     argv += ["--plan", str(design_dir / "plan.json"), "--input", str(drive)]
     argv += ["--utility", str(utility_path), "--out", str(out_csv)]
     assert main(argv) == 0
     capsys.readouterr()
     assert main(["classify", "--bank", str(bank_path), "--input", str(out_csv)]) == 0
-    assert json.loads(capsys.readouterr().out)["verdict"] == "2"
+    return code, json.loads(report), json.loads(capsys.readouterr().out)["verdict"]
+
+
+def test_cli_tiny_utility_document(capsys, tmp_path):
+    # The same utility as an explicit document: design, distort and classify exit 0.
+    code, report, verdict = cli_design_distort_classify(capsys, tmp_path, tiny_average(200))
+    assert code == 0 and report["plan_residual"] <= 1e-15 and verdict == "2"
+
+
+@pytest.mark.parametrize("scale, code, verdict", [
+    (1e-308, 0, "2"), (1e-310, 0, "2"), (1e-320, 4, None)
+])
+def test_cli_subnormal_utility_document(capsys, tmp_path, scale, code, verdict):
+    # Subnormal utilities plan and cloak, or find no plan (exit 4): never bad input (exit 2).
+    got = cli_design_distort_classify(capsys, tmp_path, tiny_average(200, scale))
+    assert (got[0], got[2]) == (code, verdict)
